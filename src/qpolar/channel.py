@@ -162,7 +162,8 @@ class FiniteChannel:
         """Vectorized inverse-CDF sampling: one uniform per transmitted symbol."""
         x_indices = np.asarray(x_indices)
         cum = self.cumulative_float[x_indices]
-        return (uniforms[..., None] >= cum).sum(axis=-1)
+        # a float cumulative row can end just below 1
+        return np.minimum((uniforms[..., None] >= cum).sum(axis=-1), self.num_outputs - 1)
 
     def __repr__(self):
         return f"FiniteChannel(kind={self.kind!r}, q={self.q}, outputs={self.num_outputs})"

@@ -20,6 +20,19 @@ every message to max 1 instead (argmax decisions are scale invariant, and
 the renormalization prevents underflow at long block lengths).  Floating
 entries within relative tolerance ``tie_rtol`` of the maximum count as
 tied; exact ties never depend on a tolerance.
+
+On channels with zero transition entries a message can be identically
+zero (a plus message after a wrong tie guess on an erasure channel).  The
+exact path then finds all q symbols tied; the floating paths match that by
+renormalizing an all-zero message to all ones instead of dividing 0/0.
+
+The batch decoder keeps its messages in a symbol-major (q, n, B) layout, so
+every combining step works on contiguous (n/2, B) slabs.  Its minus sums add
+the q products in the order ``np.add.reduce`` uses on a contiguous axis of
+length q (numpy's pairwise summation: left to right below 8 terms, eight
+interleaved accumulators from 8 to 128 terms, halves above that), so its
+decisions are bit-identical to a decoder that reduces over a trailing
+symbol axis.
 """
 
 from __future__ import annotations
@@ -163,6 +176,8 @@ def _leaf_likelihoods(ch, y, exact):
 
 def _renorm(t):
     mx = max(t)
+    if mx == 0:
+        return (1.0,) * len(t)
     return tuple(v / mx for v in t)
 
 
@@ -300,51 +315,152 @@ def sc_decode_batch(code, T, tie_uniforms, tie_rtol=DEFAULT_TIE_RTOL, force=None
     -------
     (decisions, codeword) : int index arrays of shape (B, n)
         ``codeword`` is the transform of whatever was propagated.
+
+    Internally the messages are transposed once to a (q, n, B) array:
+    block-innermost, so the minus rule is q * q multiply-adds over
+    contiguous (n/2, B) slabs summed in ``np.add.reduce`` order (see the
+    module docstring), each maximum over the symbol axis is q - 1
+    ``np.maximum`` calls, and the plus rule is one gather along axis 0
+    (a select at q = 2).
+    Every message is scaled to maximum 1; an all-zero message (a leaf or
+    plus message on a channel with zero transition entries) becomes all
+    ones, so every symbol ties.  The recursion runs under
+    ``np.errstate(invalid="raise", divide="raise")``: no NaN or inf can
+    reach a decision.
     """
     field = code.field
     n = code.n
     B, nt, q = T.shape
     if nt != n or q != field.q:
         raise ValueError(f"likelihood array shape {T.shape} does not match (B, {n}, {field.q})")
-    ADD = field.add_table
-    MULA = field.alpha_mul_table
-    # AFF[z, u] = index of z + alpha*u; serves both combining rules
-    AFF = ADD[:, MULA]
-    info_mask = code.info_mask
-    frozen_idx = code.frozen_index_array
     if force is not None:
-        force = np.broadcast_to(np.asarray(force, dtype=np.intp), (B, n))
-    decisions = np.empty((B, n), dtype=np.intp)
+        force = np.broadcast_to(np.asarray(force, dtype=np.intp), (B, n)).T
+    job = _BatchJob(code, np.asarray(tie_uniforms).T, tie_rtol, force)
+    with np.errstate(invalid="raise", divide="raise"):
+        tb = np.empty((q, n, B))
+        np.copyto(tb, T.transpose(2, 1, 0))
+        _normalize(tb)
+        x = _decode_span(tb, 0, job)
+    return job.decisions.T, x.T
 
-    T = T / T.max(axis=2, keepdims=True)
 
-    def rec(tb, lo, hi):
-        span = hi - lo
-        if span == 1:
-            m = tb[:, 0, :]
-            if info_mask[lo]:
-                mx = m.max(axis=1)
-                tied = m >= (mx * (1.0 - tie_rtol))[:, None]
-                s = tied.sum(axis=1)
-                k = np.minimum((tie_uniforms[:, lo] * s).astype(np.intp), s - 1)
-                cum = np.cumsum(tied, axis=1)
-                u = np.argmax(cum == (k + 1)[:, None], axis=1)
-            else:
-                u = np.full(B, frozen_idx[lo], dtype=np.intp)
-            decisions[:, lo] = u
-            if force is not None:
-                u = force[:, lo]
-            return u[:, None]
-        half = span // 2
-        t0 = tb[:, :half]
-        t1 = tb[:, half:]
-        tm = (t0[:, :, AFF] * t1[:, :, None, :]).sum(axis=3)
-        tm /= tm.max(axis=2, keepdims=True)
-        xl = rec(tm, lo, lo + half)
-        tp = np.take_along_axis(t0, AFF[xl], axis=2) * t1
-        tp /= tp.max(axis=2, keepdims=True)
-        xh = rec(tp, lo + half, hi)
-        return np.concatenate([ADD[xl, MULA[xh]], xh], axis=1)
+class _BatchJob:
+    """Per-call constants and the decision array of one batch decode."""
 
-    x = rec(T, 0, n)
-    return decisions, x
+    def __init__(self, code, tie_uniforms, tie_rtol, force):
+        field = code.field
+        self.add = field.add_table
+        self.mul_alpha = field.alpha_mul_table
+        # aff[z, u] = index of z + alpha*u; serves both combining rules
+        self.aff = self.add[:, self.mul_alpha]
+        # over F_2, z + alpha*u = z xor u, so both combining rules and the
+        # re-encoding need no table lookups: a select and a xor are faster
+        self.binary = field.q == 2
+        self.info_mask = code.info_mask
+        self.frozen_idx = code.frozen_index_array
+        self.tie_uniforms = tie_uniforms
+        self.tie_rtol = tie_rtol
+        self.force = force
+        self.decisions = np.empty((code.n, tie_uniforms.shape[1]), dtype=np.intp)
+
+
+def _decode_span(tb, lo, job):
+    """Decode positions [lo, lo + span) from (q, span, B) messages; returns
+    the (span, B) transform of the propagated symbols."""
+    span = tb.shape[1]
+    if span == 1:
+        m = tb[:, 0]
+        if job.info_mask[lo]:
+            tied = m >= _symbol_max(m) * (1.0 - job.tie_rtol)
+            s = tied.sum(axis=0)
+            k = np.minimum((job.tie_uniforms[lo] * s).astype(np.intp), s - 1)
+            u = np.argmax(np.cumsum(tied, axis=0) == k + 1, axis=0)
+        else:
+            u = np.full(m.shape[1], job.frozen_idx[lo], dtype=np.intp)
+        job.decisions[lo] = u
+        if job.force is not None:
+            u = job.force[lo]
+        return u[None, :]
+    half = span // 2
+    t0 = tb[:, :half]
+    t1 = tb[:, half:]
+    tm = _minus(t0, t1, job.aff)
+    _normalize(tm)
+    xl = _decode_span(tm, lo, job)
+    del tm  # freed before the plus messages are built
+    if job.binary:
+        tp = np.where(xl.astype(bool), t0[::-1], t0)
+    else:
+        # built row by row: a fancy index with a leading slice would lay
+        # the symbol axis innermost in memory, and so would the gather
+        idx = np.empty(t0.shape, dtype=np.intp)
+        for u, col in enumerate(job.aff.T):
+            np.take(col, xl, out=idx[u])
+        tp = np.take_along_axis(t0, idx, axis=0)
+    tp *= t1
+    _normalize(tp)
+    xh = _decode_span(tp, lo + half, job)
+    x_lo = xl ^ xh if job.binary else job.add[xl, job.mul_alpha[xh]]
+    return np.concatenate([x_lo, xh], axis=0)
+
+
+def _symbol_max(t):
+    """Maximum over axis 0 by q - 1 elementwise maxima."""
+    mx = np.maximum(t[0], t[1])
+    for row in t[2:]:
+        np.maximum(mx, row, out=mx)
+    return mx
+
+
+def _normalize(t):
+    """Scale each message (axis 0) in place to maximum 1; an all-zero
+    message becomes all ones."""
+    mx = _symbol_max(t)
+    if not mx.all():
+        zero = mx == 0
+        t[:, zero] = 1.0
+        mx[zero] = 1.0
+    t /= mx
+
+
+def _minus(t0, t1, aff):
+    """minus[u] = sum_u1 t0[aff[u, u1]] * t1[u1] over (q, h, B) messages."""
+    q = len(t0)
+    out = np.empty_like(t0)
+    tmp = np.empty_like(t0[0])
+    acc = np.empty((8,) + tmp.shape) if q >= 8 else None
+    for u in range(q):
+        _sum_products(t0, t1, aff[u], 0, q, out[u], tmp, acc)
+    return out
+
+
+def _sum_products(t0, t1, row, start, count, out, tmp, acc):
+    """Write the sum of t0[row[i]] * t1[i], i in [start, start + count), to
+    ``out`` in numpy's pairwise order for a contiguous run of that length;
+    ``tmp`` and the eight accumulators ``acc`` are scratch."""
+    if count < 8:
+        np.multiply(t0[row[start]], t1[start], out=out)
+        for i in range(start + 1, start + count):
+            np.multiply(t0[row[i]], t1[i], out=tmp)
+            out += tmp
+    elif count <= 128:
+        stop = start + count - count % 8
+        for i in range(start, start + 8):
+            np.multiply(t0[row[i]], t1[i], out=acc[i - start])
+        for i in range(start + 8, stop):
+            np.multiply(t0[row[i]], t1[i], out=tmp)
+            acc[(i - start) % 8] += tmp
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6)):
+            acc[a] += acc[b]
+        np.add(acc[0], acc[4], out=out)
+        for i in range(stop, start + count):
+            np.multiply(t0[row[i]], t1[i], out=tmp)
+            out += tmp
+    else:
+        half = count // 2
+        half -= half % 8
+        _sum_products(t0, t1, row, start, half, out, tmp, acc)
+        rest = np.empty_like(out)
+        _sum_products(t0, t1, row, start + half, count - half, rest, tmp, acc)
+        out += rest

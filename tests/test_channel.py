@@ -167,6 +167,17 @@ def test_sampling_noiseless_and_deterministic():
     assert ch.sample(f2.one, np.random.default_rng(3)) == 1
 
 
+def test_sample_batch_stays_inside_output_alphabet():
+    # a uniform at or above the float cumulative row's last value still
+    # names a valid output
+    f2 = default_field(2)
+    ch = table_channel(f2, [["1/10"] * 10, ["1/10"] * 10])
+    last = ch.cumulative_float[0, -1]
+    assert last < 1.0
+    y = ch.sample_batch(np.array([0, 1, 0]), np.array([last, 1.0, 0.05]))
+    assert y.tolist() == [9, 9, 0]
+
+
 def test_sampling_flip_fraction_binomial():
     f2 = default_field(2)
     ch = qsc(f2, Fraction(1, 10))

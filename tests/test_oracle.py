@@ -150,6 +150,27 @@ def test_mc_ser_matches_oracle_within_4_sigma():
         assert abs(est - float(truth)) <= 4 * max(se, 1e-9)
 
 
+ZERO_ENTRY_CHANNELS = {
+    "qec2": lambda: qec(F2, Fraction(1, 2)),
+    "qec4": lambda: qec(F4, Fraction(1, 2)),
+    "table2": lambda: table_channel(F2, [["1/2", "3/10", "1/5", "0"],
+                                         ["0", "1/5", "3/10", "1/2"]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_ENTRY_CHANNELS))
+def test_mc_ser_matches_oracle_on_zero_entry_channels(name):
+    # a wrong tie guess can zero a plus message; the float decoder must then
+    # tie all q symbols as the exact decoder does
+    ch = ZERO_ENTRY_CHANNELS[name]()
+    code = PolarCode(ch.field, 3, [3, 5, 6, 7])
+    trials = 200_000
+    report = mc_ser(code, ch, trials, seed=7)
+    exact = exact_average_ser(code, ch).per_index
+    for est, se, truth in zip(report.per_index, report.stderr, exact):
+        assert abs(est - float(truth)) <= 4 * max(se, 1e-9)
+
+
 def test_mc_ser_shard_invariance():
     code = PolarCode(F2, 2, [1, 2, 3])
     base = mc_ser(code, BSC01, 30_000, seed=3, shards=1)

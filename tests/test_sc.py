@@ -7,6 +7,7 @@ import pytest
 from qpolar.channel import qec, qsc, table_channel
 from qpolar.code import PolarCode, polar_transform
 from qpolar.gf import default_field
+from qpolar.oracle import exact_average_ser
 from qpolar.sc import (
     TieRule,
     combine_minus,
@@ -190,6 +191,24 @@ def test_point_decode_tracks_distribution_frequencies():
         p = float(p)
         se = (p * (1 - p) / trials) ** 0.5
         assert abs(counts.get(x, 0) / trials - p) <= max(4 * se, 0.02)
+
+
+def test_float_point_decode_ties_all_zero_messages():
+    # on a QEC a wrong tie guess zeroes a plus message; the float decoder
+    # must tie all symbols there (as the exact path does), not divide by zero
+    ch = qec(F2, Fraction(1, 2))
+    code = PolarCode(F2, 3, [3, 5, 6, 7])
+    exact = exact_average_ser(code, ch).per_index
+    rng = np.random.default_rng(4)
+    trials = 2000
+    errors = np.zeros(8)
+    for _ in range(trials):
+        y = tuple(ch.sample(F2.zero, rng) for _ in range(8))
+        _, x = sc_decode(code, ch, y, tie=TieRule("random", rng), exact=False)
+        errors += [e.index != 0 for e in x]
+    for err, truth in zip(errors / trials, exact):
+        p = float(truth)
+        assert abs(err - p) <= 4 * (p * (1 - p) / trials) ** 0.5
 
 
 def test_batch_decoder_matches_exact_on_unique_decodes():
