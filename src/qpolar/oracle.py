@@ -1,11 +1,15 @@
 """Exhaustive exact-rational error rates for small polar code instances.
 
-Everything here enumerates the full output space Y^n with Fraction
-arithmetic, so results are exact and can certify exact-equality claims.
-Output vectors are enumerated lexicographically; vectors whose block
-transition probability is zero are skipped (they contribute nothing).
-The Monte Carlo estimator lives here too so its reports can be checked
-against the exact values in one place.
+Everything here sums over every output vector y in Y^n that has mass
+under the transmitted codeword, so results are exact and can certify
+exact-equality claims.  Outputs with W^n(y | x) = 0 contribute nothing
+and are never visited: the walk takes, at each position j, only the
+outputs with W(y_j | x_j) != 0, in lexicographic order.  Weights are
+integers over D^n, where D is the common denominator of the channel
+matrix, and each total is divided by D^n once at the end.  The cap on
+|Y|^n still applies to the whole output space.  The Monte Carlo estimator
+lives here too so its reports can be checked against the exact values in
+one place.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from fractions import Fraction
 
 from .code import PolarCode, polar_transform
 from .mc import DEFAULT_BATCH, decode_tallies
-from .sc import _argmax_set, sc_decode_distribution, synthetic_channel
+from .sc import _argmax_set, _ExactJob, sc_decode_distribution, synthetic_channel
 
 MAX_ENUMERATION = 10**6
 
@@ -57,37 +61,47 @@ def _check_enumeration_cap(ch, n):
             f"|Y|^n = {ch.num_outputs}^{n} exceeds the enumeration cap {MAX_ENUMERATION}")
 
 
+def _outputs_with_mass(rows, x_idx):
+    """Yield (y, w) for every output block with W^n(y | x) != 0.
+
+    ``rows[x][y]`` is D * W(y | x); ``w`` is D^n * W^n(y | x), an int.
+    """
+    cols = [[(y, w) for y, w in enumerate(rows[x]) if w] for x in x_idx]
+    for combo in itertools.product(*cols):
+        yield tuple(y for y, _ in combo), math.prod(w for _, w in combo)
+
+
 def exact_ser(code, ch, u_full):
     """Exact per-index SER for a specific transmitted message.
 
     ``u_full`` is the complete length-n message; its values at frozen
     positions become the code's frozen values for this computation, so the
     operation can probe arbitrary (frozen, information) combinations.
+    Sub-decodes are memoized for the length of the call.
     """
     _check_enumeration_cap(ch, code.n)
     field = code.field
+    n = code.n
     u_full = [field.element(v) for v in u_full]
-    if len(u_full) != code.n:
-        raise ValueError(f"message length {len(u_full)} != n = {code.n}")
+    if len(u_full) != n:
+        raise ValueError(f"message length {len(u_full)} != n = {n}")
     probe = code.with_frozen_values([u_full[i] for i in code.frozen_set])
-    x_bar = polar_transform(field, u_full)
-    x_bar_idx = [e.index for e in x_bar]
-    totals = [Fraction(0)] * code.n
-    mat = ch.matrix
-    for y in itertools.product(range(ch.num_outputs), repeat=code.n):
-        w = Fraction(1)
-        for yj, xj in zip(y, x_bar_idx):
-            w *= mat[xj][yj]
-            if not w:
-                break
-        if not w:
-            continue
-        for x, p in sc_decode_distribution(probe, ch, y).items():
-            mass = w * p
-            for j in range(code.n):
+    x_bar = tuple(e.index for e in polar_transform(field, u_full))
+    job = _ExactJob(probe, ch)
+    # a branch mass is 1 / (product of at most k tie sizes, each <= q), so
+    # tie_scale * mass is an int and the totals stay ints; a Fraction total
+    # would make every later addition to it a Fraction sum (about 2x slower
+    # at n=16, q=2)
+    tie_scale = math.lcm(*range(1, field.q + 1)) ** probe.k
+    totals = [0] * n
+    for y, w in _outputs_with_mass(job.rows, x_bar):
+        for x, p in sc_decode_distribution(probe, ch, y, job=job).items():
+            mass = w * (tie_scale // p.denominator * p.numerator)
+            for j in range(n):
                 if x[j] != x_bar[j]:
                     totals[j] += mass
-    return SerReport(tuple(totals), "exact")
+    scale = job.denominator ** n * tie_scale
+    return SerReport(tuple(Fraction(t, scale) for t in totals), "exact")
 
 
 def exact_average_ser(code, ch):
@@ -128,24 +142,18 @@ def exact_genie_error_probs(field, m, ch):
     _check_enumeration_cap(ch, n)
     probe = PolarCode(field, m, range(n))
     zero = field.zero
-    mat = ch.matrix
+    job = _ExactJob(probe, ch)
     out = [Fraction(0)] * n
-    for y in itertools.product(range(ch.num_outputs), repeat=n):
-        w = Fraction(1)
-        for yj in y:
-            w *= mat[0][yj]
-            if not w:
-                break
-        if not w:
-            continue
+    for y, w in _outputs_with_mass(job.rows, (0,) * n):
         for i in range(n):
             t = synthetic_channel(probe, ch, y, (zero,) * i, i)
             cands = _argmax_set(t)
             if 0 in cands:
-                out[i] += w * (len(cands) - 1) / len(cands)
+                out[i] += Fraction(w * (len(cands) - 1), len(cands))
             else:
                 out[i] += w
-    return tuple(out)
+    scale = job.denominator ** n
+    return tuple(v / scale for v in out)
 
 
 def mc_ser(code, ch, trials, seed, shards=1, batch=DEFAULT_BATCH):

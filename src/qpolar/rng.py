@@ -19,6 +19,7 @@ from scipy.special import ndtri
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def _mix64(z):
@@ -41,7 +42,18 @@ def uniforms(seed, trials, slots):
         key = _mix64(seed + _GOLDEN)
         per_trial = _mix64(key + _GOLDEN * (t + np.uint64(1)))
         word = _mix64(per_trial + _GOLDEN * (s + np.uint64(1)))
-    return ((word >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return _unit(word)
+
+
+def _unit(word):
+    """Floats in the open (0, 1) from the top 53 bits of uint64 words.
+
+    ``(w + 0.5) * 2^-53`` rounds to exactly 1.0 at the top word
+    w = 2^53 - 1, so that one value is clamped to the largest float below
+    1; every other word keeps its value.
+    """
+    u = ((word >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 def normals(seed, trials, slots):

@@ -13,13 +13,21 @@ plus messages.
 Exact ties are decoder-level events: when several symbols share the
 maximum likelihood the decoder draws uniformly among them, and
 :func:`sc_decode_distribution` enumerates those branches into an exact
-rational distribution over decoded codewords.  On the exact path the 1/q
-normalization constants are carried so messages reproduce the synthetic
-channel values literally; the floating path drops them and renormalizes
-every message to max 1 instead (argmax decisions are scale invariant, and
-the renormalization prevents underflow at long block lengths).  Floating
-entries within relative tolerance ``tie_rtol`` of the maximum count as
-tied; exact ties never depend on a tolerance.
+rational distribution over decoded codewords.  The exact point decoder
+and :func:`combine_minus`/:func:`combine_plus` carry the 1/q constants in
+Fractions, so their messages reproduce the synthetic channel values
+literally.  The exact distribution runs on integers instead: the channel
+matrix is scaled by the common denominator D of its entries, the 1/q
+constants are dropped, and every message is divided by the gcd of its
+entries.  That is exact, because both combining rules are bilinear and an
+argmax set, ties included, does not change when a vector is scaled by a
+positive constant.  It works on symbol index tuples, builds field elements
+and Fractions only for its result, and memoizes sub-decodes within one
+:class:`_ExactJob`, which the exact oracle shares across the outputs of one
+computation.  The floating path drops the constants and renormalizes every
+message to max 1 (which also prevents underflow at long block lengths).
+Floating entries within relative tolerance ``tie_rtol`` of the maximum
+count as tied; exact ties never depend on a tolerance.
 
 On channels with zero transition entries a message can be identically
 zero (a plus message after a wrong tie guess on an erasure channel).  The
@@ -38,6 +46,7 @@ symbol axis.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -227,20 +236,25 @@ def sc_decode(code, ch, y, tie=None, exact=None, tie_rtol=DEFAULT_TIE_RTOL):
     return tuple(u_hat), tuple(x_hat)
 
 
-def sc_decode_distribution(code, ch, y, method="recursive"):
+def sc_decode_distribution(code, ch, y, method="recursive", job=None):
     """Exact distribution over decoded codewords, branching at every tie.
 
     ``method="recursive"`` follows the minus/plus message recursion;
     ``method="definitional"`` scores every position with
     :func:`synthetic_channel` directly.  Both return a dict mapping
     codeword tuples to exact rational masses summing to 1.
+
+    Callers that decode many outputs of one code and channel pass ``job``,
+    an :class:`_ExactJob` of that code and channel: the recursive call then
+    shares the job's integer tables and sub-decode memo and returns the
+    index distribution of :func:`_distribution_indices` as it is (index
+    tuple keys, int or Fraction masses), without building field elements.
     """
     if not ch.is_finite:
         raise ValueError("exact decode distributions require a finite channel")
     if code.n > MAX_DEFINITIONAL_N:
         raise ValueError(f"decode distributions capped at n <= {MAX_DEFINITIONAL_N}")
     field = code.field
-    alpha = field.alpha
     elems = field.elements
 
     if method == "definitional":
@@ -270,31 +284,95 @@ def sc_decode_distribution(code, ch, y, method="recursive"):
 
     if method != "recursive":
         raise ValueError(f"unknown method {method!r}")
+    if job is not None:
+        return _distribution_indices(job.messages(y), 0, job)
+    job = _ExactJob(code, ch)
+    dist = _distribution_indices(job.messages(y), 0, job)
+    return {tuple(elems[i] for i in x): Fraction(p) for x, p in dist.items()}
 
-    T = _leaf_likelihoods(ch, y, exact=True)
 
-    def rec(t_list, pos):
-        l = len(t_list)
-        if l == 1:
-            i = pos
-            if code.is_info(i):
-                cands = _argmax_set(t_list[0])
-                share = Fraction(1, len(cands))
-                return {(elems[u],): share for u in cands}
-            return {(code.frozen_value(i),): Fraction(1)}
-        half = l // 2
-        tm = [combine_minus(t_list[j], t_list[j + half], alpha) for j in range(half)]
-        d_lo = rec(tm, pos)
-        out = {}
-        for z_lo, p_lo in d_lo.items():
-            tp = [combine_plus(t_list[j], t_list[j + half], z_lo[j], alpha)
-                  for j in range(half)]
-            for z_hi, p_hi in rec(tp, pos + half).items():
-                x = tuple(z_lo[j] + alpha * z_hi[j] for j in range(half)) + z_hi
-                out[x] = out.get(x, Fraction(0)) + p_lo * p_hi
-        return out
+class _ExactJob:
+    """Integer channel, code tables and sub-decode memo of one exact computation.
 
-    return rec(T, 0)
+    ``rows[x][y]`` is D * W(y | x) for the common denominator D of the
+    channel matrix, ``leaves[y]`` the column of output y divided by its
+    gcd.  The memo maps (message tuple, lo) to the index distribution of
+    a sub-decode shorter than the block; it lives as long as the job.
+    """
+
+    def __init__(self, code, ch):
+        field = code.field
+        q = field.q
+        add, mul, a = field._add, field._mul, field.alpha.index
+        # aff[z][u] = index of z + alpha*u; the minus rule reads row u over
+        # u1, the plus rule row z, and re-encoding entry [z_lo][z_hi]
+        self.aff = tuple(tuple(add[z][mul[a][u]] for u in range(q)) for z in range(q))
+        self.n = code.n
+        # plain tuples: reading numpy scalars in the recursion is slower
+        self.info = tuple(code.is_info(i) for i in range(code.n))
+        self.frozen = tuple(int(v) for v in code.frozen_index_array)
+        self.denominator = math.lcm(*(v.denominator for row in ch.matrix for v in row))
+        self.rows = tuple(tuple(v.numerator * (self.denominator // v.denominator) for v in row)
+                          for row in ch.matrix)
+        self.leaves = tuple(_reduced(col) for col in zip(*self.rows))
+        self.memo = {}
+
+    def messages(self, y):
+        """Leaf messages of an output block, checked for length and range."""
+        if len(y) != self.n:
+            raise ValueError(f"output block has length {len(y)}, expected {self.n}")
+        ny = len(self.leaves)
+        for v in y:
+            if not 0 <= v < ny:
+                raise ValueError(f"output index {v} outside alphabet of size {ny}")
+        return tuple(self.leaves[v] for v in y)
+
+
+def _reduced(t):
+    """An integer message divided by the gcd of its entries (zero stays zero)."""
+    g = math.gcd(*t)
+    return t if g <= 1 else tuple(v // g for v in t)
+
+
+def _distribution_indices(msgs, lo, job):
+    """Exact SC decode distribution of positions [lo, lo + len(msgs)).
+
+    ``msgs`` holds one integer message per position.  Returns a dict from
+    codeword index tuples to masses: int 1 for a branch no tie split,
+    otherwise the Fraction 1 / (product of the tie sizes).  The result may
+    be shared through the memo, so callers must not mutate it.
+    """
+    span = len(msgs)
+    if span == 1:
+        if not job.info[lo]:
+            return {(job.frozen[lo],): 1}
+        t = msgs[0]
+        mx = max(t)
+        cands = [u for u, v in enumerate(t) if v == mx]
+        if len(cands) == 1:
+            return {(cands[0],): 1}
+        share = Fraction(1, len(cands))
+        return {(u,): share for u in cands}
+    # whole blocks are not memoized: distinct outputs rarely share them
+    key = (msgs, lo)
+    memoize = span < job.n
+    if memoize and key in job.memo:
+        return job.memo[key]
+    half = span // 2
+    aff = job.aff
+    lows, highs = msgs[:half], msgs[half:]
+    tm = tuple(_reduced(tuple(sum(t0[i] * v for i, v in zip(row, t1)) for row in aff))
+               for t0, t1 in zip(lows, highs))
+    out = {}
+    for z_lo, p_lo in _distribution_indices(tm, lo, job).items():
+        tp = tuple(_reduced(tuple(t0[i] * v for i, v in zip(aff[z], t1)))
+                   for t0, t1, z in zip(lows, highs, z_lo))
+        for z_hi, p_hi in _distribution_indices(tp, lo + half, job).items():
+            # (z_lo, z_hi) -> x is one to one, so no two branches share a key
+            out[tuple(aff[a][b] for a, b in zip(z_lo, z_hi)) + z_hi] = p_lo * p_hi
+    if memoize:
+        job.memo[key] = out
+    return out
 
 
 def sc_decode_batch(code, T, tie_uniforms, tie_rtol=DEFAULT_TIE_RTOL, force=None):

@@ -17,11 +17,10 @@ explicit output vectors to test.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .code import polar_transform
 from .oracle import MAX_ENUMERATION, exact_average_ser, exact_ser
-from .sc import sc_decode_distribution
+from .sc import _ExactJob, sc_decode_distribution
 
 
 def delta(m, r, i):
@@ -81,14 +80,20 @@ def coset_transform(code, ch, a, b, y, x):
     return y2, x2
 
 
-def pushforward_coset(dist, a, xb):
-    """Image of a decode distribution under x -> a*x + xb."""
-    return {tuple(a * v + w for v, w in zip(x, xb)): p for x, p in dist.items()}
+def _act(v, maps, src):
+    """Coordinate i of the image of index vector v is maps[i][v[src[i]]]."""
+    return tuple(maps[i][v[j]] for i, j in enumerate(src))
 
 
-def pushforward_xi(dist, m, r):
-    """Image of a decode distribution under the signed bit-flip map."""
-    return {xi_apply_field(m, r, x): p for x, p in dist.items()}
+def _pushforward(dist, maps, src):
+    """Image of an index decode distribution under the same action."""
+    return {_act(x, maps, src): p for x, p in dist.items()}
+
+
+def _index_decoder(code, ch):
+    """Exact index decode distributions of output blocks, sharing one memo."""
+    job = _ExactJob(code, ch)
+    return lambda y: sc_decode_distribution(code, ch, y, job=job)
 
 
 def _all_outputs(ch, n):
@@ -129,22 +134,27 @@ def check_coset_invariance(code, ch, ys=None, scalings=None, cosets=None):
     """
     _require_zero_frozen(code)
     field = code.field
+    add, mul = field._add, field._mul
     exhaustive = ys is None
     ys = list(_all_outputs(ch, code.n)) if exhaustive else [tuple(y) for y in ys]
-    dists = {y: sc_decode_distribution(code, ch, y) for y in ys}
+    decode = _index_decoder(code, ch)
+    dists = {y: decode(y) for y in ys}
     if scalings is None:
         scalings = [e for e in field.elements if e]
     if cosets is None:
         cosets = itertools.product(field.elements, repeat=code.k)
+    src = range(code.n)
     for info in cosets:
         b = code.full_message(info)
         xb = polar_transform(field, b)
         for a in scalings:
+            # coordinate j acts as y -> sigma_{xb_j}(pi_a(y)) and x -> a*x + xb_j
+            ymaps = [[ch.shift(ch.scale(v, a), w) for v in range(ch.num_outputs)] for w in xb]
+            xmaps = [[add[mul[a.index][v]][w.index] for v in range(field.q)] for w in xb]
             for y in ys:
-                y2 = tuple(ch.shift(ch.scale(yi, a), w) for yi, w in zip(y, xb))
-                d2 = dists[y2] if exhaustive and y2 in dists else \
-                    sc_decode_distribution(code, ch, y2)
-                if d2 != pushforward_coset(dists[y], a, xb):
+                y2 = _act(y, ymaps, src)
+                d2 = dists[y2] if exhaustive and y2 in dists else decode(y2)
+                if d2 != _pushforward(dists[y], xmaps, src):
                     return False, {"a": a, "b": b, "y": y}
     return True, None
 
@@ -160,14 +170,20 @@ def check_xi_invariance(code, ch, r, ys=None):
     if not code.is_decreasing:
         raise ValueError("the xi identities need a decreasing information set")
     m = code.m
+    field = code.field
     exhaustive = ys is None
     ys = list(_all_outputs(ch, code.n)) if exhaustive else [tuple(y) for y in ys]
-    dists = {y: sc_decode_distribution(code, ch, y) for y in ys}
+    decode = _index_decoder(code, ch)
+    dists = {y: decode(y) for y in ys}
+    # coordinate i of the image reads coordinate delta(i) scaled by coeffs[i]
+    src = [delta(m, r, i) for i in range(code.n)]
+    coeffs = xi_coefficients(field, m, r)
+    ymaps = [[ch.scale(v, c) for v in range(ch.num_outputs)] for c in coeffs]
+    xmaps = [field._mul[c.index] for c in coeffs]
     for y in ys:
-        y2 = xi_apply_output(m, r, ch, y)
-        d2 = dists[y2] if exhaustive and y2 in dists else \
-            sc_decode_distribution(code, ch, y2)
-        if d2 != pushforward_xi(dists[y], m, r):
+        y2 = _act(y, ymaps, src)
+        d2 = dists[y2] if exhaustive and y2 in dists else decode(y2)
+        if d2 != _pushforward(dists[y], xmaps, src):
             return False, {"r": r, "y": y}
     return True, None
 

@@ -1,0 +1,32 @@
+import numpy as np
+from scipy.special import ndtri
+
+from qpolar import rng
+
+
+def _unclamped(word):
+    return ((word >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def test_unit_endpoints_stay_inside_open_interval():
+    words = np.array([0, 2**64 - 1], dtype=np.uint64)
+    u = rng._unit(words)
+    assert np.all(u > 0.0) and np.all(u < 1.0)
+    assert u[1] == np.nextafter(1.0, 0.0)
+    assert np.all(np.isfinite(ndtri(u)))
+
+
+def test_unit_changes_only_the_top_word():
+    top = (2**53 - 1) << 11
+    near_top = np.array([top - (k << 11) for k in range(1, 6)], dtype=np.uint64)
+    random_words = np.random.default_rng(3).integers(0, 2**64, size=10_000, dtype=np.uint64)
+    for words in (near_top, random_words):
+        assert np.array_equal(rng._unit(words), _unclamped(words))
+    assert _unclamped(near_top)[0] == 1.0 - 2.0**-52
+
+
+def test_uniforms_are_counter_indexed():
+    a = rng.uniforms(5, np.arange(10, 20), np.arange(4))
+    b = rng.uniforms(5, np.arange(15, 20), np.arange(4))
+    assert np.array_equal(a[5:], b)
+    assert np.all((a > 0) & (a < 1))

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import qpolar
 from qpolar.channel import qsc, table_channel
 from qpolar.code import PolarCode
 from qpolar.gf import default_field
@@ -118,6 +122,28 @@ def test_chi2_homogeneity_behaviour():
     _, p_bad = chi2_homogeneity(skewed, trials)
     assert p_bad < 1e-6
     assert chi2_homogeneity(np.zeros(8), trials) == (0.0, 1.0)
+
+
+def test_chi2_pvalue_equals_scipy_stats_sf():
+    from scipy.stats import chi2
+
+    rng = np.random.default_rng(11)
+    trials = 10_000
+    for size in (2, 3, 8, 64, 256):
+        for spread in (0.0, 0.002, 0.01, 0.05):
+            rates = np.clip(0.02 + spread * rng.standard_normal(size), 1e-4, 0.5)
+            counts = rng.binomial(trials, rates)
+            stat, p = chi2_homogeneity(counts, trials)
+            assert p == float(chi2.sf(stat, size - 1))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(qpolar.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, qpolar; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_export_round_trip(tmp_path):
