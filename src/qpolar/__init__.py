@@ -45,8 +45,6 @@ from .oracle import (
 )
 from .sc import (
     TieRule,
-    combine_minus,
-    combine_plus,
     sc_decode,
     sc_decode_batch,
     sc_decode_distribution,

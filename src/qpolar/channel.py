@@ -7,8 +7,9 @@ on the output alphabet exist: additive shifts ``sigma_b`` with
 transition law as exact rationals so the brute-force oracle can certify
 exact equalities; float mirrors are derived from the rational source.
 
-Likelihood vectors are plain length-q sequences indexed by the input
-element index (``Fraction`` entries on the exact path, floats otherwise).
+Likelihood vectors are indexed by the input element index: exact
+``Fraction`` tuples from ``likelihoods``, float arrays from
+``likelihood_batch``.
 """
 
 from __future__ import annotations
@@ -125,9 +126,6 @@ class FiniteChannel:
             self._float = np.array([[float(v) for v in row] for row in self.matrix])
         return self._float
 
-    def likelihoods_float(self, y):
-        return self.matrix_float[:, y].copy()
-
     def likelihood_batch(self, y):
         """(... , q) float likelihoods for an integer array of output indices."""
         y = np.asarray(y)
@@ -152,11 +150,6 @@ class FiniteChannel:
         if self._cum is None:
             self._cum = np.cumsum(self.matrix_float, axis=1)
         return self._cum
-
-    def sample(self, x, rng):
-        """Draw one output index with probability W(y|x)."""
-        u = rng.random()
-        return int(np.searchsorted(self.cumulative_float[x.index], u, side="right"))
 
     def sample_batch(self, x_indices, uniforms):
         """Vectorized inverse-CDF sampling: one uniform per transmitted symbol."""
@@ -201,10 +194,6 @@ class AwgnBpskChannel:
         s = self.modulate(x.index)
         return math.exp(-((y - s) ** 2) / (2 * self.sigma2)) / math.sqrt(2 * math.pi * self.sigma2)
 
-    def likelihoods_float(self, y):
-        return np.array([self.transition(y, self.field.from_index(0)),
-                         self.transition(y, self.field.from_index(1))])
-
     def likelihood_batch(self, y):
         y = np.asarray(y, dtype=float)
         out = np.empty(y.shape + (2,))
@@ -221,9 +210,6 @@ class AwgnBpskChannel:
         if a.index == 0:
             raise ValueError("scaling permutations are defined for nonzero a only")
         return y
-
-    def sample(self, x, rng):
-        return self.modulate(x.index) + math.sqrt(self.sigma2) * rng.standard_normal()
 
     def sample_batch(self, x_indices, normals):
         return self.modulate(np.asarray(x_indices)) + math.sqrt(self.sigma2) * normals
@@ -447,16 +433,6 @@ def verify_symmetry(ch):
                               detail=f"no output matches y={y} under the scaling by index {a}")
     sigma_list = [sigma[b] for b in range(q)]
     return _check_families(ch, sigma_list, pi)
-
-
-def product_transition(ch, y_vec, x_vec):
-    """W^n(y | x) = prod_i W(y_i | x_i) for a memoryless block of n uses."""
-    if len(y_vec) != len(x_vec):
-        raise ValueError("output and input blocks differ in length")
-    acc = Fraction(1) if ch.is_finite else 1.0
-    for y, x in zip(y_vec, x_vec):
-        acc *= ch.transition(y, x)
-    return acc
 
 
 # -- JSON config ------------------------------------------------------------

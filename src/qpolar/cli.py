@@ -24,9 +24,9 @@ from .channel import channel_from_json, channel_to_json
 from .code import PolarCode
 from .construct import ErasureExact, GenieMC, Manual, construct_info_set
 from .gf import FieldElement
-from .oracle import exact_average_ser, exact_ser, mc_ser
+from .oracle import exact_average_ser, exact_ser
 from .sc import TieRule, sc_decode, sc_decode_distribution
-from .sim import BerReport, ExperimentConfig, export_report, plot_script, run_experiment
+from .sim import ExperimentConfig, export_report, plot_script, run_experiment
 from .symmetry import (
     check_coset_invariance,
     check_equal_ser,
@@ -173,26 +173,11 @@ def _cmd_exact_ser(args):
 def _cmd_mc_ser(args):
     code, ch = _load_code_and_channel(args.code, args.channel)
     seed, generated = _resolve_seed(args.seed)
-    report = mc_ser(code, ch, args.trials, seed, shards=args.shards)
-    config = {"code": code.to_json(), "channel": channel_to_json(ch),
-              "trials": args.trials, "seed": seed, "seed_generated": generated,
-              "shards": args.shards}
-    if args.format == "json":
-        out = report.to_json()
-        out["config"] = config
-        _write_json(out, args.out)
-        return 0
-    lines = ["# qpolar-report " + json.dumps(_jsonify(config), sort_keys=True),
-             "index,errors,ser,stderr"]
-    for i in range(code.n):
-        lines.append(f"{i},{report.errors[i]},{report.per_index[i]:.10e},"
-                     f"{report.stderr[i]:.10e}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    cfg = ExperimentConfig(code=code, channel=ch, trials=args.trials, seed=seed,
+                           shards=args.shards)
+    report = run_experiment(cfg)
+    report.config["seed_generated"] = generated
+    export_report(report, args.out, fmt=args.format)
     return 0
 
 

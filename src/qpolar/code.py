@@ -119,17 +119,6 @@ def kron_matrix(field, m):
     return g
 
 
-def matrix_multiply(field, u_indices, g):
-    """Row vector times matrix over F_q, both given as element indices."""
-    out = [0] * g.shape[1]
-    for i, ui in enumerate(u_indices):
-        if ui:
-            row = g[i]
-            for j in range(g.shape[1]):
-                out[j] = field.add_index(out[j], field.mul_index(ui, int(row[j])))
-    return tuple(out)
-
-
 class PolarCode:
     """Polar(n, k, A, frozen values) over a fixed field.
 

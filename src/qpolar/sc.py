@@ -1,38 +1,43 @@
-"""Successive cancellation decoding, in two interchangeable forms.
+"""Successive cancellation decoding: one float kernel and one exact kernel.
 
 The definitional form scores each candidate symbol with its synthetic
 channel, a direct sum of block transition probabilities over all
-completions of the message.  The recursive form passes length-q likelihood
-vectors through the minus/plus combining rules
+completions of the message; it is the referee for small n.  The recursive
+form passes length-q likelihood vectors through the minus/plus combining
+rules
     minus(t0, t1)[u]    = (1/q) * sum_u1 t0[u + alpha*u1] * t1[u1]
     plus(t0, t1, z)[u]  = (1/q) * t0[z + alpha*u] * t1[u]
 splitting on the most significant index bit, decoding the low half against
 the minus messages, re-encoding it, and decoding the high half against the
-plus messages.
+plus messages.  Two kernels run that recursion, and every decoder here is
+one of them:
 
-Exact ties are decoder-level events: when several symbols share the
-maximum likelihood the decoder draws uniformly among them, and
-:func:`sc_decode_distribution` enumerates those branches into an exact
-rational distribution over decoded codewords.  The exact point decoder
-and :func:`combine_minus`/:func:`combine_plus` carry the 1/q constants in
-Fractions, so their messages reproduce the synthetic channel values
-literally.  The exact distribution runs on integers instead: the channel
-matrix is scaled by the common denominator D of its entries, the 1/q
-constants are dropped, and every message is divided by the gcd of its
-entries.  That is exact, because both combining rules are bilinear and an
-argmax set, ties included, does not change when a vector is scaled by a
-positive constant.  It works on symbol index tuples, builds field elements
-and Fractions only for its result, and memoizes sub-decodes within one
-:class:`_ExactJob`, which the exact oracle shares across the outputs of one
-computation.  The floating path drops the constants and renormalizes every
-message to max 1 (which also prevents underflow at long block lengths).
-Floating entries within relative tolerance ``tie_rtol`` of the maximum
-count as tied; exact ties never depend on a tolerance.
+* :func:`sc_decode_batch` (float) decodes a batch of blocks.  It drops the
+  1/q constants and scales every message to maximum 1, which also prevents
+  underflow at long block lengths.  Entries within relative tolerance
+  ``tie_rtol`` of the maximum count as tied.
+* :func:`_distribution_indices` (exact) decodes one block on integer
+  messages: the channel matrix is scaled by the common denominator D of
+  its entries, the 1/q constants are dropped, and every message is divided
+  by the gcd of its entries.  That is exact, because both combining rules
+  are bilinear and an argmax set, ties included, does not change when a
+  vector is scaled by a positive constant.  It works on symbol index
+  tuples and memoizes sub-decodes within one :class:`_ExactJob`, which the
+  exact oracle shares across the outputs of one computation.  Exact ties
+  never depend on a tolerance.
+
+:func:`sc_decode_distribution` branches at every exact tie and returns the
+exact rational distribution over decoded codewords.  The point decoder
+:func:`sc_decode` runs the exact kernel on finite channels (by default)
+and the float kernel on one block otherwise.  Both resolve ties the same
+way: a :class:`TieRule` gives one uniform v_i per position, and a tie
+among s symbols at position i keeps the k-th tied symbol in index order,
+k = min(floor(v_i * s), s - 1).
 
 On channels with zero transition entries a message can be identically
 zero (a plus message after a wrong tie guess on an erasure channel).  The
-exact path then finds all q symbols tied; the floating paths match that by
-renormalizing an all-zero message to all ones instead of dividing 0/0.
+exact kernel then finds all q symbols tied; the float kernel matches that
+by turning an all-zero message into all ones instead of dividing 0/0.
 
 The batch decoder keeps its messages in a symbol-major (q, n, B) layout, so
 every combining step works on contiguous (n/2, B) slabs.  Its minus sums add
@@ -58,78 +63,46 @@ MAX_DEFINITIONAL_N = 16
 
 @dataclass
 class TieRule:
-    """How argmax ties are resolved in point decoding.
+    """How argmax ties are resolved in point decoding: one uniform per position.
 
-    ``mode="lex"`` picks the smallest element index; ``mode="random"``
-    draws uniformly among the tied symbols (one uniform per tie, in index
-    order) from the supplied rng.
+    A tie among s symbols at position i keeps the k-th tied symbol in index
+    order, k = min(floor(v_i * s), s - 1), where v_i is the i-th entry of
+    :meth:`uniforms`.  ``mode="lex"`` uses zeros, so it keeps the smallest
+    tied index; ``mode="random"`` draws the n uniforms from ``rng``.
     """
 
     mode: str = "lex"
     rng: object = None
 
-    def pick(self, candidates):
-        if len(candidates) == 1 or self.mode == "lex":
-            return candidates[0]
+    def uniforms(self, n):
+        """(n,) float array of tie uniforms in [0, 1), one per position."""
+        if self.mode == "lex":
+            return np.zeros(n)
         if self.mode != "random":
             raise ValueError(f"unknown tie mode {self.mode!r}")
         if self.rng is None:
             raise ValueError("random tie resolution needs an rng stream")
-        k = min(int(self.rng.random() * len(candidates)), len(candidates) - 1)
-        return candidates[k]
+        return self.rng.random(n)
 
 
-def _is_exact(t):
-    return not isinstance(t[0], float)
-
-
-def _argmax_set(t, tie_rtol=DEFAULT_TIE_RTOL):
-    """Indices of maximal entries; tolerance applies on the floating path only."""
+def _argmax_set(t):
+    """Indices of the maximal entries of an exact vector."""
     mx = max(t)
-    if _is_exact(t):
-        return [u for u, v in enumerate(t) if v == mx]
-    thresh = mx - abs(mx) * tie_rtol
-    return [u for u, v in enumerate(t) if v >= thresh]
-
-
-def combine_minus(t0, t1, alpha):
-    """Check-side combination of two likelihood vectors."""
-    field = alpha.field
-    q = field.q
-    add, mul, a = field._add, field._mul, alpha.index
-    out = []
-    for u in range(q):
-        acc = sum(t0[add[u][mul[a][u1]]] * t1[u1] for u1 in range(q))
-        out.append(acc)
-    if _is_exact(t0):
-        inv_q = Fraction(1, q)
-        out = [v * inv_q for v in out]
-    return tuple(out)
-
-
-def combine_plus(t0, t1, u0, alpha):
-    """Variable-side combination given the decoded partner symbol u0."""
-    field = alpha.field
-    q = field.q
-    add, mul, a = field._add, field._mul, alpha.index
-    z = u0.index
-    out = [t0[add[z][mul[a][u]]] * t1[u] for u in range(q)]
-    if _is_exact(t0):
-        inv_q = Fraction(1, q)
-        out = [v * inv_q for v in out]
-    return tuple(out)
+    return [u for u, v in enumerate(t) if v == mx]
 
 
 def synthetic_channel(code, ch, y, u_prefix, i):
     """Likelihood vector of the i-th synthetic channel, by direct summation.
 
     Computes (1/q^{n-1}) * sum over all completions u_{i+1..n-1} of
-    W^n(y | u * G_n) for each value of u_i, with the prefix fixed.  Exact
-    rationals on finite channels; density products on continuous ones.
+    W^n(y | u * G_n) for each value of u_i, with the prefix fixed, in exact
+    rationals.  The channel must be finite.
     """
     field = code.field
     q = field.q
     n = code.n
+    if not ch.is_finite:
+        raise ValueError("synthetic channel values require a finite channel")
     if len(u_prefix) != i:
         raise ValueError(f"prefix has length {len(u_prefix)}, expected {i}")
     if n > MAX_DEFINITIONAL_N:
@@ -138,24 +111,18 @@ def synthetic_channel(code, ch, y, u_prefix, i):
         raise ValueError(f"output block has length {len(y)}, expected {n}")
     g = code.kron_matrix()
     add, mul = field._add, field._mul
-    exact = ch.is_finite
-    mat = ch.matrix if exact else None
+    mat = ch.matrix
 
     def accumulate(base, row):
         # x(v) = base + v * row, coordinatewise over element indices
         for v in range(q):
             x = base if v == 0 else [add[xj][mul[v][int(rj)]] for xj, rj in zip(base, row)]
-            if exact:
-                w = Fraction(1)
-                for yj, xj in zip(y, x):
-                    w *= mat[xj][yj]
-            else:
-                w = 1.0
-                for yj, xj in zip(y, x):
-                    w *= ch.transition(yj, field.from_index(xj))
+            w = Fraction(1)
+            for yj, xj in zip(y, x):
+                w *= mat[xj][yj]
             likel[v] += w
 
-    likel = [Fraction(0)] * q if exact else [0.0] * q
+    likel = [Fraction(0)] * q
     prefix_part = [0] * n
     for j, e in enumerate(u_prefix):
         if e.index:
@@ -169,25 +136,8 @@ def synthetic_channel(code, ch, y, u_prefix, i):
                 row = g[i + 1 + off]
                 base = [add[xj][mul[cj][int(rj)]] for xj, rj in zip(base, row)]
         accumulate(base, row_i)
-    if exact:
-        norm = Fraction(1, q ** (n - 1))
-        return tuple(v * norm for v in likel)
-    return tuple(v / q ** (n - 1) for v in likel)
-
-
-def _leaf_likelihoods(ch, y, exact):
-    if exact:
-        if not ch.is_finite:
-            raise ValueError("exact decoding requires a finite channel")
-        return [ch.likelihoods(yi) for yi in y]
-    return [tuple(float(v) for v in ch.likelihoods_float(yi)) for yi in y]
-
-
-def _renorm(t):
-    mx = max(t)
-    if mx == 0:
-        return (1.0,) * len(t)
-    return tuple(v / mx for v in t)
+    norm = Fraction(1, q ** (n - 1))
+    return tuple(v * norm for v in likel)
 
 
 def sc_decode(code, ch, y, tie=None, exact=None, tie_rtol=DEFAULT_TIE_RTOL):
@@ -195,8 +145,9 @@ def sc_decode(code, ch, y, tie=None, exact=None, tie_rtol=DEFAULT_TIE_RTOL):
 
     Frozen positions are forced to their frozen values; information
     positions take the likelihood argmax with ties resolved by ``tie``
-    (lexicographic by default).  ``exact`` defaults to rational arithmetic
-    on finite channels and floating arithmetic otherwise.
+    (lexicographic by default).  ``exact`` defaults to the exact integer
+    kernel on finite channels; otherwise the float batch kernel decodes
+    the block alone.
     """
     if tie is None:
         tie = TieRule("lex")
@@ -204,36 +155,32 @@ def sc_decode(code, ch, y, tie=None, exact=None, tie_rtol=DEFAULT_TIE_RTOL):
         tie = TieRule(tie)
     if exact is None:
         exact = ch.is_finite
-    field = code.field
-    alpha = field.alpha
-    elems = field.elements
-    T = _leaf_likelihoods(ch, y, exact)
-    if not exact:
-        T = [_renorm(t) for t in T]
+    elems = code.field.elements
+    uniforms = tie.uniforms(code.n)
+    if exact:
+        if not ch.is_finite:
+            raise ValueError("exact decoding requires a finite channel")
+        job = _ExactJob(code, ch, tie_uniforms=uniforms)
+        (x,) = _distribution_indices(job.messages(y), 0, job)
+        u = _inverse_transform(code.field, x)
+    else:
+        T = ch.likelihood_batch(np.asarray(y))[None]
+        decisions, codewords = sc_decode_batch(code, T, uniforms[None], tie_rtol)
+        u, x = decisions[0], codewords[0]
+    return tuple(elems[i] for i in u), tuple(elems[i] for i in x)
 
-    def rec(t_list, pos):
-        l = len(t_list)
-        if l == 1:
-            i = pos
-            if code.is_info(i):
-                u = elems[tie.pick(_argmax_set(t_list[0], tie_rtol))]
-            else:
-                u = code.frozen_value(i)
-            return [u], [u]
-        half = l // 2
-        tm = [combine_minus(t_list[j], t_list[j + half], alpha) for j in range(half)]
-        if not exact:
-            tm = [_renorm(t) for t in tm]
-        u_lo, x_lo = rec(tm, pos)
-        tp = [combine_plus(t_list[j], t_list[j + half], x_lo[j], alpha) for j in range(half)]
-        if not exact:
-            tp = [_renorm(t) for t in tp]
-        u_hi, x_hi = rec(tp, pos + half)
-        x = [x_lo[j] + alpha * x_hi[j] for j in range(half)] + x_hi
-        return u_lo + u_hi, x
 
-    u_hat, x_hat = rec(T, 0)
-    return tuple(u_hat), tuple(x_hat)
+def _inverse_transform(field, x):
+    """Message indices u with u * G_n = x: the kernel's inverse is
+    [[1, 0], [-alpha, 1]], so u_lo = x'_lo - alpha * x'_hi for the inverted
+    halves x'."""
+    if len(x) == 1:
+        return tuple(x)
+    half = len(x) // 2
+    lo = _inverse_transform(field, x[:half])
+    hi = _inverse_transform(field, x[half:])
+    add, row = field._add, field._mul[(-field.alpha).index]
+    return tuple(add[a][row[b]] for a, b in zip(lo, hi)) + hi
 
 
 def sc_decode_distribution(code, ch, y, method="recursive", job=None):
@@ -298,9 +245,13 @@ class _ExactJob:
     channel matrix, ``leaves[y]`` the column of output y divided by its
     gcd.  The memo maps (message tuple, lo) to the index distribution of
     a sub-decode shorter than the block; it lives as long as the job.
+
+    A point decode passes ``tie_uniforms``, one per position: a tie then
+    keeps one candidate (the :class:`TieRule` pick) instead of branching.
+    The pick depends only on (message, lo), so the memo stays valid.
     """
 
-    def __init__(self, code, ch):
+    def __init__(self, code, ch, tie_uniforms=None):
         field = code.field
         q = field.q
         add, mul, a = field._add, field._mul, field.alpha.index
@@ -315,6 +266,7 @@ class _ExactJob:
         self.rows = tuple(tuple(v.numerator * (self.denominator // v.denominator) for v in row)
                           for row in ch.matrix)
         self.leaves = tuple(_reduced(col) for col in zip(*self.rows))
+        self.tie_uniforms = tie_uniforms
         self.memo = {}
 
     def messages(self, y):
@@ -339,7 +291,8 @@ def _distribution_indices(msgs, lo, job):
 
     ``msgs`` holds one integer message per position.  Returns a dict from
     codeword index tuples to masses: int 1 for a branch no tie split,
-    otherwise the Fraction 1 / (product of the tie sizes).  The result may
+    otherwise the Fraction 1 / (product of the tie sizes).  With the job's
+    ``tie_uniforms`` set, no tie splits a branch and the dict has one key.  The result may
     be shared through the memo, so callers must not mutate it.
     """
     span = len(msgs)
@@ -349,9 +302,12 @@ def _distribution_indices(msgs, lo, job):
         t = msgs[0]
         mx = max(t)
         cands = [u for u, v in enumerate(t) if v == mx]
-        if len(cands) == 1:
+        s = len(cands)
+        if s == 1:
             return {(cands[0],): 1}
-        share = Fraction(1, len(cands))
+        if job.tie_uniforms is not None:
+            return {(cands[min(int(job.tie_uniforms[lo] * s), s - 1)],): 1}
+        share = Fraction(1, s)
         return {(u,): share for u in cands}
     # whole blocks are not memoized: distinct outputs rarely share them
     key = (msgs, lo)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
@@ -191,29 +192,32 @@ CSV_COLUMNS = ("index", "is_info", "message_errors", "message_ber",
 
 
 def export_report(report, path, fmt="csv"):
-    """Write a report as CSV or JSON; both embed the resolved config."""
+    """Write a report as CSV or JSON to ``path`` (stdout when None); both
+    embed the resolved config."""
     if fmt == "json":
-        with open(path, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return
-    if fmt != "csv":
+        text = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    elif fmt == "csv":
+        info = set(report.info_set)
+        mber = report.message_ber
+        cber = report.codeword_ber
+        mse = report.stderr(mber)
+        cse = report.stderr(cber)
+        lines = [
+            "# qpolar-report " + json.dumps(report.config, sort_keys=True),
+            ",".join(CSV_COLUMNS),
+        ]
+        for i in range(report.n):
+            lines.append(
+                f"{i},{int(i in info)},{report.message_errors[i]},{mber[i]:.10e},"
+                f"{mse[i]:.10e},{report.codeword_errors[i]},{cber[i]:.10e},{cse[i]:.10e}")
+        text = "\n".join(lines) + "\n"
+    else:
         raise ValueError(f"unknown export format {fmt!r}")
-    info = set(report.info_set)
-    mber = report.message_ber
-    cber = report.codeword_ber
-    mse = report.stderr(mber)
-    cse = report.stderr(cber)
-    lines = [
-        "# qpolar-report " + json.dumps(report.config, sort_keys=True),
-        ",".join(CSV_COLUMNS),
-    ]
-    for i in range(report.n):
-        lines.append(
-            f"{i},{int(i in info)},{report.message_errors[i]},{mber[i]:.10e},"
-            f"{mse[i]:.10e},{report.codeword_errors[i]},{cber[i]:.10e},{cse[i]:.10e}")
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def plot_script(csv_path, out_path="ber_panels.png"):

@@ -9,13 +9,13 @@ from qpolar.channel import (
     channel_from_json,
     channel_to_json,
     polarize,
-    product_transition,
     qec,
     qsc,
     table_channel,
     verify_symmetry,
 )
 from qpolar.gf import default_field
+from reference import product_transition, sample
 
 
 def test_qsc_transition_values():
@@ -159,12 +159,22 @@ def test_product_transition_identity():
 def test_sampling_noiseless_and_deterministic():
     f2 = default_field(2)
     ident = table_channel(f2, [[1, 0], [0, 1]])
-    rng = np.random.default_rng(0)
-    for x in f2.elements:
-        assert ident.sample(x, rng) == x.index
+    u = np.random.default_rng(0).random(2)
+    assert ident.sample_batch(np.array([0, 1]), u).tolist() == [0, 1]
 
     ch = qsc(f2, Fraction(0))
-    assert ch.sample(f2.one, np.random.default_rng(3)) == 1
+    assert ch.sample_batch(np.array([1]), np.random.default_rng(3).random(1)).tolist() == [1]
+
+
+@pytest.mark.parametrize("q,make", [(3, qsc), (4, qec)])
+def test_sample_batch_matches_inverse_cdf_reference(q, make):
+    f = default_field(q)
+    ch = make(f, Fraction(1, 5))
+    rng = np.random.default_rng(8)
+    x = rng.integers(0, q, size=2000)
+    u = rng.random(2000)
+    want = [sample(ch, f.from_index(int(xi)), ui) for xi, ui in zip(x, u)]
+    assert ch.sample_batch(x, u).tolist() == want
 
 
 def test_sample_batch_stays_inside_output_alphabet():

@@ -7,6 +7,7 @@ from qpolar.channel import channel_to_json, qec, qsc
 from qpolar.cli import main
 from qpolar.code import PolarCode
 from qpolar.gf import default_field
+from qpolar.oracle import mc_ser
 
 F2 = default_field(2)
 F4 = default_field(4)
@@ -155,6 +156,31 @@ def test_mc_ser_csv_byte_identical(paths, tmp_path):
     assert a.read_bytes() == b.read_bytes()
     header = a.read_text().splitlines()[0]
     assert json.loads(header.removeprefix("# qpolar-report "))["seed"] == 3
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_mc_ser_writes_the_simulate_report(paths, tmp_path, capsys, fmt):
+    _, ch_path, code_path = paths
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"code": code_path, "channel": ch_path, "trials": 3000,
+                                    "seed": 4, "shards": 2}))
+    sim_out = tmp_path / f"rep.{fmt}"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(sim_out),
+                 "--format", fmt]) == 0
+    capsys.readouterr()
+    # no --out: the report goes to stdout
+    assert main(["mc-ser", "--code", code_path, "--channel", ch_path, "--trials", "3000",
+                 "--seed", "4", "--shards", "2", "--format", fmt]) == 0
+    text = capsys.readouterr().out
+    assert text == sim_out.read_text()
+    if fmt == "csv":
+        # the codeword columns carry the estimator's counts, rates and errors
+        report = mc_ser(PolarCode(F2, 2, [1, 2, 3]), qsc(F2, Fraction(1, 10)), 3000, 4,
+                        shards=2)
+        rows = [line.split(",") for line in text.splitlines()[2:]]
+        assert [int(r[5]) for r in rows] == list(report.errors)
+        assert [r[6] for r in rows] == [f"{v:.10e}" for v in report.per_index]
+        assert [r[7] for r in rows] == [f"{v:.10e}" for v in report.stderr]
 
 
 def test_simulate_csv_and_plot(paths, tmp_path):

@@ -1,8 +1,8 @@
-"""Byte-identity of the exact CLI outputs against stored fixtures.
+"""Byte-identity of the exact and lexicographic CLI outputs against fixtures.
 
 The files under ``fixtures/cli`` hold the inputs (codes, channels, output
 blocks, messages) and, in ``*.out.json``, the output each command wrote
-before the exact oracle moved to integer index arithmetic.  The exact
+when the exact oracle and the point decoder still ran on Fractions.  The
 commands must keep writing the same bytes.
 """
 
@@ -23,6 +23,14 @@ CASES = {
                         "--y", "y_q4.json", "--exact"],
     "decode_exact_q4_frozen": ["decode", "--code", "code_q4_frozen.json",
                                "--channel", "qec4.json", "--y", "y_q4_frozen.json", "--exact"],
+    "decode_lex_q2": ["decode", "--code", "code_q2.json", "--channel", "bsc.json",
+                      "--y", "y_q2.json"],
+    "decode_lex_q2_frozen": ["decode", "--code", "code_q2_frozen.json", "--channel", "bsc.json",
+                             "--y", "y_q2_frozen.json"],
+    "decode_lex_q4": ["decode", "--code", "code_q4.json", "--channel", "qec4.json",
+                      "--y", "y_q4.json"],
+    "decode_lex_q4_frozen": ["decode", "--code", "code_q4_frozen.json", "--channel", "qec4.json",
+                             "--y", "y_q4_frozen.json"],
     "exact_ser_average_q2": ["exact-ser", "--code", "code_q2.json", "--channel", "bsc.json"],
     "exact_ser_message_q2": ["exact-ser", "--code", "code_q2.json", "--channel", "bsc.json",
                              "--message", "u_q2.json"],

@@ -8,11 +8,11 @@ from qpolar.code import (
     decreasing_sets,
     dominates,
     kron_matrix,
-    matrix_multiply,
     polar_transform,
     polar_transform_indices,
 )
 from qpolar.gf import default_field
+from reference import matrix_multiply
 
 
 def test_encode_length_one_is_identity():

@@ -21,7 +21,8 @@ from qpolar.channel import FiniteChannel, qec, qsc, table_channel
 from qpolar.code import PolarCode, decreasing_sets, polar_transform
 from qpolar.gf import FieldElement, default_field
 from qpolar.oracle import exact_genie_error_probs, exact_ser
-from qpolar.sc import combine_minus, combine_plus, sc_decode_distribution, synthetic_channel
+from qpolar.sc import sc_decode_distribution, synthetic_channel
+from reference import combine_minus, combine_plus
 from qpolar.symmetry import (
     check_coset_invariance,
     check_xi_invariance,

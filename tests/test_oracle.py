@@ -13,7 +13,7 @@ from qpolar.oracle import (
     exact_synthetic,
     mc_ser,
 )
-from qpolar.sc import combine_minus, combine_plus
+from reference import combine_minus, combine_plus
 
 F2 = default_field(2)
 F3 = default_field(3)

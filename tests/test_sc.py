@@ -4,19 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpolar.channel import qec, qsc, table_channel
+from qpolar.channel import AwgnBpskChannel, qec, qsc, table_channel
 from qpolar.code import PolarCode, polar_transform
 from qpolar.gf import default_field
 from qpolar.oracle import exact_average_ser
 from qpolar.sc import (
     TieRule,
-    combine_minus,
-    combine_plus,
     sc_decode,
     sc_decode_batch,
     sc_decode_distribution,
     synthetic_channel,
 )
+from reference import combine_minus, combine_plus
 
 
 F2 = default_field(2)
@@ -33,6 +32,12 @@ def test_synthetic_channel_n1_is_raw_channel():
     code = PolarCode(F3, 0, [0])
     for y in range(3):
         assert synthetic_channel(code, ch, (y,), (), 0) == ch.likelihoods(y)
+
+
+def test_synthetic_channel_requires_finite_channel():
+    code = PolarCode(F2, 1, [0, 1])
+    with pytest.raises(ValueError, match="finite channel"):
+        synthetic_channel(code, AwgnBpskChannel(F2, 0.5), (0.3, -1.2), (), 0)
 
 
 def test_synthetic_channel_hand_sum_n2():
@@ -203,7 +208,7 @@ def test_float_point_decode_ties_all_zero_messages():
     trials = 2000
     errors = np.zeros(8)
     for _ in range(trials):
-        y = tuple(ch.sample(F2.zero, rng) for _ in range(8))
+        y = ch.sample_batch(np.zeros(8, dtype=int), rng.random(8))
         _, x = sc_decode(code, ch, y, tie=TieRule("random", rng), exact=False)
         errors += [e.index != 0 for e in x]
     for err, truth in zip(errors / trials, exact):

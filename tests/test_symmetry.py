@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpolar.channel import product_transition, qec, qsc
+from qpolar.channel import qec, qsc
 from qpolar.code import PolarCode, decreasing_sets, polar_transform
 from qpolar.gf import default_field
 from qpolar.oracle import exact_average_ser
@@ -21,6 +21,7 @@ from qpolar.symmetry import (
     xi_apply_output,
     xi_coefficients,
 )
+from reference import product_transition
 
 F2 = default_field(2)
 F4 = default_field(4)
