@@ -7,8 +7,8 @@ on the output alphabet exist: additive shifts ``sigma_b`` with
 transition law as exact rationals so the brute-force oracle can certify
 exact equalities; float mirrors are derived from the rational source.
 
-Likelihood vectors are indexed by the input element index: exact
-``Fraction`` tuples from ``likelihoods``, float arrays from
+Likelihood vectors are indexed by the input element index: the exact
+column ``matrix[:][y]`` of a finite channel, float arrays from
 ``likelihood_batch``.
 """
 
@@ -108,18 +108,6 @@ class FiniteChannel:
     def num_outputs(self):
         return len(self.outputs)
 
-    def transition(self, y, x):
-        """W(y | x) exactly; y is an output index, x a FieldElement."""
-        if not 0 <= y < self.num_outputs:
-            raise ValueError(f"output index {y} outside alphabet of size {self.num_outputs}")
-        return self.matrix[x.index][y]
-
-    def likelihoods(self, y):
-        """Exact likelihood vector (W(y|u))_u over the q input symbols."""
-        if not 0 <= y < self.num_outputs:
-            raise ValueError(f"output index {y} outside alphabet of size {self.num_outputs}")
-        return tuple(self.matrix[u][y] for u in range(self.q))
-
     @property
     def matrix_float(self):
         if self._float is None:
@@ -188,11 +176,6 @@ class AwgnBpskChannel:
     @staticmethod
     def modulate(x_index):
         return 1.0 - 2.0 * x_index
-
-    def transition(self, y, x):
-        """Gaussian density value at y for input x (a float, not a mass)."""
-        s = self.modulate(x.index)
-        return math.exp(-((y - s) ** 2) / (2 * self.sigma2)) / math.sqrt(2 * math.pi * self.sigma2)
 
     def likelihood_batch(self, y):
         y = np.asarray(y, dtype=float)

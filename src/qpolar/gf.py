@@ -103,16 +103,6 @@ def is_irreducible(modulus, p):
             g = _index_to_poly(idx, p, d) + [1]
             if not _poly_mod(full, g, p):
                 return False
-    # Degree-1 factors of odd-degree moduli are caught by a root scan too,
-    # but the trial division above already covers d = 1 whenever s >= 2.
-    if s == 1:
-        return True
-    for r in range(p):
-        acc = 0
-        for c in reversed(full):
-            acc = (acc * r + c) % p
-        if acc == 0:
-            return False
     return True
 
 
@@ -333,7 +323,6 @@ class Field:
 
         self._np_add = np.array(self._add, dtype=np.intp)
         self._np_mul = np.array(self._mul, dtype=np.intp)
-        self._np_neg = np.array(self._neg, dtype=np.intp)
         self._np_alpha_mul = self._np_mul[self._alpha_index].copy()
 
     def _coeffs_to_index(self, coeffs):
@@ -384,14 +373,6 @@ class Field:
     def mul_index(self, a, b):
         return self._mul[a][b]
 
-    def neg_index(self, a):
-        return self._neg[a]
-
-    def inv_index(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inversion of the zero element")
-        return self._inv[a]
-
     @property
     def add_table(self):
         """(q, q) numpy index table for vectorized addition."""
@@ -400,10 +381,6 @@ class Field:
     @property
     def mul_table(self):
         return self._np_mul
-
-    @property
-    def neg_table(self):
-        return self._np_neg
 
     @property
     def alpha_mul_table(self):

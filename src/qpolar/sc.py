@@ -14,8 +14,8 @@ one of them:
 
 * :func:`sc_decode_batch` (float) decodes a batch of blocks.  It drops the
   1/q constants and scales every message to maximum 1, which also prevents
-  underflow at long block lengths.  Entries within relative tolerance
-  ``tie_rtol`` of the maximum count as tied.
+  underflow at long block lengths.  Entries within the fixed relative
+  tolerance ``DEFAULT_TIE_RTOL`` of the maximum count as tied.
 * :func:`_distribution_indices` (exact) decodes one block on integer
   messages: the channel matrix is scaled by the common denominator D of
   its entries, the 1/q constants are dropped, and every message is divided
@@ -28,8 +28,8 @@ one of them:
 
 :func:`sc_decode_distribution` branches at every exact tie and returns the
 exact rational distribution over decoded codewords.  The point decoder
-:func:`sc_decode` runs the exact kernel on finite channels (by default)
-and the float kernel on one block otherwise.  Both resolve ties the same
+:func:`sc_decode` runs the exact kernel on finite channels and the float
+kernel, on the block alone, on the AWGN channel.  Both resolve ties the same
 way: a :class:`TieRule` gives one uniform v_i per position, and a tie
 among s symbols at position i keeps the k-th tied symbol in index order,
 k = min(floor(v_i * s), s - 1).
@@ -41,11 +41,8 @@ by turning an all-zero message into all ones instead of dividing 0/0.
 
 The batch decoder keeps its messages in a symbol-major (q, n, B) layout, so
 every combining step works on contiguous (n/2, B) slabs.  Its minus sums add
-the q products in the order ``np.add.reduce`` uses on a contiguous axis of
-length q (numpy's pairwise summation: left to right below 8 terms, eight
-interleaved accumulators from 8 to 128 terms, halves above that), so its
-decisions are bit-identical to a decoder that reduces over a trailing
-symbol axis.
+the q products left to right in u1, so every minus message equals, bit for
+bit, a plain left-to-right loop over u1.
 """
 
 from __future__ import annotations
@@ -140,32 +137,26 @@ def synthetic_channel(code, ch, y, u_prefix, i):
     return tuple(v * norm for v in likel)
 
 
-def sc_decode(code, ch, y, tie=None, exact=None, tie_rtol=DEFAULT_TIE_RTOL):
+def sc_decode(code, ch, y, tie=None):
     """Decode one received block; returns (message, codeword) element tuples.
 
     Frozen positions are forced to their frozen values; information
-    positions take the likelihood argmax with ties resolved by ``tie``
-    (lexicographic by default).  ``exact`` defaults to the exact integer
-    kernel on finite channels; otherwise the float batch kernel decodes
-    the block alone.
+    positions take the likelihood argmax with ties resolved by the
+    :class:`TieRule` ``tie`` (lexicographic when None).  The channel picks
+    the kernel: a finite channel decodes on the exact integer kernel, the
+    AWGN channel on the float batch kernel with the block alone.
     """
     if tie is None:
-        tie = TieRule("lex")
-    elif isinstance(tie, str):
-        tie = TieRule(tie)
-    if exact is None:
-        exact = ch.is_finite
+        tie = TieRule()
     elems = code.field.elements
     uniforms = tie.uniforms(code.n)
-    if exact:
-        if not ch.is_finite:
-            raise ValueError("exact decoding requires a finite channel")
+    if ch.is_finite:
         job = _ExactJob(code, ch, tie_uniforms=uniforms)
         (x,) = _distribution_indices(job.messages(y), 0, job)
         u = _inverse_transform(code.field, x)
     else:
         T = ch.likelihood_batch(np.asarray(y))[None]
-        decisions, codewords = sc_decode_batch(code, T, uniforms[None], tie_rtol)
+        decisions, codewords = sc_decode_batch(code, T, uniforms[None])
         u, x = decisions[0], codewords[0]
     return tuple(elems[i] for i in u), tuple(elems[i] for i in x)
 
@@ -331,7 +322,7 @@ def _distribution_indices(msgs, lo, job):
     return out
 
 
-def sc_decode_batch(code, T, tie_uniforms, tie_rtol=DEFAULT_TIE_RTOL, force=None):
+def sc_decode_batch(code, T, tie_uniforms, force=None):
     """Vectorized floating-point SC decoding of a batch of received blocks.
 
     Parameters
@@ -352,13 +343,14 @@ def sc_decode_batch(code, T, tie_uniforms, tie_rtol=DEFAULT_TIE_RTOL, force=None
 
     Internally the messages are transposed once to a (q, n, B) array:
     block-innermost, so the minus rule is q * q multiply-adds over
-    contiguous (n/2, B) slabs summed in ``np.add.reduce`` order (see the
-    module docstring), each maximum over the symbol axis is q - 1
-    ``np.maximum`` calls, and the plus rule is one gather along axis 0
-    (a select at q = 2).
-    Every message is scaled to maximum 1; an all-zero message (a leaf or
-    plus message on a channel with zero transition entries) becomes all
-    ones, so every symbol ties.  The recursion runs under
+    contiguous (n/2, B) slabs, each sum taken left to right in u1, each
+    maximum over the symbol axis is q - 1 ``np.maximum`` calls, and the
+    plus rule is one gather along axis 0 (a select at q = 2).
+    Every message is scaled to maximum 1, and entries within the fixed
+    relative tolerance ``DEFAULT_TIE_RTOL`` of the maximum tie.  An
+    all-zero message (a leaf or plus message on a channel with zero
+    transition entries) becomes all ones, so every symbol ties.  The
+    recursion runs under
     ``np.errstate(invalid="raise", divide="raise")``: no NaN or inf can
     reach a decision.
     """
@@ -369,7 +361,7 @@ def sc_decode_batch(code, T, tie_uniforms, tie_rtol=DEFAULT_TIE_RTOL, force=None
         raise ValueError(f"likelihood array shape {T.shape} does not match (B, {n}, {field.q})")
     if force is not None:
         force = np.broadcast_to(np.asarray(force, dtype=np.intp), (B, n)).T
-    job = _BatchJob(code, np.asarray(tie_uniforms).T, tie_rtol, force)
+    job = _BatchJob(code, np.asarray(tie_uniforms).T, force)
     with np.errstate(invalid="raise", divide="raise"):
         tb = np.empty((q, n, B))
         np.copyto(tb, T.transpose(2, 1, 0))
@@ -381,7 +373,7 @@ def sc_decode_batch(code, T, tie_uniforms, tie_rtol=DEFAULT_TIE_RTOL, force=None
 class _BatchJob:
     """Per-call constants and the decision array of one batch decode."""
 
-    def __init__(self, code, tie_uniforms, tie_rtol, force):
+    def __init__(self, code, tie_uniforms, force):
         field = code.field
         self.add = field.add_table
         self.mul_alpha = field.alpha_mul_table
@@ -393,7 +385,6 @@ class _BatchJob:
         self.info_mask = code.info_mask
         self.frozen_idx = code.frozen_index_array
         self.tie_uniforms = tie_uniforms
-        self.tie_rtol = tie_rtol
         self.force = force
         self.decisions = np.empty((code.n, tie_uniforms.shape[1]), dtype=np.intp)
 
@@ -405,7 +396,7 @@ def _decode_span(tb, lo, job):
     if span == 1:
         m = tb[:, 0]
         if job.info_mask[lo]:
-            tied = m >= _symbol_max(m) * (1.0 - job.tie_rtol)
+            tied = m >= _symbol_max(m) * (1.0 - DEFAULT_TIE_RTOL)
             s = tied.sum(axis=0)
             k = np.minimum((job.tie_uniforms[lo] * s).astype(np.intp), s - 1)
             u = np.argmax(np.cumsum(tied, axis=0) == k + 1, axis=0)
@@ -458,43 +449,13 @@ def _normalize(t):
 
 
 def _minus(t0, t1, aff):
-    """minus[u] = sum_u1 t0[aff[u, u1]] * t1[u1] over (q, h, B) messages."""
-    q = len(t0)
+    """minus[u] = sum_u1 t0[aff[u, u1]] * t1[u1] over (q, h, B) messages,
+    summed left to right in u1."""
     out = np.empty_like(t0)
     tmp = np.empty_like(t0[0])
-    acc = np.empty((8,) + tmp.shape) if q >= 8 else None
-    for u in range(q):
-        _sum_products(t0, t1, aff[u], 0, q, out[u], tmp, acc)
+    for acc, row in zip(out, aff):
+        np.multiply(t0[row[0]], t1[0], out=acc)
+        for u1 in range(1, len(row)):
+            np.multiply(t0[row[u1]], t1[u1], out=tmp)
+            acc += tmp
     return out
-
-
-def _sum_products(t0, t1, row, start, count, out, tmp, acc):
-    """Write the sum of t0[row[i]] * t1[i], i in [start, start + count), to
-    ``out`` in numpy's pairwise order for a contiguous run of that length;
-    ``tmp`` and the eight accumulators ``acc`` are scratch."""
-    if count < 8:
-        np.multiply(t0[row[start]], t1[start], out=out)
-        for i in range(start + 1, start + count):
-            np.multiply(t0[row[i]], t1[i], out=tmp)
-            out += tmp
-    elif count <= 128:
-        stop = start + count - count % 8
-        for i in range(start, start + 8):
-            np.multiply(t0[row[i]], t1[i], out=acc[i - start])
-        for i in range(start + 8, stop):
-            np.multiply(t0[row[i]], t1[i], out=tmp)
-            acc[(i - start) % 8] += tmp
-        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6)):
-            acc[a] += acc[b]
-        np.add(acc[0], acc[4], out=out)
-        for i in range(stop, start + count):
-            np.multiply(t0[row[i]], t1[i], out=tmp)
-            out += tmp
-    else:
-        half = count // 2
-        half -= half % 8
-        _sum_products(t0, t1, row, start, half, out, tmp, acc)
-        rest = np.empty_like(out)
-        _sum_products(t0, t1, row, start + half, count - half, rest, tmp, acc)
-        out += rest

@@ -6,16 +6,18 @@ form: Fraction likelihood vectors carrying the 1/q constants through
 floats renormalized to maximum 1 on the float path, with ties resolved
 lexicographically.  The package decodes one block on its two kernels
 instead (the integer exact recursion and the float batch kernel) and must
-reproduce these decisions.  ``matrix_multiply``, ``product_transition`` and
-``sample`` are the element-level definitions of encoding, the block
-transition law and channel sampling.
+reproduce these decisions.  ``matrix_multiply``, ``transition``,
+``likelihoods``, ``product_transition`` and ``sample`` are the
+element-level definitions of encoding, the channel and block transition
+laws and channel sampling.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-DEFAULT_TIE_RTOL = 1e-12
+TIE_RTOL = 1e-12
 
 
 def _is_exact(t):
@@ -45,11 +47,11 @@ def combine_plus(t0, t1, u0, alpha):
     return tuple(out)
 
 
-def _argmax_set(t, tie_rtol):
+def _argmax_set(t):
     mx = max(t)
     if _is_exact(t):
         return [u for u, v in enumerate(t) if v == mx]
-    thresh = mx - abs(mx) * tie_rtol
+    thresh = mx - abs(mx) * TIE_RTOL
     return [u for u, v in enumerate(t) if v >= thresh]
 
 
@@ -63,10 +65,10 @@ def _renorm(t):
 def _float_leaf(ch, y):
     if ch.is_finite:
         return tuple(float(v) for v in ch.matrix_float[:, y])
-    return tuple(ch.transition(y, e) for e in ch.field.elements)
+    return tuple(transition(ch, y, e) for e in ch.field.elements)
 
 
-def reference_sc_decode(code, ch, y, exact=None, tie_rtol=DEFAULT_TIE_RTOL):
+def reference_sc_decode(code, ch, y, exact=None):
     """Lexicographic SC point decode; returns (message, codeword) element tuples."""
     if exact is None:
         exact = ch.is_finite
@@ -74,14 +76,14 @@ def reference_sc_decode(code, ch, y, exact=None, tie_rtol=DEFAULT_TIE_RTOL):
     alpha = field.alpha
     elems = field.elements
     if exact:
-        T = [ch.likelihoods(v) for v in y]
+        T = [likelihoods(ch, v) for v in y]
     else:
         T = [_renorm(_float_leaf(ch, v)) for v in y]
 
     def rec(t_list, pos):
         if len(t_list) == 1:
             if code.is_info(pos):
-                u = elems[_argmax_set(t_list[0], tie_rtol)[0]]
+                u = elems[_argmax_set(t_list[0])[0]]
             else:
                 u = code.frozen_value(pos)
             return [u], [u]
@@ -112,13 +114,29 @@ def matrix_multiply(field, u_indices, g):
     return tuple(out)
 
 
+def transition(ch, y, x):
+    """W(y | x) for a FieldElement x: exact for a finite channel (y an
+    output index), the Gaussian density value at y for the AWGN channel."""
+    if not ch.is_finite:
+        s = ch.modulate(x.index)
+        return math.exp(-((y - s) ** 2) / (2 * ch.sigma2)) / math.sqrt(2 * math.pi * ch.sigma2)
+    if not 0 <= y < ch.num_outputs:
+        raise ValueError(f"output index {y} outside alphabet of size {ch.num_outputs}")
+    return ch.matrix[x.index][y]
+
+
+def likelihoods(ch, y):
+    """Exact likelihood vector (W(y|u))_u of a finite channel over the q inputs."""
+    return tuple(transition(ch, y, e) for e in ch.field.elements)
+
+
 def product_transition(ch, y_vec, x_vec):
     """W^n(y | x) = prod_i W(y_i | x_i) for a memoryless block of n uses."""
     if len(y_vec) != len(x_vec):
         raise ValueError("output and input blocks differ in length")
     acc = Fraction(1) if ch.is_finite else 1.0
     for y, x in zip(y_vec, x_vec):
-        acc *= ch.transition(y, x)
+        acc *= transition(ch, y, x)
     return acc
 
 

@@ -15,19 +15,19 @@ from qpolar.channel import (
     verify_symmetry,
 )
 from qpolar.gf import default_field
-from reference import product_transition, sample
+from reference import likelihoods, product_transition, sample, transition
 
 
 def test_qsc_transition_values():
     f2 = default_field(2)
     bsc = qsc(f2, Fraction(1, 10))
-    assert bsc.transition(0, f2.zero) == Fraction(9, 10)
+    assert transition(bsc, 0, f2.zero) == Fraction(9, 10)
 
     f4 = default_field(4)
     ch = qsc(f4, Fraction(3, 10))
     a1, a2 = f4.from_index(1), f4.from_index(2)
-    assert ch.transition(a2.index, a1) == Fraction(1, 10)
-    assert ch.transition(a1.index, a1) == Fraction(7, 10)
+    assert transition(ch, a2.index, a1) == Fraction(1, 10)
+    assert transition(ch, a1.index, a1) == Fraction(7, 10)
 
 
 def test_qec_transition_values():
@@ -36,22 +36,22 @@ def test_qec_transition_values():
     erasure = ch.num_outputs - 1
     assert ch.outputs[erasure] == ERASURE
     for x in f4.elements:
-        assert ch.transition(erasure, x) == Fraction(1, 3)
-    assert ch.transition(0, f4.zero) == Fraction(2, 3)
-    assert ch.transition(1, f4.zero) == Fraction(0)
+        assert transition(ch, erasure, x) == Fraction(1, 3)
+    assert transition(ch, 0, f4.zero) == Fraction(2, 3)
+    assert transition(ch, 1, f4.zero) == Fraction(0)
 
 
 def test_likelihood_examples():
     f2 = default_field(2)
-    assert qsc(f2, Fraction(1, 10)).likelihoods(0) == (Fraction(9, 10), Fraction(1, 10))
+    assert likelihoods(qsc(f2, Fraction(1, 10)), 0) == (Fraction(9, 10), Fraction(1, 10))
 
     f4 = default_field(4)
     ch = qec(f4, Fraction(1, 3))
-    assert ch.likelihoods(ch.num_outputs - 1) == (Fraction(1, 3),) * 4
+    assert likelihoods(ch, ch.num_outputs - 1) == (Fraction(1, 3),) * 4
 
     f3 = default_field(3)
     ch3 = qsc(f3, Fraction(3, 10))
-    assert ch3.likelihoods(1) == (Fraction(3, 20), Fraction(7, 10), Fraction(3, 20))
+    assert likelihoods(ch3, 1) == (Fraction(3, 20), Fraction(7, 10), Fraction(3, 20))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8])
@@ -63,10 +63,10 @@ def test_shift_scale_identities_exhaustive(q, make):
     for y in range(ch.num_outputs):
         for x in f.elements:
             for b in f.elements:
-                assert ch.transition(y, x) == ch.transition(ch.shift(y, b), x + b)
+                assert transition(ch, y, x) == transition(ch, ch.shift(y, b), x + b)
             for a in f.elements:
                 if a:
-                    assert ch.transition(y, x) == ch.transition(ch.scale(y, a), a * x)
+                    assert transition(ch, y, x) == transition(ch, ch.scale(y, a), a * x)
 
 
 def test_qsc_shift_is_field_addition():
@@ -152,7 +152,7 @@ def test_product_transition_identity():
         ys = [int(i) for i in rng.integers(0, 3, size=5)]
         manual = Fraction(1)
         for y, x in zip(ys, xs):
-            manual *= ch.transition(y, x)
+            manual *= transition(ch, y, x)
         assert product_transition(ch, ys, xs) == manual
 
 
@@ -233,8 +233,8 @@ def test_awgn_shift_identity():
     ch = AwgnBpskChannel(f2, 0.631)
     for y in (-2.3, -0.4, 0.0, 0.7, 1.9):
         # W(y|0) = W(-y|1) from the Gaussian density
-        assert ch.transition(y, f2.zero) == pytest.approx(
-            ch.transition(ch.shift(y, f2.one), f2.one))
+        assert transition(ch, y, f2.zero) == pytest.approx(
+            transition(ch, ch.shift(y, f2.one), f2.one))
         assert ch.scale(y, f2.one) == y
 
 

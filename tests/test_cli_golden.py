@@ -1,9 +1,12 @@
-"""Byte-identity of the exact and lexicographic CLI outputs against fixtures.
+"""Byte-identity of CLI outputs against fixtures.
 
 The files under ``fixtures/cli`` hold the inputs (codes, channels, output
-blocks, messages) and, in ``*.out.json``, the output each command wrote
-when the exact oracle and the point decoder still ran on Fractions.  The
-commands must keep writing the same bytes.
+blocks, messages, a simulation config) and, in ``*.out.json`` and
+``*.out.csv``, the output each command wrote.  The exact and
+finite-channel decodes pin the integer kernel; the Monte Carlo report
+(F_16 QSC(1/10), n = 64, random messages, two shards) pins the float
+kernel's tallies and the AWGN decode the point decoder's float route.
+The commands must keep writing the same bytes.
 """
 
 from pathlib import Path
@@ -31,6 +34,8 @@ CASES = {
                       "--y", "y_q4.json"],
     "decode_lex_q4_frozen": ["decode", "--code", "code_q4_frozen.json", "--channel", "qec4.json",
                              "--y", "y_q4_frozen.json"],
+    "decode_lex_awgn_n16": ["decode", "--code", "code_q2_n16.json", "--channel", "awgn.json",
+                            "--y", "y_awgn_n16.json"],
     "exact_ser_average_q2": ["exact-ser", "--code", "code_q2.json", "--channel", "bsc.json"],
     "exact_ser_message_q2": ["exact-ser", "--code", "code_q2.json", "--channel", "bsc.json",
                              "--message", "u_q2.json"],
@@ -39,6 +44,7 @@ CASES = {
                                  "--channel", "qec4.json"],
     "exact_ser_message_q4": ["exact-ser", "--code", "code_q4.json", "--channel", "qsc4.json",
                              "--message", "u_q4.json"],
+    "simulate_q16_csv": ["simulate", "--config", "simulate_q16.json", "--format", "csv"],
 }
 
 
@@ -49,6 +55,7 @@ def _argv(args, out):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_exact_cli_output_byte_identical(name, tmp_path):
-    out = tmp_path / f"{name}.out.json"
+    out_name = f"{name}.out.csv" if "csv" in CASES[name] else f"{name}.out.json"
+    out = tmp_path / out_name
     assert main(_argv(CASES[name], out)) == 0
-    assert out.read_bytes() == (FIXTURES / f"{name}.out.json").read_bytes()
+    assert out.read_bytes() == (FIXTURES / out_name).read_bytes()

@@ -22,7 +22,7 @@ from qpolar.code import PolarCode, decreasing_sets, polar_transform
 from qpolar.gf import FieldElement, default_field
 from qpolar.oracle import exact_genie_error_probs, exact_ser
 from qpolar.sc import sc_decode_distribution, synthetic_channel
-from reference import combine_minus, combine_plus
+from reference import combine_minus, combine_plus, likelihoods
 from qpolar.symmetry import (
     check_coset_invariance,
     check_xi_invariance,
@@ -62,7 +62,7 @@ def reference_sc_decode_distribution(code, ch, y):
                 out[x] = out.get(x, Fraction(0)) + p_lo * p_hi
         return out
 
-    return rec([ch.likelihoods(v) for v in y], 0)
+    return rec([likelihoods(ch, v) for v in y], 0)
 
 
 def reference_exact_ser(code, ch, u_full):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from qpolar.gf import Field, alpha_generates, default_field, find_irreducible, is_irreducible
@@ -142,3 +144,16 @@ def test_two_representations_of_f9():
     for f in (f1, f2):
         assert sum(1 for a in f.elements if a) == 8
         assert f.alpha.inverse() * f.alpha == f.one
+
+
+MOBIUS = {1: 1, 2: -1, 3: -1, 4: 0}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_irreducible_count_matches_gauss_formula(p, s):
+    # Gauss: F_p has (1/s) * sum_{d | s} mu(d) * p^(s/d) monic irreducible
+    # polynomials of degree s
+    want = sum(MOBIUS[d] * p ** (s // d) for d in range(1, s + 1) if s % d == 0) // s
+    got = sum(is_irreducible(m, p) for m in itertools.product(range(p), repeat=s))
+    assert got == want

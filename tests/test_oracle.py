@@ -13,7 +13,7 @@ from qpolar.oracle import (
     exact_synthetic,
     mc_ser,
 )
-from reference import combine_minus, combine_plus
+from reference import combine_minus, combine_plus, likelihoods
 
 F2 = default_field(2)
 F3 = default_field(3)
@@ -86,7 +86,7 @@ def test_synthetic_table_n1_is_channel():
     code = PolarCode(F3, 0, [0])
     table = exact_synthetic(code, ch, 0)
     for y in range(ch.num_outputs):
-        assert table[((y,), ())] == ch.likelihoods(y)
+        assert table[((y,), ())] == likelihoods(ch, y)
 
 
 def test_synthetic_table_n2_matches_combines():
@@ -96,7 +96,7 @@ def test_synthetic_table_n2_matches_combines():
     t1 = exact_synthetic(code, ch, 1)
     for y0 in range(4):
         for y1 in range(4):
-            la, lb = ch.likelihoods(y0), ch.likelihoods(y1)
+            la, lb = likelihoods(ch, y0), likelihoods(ch, y1)
             assert t0[((y0, y1), ())] == combine_minus(la, lb, F4.alpha)
             for u0 in F4.elements:
                 assert t1[((y0, y1), (u0,))] == combine_plus(la, lb, u0, F4.alpha)

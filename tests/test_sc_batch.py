@@ -1,9 +1,9 @@
 """The batch SC kernel against a reference (B, n, q) implementation.
 
 ``reference_sc_decode_batch`` is the straightforward block-major form of
-the kernel: a (B, n/2, q, q) gather for the minus rule, reduced by
-``.sum(axis=3)``.  The production kernel works block-innermost on
-(q, n, B) arrays and must reproduce its decisions and codewords bit for
+the kernel: a (B, n/2, q, q) gather for the minus rule, reduced over the
+trailing axis left to right.  The production kernel works block-innermost
+on (q, n, B) arrays and must reproduce its decisions and codewords bit for
 bit on channels without zero transition entries.
 """
 
@@ -23,7 +23,7 @@ from qpolar.sc import DEFAULT_TIE_RTOL, _minus, sc_decode_batch
 from qpolar.sim import ExperimentConfig, ebno_to_channel, run_experiment
 
 
-def reference_sc_decode_batch(code, T, tie_uniforms, tie_rtol=DEFAULT_TIE_RTOL, force=None):
+def reference_sc_decode_batch(code, T, tie_uniforms, force=None):
     field = code.field
     n = code.n
     B, nt, q = T.shape
@@ -45,7 +45,7 @@ def reference_sc_decode_batch(code, T, tie_uniforms, tie_rtol=DEFAULT_TIE_RTOL, 
             m = tb[:, 0, :]
             if info_mask[lo]:
                 mx = m.max(axis=1)
-                tied = m >= (mx * (1.0 - tie_rtol))[:, None]
+                tied = m >= (mx * (1.0 - DEFAULT_TIE_RTOL))[:, None]
                 s = tied.sum(axis=1)
                 k = np.minimum((tie_uniforms[:, lo] * s).astype(np.intp), s - 1)
                 cum = np.cumsum(tied, axis=1)
@@ -59,7 +59,10 @@ def reference_sc_decode_batch(code, T, tie_uniforms, tie_rtol=DEFAULT_TIE_RTOL, 
         half = span // 2
         t0 = tb[:, :half]
         t1 = tb[:, half:]
-        tm = (t0[:, :, AFF] * t1[:, :, None, :]).sum(axis=3)
+        products = t0[:, :, AFF] * t1[:, :, None, :]
+        tm = products[..., 0].copy()
+        for u1 in range(1, q):
+            tm += products[..., u1]
         tm /= tm.max(axis=2, keepdims=True)
         xl = rec(tm, lo, lo + half)
         tp = np.take_along_axis(t0, AFF[xl], axis=2) * t1
@@ -99,6 +102,9 @@ CASES = {
     "qsc_q16_n64": (lambda: (_code(16, 6, 32), qsc(default_field(16), Fraction(1, 10))),
                     True),
     "qsc_q3_n16": (lambda: (_code(3, 4, 8), qsc(default_field(3), Fraction(1, 4))), True),
+    # extension fields of characteristics 2 and 3 with minus sums of 8 and 9 terms
+    "qsc_q8_n64": (lambda: (_code(8, 6, 32), qsc(default_field(8), Fraction(1, 10))), True),
+    "qsc_q9_n32": (lambda: (_code(9, 5, 16), qsc(default_field(9), Fraction(1, 10))), True),
 }
 
 
@@ -120,14 +126,24 @@ def test_kernel_bit_identical_to_reference(case, genie, b):
 @pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 16, 17, 131, 256])
 def test_minus_sum_order_matches_trailing_axis_reduce(q):
     # decisions absorb last-ulp differences in their tie tolerance, so the
-    # summation order is checked on the minus messages themselves
+    # summation order is checked on the minus messages themselves, against
+    # a reduction over the trailing u1 axis in plain Python floats, left to
+    # right
     f = default_field(q)
-    aff = f.add_table[:, f.alpha_mul_table]
+    aff = f.add_table[:, f.alpha_mul_table].tolist()
     gen = np.random.default_rng(q)
     b, h = (3, 2) if q > 100 else (40, 4)
     t0, t1 = gen.random((2, b, h, q)) ** 4
-    want = (t0[:, :, aff] * t1[:, :, None, :]).sum(axis=3)
-    got = _minus(t0.transpose(2, 1, 0).copy(), t1.transpose(2, 1, 0).copy(), aff)
+    want = np.empty((b, h, q))
+    for blk in range(b):
+        for j in range(h):
+            a0, a1 = t0[blk, j].tolist(), t1[blk, j].tolist()
+            for u, row in enumerate(aff):
+                acc = a0[row[0]] * a1[0]
+                for u1 in range(1, q):
+                    acc += a0[row[u1]] * a1[u1]
+                want[blk, j, u] = acc
+    got = _minus(t0.transpose(2, 1, 0).copy(), t1.transpose(2, 1, 0).copy(), np.array(aff))
     assert np.array_equal(got, want.transpose(2, 1, 0))
 
 
