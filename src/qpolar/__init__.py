@@ -44,7 +44,6 @@ from .oracle import (
     mc_ser,
 )
 from .sc import (
-    TieRule,
     sc_decode,
     sc_decode_batch,
     sc_decode_distribution,

@@ -236,15 +236,14 @@ def qec(field, epsilon):
                          kind="qec", params={"epsilon": eps})
 
 
-def table_channel(field, matrix, outputs=None, verify=True):
-    """Arbitrary finite channel given by its transition matrix."""
+def table_channel(field, matrix, verify=True):
+    """Arbitrary finite channel given by its transition matrix; outputs are
+    labelled 0, 1, ... in column order."""
     matrix = [list(row) for row in matrix]
-    if outputs is None:
-        outputs = tuple(range(len(matrix[0])))
-    return FiniteChannel(field, outputs, matrix, kind="table", verify=verify)
+    return FiniteChannel(field, range(len(matrix[0])), matrix, kind="table", verify=verify)
 
 
-def polarize(ch, alpha=None):
+def polarize(ch):
     """One polarization step: the pair of channels seen after combining two uses.
 
     Returns ``(minus, plus)``.  ``minus`` maps u to output pairs (y0, y1)
@@ -258,7 +257,7 @@ def polarize(ch, alpha=None):
     if not ch.is_finite:
         raise ValueError("polarization tables require a finite channel")
     field = ch.field
-    alpha = field.alpha if alpha is None else alpha
+    alpha = field.alpha
     q = field.q
     ny = ch.num_outputs
     elems = field.elements

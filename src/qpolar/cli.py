@@ -25,7 +25,7 @@ from .code import PolarCode
 from .construct import ErasureExact, GenieMC, Manual, construct_info_set
 from .gf import FieldElement
 from .oracle import exact_average_ser, exact_ser
-from .sc import TieRule, sc_decode, sc_decode_distribution
+from .sc import sc_decode, sc_decode_distribution
 from .sim import ExperimentConfig, export_report, plot_script, run_experiment
 from .symmetry import (
     check_coset_invariance,
@@ -139,15 +139,14 @@ def _cmd_decode(args):
         out["distribution"] = [{"x": list(x), "p": p} for x, p in sorted(
             dist.items(), key=lambda kv: tuple(e.index for e in kv[0]))]
     else:
-        seed = None
+        tie_uniforms = None
         if args.tie == "random":
             seed, generated = _resolve_seed(args.seed)
-            tie = TieRule("random", np.random.Generator(np.random.Philox(seed)))
+            tie_uniforms = np.random.Generator(np.random.Philox(seed)).random(code.n)
             out["tie"] = {"mode": "random", "seed": seed, "seed_generated": generated}
         else:
-            tie = TieRule("lex")
             out["tie"] = {"mode": "lex"}
-        u_hat, x_hat = sc_decode(code, ch, y, tie=tie)
+        u_hat, x_hat = sc_decode(code, ch, y, tie_uniforms)
         out["u_hat"] = list(u_hat)
         out["x_hat"] = list(x_hat)
     _write_json(out, args.out)
@@ -182,6 +181,8 @@ def _cmd_mc_ser(args):
 
 
 def _cmd_simulate(args):
+    if args.plot and args.format != "csv":
+        raise ValueError("--plot draws from the CSV report; it needs --format csv")
     cfg_obj = _load_json(args.config)
     code_obj = cfg_obj["code"]
     code = PolarCode.from_json(_load_json(code_obj) if isinstance(code_obj, str)
@@ -257,6 +258,8 @@ def _run_lemma(lemma, code, ch, samples, seed):
 
 
 def _cmd_verify(args):
+    if args.samples is not None and args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     code, ch = _load_code_and_channel(args.code, args.channel)
     lemmas = [s.strip() for s in args.lemmas.split(",") if s.strip()]
     for lemma in lemmas:

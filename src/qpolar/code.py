@@ -145,10 +145,11 @@ class PolarCode:
         self.field = field
         self.m = m
         self.n = 1 << m
-        info = tuple(sorted(set(info_set)))
+        given = tuple(info_set)
+        info = tuple(sorted(set(given)))
         if info and not (0 <= info[0] and info[-1] < self.n):
             raise ValueError(f"information indices outside [0, {self.n})")
-        if len(info) != len(tuple(info_set)):
+        if len(info) != len(given):
             raise ValueError("information set contains duplicates")
         self.info_set = info
         self.k = len(info)
@@ -199,16 +200,15 @@ class PolarCode:
             u[i] = v
         return tuple(u)
 
-    def encode(self, u, validate=True):
-        """Codeword u * G_n; checks frozen positions when validate is set."""
+    def encode(self, u):
+        """Codeword u * G_n; raises if u departs from a frozen value."""
         u = [self.field.element(v) for v in u]
         if len(u) != self.n:
             raise ValueError(f"message length {len(u)} != n = {self.n}")
-        if validate:
-            for i, v in self._frozen_map.items():
-                if u[i] != v:
-                    raise ValueError(
-                        f"position {i} is frozen to {v!r} but the message carries {u[i]!r}")
+        for i, v in self._frozen_map.items():
+            if u[i] != v:
+                raise ValueError(
+                    f"position {i} is frozen to {v!r} but the message carries {u[i]!r}")
         return polar_transform(self.field, u)
 
     def kron_matrix(self):

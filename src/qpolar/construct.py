@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .code import PolarCode, check_condition_A, dominates
-from .mc import DEFAULT_BATCH, decode_tallies
+from .mc import decode_tallies
 
 
 @dataclass
@@ -92,7 +92,7 @@ def _select_decreasing(estimates, k, m):
     return tuple(sorted(selected)), swapped
 
 
-def genie_mc_rank(field, m, ch, trials, seed, batch=DEFAULT_BATCH):
+def genie_mc_rank(field, m, ch, trials, seed):
     """Per-index genie-aided decision error frequencies.
 
     Decodes the all-zero transmission with every earlier position fed its
@@ -102,7 +102,7 @@ def genie_mc_rank(field, m, ch, trials, seed, batch=DEFAULT_BATCH):
     if trials < 1:
         raise ValueError("genie-aided estimation needs at least one trial")
     probe = PolarCode(field, m, range(1 << m))
-    msg_err, _, _ = decode_tallies(probe, ch, seed, 0, trials, batch=batch, genie=True)
+    msg_err, _, _ = decode_tallies(probe, ch, seed, 0, trials, genie=True)
     return tuple(int(e) / trials for e in msg_err)
 
 

@@ -115,47 +115,29 @@ def find_irreducible(p, s):
     raise ValueError(f"no irreducible polynomial of degree {s} over F_{p}")
 
 
-def _rank_mod_p(rows, p):
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col] % p, -1, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col] % p
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def alpha_generates(p, s, modulus, alpha_coeffs):
     """True iff the nonzero element with the given coordinates generates F_{p^s} over F_p.
 
-    Equivalent to the minimal polynomial of alpha having degree exactly s:
-    the powers 1, alpha, ..., alpha^{s-1} must be F_p-linearly independent.
+    Equivalent to the minimal polynomial of alpha having degree exactly s,
+    that is, to a Frobenius orbit of size s: none of alpha^p, ...,
+    alpha^(p^(s-1)) equals alpha.
     """
     coeffs = [c % p for c in alpha_coeffs]
     if len(coeffs) != s:
         raise ValueError(f"alpha needs {s} coordinates, got {len(coeffs)}")
-    if not any(coeffs):
+    alpha = _poly_trim(coeffs)
+    if not alpha:
         return False
     full_mod = list(modulus) + [1]
-    powers = []
-    cur = [1]
-    for _ in range(s):
-        padded = list(cur) + [0] * (s - len(cur))
-        powers.append(padded[:s])
-        cur = _poly_mod(_poly_mul(cur, coeffs, p), full_mod, p)
-    return _rank_mod_p(powers, p) == s
+    cur = alpha
+    for _ in range(s - 1):
+        power = [1]
+        for _ in range(p):
+            power = _poly_mod(_poly_mul(power, cur, p), full_mod, p)
+        cur = power
+        if cur == alpha:
+            return False
+    return True
 
 
 class FieldElement:
@@ -309,10 +291,8 @@ class Field:
             alpha_coeffs = (0, 1) + (0,) * (s - 2) if s > 1 else (1,)
         elif isinstance(alpha, FieldElement):
             alpha_coeffs = alpha.coeffs
-        elif isinstance(alpha, int):
-            alpha_coeffs = coeff_list[alpha]
         else:
-            alpha_coeffs = tuple(c % p for c in alpha)
+            alpha_coeffs = self.element(alpha).coeffs
         if not alpha_generates(p, s, modulus, alpha_coeffs):
             raise ValueError(
                 f"alpha={alpha_coeffs} does not generate F_{q} over F_{p} "
@@ -359,6 +339,8 @@ class Field:
                 raise ValueError("field mismatch")
             return self._elems[value.index]
         if isinstance(value, (int, np.integer)):
+            if not 0 <= value < self.q:
+                raise ValueError(f"element index {value} outside [0, {self.q})")
             return self._elems[int(value)]
         coeffs = tuple(int(c) % self.p for c in value)
         if len(coeffs) != self.s:
@@ -411,11 +393,11 @@ class Field:
         return Field(obj["p"], obj["s"], obj.get("modulus"), obj.get("alpha"))
 
 
-def default_field(q, alpha=None):
-    """Field of size q under the shipped default modulus."""
+def default_field(q):
+    """Field of size q under the shipped default modulus and default alpha."""
     if q in DEFAULT_MODULI:
         p, s, modulus = DEFAULT_MODULI[q]
-        return Field(p, s, modulus, alpha)
+        return Field(p, s, modulus)
     for p in range(2, q + 1):
         if _is_prime(p):
             s = 0
@@ -424,5 +406,5 @@ def default_field(q, alpha=None):
                 t //= p
                 s += 1
             if t == 1:
-                return Field(p, s, None, alpha)
+                return Field(p, s)
     raise ValueError(f"{q} is not a prime power")

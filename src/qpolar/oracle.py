@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .code import PolarCode, polar_transform
-from .mc import DEFAULT_BATCH, decode_tallies
+from .mc import decode_tallies
 from .sc import _argmax_set, _ExactJob, sc_decode_distribution, synthetic_channel
 
 MAX_ENUMERATION = 10**6
@@ -30,20 +30,28 @@ MAX_ENUMERATION = 10**6
 class SerReport:
     """Per-codeword-index symbol error rates.
 
-    ``per_index`` holds exact Fractions in exact mode and float estimates in
-    Monte Carlo mode; Monte Carlo reports also carry raw error counts, the
-    trial count, and binomial standard errors.
+    Exact reports (``trials`` None) hold Fractions in ``per_index``; Monte
+    Carlo reports hold float estimates, the trial count and the raw error
+    counts, from which the binomial standard errors follow.
     """
 
     per_index: tuple
-    mode: str
     trials: int | None = None
-    stderr: tuple | None = None
     errors: tuple | None = None
+
+    @property
+    def mode(self):
+        return "exact" if self.trials is None else "monte_carlo"
+
+    @property
+    def stderr(self):
+        if self.trials is None:
+            return None
+        return tuple(math.sqrt(r * (1 - r) / self.trials) for r in self.per_index)
 
     def to_json(self):
         obj = {"mode": self.mode}
-        if self.mode == "exact":
+        if self.trials is None:
             obj["per_index"] = [f"{v.numerator}/{v.denominator}" for v in self.per_index]
         else:
             obj["per_index"] = list(self.per_index)
@@ -101,7 +109,7 @@ def exact_ser(code, ch, u_full):
                 if x[j] != x_bar[j]:
                     totals[j] += mass
     scale = job.denominator ** n * tie_scale
-    return SerReport(tuple(Fraction(t, scale) for t in totals), "exact")
+    return SerReport(tuple(Fraction(t, scale) for t in totals))
 
 
 def exact_average_ser(code, ch):
@@ -156,22 +164,14 @@ def exact_genie_error_probs(field, m, ch):
     return tuple(v / scale for v in out)
 
 
-def mc_ser(code, ch, trials, seed, shards=1, batch=DEFAULT_BATCH):
+def mc_ser(code, ch, trials, seed):
     """Monte Carlo per-index SER of the all-zero transmission.
 
-    Deterministic given the seed; any shard count or batch size produces
-    the identical report because every draw is counter indexed.
+    Deterministic given the seed: the codeword tallies of trials
+    [0, trials) from :func:`decode_tallies`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    bounds = [trials * s // shards for s in range(shards + 1)]
-    cw_total = None
-    for s in range(shards):
-        _, cw, _ = decode_tallies(code, ch, seed, bounds[s], bounds[s + 1], batch=batch)
-        cw_total = cw if cw_total is None else cw_total + cw
-    rates = tuple(int(e) / trials for e in cw_total)
-    stderr = tuple(math.sqrt(r * (1 - r) / trials) for r in rates)
-    return SerReport(rates, "monte_carlo", trials=trials, stderr=stderr,
-                     errors=tuple(int(e) for e in cw_total))
+    _, cw, _ = decode_tallies(code, ch, seed, 0, trials)
+    errors = tuple(int(e) for e in cw)
+    return SerReport(tuple(e / trials for e in errors), trials=trials, errors=errors)

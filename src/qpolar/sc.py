@@ -30,9 +30,10 @@ one of them:
 exact rational distribution over decoded codewords.  The point decoder
 :func:`sc_decode` runs the exact kernel on finite channels and the float
 kernel, on the block alone, on the AWGN channel.  Both resolve ties the same
-way: a :class:`TieRule` gives one uniform v_i per position, and a tie
-among s symbols at position i keeps the k-th tied symbol in index order,
-k = min(floor(v_i * s), s - 1).
+way, from one tie uniform v_i in [0, 1) per position: a tie among s symbols
+at position i keeps the k-th tied symbol in index order,
+k = min(floor(v_i * s), s - 1).  All-zero uniforms keep the smallest tied
+index (the lexicographic rule).
 
 On channels with zero transition entries a message can be identically
 zero (a plus message after a wrong tie guess on an erasure channel).  The
@@ -49,37 +50,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 DEFAULT_TIE_RTOL = 1e-12
 MAX_DEFINITIONAL_N = 16
-
-
-@dataclass
-class TieRule:
-    """How argmax ties are resolved in point decoding: one uniform per position.
-
-    A tie among s symbols at position i keeps the k-th tied symbol in index
-    order, k = min(floor(v_i * s), s - 1), where v_i is the i-th entry of
-    :meth:`uniforms`.  ``mode="lex"`` uses zeros, so it keeps the smallest
-    tied index; ``mode="random"`` draws the n uniforms from ``rng``.
-    """
-
-    mode: str = "lex"
-    rng: object = None
-
-    def uniforms(self, n):
-        """(n,) float array of tie uniforms in [0, 1), one per position."""
-        if self.mode == "lex":
-            return np.zeros(n)
-        if self.mode != "random":
-            raise ValueError(f"unknown tie mode {self.mode!r}")
-        if self.rng is None:
-            raise ValueError("random tie resolution needs an rng stream")
-        return self.rng.random(n)
 
 
 def _argmax_set(t):
@@ -137,19 +113,21 @@ def synthetic_channel(code, ch, y, u_prefix, i):
     return tuple(v * norm for v in likel)
 
 
-def sc_decode(code, ch, y, tie=None):
+def sc_decode(code, ch, y, tie_uniforms=None):
     """Decode one received block; returns (message, codeword) element tuples.
 
     Frozen positions are forced to their frozen values; information
-    positions take the likelihood argmax with ties resolved by the
-    :class:`TieRule` ``tie`` (lexicographic when None).  The channel picks
-    the kernel: a finite channel decodes on the exact integer kernel, the
-    AWGN channel on the float batch kernel with the block alone.
+    positions take the likelihood argmax, a tie resolved by the position's
+    entry of ``tie_uniforms``, an (n,) array in [0, 1) (all zeros, the
+    lexicographic rule, when None).  The channel picks the kernel: a finite
+    channel decodes on the exact integer kernel, the AWGN channel on the
+    float batch kernel with the block alone.
     """
-    if tie is None:
-        tie = TieRule()
+    n = code.n
+    uniforms = np.zeros(n) if tie_uniforms is None else np.asarray(tie_uniforms, dtype=float)
+    if uniforms.shape != (n,) or not ((uniforms >= 0) & (uniforms < 1)).all():
+        raise ValueError(f"tie_uniforms must be an ({n},) array in [0, 1)")
     elems = code.field.elements
-    uniforms = tie.uniforms(code.n)
     if ch.is_finite:
         job = _ExactJob(code, ch, tie_uniforms=uniforms)
         (x,) = _distribution_indices(job.messages(y), 0, job)
@@ -238,7 +216,7 @@ class _ExactJob:
     a sub-decode shorter than the block; it lives as long as the job.
 
     A point decode passes ``tie_uniforms``, one per position: a tie then
-    keeps one candidate (the :class:`TieRule` pick) instead of branching.
+    keeps one candidate (the :func:`sc_decode` pick) instead of branching.
     The pick depends only on (message, lo), so the memo stays valid.
     """
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .channel import AwgnBpskChannel, channel_to_json
-from .mc import DEFAULT_BATCH, decode_tallies
+from .mc import decode_tallies
 
 
 def ebno_to_channel(ebno_db, rate, field=None):
@@ -47,7 +47,6 @@ class ExperimentConfig:
     seed: int
     shards: int = 1
     random_message: bool = False
-    batch: int = DEFAULT_BATCH
 
     def __post_init__(self):
         if self.trials < 1:
@@ -145,7 +144,7 @@ def run_experiment(cfg, threads=1):
 
     def one_shard(s):
         return decode_tallies(code, cfg.channel, cfg.seed, bounds[s], bounds[s + 1],
-                              batch=cfg.batch, random_message=cfg.random_message)
+                              random_message=cfg.random_message)
 
     if threads > 1 and cfg.shards > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -125,12 +125,12 @@ def check_message_invariance(code, ch, messages):
     return True, None
 
 
-def check_coset_invariance(code, ch, ys=None, scalings=None, cosets=None):
+def check_coset_invariance(code, ch, ys=None, cosets=None):
     """Decode distributions transport along a*y + x_b for codewords x_b.
 
-    Exhausts all nonzero a, all codewords of the zero-frozen code, and all
-    output vectors unless narrowed via the keyword arguments.  ``cosets``
-    is an iterable of information-symbol tuples.
+    Exhausts all nonzero a, and all codewords of the zero-frozen code and
+    all output vectors unless narrowed by ``cosets``, an iterable of
+    information-symbol tuples, and ``ys``.
     """
     _require_zero_frozen(code)
     field = code.field
@@ -139,15 +139,13 @@ def check_coset_invariance(code, ch, ys=None, scalings=None, cosets=None):
     ys = list(_all_outputs(ch, code.n)) if exhaustive else [tuple(y) for y in ys]
     decode = _index_decoder(code, ch)
     dists = {y: decode(y) for y in ys}
-    if scalings is None:
-        scalings = [e for e in field.elements if e]
     if cosets is None:
         cosets = itertools.product(field.elements, repeat=code.k)
     src = range(code.n)
     for info in cosets:
         b = code.full_message(info)
         xb = polar_transform(field, b)
-        for a in scalings:
+        for a in field.elements[1:]:
             # coordinate j acts as y -> sigma_{xb_j}(pi_a(y)) and x -> a*x + xb_j
             ymaps = [[ch.shift(ch.scale(v, a), w) for v in range(ch.num_outputs)] for w in xb]
             xmaps = [[add[mul[a.index][v]][w.index] for v in range(field.q)] for w in xb]

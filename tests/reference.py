@@ -9,13 +9,16 @@ instead (the integer exact recursion and the float batch kernel) and must
 reproduce these decisions.  ``matrix_multiply``, ``transition``,
 ``likelihoods``, ``product_transition`` and ``sample`` are the
 element-level definitions of encoding, the channel and block transition
-laws and channel sampling.
+laws and channel sampling.  ``rank_alpha_generates`` decides whether alpha
+generates F_q over F_p by the linear-algebra definition.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from qpolar.gf import _poly_mod, _poly_mul
 
 TIE_RTOL = 1e-12
 
@@ -144,3 +147,41 @@ def sample(ch, x, u):
     """The output index of a finite channel that the uniform u draws under
     input x: output y has probability W(y|x)."""
     return int(np.searchsorted(ch.cumulative_float[x.index], u, side="right"))
+
+
+def _rank_mod_p(rows, p):
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < ncols:
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col] % p, -1, p)
+        rows[rank] = [(v * inv) % p for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] % p:
+                f = rows[r][col] % p
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def rank_alpha_generates(p, s, modulus, alpha_coeffs):
+    """True iff alpha generates F_{p^s} over F_p: the powers 1, alpha, ...,
+    alpha^(s-1) are F_p-linearly independent (zero never generates)."""
+    coeffs = [c % p for c in alpha_coeffs]
+    if not any(coeffs):
+        return False
+    full_mod = list(modulus) + [1]
+    powers = []
+    cur = [1]
+    for _ in range(s):
+        padded = list(cur) + [0] * (s - len(cur))
+        powers.append(padded[:s])
+        cur = _poly_mod(_poly_mul(cur, coeffs, p), full_mod, p)
+    return _rank_mod_p(powers, p) == s

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,10 +8,11 @@ from qpolar.channel import channel_to_json, qec, qsc
 from qpolar.cli import main
 from qpolar.code import PolarCode
 from qpolar.gf import default_field
-from qpolar.oracle import mc_ser
+from qpolar.sim import ExperimentConfig, run_experiment
 
 F2 = default_field(2)
 F4 = default_field(4)
+FIXTURES = Path(__file__).parent / "fixtures" / "cli"
 
 
 @pytest.fixture
@@ -79,6 +81,20 @@ def test_encode_rejects_frozen_mismatch(paths, tmp_path, capsys):
     u_path.write_text(json.dumps([1, 1, 1, 1]))  # position 0 is frozen to 0
     assert main(["encode", "--code", code_path, "--u", str(u_path)]) == 1
     assert "frozen" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,message", [
+    (["encode", "--code", "code_q4.json", "--u"], [7, 0, 0, 0]),
+    (["exact-ser", "--code", "code_q4.json", "--channel", "qsc4.json", "--message"],
+     [-1, 0, 0, 0]),
+])
+def test_message_symbol_outside_field_is_validation_failure(tmp_path, capsys, args, message):
+    u_path = tmp_path / "u.json"
+    u_path.write_text(json.dumps(message))
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in args]
+    assert main(argv + [str(u_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "outside [0, 4)" in err and "Traceback" not in err
 
 
 def test_decode_exact_distribution(paths, tmp_path):
@@ -174,13 +190,14 @@ def test_mc_ser_writes_the_simulate_report(paths, tmp_path, capsys, fmt):
     text = capsys.readouterr().out
     assert text == sim_out.read_text()
     if fmt == "csv":
-        # the codeword columns carry the estimator's counts, rates and errors
-        report = mc_ser(PolarCode(F2, 2, [1, 2, 3]), qsc(F2, Fraction(1, 10)), 3000, 4,
-                        shards=2)
+        # the codeword columns carry the experiment's counts, rates and errors
+        report = run_experiment(ExperimentConfig(PolarCode(F2, 2, [1, 2, 3]),
+                                                 qsc(F2, Fraction(1, 10)), trials=3000, seed=4))
+        rates = report.codeword_ber
         rows = [line.split(",") for line in text.splitlines()[2:]]
-        assert [int(r[5]) for r in rows] == list(report.errors)
-        assert [r[6] for r in rows] == [f"{v:.10e}" for v in report.per_index]
-        assert [r[7] for r in rows] == [f"{v:.10e}" for v in report.stderr]
+        assert [int(r[5]) for r in rows] == list(report.codeword_errors)
+        assert [r[6] for r in rows] == [f"{v:.10e}" for v in rates]
+        assert [r[7] for r in rows] == [f"{v:.10e}" for v in report.stderr(rates)]
 
 
 def test_simulate_csv_and_plot(paths, tmp_path):
@@ -201,6 +218,28 @@ def test_simulate_csv_and_plot(paths, tmp_path):
     again = tmp_path / "rep2.csv"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(again)]) == 0
     assert again.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_nonpositive_samples(paths, capsys, samples):
+    _, ch_path, code_path = paths
+    assert main(["verify", "--code", code_path, "--channel", ch_path,
+                 "--lemmas", "2,3", "--samples", samples]) == 1
+    captured = capsys.readouterr()
+    assert "pass" not in captured.out and "--samples" in captured.err
+
+
+def test_simulate_rejects_plot_of_json_report(paths, tmp_path, capsys):
+    _, ch_path, code_path = paths
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"code": code_path, "channel": ch_path, "trials": 100,
+                                    "seed": 1}))
+    out = tmp_path / "rep.json"
+    plot = tmp_path / "rep.gp"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                 "--format", "json", "--plot", str(plot)]) == 1
+    assert "--plot" in capsys.readouterr().err
+    assert not out.exists() and not plot.exists()
 
 
 def test_missing_file_is_validation_failure(capsys):

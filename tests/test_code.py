@@ -166,13 +166,19 @@ def test_polar_code_construction_and_flags():
     assert bad.condition_witness == (0, 1)
 
 
+def test_polar_code_reads_a_one_shot_iterable_once():
+    f = default_field(2)
+    code = PolarCode(f, 2, (i for i in (3, 1, 2)))
+    assert code.info_set == (1, 2, 3) and code.frozen_set == (0,)
+    with pytest.raises(ValueError):
+        PolarCode(f, 2, (i for i in (3, 3)))
+
+
 def test_encode_validates_frozen_positions():
     f = default_field(2)
     code = PolarCode(f, 1, [1])
     with pytest.raises(ValueError):
         code.encode([f.one, f.zero])
-    x = code.encode([f.one, f.zero], validate=False)
-    assert x == (f.one, f.zero)
 
 
 def test_full_message_and_nonzero_frozen():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from qpolar.gf import Field, alpha_generates, default_field, find_irreducible, is_irreducible
+from reference import rank_alpha_generates
 
 
 SHIPPED_SIZES = [2, 3, 4, 5, 7, 8, 9, 16]
@@ -96,11 +97,40 @@ def test_alpha_examples():
     assert alpha_generates(2, 1, (0,), (0,)) is False       # zero never allowed
 
 
+def test_alpha_generates_matches_rank_reference():
+    # every monic irreducible modulus with p <= 13 and q = p^s <= 64 (104
+    # moduli), and every alpha including zero (2,735 pairs)
+    pairs = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        s = 1
+        while p ** s <= 64:
+            for modulus in itertools.product(range(p), repeat=s):
+                if not is_irreducible(modulus, p):
+                    continue
+                for alpha in itertools.product(range(p), repeat=s):
+                    assert (alpha_generates(p, s, modulus, alpha)
+                            == rank_alpha_generates(p, s, modulus, alpha)), (p, modulus, alpha)
+                    pairs += 1
+            s += 1
+    assert pairs == 2735
+
+
 def test_constructor_rejects_bad_alpha():
     with pytest.raises(ValueError):
         Field(2, 2, (1, 1), alpha=(1, 0))
     with pytest.raises(ValueError):
         Field(2, 1, (0,), alpha=(0,))
+
+
+def test_element_index_outside_field_raises():
+    f = default_field(4)
+    assert f.element(3) == f.from_index(3)
+    for bad in (-1, 4, 7):
+        with pytest.raises(ValueError):
+            f.element(bad)
+        with pytest.raises(ValueError):
+            Field(2, 2, (1, 1), alpha=bad)
+    assert Field(2, 2, (1, 1), alpha=3).alpha.index == 3
 
 
 def test_constructor_rejects_reducible_modulus():

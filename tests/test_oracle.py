@@ -6,6 +6,7 @@ import pytest
 from qpolar.channel import qec, qsc, table_channel
 from qpolar.code import PolarCode
 from qpolar.gf import default_field
+from qpolar.mc import decode_tallies
 from qpolar.oracle import (
     exact_average_ser,
     exact_genie_error_probs,
@@ -172,13 +173,15 @@ def test_mc_ser_matches_oracle_on_zero_entry_channels(name):
 
 
 def test_mc_ser_shard_invariance():
+    # mc_ser decodes trials [0, trials) in one range; the tallies of split
+    # ranges decoded in small batches add up to its errors
     code = PolarCode(F2, 2, [1, 2, 3])
-    base = mc_ser(code, BSC01, 30_000, seed=3, shards=1)
-    for shards in (2, 3, 7):
-        other = mc_ser(code, BSC01, 30_000, seed=3, shards=shards)
-        assert other.errors == base.errors
-    small_batch = mc_ser(code, BSC01, 30_000, seed=3, batch=999)
-    assert small_batch.errors == base.errors
+    base = mc_ser(code, BSC01, 30_000, seed=3)
+    for shards in (1, 2, 3, 7):
+        bounds = [30_000 * s // shards for s in range(shards + 1)]
+        cw = sum(decode_tallies(code, BSC01, 3, a, b, batch=999)[1]
+                 for a, b in zip(bounds, bounds[1:]))
+        assert tuple(int(e) for e in cw) == base.errors
 
 
 def test_ser_report_json():

@@ -9,7 +9,6 @@ from qpolar.code import PolarCode, polar_transform
 from qpolar.gf import default_field
 from qpolar.oracle import exact_average_ser
 from qpolar.sc import (
-    TieRule,
     sc_decode,
     sc_decode_batch,
     sc_decode_distribution,
@@ -120,12 +119,13 @@ def test_tie_example_n2():
     zero, one = F2.zero, F2.one
     assert dist == {(zero, zero): Fraction(1, 2), (one, one): Fraction(1, 2)}
 
-    # lexicographic point decoding settles on the smaller symbol
-    _, x_lex = sc_decode(code, ch, y, tie=TieRule("lex"))
+    # lexicographic point decoding (zero tie uniforms) settles on the smaller symbol
+    _, x_lex = sc_decode(code, ch, y, np.zeros(2))
     assert x_lex == (zero, zero)
+    assert sc_decode(code, ch, y) == sc_decode(code, ch, y, np.zeros(2))
 
     rng = np.random.default_rng(123)
-    seen = {sc_decode(code, ch, y, tie=TieRule("random", rng))[1] for _ in range(200)}
+    seen = {sc_decode(code, ch, y, rng.random(2))[1] for _ in range(200)}
     assert seen == {(zero, zero), (one, one)}
 
 
@@ -189,7 +189,7 @@ def test_point_decode_tracks_distribution_frequencies():
     counts = {}
     trials = 4000
     for _ in range(trials):
-        _, x = sc_decode(code, ch, y, tie=TieRule("random", rng))
+        _, x = sc_decode(code, ch, y, rng.random(code.n))
         counts[x] = counts.get(x, 0) + 1
     assert set(counts) <= set(dist)
     for x, p in dist.items():
@@ -259,8 +259,10 @@ def test_batch_decoder_genie_mode_propagates_truth():
     assert decisions.shape == (50, 4)
 
 
-def test_random_tie_rule_requires_rng():
+def test_wrong_length_tie_uniforms_raise():
     ch = qsc(F2, Fraction(1, 10))
     code = PolarCode(F2, 1, [1])
-    with pytest.raises(ValueError):
-        sc_decode(code, ch, (0, 1), tie=TieRule("random"))
+    # wrong length, wrong shape, or a value outside [0, 1)
+    for tie_uniforms in (np.zeros(3), np.zeros((1, 2)), [0.5, 1.0], [-0.1, 0.0]):
+        with pytest.raises(ValueError):
+            sc_decode(code, ch, (0, 1), tie_uniforms)

@@ -11,6 +11,7 @@ import qpolar
 from qpolar.channel import qsc, table_channel
 from qpolar.code import PolarCode
 from qpolar.gf import default_field
+from qpolar.mc import decode_tallies
 from qpolar.oracle import exact_average_ser
 from qpolar.sim import (
     BerReport,
@@ -56,9 +57,11 @@ def test_shard_and_batch_invariance():
     threaded = run_experiment(ExperimentConfig(code, ch, trials=20_000, seed=11,
                                                shards=4), threads=4)
     assert threaded.codeword_errors == base.codeword_errors
-    small = run_experiment(ExperimentConfig(code, ch, trials=20_000, seed=11,
-                                            batch=777))
-    assert small.codeword_errors == base.codeword_errors
+    # split trial ranges decoded in 777-block batches add up to the same tallies
+    parts = [decode_tallies(code, ch, 11, a, b, batch=777)
+             for a, b in ((0, 6_000), (6_000, 20_000))]
+    assert tuple(int(v) for v in parts[0][0] + parts[1][0]) == base.message_errors
+    assert tuple(int(v) for v in parts[0][1] + parts[1][1]) == base.codeword_errors
 
 
 def test_experiment_matches_oracle_n4():

@@ -95,7 +95,7 @@ def test_xi_output_erasures_track_positions():
 def test_xi_output_on_noiseless_tracks_field_map():
     from qpolar.channel import table_channel
 
-    ident = table_channel(F4, np.eye(4, dtype=int).tolist(), outputs=F4.elements)
+    ident = table_channel(F4, np.eye(4, dtype=int).tolist())
     x = tuple(F4.elements)
     y = tuple(e.index for e in x)
     got = xi_apply_output(2, 0, ident, y)
