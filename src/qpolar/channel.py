@@ -6,6 +6,8 @@ on the output alphabet exist: additive shifts ``sigma_b`` with
 (a nonzero) with ``W[y|x] = W[pi_a(y)|a*x]``.  Finite channels carry their
 transition law as exact rationals so the brute-force oracle can certify
 exact equalities; float mirrors are derived from the rational source.
+Their families are never declared: every finite channel, the shipped
+constructions included, gets them from one search over its matrix.
 
 Likelihood vectors are indexed by the input element index: the exact
 column ``matrix[:][y]`` of a finite channel, float arrays from
@@ -24,11 +26,7 @@ ERASURE = "?"
 
 
 def _as_fraction(v):
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
+    if isinstance(v, (Fraction, int, str)):
         return Fraction(v)
     if isinstance(v, float):
         return Fraction(v).limit_denominator(10**12)
@@ -37,7 +35,7 @@ def _as_fraction(v):
 
 @dataclass
 class SymmetryReport:
-    """Outcome of checking the two defining permutation families."""
+    """Outcome of the search for the two defining permutation families."""
 
     ok: bool
     sigma: list | None = None       # sigma[b][y] -> y', for every b index
@@ -58,16 +56,14 @@ class FiniteChannel:
     matrix : sequence of rows
         ``matrix[x][y]`` = W(y | x) as ``Fraction`` (or int/str coercible),
         one row per input element index.  Rows must sum to exactly 1.
-    sigma, pi : optional
-        Explicit permutation families (``sigma[b][y]``, ``pi[a][y]`` by
-        index).  When omitted they are searched for; construction fails if
-        none exist, unless ``verify=False``.
+
+    The permutation families ``shift`` and ``scale`` are found from the
+    matrix by :func:`verify_symmetry`; construction fails if none exist.
     """
 
     is_finite = True
 
-    def __init__(self, field, outputs, matrix, sigma=None, pi=None,
-                 kind="table", params=None, verify=True):
+    def __init__(self, field, outputs, matrix, kind="table", params=None):
         self.field = field
         self.outputs = tuple(outputs)
         self.kind = kind
@@ -87,14 +83,11 @@ class FiniteChannel:
                 raise ValueError(f"row {x} sums to {sum(row)}, not 1")
             rows.append(row)
         self.matrix = tuple(rows)
-        self._sigma = [list(s) for s in sigma] if sigma is not None else None
-        self._pi = {a: list(s) for a, s in pi.items()} if pi is not None else None
-        if verify:
-            report = verify_symmetry(self)
-            if not report.ok:
-                raise ValueError(f"channel is not F_q-symmetric: {report.detail}")
-            self._sigma = report.sigma
-            self._pi = report.pi
+        report = verify_symmetry(self)
+        if not report.ok:
+            raise ValueError(f"channel is not F_q-symmetric: {report.detail}")
+        self._sigma = report.sigma
+        self._pi = report.pi
         self._float = None
         self._cum = None
 
@@ -211,10 +204,7 @@ def qsc(field, epsilon):
     q = field.q
     wrong = eps / (q - 1)
     matrix = [[(1 - eps) if y == x else wrong for y in range(q)] for x in range(q)]
-    sigma = [[field.add_index(y, b) for y in range(q)] for b in range(q)]
-    pi = {a: [field.mul_index(a, y) for y in range(q)] for a in range(1, q)}
-    return FiniteChannel(field, field.elements, matrix, sigma, pi,
-                         kind="qsc", params={"epsilon": eps})
+    return FiniteChannel(field, field.elements, matrix, kind="qsc", params={"epsilon": eps})
 
 
 def qec(field, epsilon):
@@ -230,17 +220,14 @@ def qec(field, epsilon):
         row[x] = 1 - eps
         row[q] = eps
         matrix.append(row)
-    sigma = [[field.add_index(y, b) for y in range(q)] + [q] for b in range(q)]
-    pi = {a: [field.mul_index(a, y) for y in range(q)] + [q] for a in range(1, q)}
-    return FiniteChannel(field, outputs, matrix, sigma, pi,
-                         kind="qec", params={"epsilon": eps})
+    return FiniteChannel(field, outputs, matrix, kind="qec", params={"epsilon": eps})
 
 
-def table_channel(field, matrix, verify=True):
+def table_channel(field, matrix):
     """Arbitrary finite channel given by its transition matrix; outputs are
     labelled 0, 1, ... in column order."""
     matrix = [list(row) for row in matrix]
-    return FiniteChannel(field, range(len(matrix[0])), matrix, kind="table", verify=verify)
+    return FiniteChannel(field, range(len(matrix[0])), matrix, kind="table")
 
 
 def polarize(ch):
@@ -249,10 +236,12 @@ def polarize(ch):
     Returns ``(minus, plus)``.  ``minus`` maps u to output pairs (y0, y1)
     with law (1/q) * sum_u1 W(y0|u + alpha*u1) W(y1|u1); ``plus`` maps u to
     triples (y0, y1, u0) with law (1/q) * W(y0|u0 + alpha*u) W(y1|u).  Both
-    carry the canonical permutation families
+    are symmetric through the canonical permutation families
         minus: sigma_b (y0,y1) -> (y0+b, y1),              pi_a -> (a*y0, a*y1)
         plus:  sigma_b (y0,y1,u0) -> (y0+alpha*b, y1+b, u0), pi_a -> (a*y0, a*y1, a*u0)
-    verified exhaustively at construction.
+    but, like every finite channel, they carry the families the search finds
+    in their matrices: outputs with equal likelihood columns may be paired
+    differently.
     """
     if not ch.is_finite:
         raise ValueError("polarization tables require a finite channel")
@@ -260,7 +249,6 @@ def polarize(ch):
     alpha = field.alpha
     q = field.q
     ny = ch.num_outputs
-    elems = field.elements
     inv_q = Fraction(1, q)
 
     # minus: outputs are pairs, index = y0 * ny + y1
@@ -277,20 +265,11 @@ def polarize(ch):
                     acc += ch.matrix[xin][y0] * ch.matrix[u1][y1]
                 row.append(inv_q * acc)
         minus_matrix.append(row)
-    minus_sigma = [
-        [ch.shift(y0, elems[b]) * ny + y1 for y0 in range(ny) for y1 in range(ny)]
-        for b in range(q)
-    ]
-    minus_pi = {
-        a: [ch.scale(y0, elems[a]) * ny + ch.scale(y1, elems[a])
-            for y0 in range(ny) for y1 in range(ny)]
-        for a in range(1, q)
-    }
-    minus = FiniteChannel(field, pair_outputs, minus_matrix, minus_sigma, minus_pi,
+    minus = FiniteChannel(field, pair_outputs, minus_matrix,
                           kind="minus", params={"base": ch.kind, "alpha": alpha.index})
 
     # plus: outputs are triples (y0, y1, u0), index = (y0 * ny + y1) * q + u0
-    triple_outputs = tuple((ch.outputs[y0], ch.outputs[y1], elems[u0])
+    triple_outputs = tuple((ch.outputs[y0], ch.outputs[y1], field.elements[u0])
                            for y0 in range(ny) for y1 in range(ny) for u0 in range(q))
     plus_matrix = []
     for u in range(q):
@@ -302,73 +281,30 @@ def polarize(ch):
                     row.append(inv_q * ch.matrix[xin][y0] * ch.matrix[u][y1])
         plus_matrix.append(row)
 
-    def _tidx(y0, y1, u0):
-        return (y0 * ny + y1) * q + u0
-
-    plus_sigma = [
-        [_tidx(ch.shift(y0, alpha * elems[b]), ch.shift(y1, elems[b]), u0)
-         for y0 in range(ny) for y1 in range(ny) for u0 in range(q)]
-        for b in range(q)
-    ]
-    plus_pi = {
-        a: [_tidx(ch.scale(y0, elems[a]), ch.scale(y1, elems[a]),
-                  field.mul_index(a, u0))
-            for y0 in range(ny) for y1 in range(ny) for u0 in range(q)]
-        for a in range(1, q)
-    }
-    plus = FiniteChannel(field, triple_outputs, plus_matrix, plus_sigma, plus_pi,
+    plus = FiniteChannel(field, triple_outputs, plus_matrix,
                          kind="plus", params={"base": ch.kind, "alpha": alpha.index})
     return minus, plus
 
 
 # -- verification ----------------------------------------------------------
 
-def _check_families(ch, sigma, pi):
-    """Exhaustively test the defining identities for explicit families."""
-    q = ch.q
-    ny = ch.num_outputs
-    elems = ch.field.elements
-    for b in range(q):
-        perm = sigma[b]
-        if sorted(perm) != list(range(ny)):
-            return SymmetryReport(False, witness=("sigma", None, None, b),
-                                  detail=f"sigma_{b} is not a permutation")
-        for y in range(ny):
-            for x in range(q):
-                xp = ch.field.add_index(x, b)
-                if ch.matrix[x][y] != ch.matrix[xp][perm[y]]:
-                    return SymmetryReport(
-                        False, witness=("sigma", y, x, b),
-                        detail=f"W[y={y}|x={x}] != W[sigma_{b}(y)|x+{elems[b]!r}]")
-    for a in range(1, q):
-        perm = pi[a]
-        if sorted(perm) != list(range(ny)):
-            return SymmetryReport(False, witness=("pi", None, None, a),
-                                  detail=f"pi_{a} is not a permutation")
-        for y in range(ny):
-            for x in range(q):
-                xp = ch.field.mul_index(a, x)
-                if ch.matrix[x][y] != ch.matrix[xp][perm[y]]:
-                    return SymmetryReport(
-                        False, witness=("pi", y, x, a),
-                        detail=f"W[y={y}|x={x}] != W[pi_{a}(y)|{elems[a]!r}*x]")
-    return SymmetryReport(True, sigma=[list(s) for s in sigma],
-                          pi={a: list(s) for a, s in pi.items()})
-
-
-def _search_family(ch, maps):
+def _search_family(ch, table, keys):
     """Find output permutations realizing a family of input maps.
 
-    ``maps`` is a dict key -> input permutation g (as an index list); for
-    each key we search a permutation s of outputs with
-    W[y|x] = W[s(y)|g(x)] for all x, y.  Outputs with identical likelihood
-    columns are interchangeable, so we match columns up to that grouping.
+    For each key the input map is g = ``table[key]`` (an index list), and we
+    search a permutation s of outputs with W[y|x] = W[s(y)|g(x)] for all
+    x, y.  Outputs with identical likelihood columns are interchangeable,
+    so we match columns up to that grouping.  Returns ``(found, None)`` or
+    ``(None, (y, key))`` for the first output y without a match.
     """
     q = ch.q
     ny = ch.num_outputs
-    cols = [tuple(ch.matrix[x][y] for x in range(q)) for y in range(ny)]
+    # columns of value ids: equal entries share an id, hashed far faster than Fractions
+    ids = {}
+    cols = [tuple(ids.setdefault(ch.matrix[x][y], len(ids)) for x in range(q)) for y in range(ny)]
     found = {}
-    for key, g in maps.items():
+    for key in keys:
+        g = table[key]
         # need col_{s(y)}[g(x)] = col_y[x], i.e. col_{s(y)} = col_y composed with g^{-1}
         ginv = [0] * q
         for x, gx in enumerate(g):
@@ -388,33 +324,28 @@ def _search_family(ch, maps):
 
 
 def verify_symmetry(ch):
-    """Confirm both permutation families and return them explicitly.
+    """Find both permutation families from the transition matrix.
 
-    Channels built with attached families have those families checked
-    exhaustively; raw tables trigger a search.  On failure the report
-    carries a witness triple.
+    A family the search returns satisfies its defining identity by
+    construction, so the search is the whole check.  On failure the report
+    carries a witness: the output with no match and the shift or scaling
+    index.
     """
     if not ch.is_finite:
         raise ValueError("exhaustive symmetry verification requires a finite output alphabet")
     q = ch.q
-    field = ch.field
-    if ch._sigma is not None and ch._pi is not None:
-        return _check_families(ch, ch._sigma, ch._pi)
-
-    shift_maps = {b: [field.add_index(x, b) for x in range(q)] for b in range(q)}
-    sigma, witness = _search_family(ch, shift_maps)
-    if sigma is None:
-        y, b = witness
-        return SymmetryReport(False, witness=("sigma", y, 0, b),
-                              detail=f"no output matches y={y} under the shift by index {b}")
-    scale_maps = {a: [field.mul_index(a, x) for x in range(q)] for a in range(1, q)}
-    pi, witness = _search_family(ch, scale_maps)
-    if pi is None:
-        y, a = witness
-        return SymmetryReport(False, witness=("pi", y, 0, a),
-                              detail=f"no output matches y={y} under the scaling by index {a}")
-    sigma_list = [sigma[b] for b in range(q)]
-    return _check_families(ch, sigma_list, pi)
+    families = []
+    # sigma_b realizes x -> b + x, pi_a realizes x -> a * x
+    for kind, table, keys, action in (("sigma", ch.field._add, range(q), "shift"),
+                                       ("pi", ch.field._mul, range(1, q), "scaling")):
+        found, witness = _search_family(ch, table, keys)
+        if found is None:
+            y, g = witness
+            return SymmetryReport(False, witness=(kind, y, 0, g),
+                                  detail=f"no output matches y={y} under the {action} by index {g}")
+        families.append(found)
+    sigma, pi = families
+    return SymmetryReport(True, sigma=[sigma[b] for b in range(q)], pi=pi)
 
 
 # -- JSON config ------------------------------------------------------------

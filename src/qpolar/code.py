@@ -26,19 +26,25 @@ def dominates(i, j):
 def check_condition_A(info_set, m):
     """Is the index set closed upward under domination?
 
-    Returns ``(True, None)`` or ``(False, (j, i))`` with j in the set,
-    i dominating j, and i missing.
+    Returns ``(True, None)`` or ``(False, (j, i))``: j is the smallest member
+    with a dominating index missing, and i the smallest such index.
     """
     n = 1 << m
     members = set(info_set)
     for j in members:
         if not 0 <= j < n:
             raise ValueError(f"index {j} outside [0, {n})")
-    for j in sorted(members):
-        for i in range(j + 1, n):
-            if dominates(i, j) and i not in members:
-                return False, (j, i)
-    return True, None
+    # closed when every one-bit superset of each member is a member
+    if all(j | 1 << r in members for j in members for r in range(m)):
+        return True, None
+    # j is the smallest member outside `closed`, the members whose every
+    # dominating index is a member, built downward through one-bit supersets
+    closed = set()
+    for i in range(n - 1, -1, -1):
+        if i in members and all(i | 1 << r in closed for r in range(m) if not i >> r & 1):
+            closed.add(i)
+    j = min(members - closed)
+    return False, (j, next(i for i in range(j + 1, n) if dominates(i, j) and i not in members))
 
 
 def closure(info_set, m):
@@ -153,7 +159,7 @@ class PolarCode:
             raise ValueError("information set contains duplicates")
         self.info_set = info
         self.k = len(info)
-        self.frozen_set = tuple(i for i in range(self.n) if i not in set(info))
+        self.frozen_set = tuple(sorted(set(range(self.n)) - set(info)))
         if frozen_values is None:
             frozen_values = [field.zero] * len(self.frozen_set)
         frozen_values = [field.element(v) for v in frozen_values]

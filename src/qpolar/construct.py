@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .code import PolarCode, check_condition_A, dominates
+from .code import PolarCode, check_condition_A
 from .mc import decode_tallies
 
 
@@ -65,11 +65,12 @@ def _select_decreasing(estimates, k, m):
     """k indices with smallest estimates whose set is upward closed.
 
     Ties prefer the larger index.  Returns the set and the indices that
-    displaced naive top-k picks.
+    displaced naive top-k picks.  ``selected`` stays upward closed, so
+    one-bit supersets tell what an index still needs.  The pass always ends
+    with k indices: an index left out whose dominating indices all got in
+    was turned down only because it and they overfilled the set.
     """
     n = 1 << m
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} outside [0, {n}]")
     order = sorted(range(n), key=lambda i: (estimates[i], -i))
     naive = set(order[:k])
     selected = set()
@@ -78,16 +79,16 @@ def _select_decreasing(estimates, k, m):
             break
         if i in selected:
             continue
-        need = [d for d in range(i, n) if dominates(d, i) and d not in selected]
+        # i and the dominating indices it still needs, while they fit
+        need, stack = {i}, [i]
+        while stack and len(selected) + len(need) <= k:
+            d = stack.pop()
+            for e in (d | 1 << r for r in range(m)):
+                if e not in selected and e not in need:
+                    need.add(e)
+                    stack.append(e)
         if len(selected) + len(need) <= k:
             selected.update(need)
-    while len(selected) < k:
-        # any unselected index maximal under domination is addable
-        addable = [i for i in range(n) if i not in selected
-                   and all(d in selected for d in range(i + 1, n)
-                           if d != i and dominates(d, i))]
-        best = min(addable, key=lambda i: (estimates[i], -i))
-        selected.add(best)
     swapped = sorted(selected - naive)
     return tuple(sorted(selected)), swapped
 

@@ -21,20 +21,6 @@ import numpy as np
 
 MAX_FIELD_SIZE = 256
 
-# One conventional monic irreducible modulus per shipped field size,
-# low-degree coefficient first, leading coefficient implicit.
-DEFAULT_MODULI = {
-    2: (2, 1, (0,)),            # x
-    3: (3, 1, (0,)),            # x
-    4: (2, 2, (1, 1)),          # x^2 + x + 1
-    5: (5, 1, (0,)),            # x
-    7: (7, 1, (0,)),            # x
-    8: (2, 3, (1, 1, 0)),       # x^3 + x + 1
-    9: (3, 2, (1, 0)),          # x^2 + 1
-    16: (2, 4, (1, 1, 0, 0)),   # x^4 + x + 1
-}
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -87,6 +73,17 @@ def _index_to_poly(idx, p, degree):
     return out
 
 
+def _coordinates(values, p, s, what):
+    """The s coordinates of a modulus or an element, each checked to lie in [0, p)."""
+    coeffs = tuple(int(c) for c in values)
+    if len(coeffs) != s:
+        raise ValueError(f"{what} needs {s} coordinates, got {len(coeffs)}")
+    for c in coeffs:
+        if not 0 <= c < p:
+            raise ValueError(f"{what} coordinate {c} outside [0, {p})")
+    return coeffs
+
+
 def is_irreducible(modulus, p):
     """Brute-force irreducibility of a monic polynomial over F_p.
 
@@ -122,10 +119,7 @@ def alpha_generates(p, s, modulus, alpha_coeffs):
     that is, to a Frobenius orbit of size s: none of alpha^p, ...,
     alpha^(p^(s-1)) equals alpha.
     """
-    coeffs = [c % p for c in alpha_coeffs]
-    if len(coeffs) != s:
-        raise ValueError(f"alpha needs {s} coordinates, got {len(coeffs)}")
-    alpha = _poly_trim(coeffs)
+    alpha = _poly_trim(list(_coordinates(alpha_coeffs, p, s, "alpha")))
     if not alpha:
         return False
     full_mod = list(modulus) + [1]
@@ -232,9 +226,9 @@ class Field:
         Extension degree (>= 1).
     modulus : sequence of int, optional
         Non-leading coefficients of a monic irreducible degree-s polynomial
-        over F_p, low degree first.  Defaults to a shipped table entry for
-        q in {2,3,4,5,7,8,9,16} and to the first irreducible polynomial in
-        index order otherwise.
+        over F_p, low degree first, each in [0, p).  Defaults to
+        ``find_irreducible(p, s)``, the first irreducible polynomial in index
+        order.
     alpha : optional
         Kernel element as an index, coordinate sequence, or FieldElement.
         Defaults to x for s > 1 and to 1 for prime fields.  Must be nonzero
@@ -249,14 +243,8 @@ class Field:
         q = p ** s
         if q > MAX_FIELD_SIZE:
             raise ValueError(f"field size {q} exceeds supported maximum {MAX_FIELD_SIZE}")
-        if modulus is None:
-            if q in DEFAULT_MODULI:
-                modulus = DEFAULT_MODULI[q][2]
-            else:
-                modulus = find_irreducible(p, s)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != s:
-            raise ValueError(f"modulus needs {s} non-leading coefficients, got {len(modulus)}")
+        modulus = (find_irreducible(p, s) if modulus is None
+                   else _coordinates(modulus, p, s, "modulus"))
         if not is_irreducible(modulus, p):
             raise ValueError(f"modulus {modulus} is reducible over F_{p}")
 
@@ -267,7 +255,6 @@ class Field:
         full_mod = list(modulus) + [1]
 
         coeff_list = [tuple(_index_to_poly(i, p, s)) for i in range(q)]
-        self._coeffs = coeff_list
         self._add = [
             [self._coeffs_to_index(tuple((a + b) % p for a, b in zip(ca, cb)))
              for cb in coeff_list]
@@ -342,10 +329,7 @@ class Field:
             if not 0 <= value < self.q:
                 raise ValueError(f"element index {value} outside [0, {self.q})")
             return self._elems[int(value)]
-        coeffs = tuple(int(c) % self.p for c in value)
-        if len(coeffs) != self.s:
-            raise ValueError(f"element needs {self.s} coordinates, got {len(coeffs)}")
-        return self._elems[self._coeffs_to_index(coeffs)]
+        return self._elems[self._coeffs_to_index(_coordinates(value, self.p, self.s, "element"))]
 
     # -- index-level arithmetic (hot paths and numpy code) ----------------
 
@@ -394,10 +378,7 @@ class Field:
 
 
 def default_field(q):
-    """Field of size q under the shipped default modulus and default alpha."""
-    if q in DEFAULT_MODULI:
-        p, s, modulus = DEFAULT_MODULI[q]
-        return Field(p, s, modulus)
+    """Field of size q under the default modulus and default alpha."""
     for p in range(2, q + 1):
         if _is_prime(p):
             s = 0

@@ -11,6 +11,9 @@ reproduce these decisions.  ``matrix_multiply``, ``transition``,
 element-level definitions of encoding, the channel and block transition
 laws and channel sampling.  ``rank_alpha_generates`` decides whether alpha
 generates F_q over F_p by the linear-algebra definition.
+``reference_check_condition_A`` and ``reference_select_decreasing`` scan
+every dominating index of every member: the quadratic form of the
+upward-closure check and of the greedy decreasing selection.
 """
 
 import math
@@ -185,3 +188,41 @@ def rank_alpha_generates(p, s, modulus, alpha_coeffs):
         powers.append(padded[:s])
         cur = _poly_mod(_poly_mul(cur, coeffs, p), full_mod, p)
     return _rank_mod_p(powers, p) == s
+
+
+def _dominates(i, j):
+    return (i & j) == j
+
+
+def reference_check_condition_A(info_set, m):
+    """``(True, None)`` or ``(False, (j, i))`` with j the smallest member that
+    has a dominating index missing, and i the smallest such index."""
+    n = 1 << m
+    members = set(info_set)
+    for j in sorted(members):
+        for i in range(j + 1, n):
+            if _dominates(i, j) and i not in members:
+                return False, (j, i)
+    return True, None
+
+
+def reference_select_decreasing(estimates, k, m):
+    """Greedy upward-closed selection of k indices by smallest estimate (ties
+    prefer the larger index); returns the set and the swapped-in indices."""
+    n = 1 << m
+    order = sorted(range(n), key=lambda i: (estimates[i], -i))
+    naive = set(order[:k])
+    selected = set()
+    for i in order:
+        if len(selected) >= k:
+            break
+        if i in selected:
+            continue
+        need = [d for d in range(i, n) if _dominates(d, i) and d not in selected]
+        if len(selected) + len(need) <= k:
+            selected.update(need)
+    while len(selected) < k:
+        addable = [i for i in range(n) if i not in selected
+                   and all(d in selected for d in range(i + 1, n) if _dominates(d, i))]
+        selected.add(min(addable, key=lambda i: (estimates[i], -i)))
+    return tuple(sorted(selected)), sorted(selected - naive)

@@ -160,42 +160,52 @@ def test_criterion_5_pushforward_identities():
                  "exhaustive n=4 (q=2,4), 1000 sampled outputs n=8"), failures
 
 
+def _family_holds(ch, perm, act):
+    """perm is a permutation of the outputs with W(y|x) = W(perm[y]|act(x))."""
+    ny = ch.num_outputs
+    return (sorted(perm) == list(range(ny))
+            and all(ch.matrix[x][y] == ch.matrix[act(x)][perm[y]]
+                    for x in range(ch.q) for y in range(ny)))
+
+
 def test_criterion_6_polarized_channels_symmetric():
+    # the lemma on each polarized law itself: the canonical maps are
+    # permutations and satisfy the defining identities.  The channels carry
+    # the families their search finds, which may pair outputs with equal
+    # columns differently, so those are only required to exist.
     failures = []
     for q, field in FIELDS.items():
         alpha = field.alpha
+        add, mul = field.add_index, field.mul_index
         for base in (qsc(field, Fraction(1, 10)), qec(field, Fraction(1, 3))):
             minus, plus = polarize(base)
             for ch in (minus, plus):
                 report = verify_symmetry(ch)
                 if not report.ok:
                     failures.append((q, base.kind, ch.kind, report.detail))
-                    continue
             ny = base.num_outputs
             # canonical forms: sigma_b(y0,y1) = (y0+b, y1) on the check side,
             # sigma_b(y0,y1,u0) = (y0+alpha*b, y1+b, u0) on the variable side
-            rm = verify_symmetry(minus)
-            rp = verify_symmetry(plus)
             for b in field.elements:
                 want_m = [base.shift(y0, b) * ny + y1
                           for y0 in range(ny) for y1 in range(ny)]
-                if rm.sigma[b.index] != want_m:
+                if not _family_holds(minus, want_m, lambda x: add(x, b.index)):
                     failures.append((q, base.kind, "minus-sigma", b.index))
                 want_p = [(base.shift(y0, alpha * b) * ny + base.shift(y1, b)) * q + u0
                           for y0 in range(ny) for y1 in range(ny) for u0 in range(q)]
-                if rp.sigma[b.index] != want_p:
+                if not _family_holds(plus, want_p, lambda x: add(x, b.index)):
                     failures.append((q, base.kind, "plus-sigma", b.index))
             for a in field.elements:
                 if not a:
                     continue
                 want_m = [base.scale(y0, a) * ny + base.scale(y1, a)
                           for y0 in range(ny) for y1 in range(ny)]
-                if rm.pi[a.index] != want_m:
+                if not _family_holds(minus, want_m, lambda x: mul(a.index, x)):
                     failures.append((q, base.kind, "minus-pi", a.index))
                 want_p = [(base.scale(y0, a) * ny + base.scale(y1, a)) * q
                           + field.mul_index(a.index, u0)
                           for y0 in range(ny) for y1 in range(ny) for u0 in range(q)]
-                if rp.pi[a.index] != want_p:
+                if not _family_holds(plus, want_p, lambda x: mul(a.index, x)):
                     failures.append((q, base.kind, "plus-pi", a.index))
     ok = not failures
     assert _emit(6, "one-step channels stay symmetric", ok,

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -70,11 +71,24 @@ def test_shift_scale_identities_exhaustive(q, make):
 
 
 def test_qsc_shift_is_field_addition():
-    f4 = default_field(4)
-    ch = qsc(f4, Fraction(1, 5))
-    for y in range(4):
-        for b in f4.elements:
-            assert ch.shift(y, b) == (f4.from_index(y) + b).index
+    # the searched families of the shipped constructions are the field maps
+    # sigma_b(y) = y + b and pi_a(y) = a*y, with the erasure fixed; the
+    # useless QSC, eps = (q-1)/q, has equal columns and is left out
+    for q in (2, 3, 4, 8, 16):
+        f = default_field(q)
+        for make in (qsc, qec):
+            for eps in (Fraction(0), Fraction(1, 10), Fraction(3, 10), Fraction(1, 3),
+                        Fraction(1, 2)):
+                if make is qsc and eps == Fraction(q - 1, q):
+                    continue
+                ch = make(f, eps)
+                fixed = list(range(q, ch.num_outputs))
+                for b in f.elements:
+                    assert [ch.shift(y, b) for y in range(ch.num_outputs)] == [
+                        f.add_index(y, b.index) for y in range(q)] + fixed
+                for a in f.elements[1:]:
+                    assert [ch.scale(y, a) for y in range(ch.num_outputs)] == [
+                        f.mul_index(a.index, y) for y in range(q)] + fixed
 
 
 def test_qec_erasure_is_fixed():
@@ -124,7 +138,9 @@ def test_verify_symmetry_pass_and_fail():
 
     rows = [list(r) for r in ch.matrix]
     rows[1][0], rows[1][1] = rows[1][1], rows[1][0]  # row sums preserved
-    broken = table_channel(f3, rows, verify=False)
+    # a channel object cannot hold a non-symmetric law, so the search runs
+    # on a stand-in with the same attributes
+    broken = SimpleNamespace(is_finite=True, field=f3, q=3, num_outputs=3, matrix=rows)
     report = verify_symmetry(broken)
     assert not report.ok
     assert report.witness is not None
@@ -219,13 +235,12 @@ def test_plus_shift_matches_canonical_form():
     ny = ch.num_outputs
     q = f4.q
     for b in f4.elements:
-        for y0 in range(ny):
-            for y1 in range(ny):
-                for u0 in range(q):
-                    src = (y0 * ny + y1) * q + u0
-                    y0p = (f4.from_index(y0) + alpha * b).index
-                    y1p = (f4.from_index(y1) + b).index
-                    assert plus._sigma[b.index][src] == (y0p * ny + y1p) * q + u0
+        # canonical sigma_b(y0, y1, u0) = (y0 + alpha*b, y1 + b, u0)
+        perm = [((f4.from_index(y0) + alpha * b).index * ny + (f4.from_index(y1) + b).index)
+                * q + u0 for y0 in range(ny) for y1 in range(ny) for u0 in range(q)]
+        assert sorted(perm) == list(range(plus.num_outputs))
+        assert all(plus.matrix[x][y] == plus.matrix[f4.add_index(x, b.index)][perm[y]]
+                   for x in range(q) for y in range(plus.num_outputs))
 
 
 def test_awgn_shift_identity():

@@ -97,6 +97,15 @@ def test_message_symbol_outside_field_is_validation_failure(tmp_path, capsys, ar
     assert "error:" in err and "outside [0, 4)" in err and "Traceback" not in err
 
 
+def test_message_coordinate_outside_prime_field_is_validation_failure(tmp_path, capsys):
+    # [3, 0] would name the element 1 of F_4 if coordinates wrapped mod 2
+    u_path = tmp_path / "u.json"
+    u_path.write_text(json.dumps([[3, 0], [0, 0], [0, 0], [0, 0]]))
+    assert main(["encode", "--code", str(FIXTURES / "code_q4.json"), "--u", str(u_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "outside [0, 2)" in err and "Traceback" not in err
+
+
 def test_decode_exact_distribution(paths, tmp_path):
     tmp, ch_path, _ = paths
     code = PolarCode(F2, 1, [1])

@@ -12,7 +12,7 @@ from qpolar.code import (
     polar_transform_indices,
 )
 from qpolar.gf import default_field
-from reference import matrix_multiply
+from reference import matrix_multiply, reference_check_condition_A
 
 
 def test_encode_length_one_is_identity():
@@ -130,6 +130,22 @@ def test_condition_A_examples():
     assert not ok and witness == (0, 1)
     assert check_condition_A(set(), 3)[0]
     assert check_condition_A(set(range(8)), 3)[0]
+
+
+def test_condition_A_matches_reference_scan():
+    # every subset for m <= 3, then random sets and their closures for m = 4-6
+    for m in range(4):
+        n = 1 << m
+        for mask in range(1 << n):
+            members = [i for i in range(n) if mask >> i & 1]
+            assert check_condition_A(members, m) == reference_check_condition_A(members, m)
+    rng = np.random.default_rng(11)
+    for m in (4, 5, 6):
+        for _ in range(300):
+            n = 1 << m
+            members = set(int(i) for i in rng.integers(0, n, size=int(rng.integers(1, n))))
+            for s in (members, closure(members, m)):
+                assert check_condition_A(s, m) == reference_check_condition_A(s, m), (m, s)
 
 
 def test_closure():

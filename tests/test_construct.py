@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,12 +10,14 @@ from qpolar.construct import (
     ErasureExact,
     GenieMC,
     Manual,
+    _select_decreasing,
     construct_info_set,
     erasure_params,
     genie_mc_rank,
 )
 from qpolar.gf import default_field
 from qpolar.oracle import exact_genie_error_probs
+from reference import reference_select_decreasing
 
 F2 = default_field(2)
 F4 = default_field(4)
@@ -77,10 +80,44 @@ def test_construct_qsc_uses_epsilon_proxy():
 
 def test_construct_output_always_decreasing():
     ch = qsc(F2, Fraction(2, 5))
+    repaired = 0
     for k in range(0, 17):
-        info = construct_info_set(F2, 4, k, ch, GenieMC(trials=400, seed=k))
+        estimates = genie_mc_rank(F2, 4, ch, 400, seed=k)
+        naive = sorted(range(16), key=lambda i: (estimates[i], -i))[:k]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            info = construct_info_set(F2, 4, k, ch, GenieMC(trials=400, seed=k))
         assert len(info) == k
         assert check_condition_A(info, 4)[0]
+        swapped = sorted(set(info) - set(naive))
+        want = [f"upward-closure repair swapped in indices {swapped}"] if swapped else []
+        assert [str(w.message) for w in caught] == want
+        repaired += bool(swapped)
+    assert repaired > 0
+
+
+def test_erasure_construction_matches_reference_selection():
+    eps = Fraction(1, 2)
+    ch = qec(F2, eps)
+    for m in range(4, 11):
+        n = 1 << m
+        estimates = erasure_params(m, eps)
+        for k in (1, n // 4, n // 2, 3 * n // 4 + 1, n - 1):
+            want, _ = reference_select_decreasing(estimates, k, m)
+            assert construct_info_set(F2, m, k, ch) == want, (m, k)
+
+
+def test_select_decreasing_matches_reference_on_random_estimates():
+    # random estimates ignore domination, so the repair runs; the reference
+    # also keeps a fill-up loop for sets left short, which never runs
+    rng = np.random.default_rng(4)
+    for m in (2, 3, 4, 5, 6):
+        n = 1 << m
+        for _ in range(100):
+            estimates = [float(v) for v in rng.integers(0, 8, size=n)]
+            k = int(rng.integers(0, n + 1))
+            assert _select_decreasing(estimates, k, m) == reference_select_decreasing(
+                estimates, k, m), (m, k, estimates)
 
 
 def test_manual_method_validates():

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 import qpolar.oracle
-from qpolar.channel import FiniteChannel, qec, qsc, table_channel
+from qpolar.channel import qec, qsc, table_channel
 from qpolar.code import PolarCode, decreasing_sets, polar_transform
 from qpolar.gf import FieldElement, default_field
 from qpolar.oracle import exact_genie_error_probs, exact_ser
@@ -205,10 +205,9 @@ def reference_check_xi_invariance(code, ch, r):
 def _wrong_scaling_qsc(field, eps):
     # a QSC whose output scaling permutations are all the identity: the
     # coset and xi identities then fail for every scaling other than 1
-    good = qsc(field, eps)
-    identity = {a: list(range(field.q)) for a in range(1, field.q)}
-    return FiniteChannel(field, field.elements, good.matrix, good._sigma, identity,
-                         verify=False)
+    ch = qsc(field, eps)
+    ch._pi = {a: list(range(field.q)) for a in range(1, field.q)}
+    return ch
 
 
 @pytest.mark.parametrize("broken", [False, True])

@@ -8,6 +8,19 @@ from reference import rank_alpha_generates
 
 SHIPPED_SIZES = [2, 3, 4, 5, 7, 8, 9, 16]
 
+# Default moduli, low degree first.  Every JSON config and golden fixture
+# names its field by these, so find_irreducible must keep returning them.
+PINNED_MODULI = {
+    2: (2, 1, (0,)),            # x
+    3: (3, 1, (0,)),            # x
+    4: (2, 2, (1, 1)),          # x^2 + x + 1
+    5: (5, 1, (0,)),            # x
+    7: (7, 1, (0,)),            # x
+    8: (2, 3, (1, 1, 0)),       # x^3 + x + 1
+    9: (3, 2, (1, 0)),          # x^2 + 1
+    16: (2, 4, (1, 1, 0, 0)),   # x^4 + x + 1
+}
+
 
 @pytest.mark.parametrize("q", SHIPPED_SIZES)
 def test_field_axioms_exhaustive(q):
@@ -81,7 +94,7 @@ def test_field_mismatch_rejected():
     ],
 )
 def test_alpha_generates_exhaustive(q, expected_generators):
-    p, s, modulus = {4: (2, 2, (1, 1)), 8: (2, 3, (1, 1, 0)), 9: (3, 2, (1, 0))}[q]
+    p, s, modulus = PINNED_MODULI[q]
     f = Field(p, s, modulus)
     got = {
         i for i in range(q)
@@ -131,6 +144,33 @@ def test_element_index_outside_field_raises():
         with pytest.raises(ValueError):
             Field(2, 2, (1, 1), alpha=bad)
     assert Field(2, 2, (1, 1), alpha=3).alpha.index == 3
+
+
+@pytest.mark.parametrize("q", SHIPPED_SIZES)
+def test_default_field_modulus_and_key_are_pinned(q):
+    p, s, modulus = PINNED_MODULI[q]
+    f = default_field(q)
+    assert find_irreducible(p, s) == modulus
+    assert f.modulus == modulus
+    assert f.key == (p, s, modulus, 1 if s == 1 else p)
+    assert f.key == Field(p, s, modulus).key
+
+
+def test_coordinates_outside_prime_field_raise():
+    f = default_field(4)
+    assert f.element([1, 0]) == f.one
+    for bad in ([3, 0], [-1, 0], [0, 2]):
+        with pytest.raises(ValueError, match="outside"):
+            f.element(bad)
+        with pytest.raises(ValueError, match="outside"):
+            Field(2, 2, (1, 1), alpha=bad)
+    for bad in ((3, 1), (1, -1), (1, 2)):
+        with pytest.raises(ValueError, match="outside"):
+            Field(2, 2, bad)
+    with pytest.raises(ValueError, match="outside"):
+        default_field(9).element([0, 3])
+    with pytest.raises(ValueError, match="coordinates"):
+        f.element([1, 0, 0])
 
 
 def test_constructor_rejects_reducible_modulus():
