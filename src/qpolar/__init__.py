@@ -23,7 +23,6 @@ from .code import (
     closure,
     decreasing_sets,
     dominates,
-    kron_matrix,
     polar_transform,
 )
 from .construct import (

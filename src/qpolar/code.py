@@ -6,16 +6,16 @@ the binary expansion b_{m-1}(i) ... b_0(i); the encoding recursion splits
 on the most significant bit, so the low half is indices < n/2.  An index
 i dominates j (i >= j in the bitwise order) when every bit of j is set in
 i; information sets closed upward under this order are called decreasing.
+
+:func:`polar_transform_indices` computes u * G_n on arrays of element
+indices for every caller but :func:`polar_transform`, its element-level form.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+import itertools
 
 import numpy as np
-
-MAX_KRON_LOG2 = 12
 
 
 def dominates(i, j):
@@ -50,13 +50,15 @@ def check_condition_A(info_set, m):
 def closure(info_set, m):
     """Smallest superset closed upward under domination."""
     n = 1 << m
-    out = set()
-    for j in info_set:
+    out = set(info_set)
+    for j in out:
         if not 0 <= j < n:
             raise ValueError(f"index {j} outside [0, {n})")
-        for i in range(j, n):
-            if dominates(i, j):
-                out.add(i)
+    # i joins when one of its one-bit subsets (each smaller than i, so
+    # already decided) has: every chain up from a member is one-bit steps
+    for i in range(n):
+        if any(i ^ 1 << r in out for r in range(m) if i >> r & 1):
+            out.add(i)
     return tuple(sorted(out))
 
 
@@ -102,27 +104,6 @@ def polar_transform_indices(field, u):
         [polar_transform_indices(field, lo), polar_transform_indices(field, u[..., half:])],
         axis=-1,
     )
-
-
-def kron_matrix(field, m):
-    """The n x n transform matrix as an array of element indices.
-
-    Row i is the codeword of the i-th unit message, so u * G_n is a plain
-    table-multiply against this matrix.
-    """
-    if m > MAX_KRON_LOG2:
-        raise ValueError(f"m={m} exceeds the explicit-matrix cap of {MAX_KRON_LOG2}")
-    g = np.array([[1]], dtype=np.intp)
-    a = field.alpha.index
-    mul = field.mul_table
-    for _ in range(m):
-        n = g.shape[0]
-        nxt = np.zeros((2 * n, 2 * n), dtype=np.intp)
-        nxt[:n, :n] = g
-        nxt[n:, :n] = mul[a][g]
-        nxt[n:, n:] = g
-        g = nxt
-    return g
 
 
 class PolarCode:
@@ -174,7 +155,6 @@ class PolarCode:
         self._frozen_idx = np.zeros(self.n, dtype=np.intp)
         for i, v in self._frozen_map.items():
             self._frozen_idx[i] = v.index
-        self._kron = None
 
     def is_info(self, i):
         return bool(self._info_mask[i])
@@ -217,25 +197,14 @@ class PolarCode:
                     f"position {i} is frozen to {v!r} but the message carries {u[i]!r}")
         return polar_transform(self.field, u)
 
-    def kron_matrix(self):
-        if self._kron is None:
-            self._kron = kron_matrix(self.field, self.m)
-        return self._kron
-
     def codewords(self):
         """All q^k codewords, in information-symbol index order."""
+        rows = list(itertools.product(range(self.field.q), repeat=self.k))
+        u = np.tile(self._frozen_idx, (len(rows), 1))
+        u[:, list(self.info_set)] = np.array(rows, dtype=np.intp)  # (1, 0) when k = 0
+        x = polar_transform_indices(self.field, u).tolist()
         elems = self.field.elements
-        out = []
-
-        def rec(prefix):
-            if len(prefix) == self.k:
-                out.append(polar_transform(self.field, self.full_message(prefix)))
-                return
-            for e in elems:
-                rec(prefix + [e])
-
-        rec([])
-        return out
+        return [tuple(elems[i] for i in row) for row in x]
 
     def __repr__(self):
         return (f"PolarCode(n={self.n}, k={self.k}, q={self.field.q}, "

@@ -74,14 +74,17 @@ def _index_to_poly(idx, p, degree):
 
 
 def _coordinates(values, p, s, what):
-    """The s coordinates of a modulus or an element, each checked to lie in [0, p)."""
-    coeffs = tuple(int(c) for c in values)
+    """The s coordinates of a modulus or an element, each checked to be an
+    integer in [0, p)."""
+    coeffs = tuple(values)
     if len(coeffs) != s:
         raise ValueError(f"{what} needs {s} coordinates, got {len(coeffs)}")
     for c in coeffs:
+        if not isinstance(c, (int, np.integer)):
+            raise ValueError(f"{what} coordinate {c!r} is not an integer")
         if not 0 <= c < p:
             raise ValueError(f"{what} coordinate {c} outside [0, {p})")
-    return coeffs
+    return tuple(int(c) for c in coeffs)
 
 
 def is_irreducible(modulus, p):
@@ -289,8 +292,7 @@ class Field:
         self.key = (p, s, modulus, self._alpha_index)
 
         self._np_add = np.array(self._add, dtype=np.intp)
-        self._np_mul = np.array(self._mul, dtype=np.intp)
-        self._np_alpha_mul = self._np_mul[self._alpha_index].copy()
+        self._np_alpha_mul = np.array(self._mul[self._alpha_index], dtype=np.intp)
 
     def _coeffs_to_index(self, coeffs):
         idx = 0
@@ -343,10 +345,6 @@ class Field:
     def add_table(self):
         """(q, q) numpy index table for vectorized addition."""
         return self._np_add
-
-    @property
-    def mul_table(self):
-        return self._np_mul
 
     @property
     def alpha_mul_table(self):

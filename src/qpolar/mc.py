@@ -65,11 +65,8 @@ def decode_tallies(code, ch, seed, start, stop, batch=DEFAULT_BATCH,
         y = ch.sample_batch(x, noise)
         likes = ch.likelihood_batch(y)
         tie_u = rng.uniforms(seed, t_idx, tie_slots)
-        if genie:
-            decisions, _ = sc_decode_batch(code, likes, tie_u, force=u)
-            msg_err += (decisions != u).sum(axis=0)
-        else:
-            decisions, x_hat = sc_decode_batch(code, likes, tie_u)
-            msg_err += (decisions != u).sum(axis=0)
+        decisions, x_hat = sc_decode_batch(code, likes, tie_u, force=u if genie else None)
+        msg_err += (decisions != u).sum(axis=0)
+        if not genie:
             cw_err += (x_hat != x).sum(axis=0)
     return msg_err, cw_err, stop - start

@@ -2,9 +2,10 @@
 
 The definitional form scores each candidate symbol with its synthetic
 channel, a direct sum of block transition probabilities over all
-completions of the message; it is the referee for small n.  The recursive
-form passes length-q likelihood vectors through the minus/plus combining
-rules
+completions of the message; it is the referee for small n.  It works on
+symbol index tuples and encodes them with
+:func:`~qpolar.code.polar_transform_indices`.  The recursive form passes
+length-q likelihood vectors through the minus/plus combining rules
     minus(t0, t1)[u]    = (1/q) * sum_u1 t0[u + alpha*u1] * t1[u1]
     plus(t0, t1, z)[u]  = (1/q) * t0[z + alpha*u] * t1[u]
 splitting on the most significant index bit, decoding the low half against
@@ -54,8 +55,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from .code import polar_transform_indices
+
 DEFAULT_TIE_RTOL = 1e-12
 MAX_DEFINITIONAL_N = 16
+# messages per polar_transform_indices call in synthetic_channel, which
+# bounds its memory: q^(n-i) messages can exceed any array
+_SYNTHETIC_CHUNK = 1 << 16
 
 
 def _argmax_set(t):
@@ -68,8 +74,8 @@ def synthetic_channel(code, ch, y, u_prefix, i):
     """Likelihood vector of the i-th synthetic channel, by direct summation.
 
     Computes (1/q^{n-1}) * sum over all completions u_{i+1..n-1} of
-    W^n(y | u * G_n) for each value of u_i, with the prefix fixed, in exact
-    rationals.  The channel must be finite.
+    W^n(y | u * G_n) for each value of u_i, with the prefix (field elements
+    or their indices) fixed, in exact rationals.  The channel must be finite.
     """
     field = code.field
     q = field.q
@@ -82,33 +88,17 @@ def synthetic_channel(code, ch, y, u_prefix, i):
         raise ValueError(f"definitional form capped at n <= {MAX_DEFINITIONAL_N}")
     if len(y) != n:
         raise ValueError(f"output block has length {len(y)}, expected {n}")
-    g = code.kron_matrix()
-    add, mul = field._add, field._mul
-    mat = ch.matrix
-
-    def accumulate(base, row):
-        # x(v) = base + v * row, coordinatewise over element indices
-        for v in range(q):
-            x = base if v == 0 else [add[xj][mul[v][int(rj)]] for xj, rj in zip(base, row)]
-            w = Fraction(1)
-            for yj, xj in zip(y, x):
-                w *= mat[xj][yj]
-            likel[v] += w
-
+    # cols[j][x] = W(y_j | x)
+    cols = [[row[yj] for row in ch.matrix] for yj in y]
     likel = [Fraction(0)] * q
-    prefix_part = [0] * n
-    for j, e in enumerate(u_prefix):
-        if e.index:
-            row = g[j]
-            prefix_part = [add[xj][mul[e.index][int(rj)]] for xj, rj in zip(prefix_part, row)]
-    row_i = g[i]
-    for comp in itertools.product(range(q), repeat=n - i - 1):
-        base = prefix_part
-        for off, cj in enumerate(comp):
-            if cj:
-                row = g[i + 1 + off]
-                base = [add[xj][mul[cj][int(rj)]] for xj, rj in zip(base, row)]
-        accumulate(base, row_i)
+    # every message (u_i, completion) with the prefix fixed, in bounded chunks
+    tails = itertools.product(range(q), repeat=n - i)
+    while chunk := list(itertools.islice(tails, _SYNTHETIC_CHUNK)):
+        u = np.empty((len(chunk), n), dtype=np.intp)
+        u[:, :i] = [field.element(e).index for e in u_prefix]
+        u[:, i:] = chunk
+        for ui, x in zip(u[:, i].tolist(), polar_transform_indices(field, u).tolist()):
+            likel[ui] += math.prod(col[xj] for col, xj in zip(cols, x))
     norm = Fraction(1, q ** (n - 1))
     return tuple(v * norm for v in likel)
 
@@ -140,16 +130,16 @@ def sc_decode(code, ch, y, tie_uniforms=None):
 
 
 def _inverse_transform(field, x):
-    """Message indices u with u * G_n = x: the kernel's inverse is
-    [[1, 0], [-alpha, 1]], so u_lo = x'_lo - alpha * x'_hi for the inverted
-    halves x'."""
-    if len(x) == 1:
-        return tuple(x)
-    half = len(x) // 2
-    lo = _inverse_transform(field, x[:half])
-    hi = _inverse_transform(field, x[half:])
-    add, row = field._add, field._mul[(-field.alpha).index]
-    return tuple(add[a][row[b]] for a, b in zip(lo, hi)) + hi
+    """Message indices u with u * G_n = x.
+
+    The kernel K = [[1, 0], [alpha, 1]] has the inverse [[1, 0], [-alpha, 1]]
+    = S K S for S = diag(1, -1), so G_n^-1 = S_n G_n S_n: S_n, the m-fold
+    Kronecker power of S, negates the positions with an odd bit count.
+    """
+    neg = np.asarray(field._neg)
+    odd = np.array([bin(j).count("1") & 1 for j in range(len(x))], dtype=bool)
+    u = polar_transform_indices(field, np.where(odd, neg[list(x)], x))
+    return tuple(np.where(odd, neg[u], u).tolist())
 
 
 def sc_decode_distribution(code, ch, y, method="recursive", job=None):
@@ -174,29 +164,20 @@ def sc_decode_distribution(code, ch, y, method="recursive", job=None):
     elems = field.elements
 
     if method == "definitional":
-        from .code import polar_transform
-
+        # branches map message prefixes (index tuples) to their masses
+        frozen = code.frozen_index_array.tolist()
         branches = {(): Fraction(1)}
         for i in range(code.n):
             nxt = {}
-            if code.is_info(i):
-                for prefix, p in branches.items():
-                    t = synthetic_channel(code, ch, y, prefix, i)
-                    cands = _argmax_set(t)
-                    share = p / len(cands)
-                    for u in cands:
-                        key = prefix + (elems[u],)
-                        nxt[key] = nxt.get(key, Fraction(0)) + share
-            else:
-                v = code.frozen_value(i)
-                for prefix, p in branches.items():
-                    nxt[prefix + (v,)] = p
+            for prefix, p in branches.items():
+                cands = (_argmax_set(synthetic_channel(code, ch, y, prefix, i))
+                         if code.is_info(i) else [frozen[i]])
+                for u in cands:
+                    nxt[prefix + (u,)] = p / len(cands)
             branches = nxt
-        out = {}
-        for u, p in branches.items():
-            x = polar_transform(field, u)
-            out[x] = out.get(x, Fraction(0)) + p
-        return out
+        # u -> u * G_n is one to one, so no two branches share a codeword
+        xs = polar_transform_indices(field, list(branches)).tolist()
+        return {tuple(elems[j] for j in x): p for x, p in zip(xs, branches.values())}
 
     if method != "recursive":
         raise ValueError(f"unknown method {method!r}")

@@ -6,14 +6,16 @@ form: Fraction likelihood vectors carrying the 1/q constants through
 floats renormalized to maximum 1 on the float path, with ties resolved
 lexicographically.  The package decodes one block on its two kernels
 instead (the integer exact recursion and the float batch kernel) and must
-reproduce these decisions.  ``matrix_multiply``, ``transition``,
-``likelihoods``, ``product_transition`` and ``sample`` are the
-element-level definitions of encoding, the channel and block transition
-laws and channel sampling.  ``rank_alpha_generates`` decides whether alpha
+reproduce these decisions.  ``kron_matrix`` builds G_n as an explicit
+matrix, the referee of the package's one transform.  ``matrix_multiply``,
+``transition``, ``likelihoods``, ``product_transition`` and ``sample`` are
+the element-level definitions of encoding, the channel and block
+transition laws and channel sampling.  ``rank_alpha_generates`` decides whether alpha
 generates F_q over F_p by the linear-algebra definition.
-``reference_check_condition_A`` and ``reference_select_decreasing`` scan
-every dominating index of every member: the quadratic form of the
-upward-closure check and of the greedy decreasing selection.
+``reference_check_condition_A``, ``reference_closure`` and
+``reference_select_decreasing`` scan every dominating index of every
+member: the quadratic form of the upward-closure check, of the closure and
+of the greedy decreasing selection.
 """
 
 import math
@@ -107,6 +109,24 @@ def reference_sc_decode(code, ch, y, exact=None):
 
     u_hat, x_hat = rec(T, 0)
     return tuple(u_hat), tuple(x_hat)
+
+
+def kron_matrix(field, m):
+    """The n x n transform matrix G_n as an array of element indices.
+
+    Row i is the codeword of the i-th unit message, so u * G_n is a plain
+    table-multiply against this matrix.
+    """
+    g = np.array([[1]], dtype=np.intp)
+    alpha_mul = field.alpha_mul_table
+    for _ in range(m):
+        n = g.shape[0]
+        nxt = np.zeros((2 * n, 2 * n), dtype=np.intp)
+        nxt[:n, :n] = g
+        nxt[n:, :n] = alpha_mul[g]
+        nxt[n:, n:] = g
+        g = nxt
+    return g
 
 
 def matrix_multiply(field, u_indices, g):
@@ -204,6 +224,12 @@ def reference_check_condition_A(info_set, m):
             if _dominates(i, j) and i not in members:
                 return False, (j, i)
     return True, None
+
+
+def reference_closure(info_set, m):
+    """Sorted tuple of every index that dominates a member."""
+    n = 1 << m
+    return tuple(sorted({i for j in info_set for i in range(j, n) if _dominates(i, j)}))
 
 
 def reference_select_decreasing(estimates, k, m):

@@ -106,6 +106,15 @@ def test_message_coordinate_outside_prime_field_is_validation_failure(tmp_path, 
     assert "error:" in err and "outside [0, 2)" in err and "Traceback" not in err
 
 
+def test_message_coordinate_not_integer_is_validation_failure(tmp_path, capsys):
+    # 1.5 once truncated silently to the coordinate 1
+    u_path = tmp_path / "u.json"
+    u_path.write_text(json.dumps([[1.5, 0], [0, 0], [0, 0], [0, 0]]))
+    assert main(["encode", "--code", str(FIXTURES / "code_q4.json"), "--u", str(u_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "not an integer" in err and "Traceback" not in err
+
+
 def test_decode_exact_distribution(paths, tmp_path):
     tmp, ch_path, _ = paths
     code = PolarCode(F2, 1, [1])

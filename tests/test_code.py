@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,16 @@ from qpolar.code import (
     closure,
     decreasing_sets,
     dominates,
-    kron_matrix,
     polar_transform,
     polar_transform_indices,
 )
 from qpolar.gf import default_field
-from reference import matrix_multiply, reference_check_condition_A
+from reference import (
+    kron_matrix,
+    matrix_multiply,
+    reference_check_condition_A,
+    reference_closure,
+)
 
 
 def test_encode_length_one_is_identity():
@@ -108,12 +114,15 @@ def test_encode_is_linear():
 
 def test_batch_transform_matches_scalar():
     f = default_field(4)
+    g = kron_matrix(f, 3)
     rng = np.random.default_rng(9)
     u = rng.integers(0, 4, size=(6, 8))
     batch = polar_transform_indices(f, u)
     for row_in, row_out in zip(u, batch):
+        want = matrix_multiply(f, [int(i) for i in row_in], g)
+        assert tuple(row_out.tolist()) == want
         scalar = polar_transform(f, [f.from_index(int(i)) for i in row_in])
-        assert [e.index for e in scalar] == list(row_out)
+        assert tuple(e.index for e in scalar) == want
 
 
 def test_dominates():
@@ -159,6 +168,19 @@ def test_closure():
         closed = closure(a, m)
         assert check_condition_A(closed, m)[0]
         assert closure(closed, m) == closed  # idempotent
+    # every subset for m <= 3, then random sets for m = 4-6
+    for m in range(4):
+        n = 1 << m
+        for mask in range(1 << n):
+            members = [i for i in range(n) if mask >> i & 1]
+            assert closure(members, m) == reference_closure(members, m)
+    for m in (4, 5, 6):
+        n = 1 << m
+        for _ in range(300):
+            members = set(int(i) for i in rng.integers(0, n, size=int(rng.integers(1, n))))
+            assert closure(members, m) == reference_closure(members, m), (m, members)
+    with pytest.raises(ValueError, match="outside"):
+        closure({4}, 2)
 
 
 def test_decreasing_sets_small():
@@ -222,3 +244,24 @@ def test_codewords_enumeration():
     assert len(set(words)) == 4
     zero = (f.zero,) * 4
     assert zero in words
+
+
+@pytest.mark.parametrize("q,m,info,frozen", [
+    (2, 0, (), (0,)),
+    (2, 2, (), (1, 0, 1, 1)),
+    (2, 3, (3, 5, 6, 7), (1, 0, 1, 1)),
+    (3, 2, (1, 3), (2, 1)),
+    (4, 2, (2, 3), (3, 2)),
+    (4, 1, (0, 1), ()),
+])
+def test_codewords_match_matrix_enumeration(q, m, info, frozen):
+    # order: the first information symbol varies slowest; k = 0 gives one word
+    f = default_field(q)
+    code = PolarCode(f, m, info, frozen_values=[f.from_index(v) for v in frozen])
+    g = kron_matrix(f, m)
+    want = []
+    for syms in itertools.product(range(q), repeat=len(info)):
+        u = [e.index for e in code.full_message([f.from_index(v) for v in syms])]
+        want.append(tuple(f.from_index(i) for i in matrix_multiply(f, u, g)))
+    assert code.codewords() == want
+    assert len(want) == q ** len(info)

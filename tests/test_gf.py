@@ -171,6 +171,14 @@ def test_coordinates_outside_prime_field_raise():
         default_field(9).element([0, 3])
     with pytest.raises(ValueError, match="coordinates"):
         f.element([1, 0, 0])
+    # a non-integer coordinate raises instead of truncating
+    for bad in ([1.7, 0], [1.0, 0], [0, "1"]):
+        with pytest.raises(ValueError, match="not an integer"):
+            f.element(bad)
+        with pytest.raises(ValueError, match="not an integer"):
+            Field(2, 2, (1, 1), alpha=bad)
+    with pytest.raises(ValueError, match="not an integer"):
+        Field(2, 2, (1.9, 1.2))
 
 
 def test_constructor_rejects_reducible_modulus():
@@ -202,7 +210,6 @@ def test_index_table_consistency():
     for a in f.elements:
         for b in f.elements:
             assert (a + b).index == f.add_table[a.index, b.index]
-            assert (a * b).index == f.mul_table[a.index, b.index]
         assert f.alpha_mul_table[a.index] == (f.alpha * a).index
 
 

@@ -56,6 +56,29 @@ def test_synthetic_channel_n2_position1_matches_plus_rule():
             assert t == expected
 
 
+@pytest.mark.parametrize("field,m,make", [
+    (F2, 3, lambda f: qsc(f, Fraction(1, 10))),
+    (F3, 2, lambda f: qsc(f, Fraction(1, 5))),
+    (F4, 2, lambda f: qec(f, Fraction(1, 3))),
+], ids=["q2-n8-qsc", "q3-n4-qsc", "q4-n4-qec"])
+def test_synthetic_channel_same_in_small_chunks(monkeypatch, field, m, make):
+    import qpolar.sc
+
+    ch = make(field)
+    code = PolarCode(field, m, range(1 << m))
+    rng = np.random.default_rng(field.q)
+    cases = []
+    for i in range(code.n):
+        y = tuple(int(v) for v in rng.integers(0, ch.num_outputs, size=code.n))
+        prefix = tuple(field.from_index(int(v)) for v in rng.integers(0, field.q, size=i))
+        cases.append((y, prefix, i, synthetic_channel(code, ch, y, prefix, i)))
+    monkeypatch.setattr(qpolar.sc, "_SYNTHETIC_CHUNK", 4)
+    for y, prefix, i, want in cases:
+        assert synthetic_channel(code, ch, y, prefix, i) == want
+        # a prefix of element indices names the same messages
+        assert synthetic_channel(code, ch, y, tuple(e.index for e in prefix), i) == want
+
+
 def test_combine_minus_hand_value():
     t = (Fraction(9, 10), Fraction(1, 10))
     out = combine_minus(t, t, F2.alpha)

@@ -116,11 +116,11 @@ def test_float_lex_decodes_equal_reference(case):
         assert got == reference_sc_decode(code, ch, y, exact=False)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 16])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 16])
 def test_inverse_transform_undoes_polar_transform(q):
     field = default_field(q)
     rng = np.random.default_rng(q)
-    for n in (1, 2, 8, 32):
+    for n in (1, 2, 8, 32, 64):
         u = tuple(int(v) for v in rng.integers(0, q, size=n))
         x = tuple(e.index for e in polar_transform(field, [field.from_index(i) for i in u]))
         assert _inverse_transform(field, x) == u
