@@ -10,8 +10,7 @@ Their families are never declared: every finite channel, the shipped
 constructions included, gets them from one search over its matrix.
 
 Likelihood vectors are indexed by the input element index: the exact
-column ``matrix[:][y]`` of a finite channel, float arrays from
-``likelihood_batch``.
+column ``matrix[:][y]`` of a finite channel, axis 0 of ``likelihood_batch``.
 """
 
 from __future__ import annotations
@@ -108,9 +107,9 @@ class FiniteChannel:
         return self._float
 
     def likelihood_batch(self, y):
-        """(... , q) float likelihoods for an integer array of output indices."""
-        y = np.asarray(y)
-        return self.matrix_float.T[y]
+        """(q, ...) float likelihoods for an integer array of output indices."""
+        # C-contiguous; matrix_float[:, y] would put the symbol axis innermost
+        return np.take(self.matrix_float, y, axis=1)
 
     # -- symmetry actions ---------------------------------------------------
 
@@ -171,13 +170,15 @@ class AwgnBpskChannel:
         return 1.0 - 2.0 * x_index
 
     def likelihood_batch(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.empty(y.shape + (2,))
-        # common density factors drop out of every argmax, keep the exponents only
-        out[..., 0] = -((y - 1.0) ** 2)
-        out[..., 1] = -((y + 1.0) ** 2)
-        out -= out.max(axis=-1, keepdims=True)
-        return np.exp(out / (2 * self.sigma2))
+        """(2, ...) float likelihoods of a real output array, built in place."""
+        # common density factors drop out of every argmax, keep the exponents
+        # only: -(y - 1)^2 and -(y + 1)^2 less their maximum, over 2 sigma^2
+        out = np.subtract.outer([1.0, -1.0], y)
+        np.square(out, out=out)
+        np.negative(out, out=out)
+        out -= np.maximum(out[0], out[1])
+        out /= 2 * self.sigma2
+        return np.exp(out, out=out)
 
     def shift(self, y, b):
         return -y if b.index else y

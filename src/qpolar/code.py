@@ -80,7 +80,7 @@ def polar_transform(field, u):
     """
     u = list(u)
     n = len(u)
-    if n & (n - 1):
+    if n < 1 or n & (n - 1):
         raise ValueError(f"length {n} is not a power of 2")
     if n == 1:
         return tuple(u)
@@ -94,7 +94,7 @@ def polar_transform_indices(field, u):
     """Vectorized transform on integer index arrays, over the last axis."""
     u = np.asarray(u)
     n = u.shape[-1]
-    if n & (n - 1):
+    if n < 1 or n & (n - 1):
         raise ValueError(f"length {n} is not a power of 2")
     if n == 1:
         return u

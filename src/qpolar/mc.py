@@ -4,7 +4,8 @@ One trial = sample a message (all-zero unless ``random_message``), push its
 codeword through the channel, SC-decode, and tally per-index symbol errors.
 All randomness is drawn from the counter streams in :mod:`qpolar.rng`, so
 tallies depend only on ``(seed, trial index)`` and shard or batch layout
-cannot change them.
+cannot change them.  Every per-slot array of a batch, from the draws to the
+decisions, is slot-major (n, B), the layout the decoder works in.
 """
 
 from __future__ import annotations
@@ -53,11 +54,11 @@ def decode_tallies(code, ch, seed, start, stop, batch=DEFAULT_BATCH,
         if random_message:
             mu = rng.uniforms(seed, t_idx, message_slots)
             u = np.minimum((mu * q).astype(np.intp), q - 1)
-            u[:, list(code.frozen_set)] = code.frozen_index_array[list(code.frozen_set)]
-            x = polar_transform_indices(field, u)
+            u[list(code.frozen_set)] = code.frozen_index_array[list(code.frozen_set), None]
+            x = polar_transform_indices(field, u.T).T
         else:
-            u = np.broadcast_to(u_row, (b, n))
-            x = np.broadcast_to(x_row, (b, n))
+            u = np.broadcast_to(u_row[:, None], (n, b))
+            x = np.broadcast_to(x_row[:, None], (n, b))
         if ch.is_finite:
             noise = rng.uniforms(seed, t_idx, channel_slots)
         else:
@@ -66,7 +67,7 @@ def decode_tallies(code, ch, seed, start, stop, batch=DEFAULT_BATCH,
         likes = ch.likelihood_batch(y)
         tie_u = rng.uniforms(seed, t_idx, tie_slots)
         decisions, x_hat = sc_decode_batch(code, likes, tie_u, force=u if genie else None)
-        msg_err += (decisions != u).sum(axis=0)
+        msg_err += (decisions != u).sum(axis=1)
         if not genie:
-            cw_err += (x_hat != x).sum(axis=0)
+            cw_err += (x_hat != x).sum(axis=1)
     return msg_err, cw_err, stop - start

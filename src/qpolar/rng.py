@@ -8,7 +8,8 @@ size and split across any number of shards without changing a single draw.
 Slot layout is owned by the caller; by convention the decoding loops use
 slots [0, n) for channel noise, [n, 2n) for tie draws (the draw at slot
 n + i resolves the tie at position i, if any), and [2n, 3n) for random
-message symbols.
+message symbols.  Draws come slot-major, one row per slot, the layout the
+batch decoder works in.
 """
 
 from __future__ import annotations
@@ -32,12 +33,12 @@ def _mix64(z):
 
 
 def uniforms(seed, trials, slots):
-    """(len(trials), len(slots)) float64 array of draws in the open (0, 1)."""
+    """(len(slots), len(trials)) float64 array of draws in the open (0, 1)."""
     # 0-d arrays keep the wraparound arithmetic silent (numpy warns on
     # overflowing scalar ops but not on array ops)
     seed = np.asarray(int(seed) % (1 << 64), dtype=np.uint64)
-    t = np.asarray(trials, dtype=np.uint64).reshape(-1, 1)
-    s = np.asarray(slots, dtype=np.uint64).reshape(1, -1)
+    t = np.asarray(trials, dtype=np.uint64).reshape(1, -1)
+    s = np.asarray(slots, dtype=np.uint64).reshape(-1, 1)
     with np.errstate(over="ignore"):
         key = _mix64(seed + _GOLDEN)
         per_trial = _mix64(key + _GOLDEN * (t + np.uint64(1)))

@@ -86,8 +86,7 @@ def synthetic_channel(code, ch, y, u_prefix, i):
         raise ValueError(f"prefix has length {len(u_prefix)}, expected {i}")
     if n > MAX_DEFINITIONAL_N:
         raise ValueError(f"definitional form capped at n <= {MAX_DEFINITIONAL_N}")
-    if len(y) != n:
-        raise ValueError(f"output block has length {len(y)}, expected {n}")
+    _check_block(y, n, ch.num_outputs)
     # cols[j][x] = W(y_j | x)
     cols = [[row[yj] for row in ch.matrix] for yj in y]
     likel = [Fraction(0)] * q
@@ -101,6 +100,15 @@ def synthetic_channel(code, ch, y, u_prefix, i):
             likel[ui] += math.prod(col[xj] for col, xj in zip(cols, x))
     norm = Fraction(1, q ** (n - 1))
     return tuple(v * norm for v in likel)
+
+
+def _check_block(y, n, num_outputs):
+    """Raise unless y is a length-n block of output indices of the alphabet."""
+    if len(y) != n:
+        raise ValueError(f"output block has length {len(y)}, expected {n}")
+    for v in y:
+        if not 0 <= v < num_outputs:
+            raise ValueError(f"output index {v} outside alphabet of size {num_outputs}")
 
 
 def sc_decode(code, ch, y, tie_uniforms=None):
@@ -123,9 +131,9 @@ def sc_decode(code, ch, y, tie_uniforms=None):
         (x,) = _distribution_indices(job.messages(y), 0, job)
         u = _inverse_transform(code.field, x)
     else:
-        T = ch.likelihood_batch(np.asarray(y))[None]
-        decisions, codewords = sc_decode_batch(code, T, uniforms[None])
-        u, x = decisions[0], codewords[0]
+        T = ch.likelihood_batch(np.asarray(y)[:, None])
+        decisions, codewords = sc_decode_batch(code, T, uniforms[:, None])
+        u, x = decisions[:, 0], codewords[:, 0]
     return tuple(elems[i] for i in u), tuple(elems[i] for i in x)
 
 
@@ -164,6 +172,8 @@ def sc_decode_distribution(code, ch, y, method="recursive", job=None):
     elems = field.elements
 
     if method == "definitional":
+        # checked here too: without information positions y is never scored
+        _check_block(y, code.n, ch.num_outputs)
         # branches map message prefixes (index tuples) to their masses
         frozen = code.frozen_index_array.tolist()
         branches = {(): Fraction(1)}
@@ -221,12 +231,7 @@ class _ExactJob:
 
     def messages(self, y):
         """Leaf messages of an output block, checked for length and range."""
-        if len(y) != self.n:
-            raise ValueError(f"output block has length {len(y)}, expected {self.n}")
-        ny = len(self.leaves)
-        for v in y:
-            if not 0 <= v < ny:
-                raise ValueError(f"output index {v} outside alphabet of size {ny}")
+        _check_block(y, self.n, len(self.leaves))
         return tuple(self.leaves[v] for v in y)
 
 
@@ -286,22 +291,24 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
 
     Parameters
     ----------
-    T : (B, n, q) float array
-        Leaf likelihood vectors (any positive scaling per position).
-    tie_uniforms : (B, n) float array
-        One uniform draw per (block, position); the draw at position i
+    T : (q, n, B) float array
+        Leaf likelihood vectors along axis 0 (any positive scaling per
+        position), in the layout ``likelihood_batch`` returns for (n, B)
+        outputs.  It is not modified.
+    tie_uniforms : (n, B) float array
+        One uniform draw per (position, block); the draw at position i
         resolves the tie there, if any.
-    force : optional (n,) or (B, n) int array
+    force : optional (n,) or (n, B) int array
         Genie mode: propagate these true symbol indices instead of the
         decisions.  Decisions are still recorded and returned.
 
     Returns
     -------
-    (decisions, codeword) : int index arrays of shape (B, n)
+    (decisions, codeword) : int index arrays of shape (n, B)
         ``codeword`` is the transform of whatever was propagated.
 
-    Internally the messages are transposed once to a (q, n, B) array:
-    block-innermost, so the minus rule is q * q multiply-adds over
+    The messages stay in that symbol-major, block-innermost layout, in one
+    C-ordered working copy of T: the minus rule is q * q multiply-adds over
     contiguous (n/2, B) slabs, each sum taken left to right in u1, each
     maximum over the symbol axis is q - 1 ``np.maximum`` calls, and the
     plus rule is one gather along axis 0 (a select at q = 2).
@@ -315,18 +322,17 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
     """
     field = code.field
     n = code.n
-    B, nt, q = T.shape
+    q, nt, B = T.shape
     if nt != n or q != field.q:
-        raise ValueError(f"likelihood array shape {T.shape} does not match (B, {n}, {field.q})")
+        raise ValueError(f"likelihood array shape {T.shape} does not match ({field.q}, {n}, B)")
     if force is not None:
-        force = np.broadcast_to(np.asarray(force, dtype=np.intp), (B, n)).T
-    job = _BatchJob(code, np.asarray(tie_uniforms).T, force)
+        force = np.broadcast_to(np.asarray(force, dtype=np.intp).reshape(n, -1), (n, B))
+    job = _BatchJob(code, np.asarray(tie_uniforms), force)
     with np.errstate(invalid="raise", divide="raise"):
-        tb = np.empty((q, n, B))
-        np.copyto(tb, T.transpose(2, 1, 0))
+        tb = np.array(T, dtype=float, order="C")
         _normalize(tb)
         x = _decode_span(tb, 0, job)
-    return job.decisions.T, x.T
+    return job.decisions, x
 
 
 class _BatchJob:

@@ -12,6 +12,9 @@ matrix, the referee of the package's one transform.  ``matrix_multiply``,
 the element-level definitions of encoding, the channel and block
 transition laws and channel sampling.  ``rank_alpha_generates`` decides whether alpha
 generates F_q over F_p by the linear-algebra definition.
+``counter_uniform`` is the counter RNG's draw for one (seed, trial, slot)
+in Python integers: splitmix64 finalizers chained over the seed, the trial
+and the slot, then the top 53 bits as a float in the open (0, 1).
 ``reference_check_condition_A``, ``reference_closure`` and
 ``reference_select_decreasing`` scan every dominating index of every
 member: the quadratic form of the upward-closure check, of the closure and
@@ -252,3 +255,22 @@ def reference_select_decreasing(estimates, k, m):
                    and all(d in selected for d in range(i + 1, n) if _dominates(d, i))]
         selected.add(min(addable, key=lambda i: (estimates[i], -i)))
     return tuple(sorted(selected)), sorted(selected - naive)
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _splitmix64_finalize(z):
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+def counter_uniform(seed, trial, slot):
+    """The counter RNG's uniform draw for (seed, trial, slot), all arithmetic mod 2^64."""
+    key = _splitmix64_finalize((seed + _GOLDEN) & _MASK64)
+    per_trial = _splitmix64_finalize((key + _GOLDEN * (trial + 1)) & _MASK64)
+    word = _splitmix64_finalize((per_trial + _GOLDEN * (slot + 1)) & _MASK64)
+    # (w + 0.5) * 2^-53 rounds to 1.0 at the top word; that one is clamped
+    return min((float(word >> 11) + 0.5) * 2.0**-53, math.nextafter(1.0, 0.0))

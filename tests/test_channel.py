@@ -253,6 +253,28 @@ def test_awgn_shift_identity():
         assert ch.scale(y, f2.one) == y
 
 
+def test_finite_likelihood_batch_is_symbol_major_and_c_contiguous():
+    ch = qec(default_field(4), Fraction(1, 3))
+    y = np.random.default_rng(6).integers(0, ch.num_outputs, size=(8, 5))
+    T = ch.likelihood_batch(y)
+    assert T.shape == (4, 8, 5) and T.flags.c_contiguous
+    for j, i in np.ndindex(y.shape):
+        assert T[:, j, i].tolist() == [float(v) for v in likelihoods(ch, int(y[j, i]))]
+
+
+def test_awgn_likelihood_batch_is_symbol_major():
+    f2 = default_field(2)
+    ch = AwgnBpskChannel(f2, 0.631)
+    y = np.random.default_rng(7).standard_normal((6, 3))
+    T = ch.likelihood_batch(y)
+    assert T.shape == (2, 6, 3) and T.flags.c_contiguous
+    assert np.all(T.max(axis=0) == 1.0)
+    for j, i in np.ndindex(y.shape):
+        y0 = float(y[j, i])
+        ratio = transition(ch, y0, f2.one) / transition(ch, y0, f2.zero)
+        assert T[1, j, i] / T[0, j, i] == pytest.approx(ratio, rel=1e-12)
+
+
 def test_awgn_requires_binary_field():
     with pytest.raises(ValueError):
         AwgnBpskChannel(default_field(4), 0.5)

@@ -5,7 +5,9 @@ blocks, messages, a simulation config) and, in ``*.out.json`` and
 ``*.out.csv``, the output each command wrote.  The exact and
 finite-channel decodes pin the integer kernel; the Monte Carlo report
 (F_16 QSC(1/10), n = 64, random messages, two shards) pins the float
-kernel's tallies and the AWGN decode the point decoder's float route.
+kernel's tallies, the AWGN report (Eb/N0 = 2 dB, n = 64, two shards) the
+normal draws and AWGN likelihoods that feed it, and the AWGN decode the
+point decoder's float route.
 The commands must keep writing the same bytes.
 """
 
@@ -45,6 +47,7 @@ CASES = {
     "exact_ser_message_q4": ["exact-ser", "--code", "code_q4.json", "--channel", "qsc4.json",
                              "--message", "u_q4.json"],
     "simulate_q16_csv": ["simulate", "--config", "simulate_q16.json", "--format", "csv"],
+    "simulate_awgn": ["simulate", "--config", "simulate_awgn.json", "--format", "json"],
 }
 
 

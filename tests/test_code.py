@@ -112,6 +112,13 @@ def test_encode_is_linear():
         assert left == tuple(a * xi + yi for xi, yi in zip(xu, xv))
 
 
+def test_empty_transform_input_raises():
+    f = default_field(2)
+    for transform in (polar_transform, polar_transform_indices):
+        with pytest.raises(ValueError, match="length 0 is not a power of 2"):
+            transform(f, [])
+
+
 def test_batch_transform_matches_scalar():
     f = default_field(4)
     g = kron_matrix(f, 3)

@@ -2,6 +2,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from qpolar import rng
+from reference import counter_uniform
 
 
 def _unclamped(word):
@@ -28,5 +29,19 @@ def test_unit_changes_only_the_top_word():
 def test_uniforms_are_counter_indexed():
     a = rng.uniforms(5, np.arange(10, 20), np.arange(4))
     b = rng.uniforms(5, np.arange(15, 20), np.arange(4))
-    assert np.array_equal(a[5:], b)
+    assert np.array_equal(a[:, 5:], b)
     assert np.all((a > 0) & (a < 1))
+
+
+def test_draws_match_splitmix64_reference_slot_major():
+    # row j, column i holds slot j of trial i, whatever the seed or index size
+    trials = (0, 1, 4095, 2**40 + 3, 2**64 - 1)
+    slots = (0, 1, 63, 767)
+    for seed in (0, 1, 2022, 2**64 - 1):
+        u = rng.uniforms(seed, np.array(trials, dtype=np.uint64), slots)
+        z = rng.normals(seed, np.array(trials, dtype=np.uint64), slots)
+        assert u.shape == z.shape == (len(slots), len(trials))
+        for j, s in enumerate(slots):
+            for i, t in enumerate(trials):
+                assert u[j, i] == counter_uniform(seed, t, s)
+                assert z[j, i] == ndtri(counter_uniform(seed, t, s))

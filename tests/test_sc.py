@@ -46,6 +46,20 @@ def test_synthetic_channel_hand_sum_n2():
     assert t == (Fraction(41, 100), Fraction(9, 100))
 
 
+@pytest.mark.parametrize("y", [(-1, 0), (2, 0)])
+def test_output_index_outside_alphabet_raises(y):
+    # a negative index must not wrap around to the last output
+    ch = qsc(F2, Fraction(1, 10))
+    code = PolarCode(F2, 1, [0, 1])
+    frozen = PolarCode(F2, 1, [])
+    with pytest.raises(ValueError, match="outside alphabet of size 2"):
+        synthetic_channel(code, ch, y, (), 0)
+    for c in (code, frozen):
+        for method in ("recursive", "definitional"):
+            with pytest.raises(ValueError, match="outside alphabet of size 2"):
+                sc_decode_distribution(c, ch, y, method=method)
+
+
 def test_synthetic_channel_n2_position1_matches_plus_rule():
     ch = qsc(F2, Fraction(1, 10))
     code = PolarCode(F2, 1, [0, 1])
@@ -231,8 +245,8 @@ def test_float_point_decode_ties_all_zero_messages():
     # per trial, 8 channel uniforms and then 8 tie uniforms
     noise, tie_u = np.random.default_rng(4).random((trials, 2, 8)).transpose(1, 0, 2)
     y = ch.sample_batch(np.zeros((trials, 8), dtype=int), noise)
-    _, x = sc_decode_batch(code, ch.likelihood_batch(y), tie_u)
-    for err, truth in zip((x != 0).mean(axis=0), exact):
+    _, x = sc_decode_batch(code, ch.likelihood_batch(y.T), tie_u.T)
+    for err, truth in zip((x != 0).mean(axis=1), exact):
         p = float(truth)
         assert abs(err - p) <= 4 * (p * (1 - p) / trials) ** 0.5
 
@@ -250,10 +264,10 @@ def test_batch_decoder_matches_exact_on_unique_decodes():
             unique.append(y)
             expected.append(next(iter(dist)))
     assert unique, "need at least one tie-free output in the sample"
-    T = np.stack([ch.likelihood_batch(np.array(y)) for y in unique])
+    T = np.stack([ch.likelihood_batch(np.array(y)) for y in unique], axis=-1)
     tie_u = rng.random((len(unique), 4))
-    _, x = sc_decode_batch(code, T, tie_u)
-    for row, want in zip(x, expected):
+    _, x = sc_decode_batch(code, T, tie_u.T)
+    for row, want in zip(x.T, expected):
         assert tuple(F4.from_index(int(i)) for i in row) == want
 
 
@@ -263,10 +277,10 @@ def test_batch_decoder_tie_frequencies():
     y = np.array([[0, 1]])
     dist = sc_decode_distribution(code, ch, (0, 1))
     trials = 6000
-    T = np.repeat(ch.likelihood_batch(y), trials, axis=0)
+    T = np.repeat(ch.likelihood_batch(y.T), trials, axis=2)
     tie_u = np.random.default_rng(11).random((trials, 2))
-    _, x = sc_decode_batch(code, T, tie_u)
-    frac_zero = float(np.mean(x[:, 0] == 0))
+    _, x = sc_decode_batch(code, T, tie_u.T)
+    frac_zero = float(np.mean(x[0] == 0))
     want = float(dist[(F2.zero, F2.zero)])
     assert abs(frac_zero - want) < 0.03
 
@@ -275,11 +289,11 @@ def test_batch_decoder_genie_mode_propagates_truth():
     ch = qsc(F2, Fraction(1, 2))  # worthless channel: decisions are noise
     code = PolarCode(F2, 2, [0, 1, 2, 3])
     rng = np.random.default_rng(5)
-    T = ch.likelihood_batch(rng.integers(0, 2, size=(50, 4)))
+    T = ch.likelihood_batch(rng.integers(0, 2, size=(50, 4)).T)
     tie_u = rng.random((50, 4))
-    decisions, x = sc_decode_batch(code, T, tie_u, force=np.zeros(4, dtype=int))
+    decisions, x = sc_decode_batch(code, T, tie_u.T, force=np.zeros(4, dtype=int))
     assert np.all(x == 0)  # transform of the all-zero truth
-    assert decisions.shape == (50, 4)
+    assert decisions.shape == (4, 50)
 
 
 def test_wrong_length_tie_uniforms_raise():

@@ -4,7 +4,9 @@
 the kernel: a (B, n/2, q, q) gather for the minus rule, reduced over the
 trailing axis left to right.  The production kernel works block-innermost
 on (q, n, B) arrays and must reproduce its decisions and codewords bit for
-bit on channels without zero transition entries.
+bit on channels without zero transition entries.  The inputs here are built
+block-major for the reference, and ``_kernel`` transposes them for the
+production kernel and its outputs back.
 """
 
 import gc
@@ -73,6 +75,13 @@ def reference_sc_decode_batch(code, T, tie_uniforms, force=None):
     return decisions, rec(T, 0, n)
 
 
+def _kernel(code, T, tie_uniforms, force=None):
+    """sc_decode_batch on block-major (B, n, q) inputs, with (B, n) outputs."""
+    force = None if force is None else np.asarray(force).T
+    decisions, x = sc_decode_batch(code, T.transpose(2, 1, 0), tie_uniforms.T, force=force)
+    return decisions.T, x.T
+
+
 def _code(q, m, k):
     f = default_field(q)
     return PolarCode(f, m, construct_info_set(f, m, k, qec(f, Fraction(1, 2))))
@@ -82,18 +91,18 @@ def _batch_inputs(code, ch, seed, b, random_message):
     n = code.n
     t_idx = np.arange(b, dtype=np.uint64)
     if random_message:
-        mu = rng.uniforms(seed, t_idx, np.arange(2 * n, 3 * n))
+        mu = rng.uniforms(seed, t_idx, np.arange(2 * n, 3 * n)).T
         u = np.minimum((mu * code.field.q).astype(np.intp), code.field.q - 1)
     else:
         u = np.zeros((b, n), dtype=np.intp)
     u[:, list(code.frozen_set)] = code.frozen_index_array[list(code.frozen_set)]
     x = polar_transform_indices(code.field, u)
     if ch.is_finite:
-        noise = rng.uniforms(seed, t_idx, np.arange(n))
+        noise = rng.uniforms(seed, t_idx, np.arange(n)).T
     else:
-        noise = rng.normals(seed, t_idx, np.arange(n))
-    likes = ch.likelihood_batch(ch.sample_batch(x, noise))
-    return likes, rng.uniforms(seed, t_idx, np.arange(n, 2 * n)), u
+        noise = rng.normals(seed, t_idx, np.arange(n)).T
+    likes = np.moveaxis(ch.likelihood_batch(ch.sample_batch(x, noise)), 0, -1)
+    return likes, rng.uniforms(seed, t_idx, np.arange(n, 2 * n)).T, u
 
 
 CASES = {
@@ -117,10 +126,30 @@ def test_kernel_bit_identical_to_reference(case, genie, b):
     likes, tie_u, u = _batch_inputs(code, ch, seed=5, b=b, random_message=random_message)
     force = u if genie else None
     want_d, want_x = reference_sc_decode_batch(code, likes, tie_u, force=force)
-    got_d, got_x = sc_decode_batch(code, likes, tie_u, force=force)
+    got_d, got_x = _kernel(code, likes, tie_u, force=force)
     assert got_d.shape == got_x.shape == (b, code.n)
     assert np.array_equal(got_d, want_d)
     assert np.array_equal(got_x, want_x)
+
+
+def test_kernel_reads_any_memory_order_and_leaves_input_alone():
+    code, ch = CASES["qsc_q4_n64"][0]()
+    n, b = code.n, 500
+    t_idx = np.arange(b, dtype=np.uint64)
+    y = ch.sample_batch(np.zeros((n, b), dtype=np.intp), rng.uniforms(3, t_idx, np.arange(n)))
+    tie_u = rng.uniforms(3, t_idx, np.arange(n, 2 * n))
+    T = ch.likelihood_batch(y)
+    # the same (q, n, B) values laid out C-ordered, Fortran-ordered and
+    # with the symbol axis innermost in memory
+    layouts = [T, np.asfortranarray(T), ch.matrix_float[:, y]]
+    assert layouts[1].flags.f_contiguous and layouts[2].strides[0] == T.itemsize
+    want_d, want_x = reference_sc_decode_batch(code, T.transpose(2, 1, 0), tie_u.T)
+    assert (want_x != 0).any()
+    for arr in layouts:
+        before = arr.copy()
+        got_d, got_x = sc_decode_batch(code, arr, tie_u)
+        assert np.array_equal(got_d.T, want_d) and np.array_equal(got_x.T, want_x)
+        assert np.array_equal(arr, before)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 16, 17, 131, 256])
@@ -155,7 +184,7 @@ def test_kernel_resolves_exact_ties_uniformly_at_q16():
     b = 4096
     T = np.ones((b, 4, 16))
     tie_u = np.random.default_rng(2).random((b, 4))
-    decisions, _ = sc_decode_batch(code, T, tie_u)
+    decisions, _ = _kernel(code, T, tie_u)
     want, _ = reference_sc_decode_batch(code, T, tie_u)
     assert np.array_equal(decisions, want)
     counts = np.bincount(decisions[:, 3], minlength=16)
@@ -196,8 +225,8 @@ def test_batch_decode_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        sc_decode_batch(code, likes, tie_u)
-        sc_decode_batch(code, likes, tie_u, force=np.zeros(code.n, dtype=int))
+        _kernel(code, likes, tie_u)
+        _kernel(code, likes, tie_u, force=np.zeros(code.n, dtype=int))
         found = gc.collect()
     finally:
         gc.enable()

@@ -48,9 +48,9 @@ def _assert_lex_equal(code, ch, ys):
 def _float_decode(code, ch, y):
     """Lexicographic decode of one block on the float batch kernel."""
     elems = code.field.elements
-    T = ch.likelihood_batch(np.asarray(y))[None]
-    u, x = sc_decode_batch(code, T, np.zeros((1, code.n)))
-    return tuple(elems[i] for i in u[0]), tuple(elems[i] for i in x[0])
+    T = ch.likelihood_batch(np.asarray(y)[:, None])
+    u, x = sc_decode_batch(code, T, np.zeros((code.n, 1)))
+    return tuple(elems[i] for i in u[:, 0]), tuple(elems[i] for i in x[:, 0])
 
 
 # every output: q=2 up to n=8 and q=3, 4 up to n=4, with all-zero (0) and
