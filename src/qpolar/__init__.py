@@ -11,7 +11,6 @@ from .channel import (
     AwgnBpskChannel,
     FiniteChannel,
     SymmetryReport,
-    polarize,
     qec,
     qsc,
     table_channel,
@@ -20,7 +19,6 @@ from .channel import (
 from .code import (
     PolarCode,
     check_condition_A,
-    closure,
     decreasing_sets,
     dominates,
     polar_transform,
@@ -30,16 +28,13 @@ from .construct import (
     GenieMC,
     Manual,
     construct_info_set,
-    erasure_params,
     genie_mc_rank,
 )
 from .gf import Field, FieldElement, default_field
 from .oracle import (
     SerReport,
     exact_average_ser,
-    exact_genie_error_probs,
     exact_ser,
-    exact_synthetic,
     mc_ser,
 )
 from .sc import (
@@ -63,11 +58,7 @@ from .symmetry import (
     check_message_invariance,
     check_ser_bit_flip_symmetry,
     check_xi_invariance,
-    coset_transform,
     delta,
-    orbit_to_zero,
-    xi_apply_field,
-    xi_apply_output,
 )
 
 __version__ = "0.1.0"

@@ -231,62 +231,6 @@ def table_channel(field, matrix):
     return FiniteChannel(field, range(len(matrix[0])), matrix, kind="table")
 
 
-def polarize(ch):
-    """One polarization step: the pair of channels seen after combining two uses.
-
-    Returns ``(minus, plus)``.  ``minus`` maps u to output pairs (y0, y1)
-    with law (1/q) * sum_u1 W(y0|u + alpha*u1) W(y1|u1); ``plus`` maps u to
-    triples (y0, y1, u0) with law (1/q) * W(y0|u0 + alpha*u) W(y1|u).  Both
-    are symmetric through the canonical permutation families
-        minus: sigma_b (y0,y1) -> (y0+b, y1),              pi_a -> (a*y0, a*y1)
-        plus:  sigma_b (y0,y1,u0) -> (y0+alpha*b, y1+b, u0), pi_a -> (a*y0, a*y1, a*u0)
-    but, like every finite channel, they carry the families the search finds
-    in their matrices: outputs with equal likelihood columns may be paired
-    differently.
-    """
-    if not ch.is_finite:
-        raise ValueError("polarization tables require a finite channel")
-    field = ch.field
-    alpha = field.alpha
-    q = field.q
-    ny = ch.num_outputs
-    inv_q = Fraction(1, q)
-
-    # minus: outputs are pairs, index = y0 * ny + y1
-    pair_outputs = tuple((ch.outputs[y0], ch.outputs[y1])
-                         for y0 in range(ny) for y1 in range(ny))
-    minus_matrix = []
-    for u in range(q):
-        row = []
-        for y0 in range(ny):
-            for y1 in range(ny):
-                acc = Fraction(0)
-                for u1 in range(q):
-                    xin = field.add_index(u, field.mul_index(alpha.index, u1))
-                    acc += ch.matrix[xin][y0] * ch.matrix[u1][y1]
-                row.append(inv_q * acc)
-        minus_matrix.append(row)
-    minus = FiniteChannel(field, pair_outputs, minus_matrix,
-                          kind="minus", params={"base": ch.kind, "alpha": alpha.index})
-
-    # plus: outputs are triples (y0, y1, u0), index = (y0 * ny + y1) * q + u0
-    triple_outputs = tuple((ch.outputs[y0], ch.outputs[y1], field.elements[u0])
-                           for y0 in range(ny) for y1 in range(ny) for u0 in range(q))
-    plus_matrix = []
-    for u in range(q):
-        row = []
-        for y0 in range(ny):
-            for y1 in range(ny):
-                for u0 in range(q):
-                    xin = field.add_index(u0, field.mul_index(alpha.index, u))
-                    row.append(inv_q * ch.matrix[xin][y0] * ch.matrix[u][y1])
-        plus_matrix.append(row)
-
-    plus = FiniteChannel(field, triple_outputs, plus_matrix,
-                         kind="plus", params={"base": ch.kind, "alpha": alpha.index})
-    return minus, plus
-
-
 # -- verification ----------------------------------------------------------
 
 def _search_family(ch, table, keys):

@@ -75,7 +75,9 @@ def _write_json(obj, path):
 
 def _resolve_seed(seed):
     if seed is not None:
-        return int(seed), False
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        return seed, False
     return int.from_bytes(os.urandom(4), "big"), True
 
 
@@ -132,7 +134,9 @@ def _cmd_decode(args):
     y_raw = _load_json(args.y)
     if len(y_raw) != code.n:
         raise ValueError(f"received block has {len(y_raw)} symbols, expected {code.n}")
-    y = tuple(float(v) if not ch.is_finite else int(v) for v in y_raw)
+    if ch.is_finite and any(type(v) is not int for v in y_raw):
+        raise ValueError(f"output indices must be integers, got {y_raw}")
+    y = tuple(v if ch.is_finite else float(v) for v in y_raw)
     out = {"code": code.to_json(), "channel": channel_to_json(ch), "y": y_raw}
     if args.exact:
         dist = sc_decode_distribution(code, ch, y)
@@ -194,10 +198,10 @@ def _cmd_simulate(args):
     seed, generated = _resolve_seed(seed)
     cfg = ExperimentConfig(
         code=code, channel=ch,
-        trials=int(cfg_obj["trials"]),
+        trials=cfg_obj["trials"],
         seed=seed,
-        shards=int(cfg_obj.get("shards", 1)),
-        random_message=bool(cfg_obj.get("random_message", False)),
+        shards=cfg_obj.get("shards", 1),
+        random_message=cfg_obj.get("random_message", False),
     )
     report = run_experiment(cfg, threads=args.threads)
     report.config["seed_generated"] = generated

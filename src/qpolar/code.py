@@ -47,21 +47,6 @@ def check_condition_A(info_set, m):
     return False, (j, next(i for i in range(j + 1, n) if dominates(i, j) and i not in members))
 
 
-def closure(info_set, m):
-    """Smallest superset closed upward under domination."""
-    n = 1 << m
-    out = set(info_set)
-    for j in out:
-        if not 0 <= j < n:
-            raise ValueError(f"index {j} outside [0, {n})")
-    # i joins when one of its one-bit subsets (each smaller than i, so
-    # already decided) has: every chain up from a member is one-bit steps
-    for i in range(n):
-        if any(i ^ 1 << r in out for r in range(m) if i >> r & 1):
-            out.add(i)
-    return tuple(sorted(out))
-
-
 def decreasing_sets(m):
     """All information sets at length 2^m satisfying the closure condition."""
     n = 1 << m
@@ -158,9 +143,6 @@ class PolarCode:
 
     def is_info(self, i):
         return bool(self._info_mask[i])
-
-    def frozen_value(self, i):
-        return self._frozen_map[i]
 
     @property
     def info_mask(self):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .code import PolarCode, check_condition_A
 from .mc import decode_tallies
@@ -44,21 +43,19 @@ class Manual:
         self.info_set = tuple(sorted(self.info_set))
 
 
-def erasure_params(m, epsilon):
-    """Synthetic-channel erasure probabilities of all 2^m indices.
+def _erasure_numerators(m, num, den):
+    """Erasure probabilities of all 2^m indices as numerators over den^(2^m).
 
-    Exact rationals when epsilon is rational.
+    For epsilon = num/den, level by level, most significant bit first:
+    z = N/D has the children (2*N*D - N^2)/D^2 (bit 0) and N^2/D^2 (bit 1).
+    Integers over one common denominator rank like the exact values, with
+    no Fraction arithmetic.
     """
-    eps = Fraction(epsilon) if not isinstance(epsilon, float) else epsilon
-    if not 0 <= eps <= 1:
-        raise ValueError("epsilon must lie in [0, 1]")
-    out = []
-    for i in range(1 << m):
-        z = eps
-        for r in range(m - 1, -1, -1):
-            z = z * z if (i >> r) & 1 else 2 * z - z * z
-        out.append(z)
-    return tuple(out)
+    nums = [num]
+    for _ in range(m):
+        nums = [v for z in nums for v in (2 * z * den - z * z, z * z)]
+        den *= den
+    return nums
 
 
 def _select_decreasing(estimates, k, m):
@@ -140,7 +137,8 @@ def construct_info_set(field, m, k, ch, method=None):
     if isinstance(method, ErasureExact):
         if getattr(ch, "kind", None) not in ("qsc", "qec"):
             raise ValueError("the erasure ranking needs an erasure or symmetric channel")
-        estimates = erasure_params(m, ch.params["epsilon"])
+        eps = ch.params["epsilon"]
+        estimates = _erasure_numerators(m, eps.numerator, eps.denominator)
     elif isinstance(method, GenieMC):
         estimates = genie_mc_rank(field, m, ch, method.trials, method.seed)
     else:

@@ -335,12 +335,6 @@ class Field:
 
     # -- index-level arithmetic (hot paths and numpy code) ----------------
 
-    def add_index(self, a, b):
-        return self._add[a][b]
-
-    def mul_index(self, a, b):
-        return self._mul[a][b]
-
     @property
     def add_table(self):
         """(q, q) numpy index table for vectorized addition."""

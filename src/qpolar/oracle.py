@@ -1,15 +1,15 @@
 """Exhaustive exact-rational error rates for small polar code instances.
 
-Everything here sums over every output vector y in Y^n that has mass
-under the transmitted codeword, so results are exact and can certify
-exact-equality claims.  Outputs with W^n(y | x) = 0 contribute nothing
-and are never visited: the walk takes, at each position j, only the
-outputs with W(y_j | x_j) != 0, in lexicographic order.  Weights are
-integers over D^n, where D is the common denominator of the channel
-matrix, and each total is divided by D^n once at the end.  The cap on
-|Y|^n still applies to the whole output space.  The Monte Carlo estimator
-lives here too so its reports can be checked against the exact values in
-one place.
+:func:`exact_ser` (one message) and :func:`exact_average_ser` sum over
+every output vector y in Y^n that has mass under the transmitted
+codeword, so results are exact and can certify exact-equality claims.
+Outputs with W^n(y | x) = 0 contribute nothing and are never visited: the
+walk takes, at each position j, only the outputs with W(y_j | x_j) != 0,
+in lexicographic order.  Weights are integers over D^n, where D is the
+common denominator of the channel matrix, and each total is divided by
+D^n once at the end.  The cap on |Y|^n still applies to the whole output
+space.  The Monte Carlo estimator lives here too so its reports can be
+checked against the exact values in one place.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .code import PolarCode, polar_transform
+from .code import polar_transform
 from .mc import decode_tallies
-from .sc import _argmax_set, _ExactJob, sc_decode_distribution, synthetic_channel
+from .sc import _ExactJob, sc_decode_distribution
 
 MAX_ENUMERATION = 10**6
 
@@ -120,48 +120,6 @@ def exact_average_ser(code, ch):
     are irrelevant here and are overridden by zeros.
     """
     return exact_ser(code, ch, [code.field.zero] * code.n)
-
-
-def exact_synthetic(code, ch, i):
-    """Full table of the i-th synthetic channel over (y, prefix) pairs.
-
-    Returns a dict mapping ``(y, prefix)`` to the length-q tuple of exact
-    channel values W_i(y, prefix | u).
-    """
-    _check_enumeration_cap(ch, code.n)
-    field = code.field
-    if ch.num_outputs ** code.n * field.q ** i > MAX_ENUMERATION:
-        raise ValueError("synthetic channel table exceeds the enumeration cap")
-    table = {}
-    for y in itertools.product(range(ch.num_outputs), repeat=code.n):
-        for prefix in itertools.product(field.elements, repeat=i):
-            table[(y, prefix)] = synthetic_channel(code, ch, y, prefix, i)
-    return table
-
-
-def exact_genie_error_probs(field, m, ch):
-    """Exact per-index genie-aided decision error probabilities.
-
-    For the all-zero transmission, position i errs when the uniform pick
-    among the maximizers of its synthetic channel (given the true all-zero
-    prefix) is nonzero.
-    """
-    n = 1 << m
-    _check_enumeration_cap(ch, n)
-    probe = PolarCode(field, m, range(n))
-    zero = field.zero
-    job = _ExactJob(probe, ch)
-    out = [Fraction(0)] * n
-    for y, w in _outputs_with_mass(job.rows, (0,) * n):
-        for i in range(n):
-            t = synthetic_channel(probe, ch, y, (zero,) * i, i)
-            cands = _argmax_set(t)
-            if 0 in cands:
-                out[i] += Fraction(w * (len(cands) - 1), len(cands))
-            else:
-                out[i] += w
-    scale = job.denominator ** n
-    return tuple(v / scale for v in out)
 
 
 def mc_ser(code, ch, trials, seed):

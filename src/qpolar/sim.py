@@ -49,6 +49,12 @@ class ExperimentConfig:
     random_message: bool = False
 
     def __post_init__(self):
+        for name in ("trials", "shards"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if type(self.random_message) is not bool:
+            raise ValueError(f"random_message must be true or false, got {self.random_message!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.shards < 1:

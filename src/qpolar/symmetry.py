@@ -11,7 +11,10 @@ exactly why every codeword symbol inherits the same SER.
 
 The checkers here restate each claim as an executable identity over the
 exact oracle: they return ``(ok, witness)`` and never sample unless given
-explicit output vectors to test.
+explicit output vectors to test.  The coset and xi checkers act on index
+tuples through per-coordinate maps and share one transport loop: decode
+every output once, then compare the decode distribution of each image
+with the image of the distribution.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 from .code import polar_transform
-from .oracle import MAX_ENUMERATION, exact_average_ser, exact_ser
+from .oracle import _check_enumeration_cap, exact_average_ser, exact_ser
 from .sc import _ExactJob, sc_decode_distribution
 
 
@@ -32,52 +35,11 @@ def delta(m, r, i):
     return i ^ (1 << r)
 
 
-def orbit_to_zero(j, m):
-    """Bit positions whose flips map index j to 0 (its set bits)."""
-    if not 0 <= j < (1 << m):
-        raise ValueError(f"index {j} outside [0, {1 << m})")
-    return [r for r in range(m) if (j >> r) & 1]
-
-
 def xi_coefficients(field, m, r):
     """Per-coordinate multipliers of the signed map: -alpha or its inverse."""
     neg_alpha = -field.alpha
     neg_alpha_inv = -field.alpha.inverse()
     return tuple(neg_alpha_inv if (i >> r) & 1 else neg_alpha for i in range(1 << m))
-
-
-def xi_apply_field(m, r, x):
-    """Signed bit-flip map on a length-2^m vector of field elements."""
-    n = 1 << m
-    if len(x) != n:
-        raise ValueError(f"vector length {len(x)} != {n}")
-    coeffs = xi_coefficients(x[0].field, m, r)
-    return tuple(coeffs[i] * x[delta(m, r, i)] for i in range(n))
-
-
-def xi_apply_output(m, r, ch, y):
-    """The same signed map acting on channel outputs through the pi family."""
-    n = 1 << m
-    if len(y) != n:
-        raise ValueError(f"vector length {len(y)} != {n}")
-    coeffs = xi_coefficients(ch.field, m, r)
-    return tuple(ch.scale(y[delta(m, r, i)], coeffs[i]) for i in range(n))
-
-
-def coset_transform(code, ch, a, b, y, x):
-    """Map (y, x) to (a*y + x_b, a*x + x_b) with x_b the codeword of b.
-
-    The output action runs through the channel's permutation families:
-    scaling by pi_a first, then shifting by sigma.
-    """
-    if a.index == 0:
-        raise ValueError("coset transforms need a nonzero scaling element")
-    field = code.field
-    b = [field.element(v) for v in b]
-    xb = polar_transform(field, b)
-    y2 = tuple(ch.shift(ch.scale(yi, a), xi) for yi, xi in zip(y, xb))
-    x2 = tuple(a * v + w for v, w in zip(x, xb))
-    return y2, x2
 
 
 def _act(v, maps, src):
@@ -90,16 +52,32 @@ def _pushforward(dist, maps, src):
     return {_act(x, maps, src): p for x, p in dist.items()}
 
 
-def _index_decoder(code, ch):
-    """Exact index decode distributions of output blocks, sharing one memo."""
-    job = _ExactJob(code, ch)
-    return lambda y: sc_decode_distribution(code, ch, y, job=job)
-
-
 def _all_outputs(ch, n):
-    if ch.num_outputs ** n > MAX_ENUMERATION:
-        raise ValueError("output space too large for exhaustive checking")
+    _check_enumeration_cap(ch, n)
     return itertools.product(range(ch.num_outputs), repeat=n)
+
+
+def _transport(code, ch, ys):
+    """Decode every output block once; return the transport check.
+
+    The check takes an action (``ymaps`` on outputs, ``xmaps`` on codeword
+    indices, both reading coordinate ``src[i]`` into i) and returns the
+    first y whose image decodes to anything but the image of y's decode
+    distribution, or None.  ``ys`` None means every output of Y^n.
+    """
+    ys = list(_all_outputs(ch, code.n)) if ys is None else [tuple(y) for y in ys]
+    job = _ExactJob(code, ch)
+    dists = {y: sc_decode_distribution(code, ch, y, job=job) for y in ys}
+
+    def first_violation(ymaps, xmaps, src):
+        for y in ys:
+            y2 = _act(y, ymaps, src)
+            d2 = dists[y2] if y2 in dists else sc_decode_distribution(code, ch, y2, job=job)
+            if d2 != _pushforward(dists[y], xmaps, src):
+                return y
+        return None
+
+    return first_violation
 
 
 def _require_zero_frozen(code):
@@ -135,10 +113,7 @@ def check_coset_invariance(code, ch, ys=None, cosets=None):
     _require_zero_frozen(code)
     field = code.field
     add, mul = field._add, field._mul
-    exhaustive = ys is None
-    ys = list(_all_outputs(ch, code.n)) if exhaustive else [tuple(y) for y in ys]
-    decode = _index_decoder(code, ch)
-    dists = {y: decode(y) for y in ys}
+    first_violation = _transport(code, ch, ys)
     if cosets is None:
         cosets = itertools.product(field.elements, repeat=code.k)
     src = range(code.n)
@@ -149,11 +124,9 @@ def check_coset_invariance(code, ch, ys=None, cosets=None):
             # coordinate j acts as y -> sigma_{xb_j}(pi_a(y)) and x -> a*x + xb_j
             ymaps = [[ch.shift(ch.scale(v, a), w) for v in range(ch.num_outputs)] for w in xb]
             xmaps = [[add[mul[a.index][v]][w.index] for v in range(field.q)] for w in xb]
-            for y in ys:
-                y2 = _act(y, ymaps, src)
-                d2 = dists[y2] if exhaustive and y2 in dists else decode(y2)
-                if d2 != _pushforward(dists[y], xmaps, src):
-                    return False, {"a": a, "b": b, "y": y}
+            y = first_violation(ymaps, xmaps, src)
+            if y is not None:
+                return False, {"a": a, "b": b, "y": y}
     return True, None
 
 
@@ -169,20 +142,14 @@ def check_xi_invariance(code, ch, r, ys=None):
         raise ValueError("the xi identities need a decreasing information set")
     m = code.m
     field = code.field
-    exhaustive = ys is None
-    ys = list(_all_outputs(ch, code.n)) if exhaustive else [tuple(y) for y in ys]
-    decode = _index_decoder(code, ch)
-    dists = {y: decode(y) for y in ys}
     # coordinate i of the image reads coordinate delta(i) scaled by coeffs[i]
     src = [delta(m, r, i) for i in range(code.n)]
     coeffs = xi_coefficients(field, m, r)
     ymaps = [[ch.scale(v, c) for v in range(ch.num_outputs)] for c in coeffs]
     xmaps = [field._mul[c.index] for c in coeffs]
-    for y in ys:
-        y2 = _act(y, ymaps, src)
-        d2 = dists[y2] if exhaustive and y2 in dists else decode(y2)
-        if d2 != _pushforward(dists[y], xmaps, src):
-            return False, {"r": r, "y": y}
+    y = _transport(code, ch, ys)(ymaps, xmaps, src)
+    if y is not None:
+        return False, {"r": r, "y": y}
     return True, None
 
 

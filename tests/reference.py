@@ -19,14 +19,34 @@ and the slot, then the top 53 bits as a float in the open (0, 1).
 ``reference_select_decreasing`` scan every dominating index of every
 member: the quadratic form of the upward-closure check, of the closure and
 of the greedy decreasing selection.
+
+The rest are element-level referees of the package's index-level code:
+
+* ``polarize`` builds the minus and plus channels of one polarization
+  step as exact tables; criterion 6 runs the channel family search
+  (``verify_symmetry``) on them.
+* ``coset_transform`` maps (y, x) to (a*y + x_b, a*x + x_b) and referees
+  ``check_coset_invariance``.
+* ``xi_apply_field`` and ``xi_apply_output`` apply the signed bit flip
+  xi_r to codewords and to outputs and referee ``check_xi_invariance``.
+* ``reference_exact_genie_error_probs`` sums the exact genie-aided error
+  probability of every position over Y^n and referees ``genie_mc_rank``.
+* ``erasure_params`` computes each erasure probability as a Fraction, index
+  by index; ranking by it referees the integer erasure ranking of
+  ``construct_info_set``.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from qpolar.channel import FiniteChannel
+from qpolar.code import PolarCode, polar_transform
 from qpolar.gf import _poly_mod, _poly_mul
+from qpolar.sc import synthetic_channel
+from qpolar.symmetry import delta, xi_coefficients
 
 TIE_RTOL = 1e-12
 
@@ -96,7 +116,7 @@ def reference_sc_decode(code, ch, y, exact=None):
             if code.is_info(pos):
                 u = elems[_argmax_set(t_list[0])[0]]
             else:
-                u = code.frozen_value(pos)
+                u = elems[code.frozen_index_array[pos]]
             return [u], [u]
         half = len(t_list) // 2
         tm = [combine_minus(t_list[j], t_list[j + half], alpha) for j in range(half)]
@@ -139,7 +159,7 @@ def matrix_multiply(field, u_indices, g):
         if ui:
             row = g[i]
             for j in range(g.shape[1]):
-                out[j] = field.add_index(out[j], field.mul_index(ui, int(row[j])))
+                out[j] = field._add[out[j]][field._mul[ui][int(row[j])]]
     return tuple(out)
 
 
@@ -274,3 +294,127 @@ def counter_uniform(seed, trial, slot):
     word = _splitmix64_finalize((per_trial + _GOLDEN * (slot + 1)) & _MASK64)
     # (w + 0.5) * 2^-53 rounds to 1.0 at the top word; that one is clamped
     return min((float(word >> 11) + 0.5) * 2.0**-53, math.nextafter(1.0, 0.0))
+
+
+def polarize(ch):
+    """One polarization step: the pair of channels seen after combining two uses.
+
+    Returns ``(minus, plus)``.  ``minus`` maps u to output pairs (y0, y1)
+    with law (1/q) * sum_u1 W(y0|u + alpha*u1) W(y1|u1); ``plus`` maps u to
+    triples (y0, y1, u0) with law (1/q) * W(y0|u0 + alpha*u) W(y1|u).  Both
+    are symmetric through the canonical permutation families
+        minus: sigma_b (y0,y1) -> (y0+b, y1),              pi_a -> (a*y0, a*y1)
+        plus:  sigma_b (y0,y1,u0) -> (y0+alpha*b, y1+b, u0), pi_a -> (a*y0, a*y1, a*u0)
+    but, like every finite channel, they carry the families the search finds
+    in their matrices: outputs with equal likelihood columns may be paired
+    differently.
+    """
+    if not ch.is_finite:
+        raise ValueError("polarization tables require a finite channel")
+    field = ch.field
+    alpha = field.alpha
+    q = field.q
+    ny = ch.num_outputs
+    inv_q = Fraction(1, q)
+
+    # minus: outputs are pairs, index = y0 * ny + y1
+    pair_outputs = tuple((ch.outputs[y0], ch.outputs[y1])
+                         for y0 in range(ny) for y1 in range(ny))
+    minus_matrix = []
+    for u in range(q):
+        row = []
+        for y0 in range(ny):
+            for y1 in range(ny):
+                acc = Fraction(0)
+                for u1 in range(q):
+                    xin = field._add[u][field._mul[alpha.index][u1]]
+                    acc += ch.matrix[xin][y0] * ch.matrix[u1][y1]
+                row.append(inv_q * acc)
+        minus_matrix.append(row)
+    minus = FiniteChannel(field, pair_outputs, minus_matrix,
+                          kind="minus", params={"base": ch.kind, "alpha": alpha.index})
+
+    # plus: outputs are triples (y0, y1, u0), index = (y0 * ny + y1) * q + u0
+    triple_outputs = tuple((ch.outputs[y0], ch.outputs[y1], field.elements[u0])
+                           for y0 in range(ny) for y1 in range(ny) for u0 in range(q))
+    plus_matrix = []
+    for u in range(q):
+        row = []
+        for y0 in range(ny):
+            for y1 in range(ny):
+                for u0 in range(q):
+                    xin = field._add[u0][field._mul[alpha.index][u]]
+                    row.append(inv_q * ch.matrix[xin][y0] * ch.matrix[u][y1])
+        plus_matrix.append(row)
+
+    plus = FiniteChannel(field, triple_outputs, plus_matrix,
+                         kind="plus", params={"base": ch.kind, "alpha": alpha.index})
+    return minus, plus
+
+
+def xi_apply_field(m, r, x):
+    """Signed bit-flip map on a length-2^m vector of field elements."""
+    n = 1 << m
+    if len(x) != n:
+        raise ValueError(f"vector length {len(x)} != {n}")
+    coeffs = xi_coefficients(x[0].field, m, r)
+    return tuple(coeffs[i] * x[delta(m, r, i)] for i in range(n))
+
+
+def xi_apply_output(m, r, ch, y):
+    """The same signed map acting on channel outputs through the pi family."""
+    n = 1 << m
+    if len(y) != n:
+        raise ValueError(f"vector length {len(y)} != {n}")
+    coeffs = xi_coefficients(ch.field, m, r)
+    return tuple(ch.scale(y[delta(m, r, i)], coeffs[i]) for i in range(n))
+
+
+def coset_transform(code, ch, a, b, y, x):
+    """Map (y, x) to (a*y + x_b, a*x + x_b) with x_b the codeword of b.
+
+    The output action runs through the channel's permutation families:
+    scaling by pi_a first, then shifting by sigma.
+    """
+    if a.index == 0:
+        raise ValueError("coset transforms need a nonzero scaling element")
+    field = code.field
+    b = [field.element(v) for v in b]
+    xb = polar_transform(field, b)
+    y2 = tuple(ch.shift(ch.scale(yi, a), xi) for yi, xi in zip(y, xb))
+    x2 = tuple(a * v + w for v, w in zip(x, xb))
+    return y2, x2
+
+
+def reference_exact_genie_error_probs(field, m, ch):
+    """Exact genie-aided decision error probability of every position: the
+    all-zero transmission, every y of Y^n, and a uniform pick among the
+    maximizers of each synthetic channel given the true all-zero prefix."""
+    n = 1 << m
+    probe = PolarCode(field, m, range(n))
+    out = [Fraction(0)] * n
+    for y in itertools.product(range(ch.num_outputs), repeat=n):
+        w = Fraction(1)
+        for v in y:
+            w *= ch.matrix[0][v]
+        for i in range(n):
+            cands = _argmax_set(synthetic_channel(probe, ch, y, (field.zero,) * i, i))
+            out[i] += w * (len(cands) - 1) / len(cands) if 0 in cands else w
+    return tuple(out)
+
+
+def erasure_params(m, epsilon):
+    """Synthetic-channel erasure probabilities of all 2^m indices.
+
+    Exact rationals when epsilon is rational.
+    """
+    eps = Fraction(epsilon) if not isinstance(epsilon, float) else epsilon
+    if not 0 <= eps <= 1:
+        raise ValueError("epsilon must lie in [0, 1]")
+    out = []
+    for i in range(1 << m):
+        z = eps
+        for r in range(m - 1, -1, -1):
+            z = z * z if (i >> r) & 1 else 2 * z - z * z
+        out.append(z)
+    return tuple(out)

@@ -9,14 +9,13 @@ from qpolar.channel import (
     AwgnBpskChannel,
     channel_from_json,
     channel_to_json,
-    polarize,
     qec,
     qsc,
     table_channel,
     verify_symmetry,
 )
 from qpolar.gf import default_field
-from reference import likelihoods, product_transition, sample, transition
+from reference import likelihoods, polarize, product_transition, sample, transition
 
 
 def test_qsc_transition_values():
@@ -85,10 +84,10 @@ def test_qsc_shift_is_field_addition():
                 fixed = list(range(q, ch.num_outputs))
                 for b in f.elements:
                     assert [ch.shift(y, b) for y in range(ch.num_outputs)] == [
-                        f.add_index(y, b.index) for y in range(q)] + fixed
+                        f._add[y][b.index] for y in range(q)] + fixed
                 for a in f.elements[1:]:
                     assert [ch.scale(y, a) for y in range(ch.num_outputs)] == [
-                        f.mul_index(a.index, y) for y in range(q)] + fixed
+                        f._mul[a.index][y] for y in range(q)] + fixed
 
 
 def test_qec_erasure_is_fixed():
@@ -239,7 +238,7 @@ def test_plus_shift_matches_canonical_form():
         perm = [((f4.from_index(y0) + alpha * b).index * ny + (f4.from_index(y1) + b).index)
                 * q + u0 for y0 in range(ny) for y1 in range(ny) for u0 in range(q)]
         assert sorted(perm) == list(range(plus.num_outputs))
-        assert all(plus.matrix[x][y] == plus.matrix[f4.add_index(x, b.index)][perm[y]]
+        assert all(plus.matrix[x][y] == plus.matrix[f4._add[x][b.index]][perm[y]]
                    for x in range(q) for y in range(plus.num_outputs))
 
 

@@ -129,6 +129,17 @@ def test_decode_exact_distribution(paths, tmp_path):
     assert dist == [{"x": [[0], [0]], "p": "1/2"}, {"x": [[1], [1]], "p": "1/2"}]
 
 
+@pytest.mark.parametrize("bad", [1.7, True])
+def test_decode_rejects_non_integer_output_index(tmp_path, capsys, bad):
+    # both were once read as the output index 1
+    y_path = tmp_path / "y.json"
+    y_path.write_text(json.dumps([0, 0, 0, 0, 0, 0, 1, bad]))
+    assert main(["decode", "--code", str(FIXTURES / "code_q2.json"),
+                 "--channel", str(FIXTURES / "bsc.json"), "--y", str(y_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "must be integers" in err and "Traceback" not in err
+
+
 def test_decode_point_with_recorded_seed(paths, tmp_path):
     tmp, ch_path, code_path = paths
     y_path = tmp / "y.json"
@@ -264,3 +275,20 @@ def test_missing_file_is_validation_failure(capsys):
     assert main(["exact-ser", "--code", "/nonexistent.json",
                  "--channel", "/nonexistent.json"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("trials", 10.9), ("shards", 1.5), ("random_message", "false"), ("seed", 2.5)])
+def test_simulate_rejects_a_config_value_it_would_coerce(paths, tmp_path, capsys, field,
+                                                         value):
+    # each once ran: 10 trials, 1 shard, random messages, seed 2
+    _, ch_path, code_path = paths
+    cfg = {"code": code_path, "channel": ch_path, "trials": 100, "seed": 1, field: value}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "rep.json"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                 "--format", "json"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and f"{field} must be" in err and "Traceback" not in err
+    assert not out.exists()

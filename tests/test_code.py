@@ -6,7 +6,6 @@ import pytest
 from qpolar.code import (
     PolarCode,
     check_condition_A,
-    closure,
     decreasing_sets,
     dominates,
     polar_transform,
@@ -160,34 +159,30 @@ def test_condition_A_matches_reference_scan():
         for _ in range(300):
             n = 1 << m
             members = set(int(i) for i in rng.integers(0, n, size=int(rng.integers(1, n))))
-            for s in (members, closure(members, m)):
+            for s in (members, reference_closure(members, m)):
                 assert check_condition_A(s, m) == reference_check_condition_A(s, m), (m, s)
 
 
 def test_closure():
-    assert closure({1}, 1) == (1,)
-    assert closure({0}, 1) == (0, 1)
-    assert closure({2}, 2) == (2, 3)
+    # check_condition_A accepts every closure and finds, in a set that is
+    # not closed, a missing index of its closure
+    assert reference_closure({1}, 1) == (1,)
+    assert reference_closure({0}, 1) == (0, 1)
+    assert reference_closure({2}, 2) == (2, 3)
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        m = int(rng.integers(1, 6))
-        a = set(int(i) for i in rng.integers(0, 1 << m, size=4))
-        closed = closure(a, m)
-        assert check_condition_A(closed, m)[0]
-        assert closure(closed, m) == closed  # idempotent
-    # every subset for m <= 3, then random sets for m = 4-6
-    for m in range(4):
+    for m in range(1, 7):
         n = 1 << m
-        for mask in range(1 << n):
-            members = [i for i in range(n) if mask >> i & 1]
-            assert closure(members, m) == reference_closure(members, m)
-    for m in (4, 5, 6):
-        n = 1 << m
-        for _ in range(300):
+        for _ in range(50):
             members = set(int(i) for i in rng.integers(0, n, size=int(rng.integers(1, n))))
-            assert closure(members, m) == reference_closure(members, m), (m, members)
+            closed = reference_closure(members, m)
+            assert check_condition_A(closed, m) == (True, None)
+            assert reference_closure(closed, m) == closed  # idempotent
+            ok, witness = check_condition_A(members, m)
+            assert ok == (set(closed) == members)
+            if not ok:
+                assert witness[0] in members and witness[1] in set(closed) - members
     with pytest.raises(ValueError, match="outside"):
-        closure({4}, 2)
+        check_condition_A({4}, 2)
 
 
 def test_decreasing_sets_small():
@@ -204,7 +199,7 @@ def test_polar_code_construction_and_flags():
     assert code.n == 4 and code.k == 3
     assert code.is_decreasing
     assert code.frozen_set == (0,)
-    assert code.frozen_value(0) == f.zero
+    assert code.frozen_values == (f.zero,)
 
     bad = PolarCode(f, 1, [0])
     assert not bad.is_decreasing

@@ -10,31 +10,40 @@ from qpolar.construct import (
     ErasureExact,
     GenieMC,
     Manual,
+    _erasure_numerators,
     _select_decreasing,
     construct_info_set,
-    erasure_params,
     genie_mc_rank,
 )
 from qpolar.gf import default_field
-from qpolar.oracle import exact_genie_error_probs
-from reference import reference_select_decreasing
+from reference import (
+    erasure_params,
+    reference_exact_genie_error_probs,
+    reference_select_decreasing,
+)
 
 F2 = default_field(2)
 F4 = default_field(4)
 
 
 def test_erasure_params_base_and_one_level():
-    assert erasure_params(0, Fraction(1, 2)) == (Fraction(1, 2),)
-    assert erasure_params(1, Fraction(1, 2)) == (Fraction(3, 4), Fraction(1, 4))
+    # numerators over 2^(2^m) for epsilon = 1/2
+    assert _erasure_numerators(0, 1, 2) == [1]
+    assert _erasure_numerators(1, 1, 2) == [3, 1]
 
 
 def test_erasure_params_two_levels():
-    got = erasure_params(2, Fraction(1, 2))
-    assert got == (Fraction(15, 16), Fraction(9, 16), Fraction(7, 16), Fraction(1, 16))
+    assert _erasure_numerators(2, 1, 2) == [15, 9, 7, 1]
+    for m in range(6):
+        for eps in (Fraction(1, 3), Fraction(2, 7)):
+            d = eps.denominator ** (1 << m)
+            got = tuple(Fraction(v, d) for v in _erasure_numerators(m, eps.numerator,
+                                                                   eps.denominator))
+            assert got == erasure_params(m, eps)
 
 
 def test_erasure_params_monotone_along_domination():
-    z = erasure_params(10, Fraction(1, 3))
+    z = _erasure_numerators(10, 1, 3)
     n = 1 << 10
     for i in range(n):
         # enumerate strict submasks of i: every dominated index has larger z
@@ -54,9 +63,9 @@ def test_erasure_params_match_oracle_erasure_mass():
     f = F2
     eps = Fraction(1, 2)
     ch = qec(f, eps)
-    z = erasure_params(2, eps)
-    genie = exact_genie_error_probs(f, 2, ch)
-    assert genie == tuple(v / 2 for v in z)
+    z = _erasure_numerators(2, 1, 2)
+    genie = reference_exact_genie_error_probs(f, 2, ch)
+    assert genie == tuple(Fraction(v, 2 * 16) for v in z)
 
 
 def test_construct_trivial_cases():
@@ -156,10 +165,39 @@ def test_genie_rank_converges_to_exact_probs():
     ch = qsc(F2, Fraction(1, 10))
     trials = 1_000_000
     est = genie_mc_rank(F2, 2, ch, trials, seed=5)
-    exact = exact_genie_error_probs(F2, 2, ch)
+    exact = reference_exact_genie_error_probs(F2, 2, ch)
     for e, t in zip(est, exact):
         p = float(t)
         se = (p * (1 - p) / trials) ** 0.5
         assert abs(e - p) <= 3 * se
     # the all-ones index is the most reliable at moderate noise
     assert est[3] == min(est)
+
+
+def test_genie_rank_matches_exact_probs_on_zero_entry_channels():
+    # exact ties and all-zero messages arise on these channels; the float
+    # genie decoder must still err as often as the exact genie decisions
+    table = table_channel(F2, [["1/2", "3/10", "1/5", "0"], ["0", "1/5", "3/10", "1/2"]])
+    trials = 200_000
+    for field, m, ch in ((F4, 1, qec(F4, Fraction(1, 3))), (F2, 2, table)):
+        est = genie_mc_rank(field, m, ch, trials, seed=5)
+        for e, t in zip(est, reference_exact_genie_error_probs(field, m, ch)):
+            p = float(t)
+            assert abs(e - p) <= 4 * max((p * (1 - p) / trials) ** 0.5, 1e-9), (ch, est)
+
+
+def test_erasure_ranking_matches_fraction_ranking():
+    # the integer numerators rank exactly as the Fractions they stand for,
+    # so every information set equals the one of the Fraction ranking
+    cases = [(m, eps) for m in range(1, 9)
+             for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(1, 10))]
+    cases += [(10, Fraction(1, 3)), (12, Fraction(1, 2))]
+    for m, eps in cases:
+        n = 1 << m
+        z = erasure_params(m, eps)
+        # one Fraction sort serves every k: dense ranks keep order and ties
+        rank = {v: r for r, v in enumerate(sorted(set(z)))}
+        estimates = [rank[v] for v in z]
+        for k in sorted({1, n // 4, n // 2, 3 * n // 4 + 1, n - 1}):
+            want, _ = _select_decreasing(estimates, k, m)
+            assert construct_info_set(F2, m, k, qec(F2, eps)) == want, (m, eps, k)

@@ -20,12 +20,14 @@ import qpolar.oracle
 from qpolar.channel import qec, qsc, table_channel
 from qpolar.code import PolarCode, decreasing_sets, polar_transform
 from qpolar.gf import FieldElement, default_field
-from qpolar.oracle import exact_genie_error_probs, exact_ser
-from qpolar.sc import sc_decode_distribution, synthetic_channel
-from reference import combine_minus, combine_plus, likelihoods
-from qpolar.symmetry import (
-    check_coset_invariance,
-    check_xi_invariance,
+from qpolar.oracle import exact_ser
+from qpolar.sc import sc_decode_distribution
+from qpolar.symmetry import check_coset_invariance, check_xi_invariance
+from reference import (
+    combine_minus,
+    combine_plus,
+    coset_transform,
+    likelihoods,
     xi_apply_field,
     xi_apply_output,
 )
@@ -50,7 +52,7 @@ def reference_sc_decode_distribution(code, ch, y):
             if code.is_info(pos):
                 cands = _ties(t_list[0])
                 return {(elems[u],): Fraction(1, len(cands)) for u in cands}
-            return {(code.frozen_value(pos),): Fraction(1)}
+            return {(elems[code.frozen_index_array[pos]],): Fraction(1)}
         half = len(t_list) // 2
         tm = [combine_minus(t_list[j], t_list[j + half], alpha) for j in range(half)]
         out = {}
@@ -84,20 +86,6 @@ def reference_exact_ser(code, ch, u_full):
                 if x[j] != x_bar[j]:
                     totals[j] += w * p
     return tuple(totals)
-
-
-def reference_exact_genie_error_probs(field, m, ch):
-    n = 1 << m
-    probe = PolarCode(field, m, range(n))
-    out = [Fraction(0)] * n
-    for y in itertools.product(range(ch.num_outputs), repeat=n):
-        w = Fraction(1)
-        for v in y:
-            w *= ch.matrix[0][v]
-        for i in range(n):
-            cands = _ties(synthetic_channel(probe, ch, y, (field.zero,) * i, i))
-            out[i] += w * (len(cands) - 1) / len(cands) if 0 in cands else w
-    return tuple(out)
 
 
 def _assert_exact_equal(code, ch, u_full):
@@ -153,13 +141,6 @@ def test_decode_distribution_equals_reference_every_output_q4_n4(kind):
             assert all(e.field is F4 for x in got for e in x)
 
 
-def test_genie_error_probs_equal_reference():
-    for field, m, ch in ((F2, 2, qsc(F2, Fraction(1, 10))), (F4, 1, qec(F4, Fraction(1, 3))),
-                         (F2, 2, table_channel(F2, ZERO_ENTRY_TABLE))):
-        assert exact_genie_error_probs(field, m, ch) == \
-            reference_exact_genie_error_probs(field, m, ch)
-
-
 def test_exact_ser_decodes_only_outputs_with_mass(monkeypatch):
     # qec(F_4, 1/2) has 5^8 = 390,625 outputs; under the all-zero codeword
     # each symbol is 0 or erased, so 2^8 = 256 of them carry mass
@@ -181,12 +162,12 @@ def reference_check_coset_invariance(code, ch):
     dists = {y: reference_sc_decode_distribution(code, ch, y) for y in ys}
     for info in itertools.product(field.elements, repeat=code.k):
         b = code.full_message(info)
-        xb = polar_transform(field, b)
         for a in [e for e in field.elements if e]:
             for y in ys:
-                y2 = tuple(ch.shift(ch.scale(v, a), w) for v, w in zip(y, xb))
-                image = {tuple(a * v + w for v, w in zip(x, xb)): p
-                         for x, p in dists[y].items()}
+                image = {}
+                for x, p in dists[y].items():
+                    y2, x2 = coset_transform(code, ch, a, b, y, x)
+                    image[x2] = p
                 if dists[y2] != image:
                     return False, {"a": a, "b": b, "y": y}
     return True, None

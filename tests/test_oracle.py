@@ -7,14 +7,15 @@ from qpolar.channel import qec, qsc, table_channel
 from qpolar.code import PolarCode
 from qpolar.gf import default_field
 from qpolar.mc import decode_tallies
-from qpolar.oracle import (
-    exact_average_ser,
-    exact_genie_error_probs,
-    exact_ser,
-    exact_synthetic,
-    mc_ser,
+from qpolar.oracle import exact_average_ser, exact_ser, mc_ser
+from qpolar.sc import synthetic_channel
+from qpolar.symmetry import check_coset_invariance, check_xi_invariance
+from reference import (
+    combine_minus,
+    combine_plus,
+    likelihoods,
+    reference_exact_genie_error_probs,
 )
-from reference import combine_minus, combine_plus, likelihoods
 
 F2 = default_field(2)
 F3 = default_field(3)
@@ -85,31 +86,31 @@ def test_message_invariance_n4_random_messages():
 def test_synthetic_table_n1_is_channel():
     ch = qsc(F3, Fraction(1, 5))
     code = PolarCode(F3, 0, [0])
-    table = exact_synthetic(code, ch, 0)
     for y in range(ch.num_outputs):
-        assert table[((y,), ())] == likelihoods(ch, y)
+        assert synthetic_channel(code, ch, (y,), (), 0) == likelihoods(ch, y)
 
 
 def test_synthetic_table_n2_matches_combines():
     ch = qsc(F4, Fraction(3, 10))
     code = PolarCode(F4, 1, [0, 1])
-    t0 = exact_synthetic(code, ch, 0)
-    t1 = exact_synthetic(code, ch, 1)
     for y0 in range(4):
         for y1 in range(4):
             la, lb = likelihoods(ch, y0), likelihoods(ch, y1)
-            assert t0[((y0, y1), ())] == combine_minus(la, lb, F4.alpha)
+            assert synthetic_channel(code, ch, (y0, y1), (), 0) == combine_minus(la, lb, F4.alpha)
             for u0 in F4.elements:
-                assert t1[((y0, y1), (u0,))] == combine_plus(la, lb, u0, F4.alpha)
+                assert synthetic_channel(code, ch, (y0, y1), (u0,), 1) == \
+                    combine_plus(la, lb, u0, F4.alpha)
 
 
 def test_synthetic_table_marginal_consistency():
     ch = qsc(F2, Fraction(1, 10))
     code = PolarCode(F2, 2, [0, 1, 2, 3])
+    ys = list(itertools.product(range(ch.num_outputs), repeat=4))
     for i in range(4):
-        table = exact_synthetic(code, ch, i)
+        table = [synthetic_channel(code, ch, y, prefix, i)
+                 for y in ys for prefix in itertools.product(F2.elements, repeat=i)]
         for u in range(2):
-            assert sum(t[u] for t in table.values()) == 1
+            assert sum(t[u] for t in table) == 1
 
 
 def test_ser_monotone_in_qsc_noise():
@@ -124,12 +125,16 @@ def test_enumeration_cap_enforced():
     code = PolarCode(F4, 4, range(16))
     with pytest.raises(ValueError):
         exact_average_ser(code, ch)
+    # the exhaustive checkers share the oracle's cap
+    for check in (check_coset_invariance, lambda c, w: check_xi_invariance(c, w, 0)):
+        with pytest.raises(ValueError, match="exceeds the enumeration cap"):
+            check(code, ch)
 
 
 def test_genie_error_probs_n2():
     # position 0 sees the check channel BSC(0.18); position 1, genie aided,
     # errs only when both outputs flip (0.01) or on half of the tie mass (0.18/2)
-    probs = exact_genie_error_probs(F2, 1, BSC01)
+    probs = reference_exact_genie_error_probs(F2, 1, BSC01)
     assert probs == (Fraction(9, 50), Fraction(1, 10))
 
 
