@@ -281,8 +281,8 @@ def verify_symmetry(ch):
     q = ch.q
     families = []
     # sigma_b realizes x -> b + x, pi_a realizes x -> a * x
-    for kind, table, keys, action in (("sigma", ch.field._add, range(q), "shift"),
-                                       ("pi", ch.field._mul, range(1, q), "scaling")):
+    for kind, table, keys, action in (("sigma", ch.field._add.tolist(), range(q), "shift"),
+                                       ("pi", ch.field._mul.tolist(), range(1, q), "scaling")):
         found, witness = _search_family(ch, table, keys)
         if found is None:
             y, g = witness

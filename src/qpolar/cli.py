@@ -136,10 +136,11 @@ def _cmd_decode(args):
         raise ValueError(f"received block has {len(y_raw)} symbols, expected {code.n}")
     if ch.is_finite and any(type(v) is not int for v in y_raw):
         raise ValueError(f"output indices must be integers, got {y_raw}")
-    y = tuple(v if ch.is_finite else float(v) for v in y_raw)
+    if not ch.is_finite and any(type(v) not in (int, float) for v in y_raw):
+        raise ValueError(f"AWGN outputs must be real numbers, got {y_raw}")
     out = {"code": code.to_json(), "channel": channel_to_json(ch), "y": y_raw}
     if args.exact:
-        dist = sc_decode_distribution(code, ch, y)
+        dist = sc_decode_distribution(code, ch, y_raw)
         out["distribution"] = [{"x": list(x), "p": p} for x, p in sorted(
             dist.items(), key=lambda kv: tuple(e.index for e in kv[0]))]
     else:
@@ -150,7 +151,7 @@ def _cmd_decode(args):
             out["tie"] = {"mode": "random", "seed": seed, "seed_generated": generated}
         else:
             out["tie"] = {"mode": "lex"}
-        u_hat, x_hat = sc_decode(code, ch, y, tie_uniforms)
+        u_hat, x_hat = sc_decode(code, ch, y_raw, tie_uniforms)
         out["u_hat"] = list(u_hat)
         out["x_hat"] = list(x_hat)
     _write_json(out, args.out)

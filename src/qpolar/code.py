@@ -9,6 +9,7 @@ i; information sets closed upward under this order are called decreasing.
 
 :func:`polar_transform_indices` computes u * G_n on arrays of element
 indices for every caller but :func:`polar_transform`, its element-level form.
+Each step is one gather from the field's table ``aff[z, u]`` = z + alpha*u.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def polar_transform_indices(field, u):
     if n == 1:
         return u
     half = n // 2
-    lo = field.add_table[u[..., :half], field.alpha_mul_table[u[..., half:]]]
+    lo = field.aff[u[..., :half], u[..., half:]]
     return np.concatenate(
         [polar_transform_indices(field, lo), polar_transform_indices(field, u[..., half:])],
         axis=-1,

@@ -115,6 +115,8 @@ def construct_info_set(field, m, k, ch, method=None):
     n = 1 << m
     if not 0 <= k <= n:
         raise ValueError(f"k={k} outside [0, {n}]")
+    if ch.field != field:
+        raise ValueError(f"channel field {ch.field!r} differs from the code field {field!r}")
     if method is None:
         if getattr(ch, "kind", None) in ("qsc", "qec"):
             method = ErasureExact()

@@ -9,10 +9,13 @@ other choice.
 
 Elements live in the polynomial basis: the element with coordinates
 ``(c_0, ..., c_{s-1})`` is ``c_0 + c_1*x + ... + c_{s-1}*x^{s-1}`` and is
-addressed by the integer index ``sum(c_i * p**i)``.  All q*q addition and
-multiplication results are tabulated at construction (q <= 256), so
-element operations are plain table lookups.  Fields and elements are
-immutable and safe for unrestricted concurrent use.
+addressed by the integer index ``sum(c_i * p**i)``.  Construction
+tabulates the arithmetic once (q <= 256), from the element coordinates in
+a few array steps: read-only numpy index arrays ``_add``, ``_mul``,
+``_neg`` and ``_inv``, and the kernel's one operation ``aff[z, u]``, the
+index of z + alpha*u, which the encoder, both SC kernels and the checkers
+read.  Element operations are lookups in those tables.  Fields and
+elements are immutable and safe for unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -38,17 +41,6 @@ def _poly_trim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
 
 
 def _poly_mod(a, mod, p):
@@ -80,7 +72,7 @@ def _coordinates(values, p, s, what):
     if len(coeffs) != s:
         raise ValueError(f"{what} needs {s} coordinates, got {len(coeffs)}")
     for c in coeffs:
-        if not isinstance(c, (int, np.integer)):
+        if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
             raise ValueError(f"{what} coordinate {c!r} is not an integer")
         if not 0 <= c < p:
             raise ValueError(f"{what} coordinate {c} outside [0, {p})")
@@ -115,22 +107,20 @@ def find_irreducible(p, s):
     raise ValueError(f"no irreducible polynomial of degree {s} over F_{p}")
 
 
-def alpha_generates(p, s, modulus, alpha_coeffs):
-    """True iff the nonzero element with the given coordinates generates F_{p^s} over F_p.
+def alpha_generates(mul, p, s, alpha):
+    """True iff the element of index ``alpha`` generates F_{p^s} over F_p.
 
-    Equivalent to the minimal polynomial of alpha having degree exactly s,
-    that is, to a Frobenius orbit of size s: none of alpha^p, ...,
-    alpha^(p^(s-1)) equals alpha.
+    ``mul`` is the field's multiplication table.  Equivalent to the minimal
+    polynomial of alpha having degree exactly s, that is, to a Frobenius
+    orbit of size s: none of alpha^p, ..., alpha^(p^(s-1)) equals alpha.
     """
-    alpha = _poly_trim(list(_coordinates(alpha_coeffs, p, s, "alpha")))
-    if not alpha:
+    if alpha == 0:
         return False
-    full_mod = list(modulus) + [1]
     cur = alpha
     for _ in range(s - 1):
-        power = [1]
+        power = 1
         for _ in range(p):
-            power = _poly_mod(_poly_mul(power, cur, p), full_mod, p)
+            power = mul[power, cur]
         cur = power
         if cur == alpha:
             return False
@@ -159,16 +149,16 @@ class FieldElement:
 
     def __add__(self, other):
         other = self._check(other)
-        return self.field._elems[self.field._add[self.index][other.index]]
+        return self.field._elems[self.field._add[self.index, other.index]]
 
     def __sub__(self, other):
         other = self._check(other)
         f = self.field
-        return f._elems[f._add[self.index][f._neg[other.index]]]
+        return f._elems[f._add[self.index, f._neg[other.index]]]
 
     def __mul__(self, other):
         other = self._check(other)
-        return self.field._elems[self.field._mul[self.index][other.index]]
+        return self.field._elems[self.field._mul[self.index, other.index]]
 
     def __neg__(self):
         return self.field._elems[self.field._neg[self.index]]
@@ -255,44 +245,41 @@ class Field:
         self.s = s
         self.q = q
         self.modulus = modulus
-        full_mod = list(modulus) + [1]
 
-        coeff_list = [tuple(_index_to_poly(i, p, s)) for i in range(q)]
-        self._add = [
-            [self._coeffs_to_index(tuple((a + b) % p for a, b in zip(ca, cb)))
-             for cb in coeff_list]
-            for ca in coeff_list
-        ]
-        self._neg = [self._coeffs_to_index(tuple((-a) % p for a in ca)) for ca in coeff_list]
-        self._mul = []
-        for ca in coeff_list:
-            row = []
-            for cb in coeff_list:
-                prod = _poly_mod(_poly_mul(list(ca), list(cb), p), full_mod, p)
-                row.append(self._coeffs_to_index(tuple(prod) + (0,) * (s - len(prod))))
-            self._mul.append(row)
-        self._inv = [0] * q
-        for a in range(1, q):
-            self._inv[a] = self._mul[a].index(1)
+        # coords[i] holds the coordinates of element i; weights map them back
+        weights = p ** np.arange(s)
+        coords = np.arange(q)[:, None] // weights % p
+        # x * b: b's coordinates shifted up one place, less its top one times the modulus
+        shifted = np.zeros_like(coords)
+        shifted[:, 1:] = coords[:, :-1]
+        times_x = (shifted - coords[:, -1:] * np.array(modulus)) % p @ weights
+        # xb[i, b] = index of x^i * b, and a * b = sum_i a_i * x^i * b
+        xb = [np.arange(q)]
+        for _ in range(s - 1):
+            xb.append(times_x[xb[-1]])
+        self._mul = np.einsum("ai,ibd->abd", coords, coords[np.array(xb)]) % p @ weights
+        self._add = (coords[:, None] + coords) % p @ weights
+        self._neg = -coords % p @ weights
+        self._inv = np.argmax(self._mul == 1, axis=1)  # 0 for the zero element
 
-        self._elems = tuple(FieldElement(self, i, coeff_list[i]) for i in range(q))
+        self._elems = tuple(FieldElement(self, i, tuple(c)) for i, c in enumerate(coords.tolist()))
 
         if alpha is None:
-            alpha_coeffs = (0, 1) + (0,) * (s - 2) if s > 1 else (1,)
+            alpha = p if s > 1 else 1  # x, or 1 in a prime field
         elif isinstance(alpha, FieldElement):
-            alpha_coeffs = alpha.coeffs
-        else:
-            alpha_coeffs = self.element(alpha).coeffs
-        if not alpha_generates(p, s, modulus, alpha_coeffs):
+            alpha = alpha.coeffs
+        a = self.element(alpha).index
+        if not alpha_generates(self._mul, p, s, a):
             raise ValueError(
-                f"alpha={alpha_coeffs} does not generate F_{q} over F_{p} "
+                f"alpha={self._elems[a].coeffs} does not generate F_{q} over F_{p} "
                 "(or is zero); the kernel requires F_p(alpha) = F_q"
             )
-        self._alpha_index = self._coeffs_to_index(alpha_coeffs)
-        self.key = (p, s, modulus, self._alpha_index)
-
-        self._np_add = np.array(self._add, dtype=np.intp)
-        self._np_alpha_mul = np.array(self._mul[self._alpha_index], dtype=np.intp)
+        self._alpha_index = a
+        self.key = (p, s, modulus, a)
+        # aff[z, u] = index of z + alpha*u, the one operation of the kernel
+        self.aff = self._add[:, self._mul[a]]
+        for table in (self._add, self._mul, self._neg, self._inv, self.aff):
+            table.flags.writeable = False
 
     def _coeffs_to_index(self, coeffs):
         idx = 0
@@ -327,23 +314,13 @@ class Field:
             if value.field.key != self.key:
                 raise ValueError("field mismatch")
             return self._elems[value.index]
+        if isinstance(value, bool):
+            raise ValueError(f"element {value!r} is a boolean, not an index")
         if isinstance(value, (int, np.integer)):
             if not 0 <= value < self.q:
                 raise ValueError(f"element index {value} outside [0, {self.q})")
             return self._elems[int(value)]
         return self._elems[self._coeffs_to_index(_coordinates(value, self.p, self.s, "element"))]
-
-    # -- index-level arithmetic (hot paths and numpy code) ----------------
-
-    @property
-    def add_table(self):
-        """(q, q) numpy index table for vectorized addition."""
-        return self._np_add
-
-    @property
-    def alpha_mul_table(self):
-        """(q,) table mapping index u to index of alpha*u."""
-        return self._np_alpha_mul
 
     # -- misc --------------------------------------------------------------
 

@@ -119,7 +119,8 @@ def sc_decode(code, ch, y, tie_uniforms=None):
     entry of ``tie_uniforms``, an (n,) array in [0, 1) (all zeros, the
     lexicographic rule, when None).  The channel picks the kernel: a finite
     channel decodes on the exact integer kernel, the AWGN channel on the
-    float batch kernel with the block alone.
+    float batch kernel with the block alone; a NaN or infinite output raises
+    there.
     """
     n = code.n
     uniforms = np.zeros(n) if tie_uniforms is None else np.asarray(tie_uniforms, dtype=float)
@@ -131,7 +132,10 @@ def sc_decode(code, ch, y, tie_uniforms=None):
         (x,) = _distribution_indices(job.messages(y), 0, job)
         u = _inverse_transform(code.field, x)
     else:
-        T = ch.likelihood_batch(np.asarray(y)[:, None])
+        y = np.asarray(y, dtype=float)
+        if not np.isfinite(y).all():
+            raise ValueError(f"AWGN outputs must be finite reals, got {y.tolist()}")
+        T = ch.likelihood_batch(y[:, None])
         decisions, codewords = sc_decode_batch(code, T, uniforms[:, None])
         u, x = decisions[:, 0], codewords[:, 0]
     return tuple(elems[i] for i in u), tuple(elems[i] for i in x)
@@ -144,7 +148,7 @@ def _inverse_transform(field, x):
     = S K S for S = diag(1, -1), so G_n^-1 = S_n G_n S_n: S_n, the m-fold
     Kronecker power of S, negates the positions with an odd bit count.
     """
-    neg = np.asarray(field._neg)
+    neg = field._neg
     odd = np.array([bin(j).count("1") & 1 for j in range(len(x))], dtype=bool)
     u = polar_transform_indices(field, np.where(odd, neg[list(x)], x))
     return tuple(np.where(odd, neg[u], u).tolist())
@@ -212,12 +216,9 @@ class _ExactJob:
     """
 
     def __init__(self, code, ch, tie_uniforms=None):
-        field = code.field
-        q = field.q
-        add, mul, a = field._add, field._mul, field.alpha.index
         # aff[z][u] = index of z + alpha*u; the minus rule reads row u over
         # u1, the plus rule row z, and re-encoding entry [z_lo][z_hi]
-        self.aff = tuple(tuple(add[z][mul[a][u]] for u in range(q)) for z in range(q))
+        self.aff = code.field.aff.tolist()
         self.n = code.n
         # plain tuples: reading numpy scalars in the recursion is slower
         self.info = tuple(code.is_info(i) for i in range(code.n))
@@ -339,14 +340,12 @@ class _BatchJob:
     """Per-call constants and the decision array of one batch decode."""
 
     def __init__(self, code, tie_uniforms, force):
-        field = code.field
-        self.add = field.add_table
-        self.mul_alpha = field.alpha_mul_table
-        # aff[z, u] = index of z + alpha*u; serves both combining rules
-        self.aff = self.add[:, self.mul_alpha]
+        # aff[z, u] = index of z + alpha*u; serves both combining rules and
+        # the re-encoding
+        self.aff = code.field.aff
         # over F_2, z + alpha*u = z xor u, so both combining rules and the
         # re-encoding need no table lookups: a select and a xor are faster
-        self.binary = field.q == 2
+        self.binary = code.field.q == 2
         self.info_mask = code.info_mask
         self.frozen_idx = code.frozen_index_array
         self.tie_uniforms = tie_uniforms
@@ -390,7 +389,7 @@ def _decode_span(tb, lo, job):
     tp *= t1
     _normalize(tp)
     xh = _decode_span(tp, lo + half, job)
-    x_lo = xl ^ xh if job.binary else job.add[xl, job.mul_alpha[xh]]
+    x_lo = xl ^ xh if job.binary else job.aff[xl, xh]
     return np.concatenate([x_lo, xh], axis=0)
 
 

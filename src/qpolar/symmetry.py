@@ -112,7 +112,6 @@ def check_coset_invariance(code, ch, ys=None, cosets=None):
     """
     _require_zero_frozen(code)
     field = code.field
-    add, mul = field._add, field._mul
     first_violation = _transport(code, ch, ys)
     if cosets is None:
         cosets = itertools.product(field.elements, repeat=code.k)
@@ -123,7 +122,7 @@ def check_coset_invariance(code, ch, ys=None, cosets=None):
         for a in field.elements[1:]:
             # coordinate j acts as y -> sigma_{xb_j}(pi_a(y)) and x -> a*x + xb_j
             ymaps = [[ch.shift(ch.scale(v, a), w) for v in range(ch.num_outputs)] for w in xb]
-            xmaps = [[add[mul[a.index][v]][w.index] for v in range(field.q)] for w in xb]
+            xmaps = [field._add[field._mul[a.index], w.index].tolist() for w in xb]
             y = first_violation(ymaps, xmaps, src)
             if y is not None:
                 return False, {"a": a, "b": b, "y": y}
@@ -146,7 +145,7 @@ def check_xi_invariance(code, ch, r, ys=None):
     src = [delta(m, r, i) for i in range(code.n)]
     coeffs = xi_coefficients(field, m, r)
     ymaps = [[ch.scale(v, c) for v in range(ch.num_outputs)] for c in coeffs]
-    xmaps = [field._mul[c.index] for c in coeffs]
+    xmaps = [field._mul[c.index].tolist() for c in coeffs]
     y = _transport(code, ch, ys)(ymaps, xmaps, src)
     if y is not None:
         return False, {"r": r, "y": y}

@@ -11,7 +11,9 @@ matrix, the referee of the package's one transform.  ``matrix_multiply``,
 ``transition``, ``likelihoods``, ``product_transition`` and ``sample`` are
 the element-level definitions of encoding, the channel and block
 transition laws and channel sampling.  ``rank_alpha_generates`` decides whether alpha
-generates F_q over F_p by the linear-algebra definition.
+generates F_q over F_p by the linear-algebra definition.  ``_poly_mul``
+multiplies polynomials over F_p; with the package's ``_poly_mod`` it
+referees the field tables and ``rank_alpha_generates``.
 ``counter_uniform`` is the counter RNG's draw for one (seed, trial, slot)
 in Python integers: splitmix64 finalizers chained over the seed, the trial
 and the slot, then the top 53 bits as a float in the open (0, 1).
@@ -44,11 +46,23 @@ import numpy as np
 
 from qpolar.channel import FiniteChannel
 from qpolar.code import PolarCode, polar_transform
-from qpolar.gf import _poly_mod, _poly_mul
+from qpolar.gf import _poly_mod, _poly_trim
 from qpolar.sc import synthetic_channel
 from qpolar.symmetry import delta, xi_coefficients
 
 TIE_RTOL = 1e-12
+
+
+def _poly_mul(a, b, p):
+    """Product of two low-first coefficient lists over F_p, trimmed."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _poly_trim(out)
 
 
 def _is_exact(t):
@@ -59,7 +73,7 @@ def combine_minus(t0, t1, alpha):
     """Check-side combination of two likelihood vectors."""
     field = alpha.field
     q = field.q
-    add, mul, a = field._add, field._mul, alpha.index
+    add, mul, a = field._add.tolist(), field._mul.tolist(), alpha.index
     out = [sum(t0[add[u][mul[a][u1]]] * t1[u1] for u1 in range(q)) for u in range(q)]
     if _is_exact(t0):
         out = [v * Fraction(1, q) for v in out]
@@ -70,7 +84,7 @@ def combine_plus(t0, t1, u0, alpha):
     """Variable-side combination given the decoded partner symbol u0."""
     field = alpha.field
     q = field.q
-    add, mul, a = field._add, field._mul, alpha.index
+    add, mul, a = field._add.tolist(), field._mul.tolist(), alpha.index
     z = u0.index
     out = [t0[add[z][mul[a][u]]] * t1[u] for u in range(q)]
     if _is_exact(t0):
@@ -141,7 +155,7 @@ def kron_matrix(field, m):
     table-multiply against this matrix.
     """
     g = np.array([[1]], dtype=np.intp)
-    alpha_mul = field.alpha_mul_table
+    alpha_mul = field._mul[field.alpha.index]
     for _ in range(m):
         n = g.shape[0]
         nxt = np.zeros((2 * n, 2 * n), dtype=np.intp)
@@ -154,12 +168,13 @@ def kron_matrix(field, m):
 
 def matrix_multiply(field, u_indices, g):
     """Row vector times matrix over F_q, both given as element indices."""
+    add, mul = field._add.tolist(), field._mul.tolist()
     out = [0] * g.shape[1]
     for i, ui in enumerate(u_indices):
         if ui:
             row = g[i]
             for j in range(g.shape[1]):
-                out[j] = field._add[out[j]][field._mul[ui][int(row[j])]]
+                out[j] = add[out[j]][mul[ui][int(row[j])]]
     return tuple(out)
 
 
@@ -316,6 +331,7 @@ def polarize(ch):
     q = field.q
     ny = ch.num_outputs
     inv_q = Fraction(1, q)
+    add, alpha_mul = field._add.tolist(), field._mul[alpha.index].tolist()
 
     # minus: outputs are pairs, index = y0 * ny + y1
     pair_outputs = tuple((ch.outputs[y0], ch.outputs[y1])
@@ -327,7 +343,7 @@ def polarize(ch):
             for y1 in range(ny):
                 acc = Fraction(0)
                 for u1 in range(q):
-                    xin = field._add[u][field._mul[alpha.index][u1]]
+                    xin = add[u][alpha_mul[u1]]
                     acc += ch.matrix[xin][y0] * ch.matrix[u1][y1]
                 row.append(inv_q * acc)
         minus_matrix.append(row)
@@ -343,7 +359,7 @@ def polarize(ch):
         for y0 in range(ny):
             for y1 in range(ny):
                 for u0 in range(q):
-                    xin = field._add[u0][field._mul[alpha.index][u]]
+                    xin = add[u0][alpha_mul[u]]
                     row.append(inv_q * ch.matrix[xin][y0] * ch.matrix[u][y1])
         plus_matrix.append(row)
 

@@ -115,6 +115,15 @@ def test_message_coordinate_not_integer_is_validation_failure(tmp_path, capsys):
     assert "error:" in err and "not an integer" in err and "Traceback" not in err
 
 
+def test_message_boolean_is_validation_failure(tmp_path, capsys):
+    # true was once read as the element index 1
+    u_path = tmp_path / "u.json"
+    u_path.write_text(json.dumps([0, 0, 0, True, 0, 0, 0, 0]))
+    assert main(["encode", "--code", str(FIXTURES / "code_q2.json"), "--u", str(u_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "boolean" in err and "Traceback" not in err
+
+
 def test_decode_exact_distribution(paths, tmp_path):
     tmp, ch_path, _ = paths
     code = PolarCode(F2, 1, [1])
@@ -138,6 +147,22 @@ def test_decode_rejects_non_integer_output_index(tmp_path, capsys, bad):
                  "--channel", str(FIXTURES / "bsc.json"), "--y", str(y_path)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "must be integers" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad,message", [
+    (True, "must be real numbers"), ("2", "must be real numbers"),
+    (float("nan"), "finite reals"), (float("inf"), "finite reals"),
+    (-float("inf"), "finite reals")])
+def test_decode_rejects_awgn_output_that_is_not_a_finite_real(tmp_path, capsys, bad, message):
+    # true and "2" were once read as 1.0 and 2.0, and NaN decoded to all zeros
+    y = json.loads((FIXTURES / "y_awgn_n16.json").read_text())
+    y[5] = bad
+    y_path = tmp_path / "y.json"
+    y_path.write_text(json.dumps(y))  # NaN and Infinity as the JSON extensions
+    assert main(["decode", "--code", str(FIXTURES / "code_q2_n16.json"),
+                 "--channel", str(FIXTURES / "awgn.json"), "--y", str(y_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err and "Traceback" not in err
 
 
 def test_decode_point_with_recorded_seed(paths, tmp_path):

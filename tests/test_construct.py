@@ -147,6 +147,12 @@ def test_method_preconditions():
         construct_info_set(F2, 2, 1, ident, ErasureExact())
 
 
+def test_construction_rejects_a_channel_over_another_field():
+    # once returned (3, 5, 6, 7), ranked on the F_4 channel's epsilon
+    with pytest.raises(ValueError, match="differs from the code field"):
+        construct_info_set(F2, 3, 4, qsc(F4, Fraction(1, 10)))
+
+
 def test_genie_rank_noiseless_is_zero():
     ident = table_channel(F2, [[1, 0], [0, 1]])
     assert genie_mc_rank(F2, 2, ident, 500, seed=0) == (0.0,) * 4

@@ -2,8 +2,15 @@ import itertools
 
 import pytest
 
-from qpolar.gf import Field, alpha_generates, default_field, find_irreducible, is_irreducible
-from reference import rank_alpha_generates
+from qpolar.gf import (
+    Field,
+    _poly_mod,
+    alpha_generates,
+    default_field,
+    find_irreducible,
+    is_irreducible,
+)
+from reference import _poly_mul, rank_alpha_generates
 
 
 SHIPPED_SIZES = [2, 3, 4, 5, 7, 8, 9, 16]
@@ -96,18 +103,16 @@ def test_field_mismatch_rejected():
 def test_alpha_generates_exhaustive(q, expected_generators):
     p, s, modulus = PINNED_MODULI[q]
     f = Field(p, s, modulus)
-    got = {
-        i for i in range(q)
-        if alpha_generates(p, s, modulus, f.from_index(i).coeffs)
-    }
+    got = {i for i in range(q) if alpha_generates(f._mul, p, s, i)}
     assert got == expected_generators
 
 
 def test_alpha_examples():
-    assert alpha_generates(2, 2, (1, 1), (0, 1)) is True    # F_4, alpha = x
-    assert alpha_generates(2, 2, (1, 1), (1, 0)) is False   # F_4, alpha = 1
-    assert alpha_generates(2, 1, (0,), (1,)) is True        # F_2, alpha = 1
-    assert alpha_generates(2, 1, (0,), (0,)) is False       # zero never allowed
+    f4, f2 = Field(2, 2, (1, 1)), Field(2, 1, (0,))
+    assert alpha_generates(f4._mul, 2, 2, 2) is True    # F_4, alpha = x
+    assert alpha_generates(f4._mul, 2, 2, 1) is False   # F_4, alpha = 1
+    assert alpha_generates(f2._mul, 2, 1, 1) is True    # F_2, alpha = 1
+    assert alpha_generates(f2._mul, 2, 1, 0) is False   # zero never allowed
 
 
 def test_alpha_generates_matches_rank_reference():
@@ -120,8 +125,9 @@ def test_alpha_generates_matches_rank_reference():
             for modulus in itertools.product(range(p), repeat=s):
                 if not is_irreducible(modulus, p):
                     continue
+                f = Field(p, s, modulus)
                 for alpha in itertools.product(range(p), repeat=s):
-                    assert (alpha_generates(p, s, modulus, alpha)
+                    assert (alpha_generates(f._mul, p, s, f.element(alpha).index)
                             == rank_alpha_generates(p, s, modulus, alpha)), (p, modulus, alpha)
                     pairs += 1
             s += 1
@@ -209,8 +215,51 @@ def test_index_table_consistency():
     f = default_field(8)
     for a in f.elements:
         for b in f.elements:
-            assert (a + b).index == f.add_table[a.index, b.index]
-        assert f.alpha_mul_table[a.index] == (f.alpha * a).index
+            assert (a + b).index == f._add[a.index, b.index]
+            assert (a + f.alpha * b).index == f.aff[a.index, b.index]
+
+
+@pytest.mark.parametrize("q", SHIPPED_SIZES + [125, 256])
+def test_tables_match_polynomial_reference(q):
+    # every table against coordinate-wise addition and _poly_mul/_poly_mod,
+    # over every pinned modulus and the largest fields of both kinds
+    f = default_field(q)
+    p, s, full = f.p, f.s, list(f.modulus) + [1]
+    polys = [[i // p ** d % p for d in range(s)] for i in range(q)]
+    assert [list(e.coeffs) for e in f.elements] == polys
+
+    def index(c):
+        return sum(v * p ** d for d, v in enumerate(c))
+
+    add = [[index([(a + b) % p for a, b in zip(pa, pb)]) for pb in polys] for pa in polys]
+    mul = [[index(_poly_mod(_poly_mul(pa, pb, p), full, p)) for pb in polys] for pa in polys]
+    assert f._add.tolist() == add
+    assert f._mul.tolist() == mul
+    assert f._neg.tolist() == [index([-v % p for v in pa]) for pa in polys]
+    assert f._inv.tolist() == [0] + [row.index(1) for row in mul[1:]]
+    a = f.alpha.index
+    assert f.aff.tolist() == [[add[z][mul[a][u]] for u in range(q)] for z in range(q)]
+
+
+def test_tables_are_read_only():
+    f = default_field(4)
+    for table in (f._add, f._mul, f._neg, f._inv, f.aff):
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
+def test_booleans_are_not_elements():
+    f = default_field(4)
+    for bad in (True, False):
+        with pytest.raises(ValueError, match="boolean"):
+            f.element(bad)
+        with pytest.raises(ValueError, match="boolean"):
+            Field(2, 2, (1, 1), alpha=bad)
+    for bad in ([True, 0], [0, False]):
+        with pytest.raises(ValueError, match="not an integer"):
+            f.element(bad)
+    with pytest.raises(ValueError, match="not an integer"):
+        Field(2, 2, (True, True))
 
 
 def test_two_representations_of_f9():

@@ -30,8 +30,8 @@ def reference_sc_decode_batch(code, T, tie_uniforms, force=None):
     n = code.n
     B, nt, q = T.shape
     assert nt == n and q == field.q
-    ADD = field.add_table
-    MULA = field.alpha_mul_table
+    ADD = field._add
+    MULA = field._mul[field.alpha.index]
     AFF = ADD[:, MULA]
     info_mask = code.info_mask
     frozen_idx = code.frozen_index_array
@@ -159,7 +159,7 @@ def test_minus_sum_order_matches_trailing_axis_reduce(q):
     # a reduction over the trailing u1 axis in plain Python floats, left to
     # right
     f = default_field(q)
-    aff = f.add_table[:, f.alpha_mul_table].tolist()
+    aff = f.aff.tolist()
     gen = np.random.default_rng(q)
     b, h = (3, 2) if q > 100 else (40, 4)
     t0, t1 = gen.random((2, b, h, q)) ** 4

@@ -126,6 +126,15 @@ def test_inverse_transform_undoes_polar_transform(q):
         assert _inverse_transform(field, x) == u
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_awgn_point_decode_rejects_non_finite_output(bad):
+    # NaN once decoded silently to all zeros; inf decoded after a RuntimeWarning
+    code = PolarCode(F2, 2, [1, 2, 3])
+    y = [0.3, -1.1, bad, 0.7]
+    with pytest.raises(ValueError, match="finite reals"):
+        sc_decode(code, ebno_to_channel(2.0, 0.5, F2), y)
+
+
 def test_exact_point_decode_beyond_distribution_cap():
     ch = qec(F2, Fraction(1, 2))
     code = PolarCode(F2, 8, construct_info_set(F2, 8, 128, ch))

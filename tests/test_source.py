@@ -70,3 +70,38 @@ def test_no_callerless_public_names():
     assert bench, f"no benchmark sources under {PERFBENCH}"
     callers = [p for p in SRC.glob("*.py") if p.name != "__init__.py"] + bench
     assert sorted(public_names() - referenced_names(callers) - CALLERLESS) == []
+
+
+def private_definitions(path):
+    """Module-level private names a file binds: functions, classes, assignments."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def names_read_outside_own_definition(paths):
+    """Names loaded or read as attributes in these files, except where a
+    top-level definition reads its own name (a recursion is no caller)."""
+    found = set()
+    for path in paths:
+        for top in ast.parse(path.read_text()).body:
+            here = {node.id for node in ast.walk(top)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            here |= {node.attr for node in ast.walk(top) if isinstance(node, ast.Attribute)}
+            found |= here - {getattr(top, "name", None)}
+    return found
+
+
+def test_no_private_name_kept_for_the_tests():
+    # a private helper that nothing in the package reads is a test helper
+    # left behind: it belongs in tests/reference.py, or nowhere
+    paths = sorted(SRC.glob("*.py"))
+    read = names_read_outside_own_definition(paths)
+    unread = {path.name: [n for n in private_definitions(path) if n not in read]
+              for path in paths}
+    assert {name: names for name, names in unread.items() if names} == {}
