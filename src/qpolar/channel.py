@@ -16,6 +16,7 @@ column ``matrix[:][y]`` of a finite channel, axis 0 of ``likelihood_batch``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -146,7 +147,9 @@ class AwgnBpskChannel:
     """Binary-input AWGN channel with BPSK mapping 0 -> +1, 1 -> -1.
 
     Continuous outputs (real numbers); restricted to q = 2.  Symmetry holds
-    analytically: sigma_1 is real negation and pi_1 is the identity.
+    analytically: sigma_1 is real negation and pi_1 is the identity.  The
+    noise variance must be a finite positive number: a NaN or infinite one
+    would decode every block without error.
     """
 
     is_finite = False
@@ -154,8 +157,10 @@ class AwgnBpskChannel:
     def __init__(self, field, sigma2):
         if field.q != 2:
             raise ValueError("AWGN/BPSK is supported for the binary field only")
-        if sigma2 <= 0:
-            raise ValueError("noise variance must be positive")
+        # a NaN fails both comparisons; a bool is an int
+        real = isinstance(sigma2, numbers.Real) and not isinstance(sigma2, bool)
+        if not (real and 0 < sigma2 < math.inf):
+            raise ValueError(f"noise variance must be a finite positive number, got {sigma2!r}")
         self.field = field
         self.sigma2 = float(sigma2)
         self.kind = "awgn_bpsk"
@@ -179,14 +184,6 @@ class AwgnBpskChannel:
         out -= np.maximum(out[0], out[1])
         out /= 2 * self.sigma2
         return np.exp(out, out=out)
-
-    def shift(self, y, b):
-        return -y if b.index else y
-
-    def scale(self, y, a):
-        if a.index == 0:
-            raise ValueError("scaling permutations are defined for nonzero a only")
-        return y
 
     def sample_batch(self, x_indices, normals):
         return self.modulate(np.asarray(x_indices)) + math.sqrt(self.sigma2) * normals

@@ -204,7 +204,7 @@ def _cmd_simulate(args):
         shards=cfg_obj.get("shards", 1),
         random_message=cfg_obj.get("random_message", False),
     )
-    report = run_experiment(cfg, threads=args.threads)
+    report = run_experiment(cfg)
     report.config["seed_generated"] = generated
     export_report(report, args.out, fmt=args.format)
     if args.plot:
@@ -346,7 +346,6 @@ def build_parser():
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--plot", help="also write a gnuplot script here")
     p.add_argument("--seed", type=int, help="fallback when the config has no seed")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="check the symmetry lemmas and the theorem")

@@ -14,8 +14,6 @@ Each step is one gather from the field's table ``aff[z, u]`` = z + alpha*u.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 
@@ -180,15 +178,6 @@ class PolarCode:
                     f"position {i} is frozen to {v!r} but the message carries {u[i]!r}")
         return polar_transform(self.field, u)
 
-    def codewords(self):
-        """All q^k codewords, in information-symbol index order."""
-        rows = list(itertools.product(range(self.field.q), repeat=self.k))
-        u = np.tile(self._frozen_idx, (len(rows), 1))
-        u[:, list(self.info_set)] = np.array(rows, dtype=np.intp)  # (1, 0) when k = 0
-        x = polar_transform_indices(self.field, u).tolist()
-        elems = self.field.elements
-        return [tuple(elems[i] for i in row) for row in x]
-
     def __repr__(self):
         return (f"PolarCode(n={self.n}, k={self.k}, q={self.field.q}, "
                 f"decreasing={self.is_decreasing})")
@@ -203,11 +192,10 @@ class PolarCode:
         }
 
     @staticmethod
-    def from_json(obj, field=None):
+    def from_json(obj):
         from .gf import Field, default_field
 
-        if field is None:
-            field = Field.from_json(obj["field"]) if "field" in obj else default_field(2)
+        field = Field.from_json(obj["field"]) if "field" in obj else default_field(2)
         code = PolarCode(field, obj["m"], obj["info_set"], obj.get("frozen_values"))
         if "k" in obj and obj["k"] != code.k:
             raise ValueError(f"config says k={obj['k']} but info_set has {code.k} indices")

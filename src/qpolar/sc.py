@@ -86,6 +86,7 @@ def synthetic_channel(code, ch, y, u_prefix, i):
         raise ValueError(f"prefix has length {len(u_prefix)}, expected {i}")
     if n > MAX_DEFINITIONAL_N:
         raise ValueError(f"definitional form capped at n <= {MAX_DEFINITIONAL_N}")
+    _check_field(code, ch)
     _check_block(y, n, ch.num_outputs)
     # cols[j][x] = W(y_j | x)
     cols = [[row[yj] for row in ch.matrix] for yj in y]
@@ -100,6 +101,11 @@ def synthetic_channel(code, ch, y, u_prefix, i):
             likel[ui] += math.prod(col[xj] for col, xj in zip(cols, x))
     norm = Fraction(1, q ** (n - 1))
     return tuple(v * norm for v in likel)
+
+
+def _check_field(code, ch):
+    if ch.field != code.field:
+        raise ValueError(f"channel field {ch.field!r} differs from the code field {code.field!r}")
 
 
 def _check_block(y, n, num_outputs):
@@ -177,6 +183,7 @@ def sc_decode_distribution(code, ch, y, method="recursive", job=None):
 
     if method == "definitional":
         # checked here too: without information positions y is never scored
+        _check_field(code, ch)
         _check_block(y, code.n, ch.num_outputs)
         # branches map message prefixes (index tuples) to their masses
         frozen = code.frozen_index_array.tolist()
@@ -216,6 +223,7 @@ class _ExactJob:
     """
 
     def __init__(self, code, ch, tie_uniforms=None):
+        _check_field(code, ch)
         # aff[z][u] = index of z + alpha*u; the minus rule reads row u over
         # u1, the plus rule row z, and re-encoding entry [z_lo][z_hi]
         self.aff = code.field.aff.tolist()
@@ -299,7 +307,7 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
     tie_uniforms : (n, B) float array
         One uniform draw per (position, block); the draw at position i
         resolves the tie there, if any.
-    force : optional (n,) or (n, B) int array
+    force : optional (n, B) int array
         Genie mode: propagate these true symbol indices instead of the
         decisions.  Decisions are still recorded and returned.
 
@@ -317,17 +325,18 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
     relative tolerance ``DEFAULT_TIE_RTOL`` of the maximum tie.  An
     all-zero message (a leaf or plus message on a channel with zero
     transition entries) becomes all ones, so every symbol ties.  The
-    recursion runs under
-    ``np.errstate(invalid="raise", divide="raise")``: no NaN or inf can
-    reach a decision.
+    recursion runs under ``np.errstate(invalid="raise", divide="raise")``,
+    which stops an infinite likelihood (inf / inf) but not a NaN in T: NaN
+    arithmetic raises no invalid flag, so a NaN propagates quietly and its
+    leaf keeps index 0.  Finite likelihoods are the channels' duty.
     """
     field = code.field
     n = code.n
     q, nt, B = T.shape
     if nt != n or q != field.q:
         raise ValueError(f"likelihood array shape {T.shape} does not match ({field.q}, {n}, B)")
-    if force is not None:
-        force = np.broadcast_to(np.asarray(force, dtype=np.intp).reshape(n, -1), (n, B))
+    if force is not None and np.shape(force) != (n, B):
+        raise ValueError(f"force has shape {np.shape(force)}, expected {(n, B)}")
     job = _BatchJob(code, np.asarray(tie_uniforms), force)
     with np.errstate(invalid="raise", divide="raise"):
         tb = np.array(T, dtype=float, order="C")

@@ -3,15 +3,17 @@
 Transmits the all-zero codeword by default (message invariance makes that
 representative; a flag re-runs with random messages as an empirical check),
 decodes every trial with the vectorized SC decoder, and tallies message and
-codeword symbol errors per index.  Trials shard across workers; every draw
-is counter indexed by (seed, trial), so tallies are identical for any shard
-count or batch size and shards merge by plain integer addition.
+codeword symbol errors per index.  Trials split into shards that decode on
+a thread pool; every draw is counter indexed by (seed, trial), so tallies
+are identical for any shard count or batch size and shards merge by plain
+integer addition.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
@@ -49,7 +51,7 @@ class ExperimentConfig:
     random_message: bool = False
 
     def __post_init__(self):
-        for name in ("trials", "shards"):
+        for name in ("trials", "seed", "shards"):
             value = getattr(self, name)
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -132,19 +134,13 @@ class BerReport:
             "summary": self.summary(),
         }
 
-    @staticmethod
-    def from_json(obj):
-        return BerReport(
-            info_set=tuple(obj["info_set"]),
-            trials=obj["trials"],
-            message_errors=tuple(obj["message_errors"]),
-            codeword_errors=tuple(obj["codeword_errors"]),
-            config=obj.get("config", {}),
-        )
 
+def run_experiment(cfg):
+    """Run the configured trials and return a validated BerReport.
 
-def run_experiment(cfg, threads=1):
-    """Run the configured trials and return a validated BerReport."""
+    The shards decode on min(shards, os.cpu_count()) threads; numpy
+    releases the interpreter lock inside its array operations.
+    """
     code = cfg.code
     bounds = [cfg.trials * s // cfg.shards for s in range(cfg.shards + 1)]
 
@@ -152,7 +148,8 @@ def run_experiment(cfg, threads=1):
         return decode_tallies(code, cfg.channel, cfg.seed, bounds[s], bounds[s + 1],
                               random_message=cfg.random_message)
 
-    if threads > 1 and cfg.shards > 1:
+    threads = min(cfg.shards, os.cpu_count() or 1)
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one_shard, range(cfg.shards)))
     else:
@@ -225,11 +222,12 @@ def export_report(report, path, fmt="csv"):
         fh.write(text)
 
 
-def plot_script(csv_path, out_path="ber_panels.png"):
-    """gnuplot script drawing the two per-index panels from an exported CSV."""
+def plot_script(csv_path):
+    """gnuplot script drawing the two per-index panels from an exported CSV
+    into ber_panels.png."""
     return "\n".join([
         "set datafile separator ','",
-        f"set output '{out_path}'",
+        "set output 'ber_panels.png'",
         "set terminal pngcairo size 1200,480",
         "set multiplot layout 1,2",
         "set logscale y",

@@ -103,20 +103,17 @@ def check_message_invariance(code, ch, messages):
     return True, None
 
 
-def check_coset_invariance(code, ch, ys=None, cosets=None):
+def check_coset_invariance(code, ch, ys=None):
     """Decode distributions transport along a*y + x_b for codewords x_b.
 
-    Exhausts all nonzero a, and all codewords of the zero-frozen code and
-    all output vectors unless narrowed by ``cosets``, an iterable of
-    information-symbol tuples, and ``ys``.
+    Exhausts all nonzero a and all codewords of the zero-frozen code, and
+    all output vectors unless narrowed by ``ys``.
     """
     _require_zero_frozen(code)
     field = code.field
     first_violation = _transport(code, ch, ys)
-    if cosets is None:
-        cosets = itertools.product(field.elements, repeat=code.k)
     src = range(code.n)
-    for info in cosets:
+    for info in itertools.product(field.elements, repeat=code.k):
         b = code.full_message(info)
         xb = polar_transform(field, b)
         for a in field.elements[1:]:
@@ -141,12 +138,13 @@ def check_xi_invariance(code, ch, r, ys=None):
         raise ValueError("the xi identities need a decreasing information set")
     m = code.m
     field = code.field
+    first_violation = _transport(code, ch, ys)
     # coordinate i of the image reads coordinate delta(i) scaled by coeffs[i]
     src = [delta(m, r, i) for i in range(code.n)]
     coeffs = xi_coefficients(field, m, r)
     ymaps = [[ch.scale(v, c) for v in range(ch.num_outputs)] for c in coeffs]
     xmaps = [field._mul[c.index].tolist() for c in coeffs]
-    y = _transport(code, ch, ys)(ymaps, xmaps, src)
+    y = first_violation(ymaps, xmaps, src)
     if y is not None:
         return False, {"r": r, "y": y}
     return True, None

@@ -7,7 +7,8 @@ floats renormalized to maximum 1 on the float path, with ties resolved
 lexicographically.  The package decodes one block on its two kernels
 instead (the integer exact recursion and the float batch kernel) and must
 reproduce these decisions.  ``kron_matrix`` builds G_n as an explicit
-matrix, the referee of the package's one transform.  ``matrix_multiply``,
+matrix, the referee of the package's one transform, and ``codewords``
+enumerates a code with that transform.  ``matrix_multiply``,
 ``transition``, ``likelihoods``, ``product_transition`` and ``sample`` are
 the element-level definitions of encoding, the channel and block
 transition laws and channel sampling.  ``rank_alpha_generates`` decides whether alpha
@@ -45,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from qpolar.channel import FiniteChannel
-from qpolar.code import PolarCode, polar_transform
+from qpolar.code import PolarCode, polar_transform, polar_transform_indices
 from qpolar.gf import _poly_mod, _poly_trim
 from qpolar.sc import synthetic_channel
 from qpolar.symmetry import delta, xi_coefficients
@@ -164,6 +165,16 @@ def kron_matrix(field, m):
         nxt[n:, n:] = g
         g = nxt
     return g
+
+
+def codewords(code):
+    """All q^k codewords of a code, in information-symbol index order."""
+    rows = list(itertools.product(range(code.field.q), repeat=code.k))
+    u = np.tile(code.frozen_index_array, (len(rows), 1))
+    u[:, list(code.info_set)] = np.array(rows, dtype=np.intp)  # (1, 0) when k = 0
+    elems = code.field.elements
+    return [tuple(elems[i] for i in row)
+            for row in polar_transform_indices(code.field, u).tolist()]
 
 
 def matrix_multiply(field, u_indices, g):

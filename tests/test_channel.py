@@ -246,10 +246,8 @@ def test_awgn_shift_identity():
     f2 = default_field(2)
     ch = AwgnBpskChannel(f2, 0.631)
     for y in (-2.3, -0.4, 0.0, 0.7, 1.9):
-        # W(y|0) = W(-y|1) from the Gaussian density
-        assert transition(ch, y, f2.zero) == pytest.approx(
-            transition(ch, ch.shift(y, f2.one), f2.one))
-        assert ch.scale(y, f2.one) == y
+        # W(y|0) = W(-y|1) from the Gaussian density: sigma_1 is negation
+        assert transition(ch, y, f2.zero) == pytest.approx(transition(ch, -y, f2.one))
 
 
 def test_finite_likelihood_batch_is_symbol_major_and_c_contiguous():
@@ -279,6 +277,13 @@ def test_awgn_requires_binary_field():
         AwgnBpskChannel(default_field(4), 0.5)
     with pytest.raises(ValueError):
         verify_symmetry(AwgnBpskChannel(default_field(2), 0.5))
+
+
+@pytest.mark.parametrize("sigma2", [float("nan"), float("inf"), 0, -0.5, "0.5", True, None])
+def test_awgn_rejects_a_noise_variance_that_is_not_finite_and_positive(sigma2):
+    # with a NaN or infinite variance every block once decoded without error
+    with pytest.raises(ValueError, match="noise variance"):
+        AwgnBpskChannel(default_field(2), sigma2)
 
 
 def test_channel_json_round_trip():

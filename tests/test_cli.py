@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -214,18 +215,22 @@ def test_verify_fails_on_counterexample_with_witness(paths, tmp_path, capsys):
     assert obj["results"]["thm1"]["ok"] is False
 
 
-def test_mc_ser_csv_byte_identical(paths, tmp_path):
+def test_mc_ser_csv_byte_identical(paths, tmp_path, monkeypatch):
+    # four shards decode on two threads; one shard gives the same tallies
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     _, ch_path, code_path = paths
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    for out in (a, b):
+    single = tmp_path / "single.csv"
+    for out, shards in ((a, "4"), (b, "4"), (single, "1")):
         rc = main(["mc-ser", "--code", code_path, "--channel", ch_path,
-                   "--trials", "20000", "--seed", "3", "--shards", "4",
+                   "--trials", "20000", "--seed", "3", "--shards", shards,
                    "--format", "csv", "--out", str(out)])
         assert rc == 0
     assert a.read_bytes() == b.read_bytes()
-    header = a.read_text().splitlines()[0]
+    header, *rows = a.read_text().splitlines()
     assert json.loads(header.removeprefix("# qpolar-report "))["seed"] == 3
+    assert single.read_text().splitlines()[1:] == rows
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -294,6 +299,22 @@ def test_simulate_rejects_plot_of_json_report(paths, tmp_path, capsys):
                  "--format", "json", "--plot", str(plot)]) == 1
     assert "--plot" in capsys.readouterr().err
     assert not out.exists() and not plot.exists()
+
+
+def test_simulate_rejects_a_nan_noise_variance(tmp_path, capsys):
+    # json reads NaN; every block once decoded without error
+    ch_path = tmp_path / "awgn.json"
+    ch_path.write_text('{"kind": "awgn_bpsk", "sigma2": NaN}')
+    code_path = tmp_path / "code.json"
+    code_path.write_text(json.dumps(PolarCode(F2, 2, [1, 2, 3]).to_json()))
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"code": str(code_path), "channel": str(ch_path),
+                                    "trials": 100, "seed": 1}))
+    out = tmp_path / "rep.csv"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "noise variance" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_missing_file_is_validation_failure(capsys):

@@ -14,7 +14,7 @@ from qpolar.sc import (
     sc_decode_distribution,
     synthetic_channel,
 )
-from reference import combine_minus, combine_plus, likelihoods
+from reference import codewords, combine_minus, combine_plus, likelihoods
 
 
 F2 = default_field(2)
@@ -169,7 +169,7 @@ def test_tie_example_n2():
 def test_distribution_masses_sum_to_one():
     ch = qec(F4, Fraction(1, 3))
     code = PolarCode(F4, 1, [1])
-    words = set(code.codewords())
+    words = set(codewords(code))
     for y in all_outputs(ch, 2):
         dist = sc_decode_distribution(code, ch, y)
         assert sum(dist.values()) == 1
@@ -179,7 +179,7 @@ def test_distribution_masses_sum_to_one():
 def test_distribution_support_is_inside_code():
     ch = qsc(F2, Fraction(1, 10))
     code = PolarCode(F2, 2, [2, 3])
-    words = set(code.codewords())
+    words = set(codewords(code))
     for y in all_outputs(ch, 4):
         dist = sc_decode_distribution(code, ch, y)
         assert set(dist) <= words
@@ -291,9 +291,11 @@ def test_batch_decoder_genie_mode_propagates_truth():
     rng = np.random.default_rng(5)
     T = ch.likelihood_batch(rng.integers(0, 2, size=(50, 4)).T)
     tie_u = rng.random((50, 4))
-    decisions, x = sc_decode_batch(code, T, tie_u.T, force=np.zeros(4, dtype=int))
+    decisions, x = sc_decode_batch(code, T, tie_u.T, force=np.zeros((4, 50), dtype=int))
     assert np.all(x == 0)  # transform of the all-zero truth
     assert decisions.shape == (4, 50)
+    with pytest.raises(ValueError, match="force has shape"):
+        sc_decode_batch(code, T, tie_u.T, force=np.zeros(4, dtype=int))
 
 
 def test_wrong_length_tie_uniforms_raise():

@@ -226,7 +226,7 @@ def test_batch_decode_leaves_no_cyclic_garbage():
     gc.disable()
     try:
         _kernel(code, likes, tie_u)
-        _kernel(code, likes, tie_u, force=np.zeros(code.n, dtype=int))
+        _kernel(code, likes, tie_u, force=np.zeros(tie_u.shape, dtype=int))
         found = gc.collect()
     finally:
         gc.enable()

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import qpolar
+from qpolar import sim
 from qpolar.channel import qsc, table_channel
 from qpolar.code import PolarCode
 from qpolar.gf import default_field
@@ -34,6 +36,10 @@ def test_ebno_conversion_values():
     assert ebno_to_channel(60.0, 0.5).sigma2 < 1e-5
     with pytest.raises(ValueError):
         ebno_to_channel(2.0, 0.0)
+    # a NaN noise variance would decode every block without error
+    for ebno_db, rate in ((float("nan"), 0.5), (2.0, float("nan"))):
+        with pytest.raises(ValueError, match="noise variance"):
+            ebno_to_channel(ebno_db, rate)
 
 
 def test_noiseless_experiment_all_zero():
@@ -54,14 +60,40 @@ def test_shard_and_batch_invariance():
                                               shards=shards))
         assert rep.message_errors == base.message_errors
         assert rep.codeword_errors == base.codeword_errors
-    threaded = run_experiment(ExperimentConfig(code, ch, trials=20_000, seed=11,
-                                               shards=4), threads=4)
-    assert threaded.codeword_errors == base.codeword_errors
     # split trial ranges decoded in 777-block batches add up to the same tallies
     parts = [decode_tallies(code, ch, 11, a, b, batch=777)
              for a, b in ((0, 6_000), (6_000, 20_000))]
     assert tuple(int(v) for v in parts[0][0] + parts[1][0]) == base.message_errors
     assert tuple(int(v) for v in parts[0][1] + parts[1][1]) == base.codeword_errors
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_shard_pool_keeps_tallies(monkeypatch, cpus):
+    # the shards decode on min(shards, cpu count) threads, here at most 2
+    started = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", Pool)
+    ch = qsc(F2, Fraction(1, 10))
+    code = PolarCode(F2, 3, [3, 5, 6, 7])
+    reports = [run_experiment(ExperimentConfig(code, ch, trials=9_000, seed=11,
+                                               shards=shards))
+               for shards in (1, 2, 5)]
+    assert started == ([] if cpus == 1 else [2, 2])
+    assert len({(r.message_errors, r.codeword_errors) for r in reports}) == 1
+
+
+@pytest.mark.parametrize("seed", [2.5, True, "2", None])
+def test_config_rejects_a_seed_that_is_not_an_integer(seed):
+    # 2.5 once ran with seed 2's draws and recorded 2.5
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        ExperimentConfig(PolarCode(F2, 1, [1]), qsc(F2, Fraction(1, 10)), trials=10,
+                         seed=seed)
 
 
 def test_experiment_matches_oracle_n4():
@@ -156,10 +188,12 @@ def test_export_round_trip(tmp_path):
 
     jpath = tmp_path / "report.json"
     export_report(report, jpath, fmt="json")
-    back = BerReport.from_json(json.loads(jpath.read_text()))
-    assert back.message_errors == report.message_errors
-    assert back.codeword_errors == report.codeword_errors
-    assert back.config == report.config
+    back = json.loads(jpath.read_text())
+    assert tuple(back["info_set"]) == report.info_set
+    assert back["trials"] == report.trials
+    assert tuple(back["message_errors"]) == report.message_errors
+    assert tuple(back["codeword_errors"]) == report.codeword_errors
+    assert back["config"] == report.config
 
     cpath = tmp_path / "report.csv"
     export_report(report, cpath, fmt="csv")
@@ -177,3 +211,4 @@ def test_plot_script_references_both_panels():
     assert "message symbol error rate" in script
     assert "codeword symbol error rate" in script
     assert script.count("report.csv") == 2
+    assert "set output 'ber_panels.png'" in script

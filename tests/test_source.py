@@ -38,38 +38,117 @@ CALLERLESS = {
 }
 
 
-def public_names():
-    """Names exported by __init__.py, and public methods of public classes."""
+def exported_names():
+    """Names exported by __init__.py."""
     init = ast.parse((SRC / "__init__.py").read_text())
-    names = {alias.asname or alias.name for node in init.body
-             if isinstance(node, ast.ImportFrom) for alias in node.names}
-    for path in SRC.glob("*.py"):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                names.update(f.name for f in node.body
-                             if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"))
-    return names
+    return {alias.asname or alias.name for node in init.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def public_classes():
+    """Every public class definition of the package."""
+    return [node for path in SRC.glob("*.py") for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")]
+
+
+def public_methods():
+    """Public methods of public classes."""
+    return {f.name for cls in public_classes() for f in cls.body
+            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")}
 
 
 def referenced_names(paths):
-    """Every name read as an ast.Name or an ast.Attribute in these files."""
-    found = set()
+    """Names read as an ast.Name, and names read as an attribute (x.name), in
+    these files."""
+    bare, attributes = set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
-                found.add(node.id)
+                bare.add(node.id)
             elif isinstance(node, ast.Attribute):
-                found.add(node.attr)
-    return found
+                attributes.add(node.attr)
+    return bare, attributes
+
+
+def caller_paths():
+    """The package's modules and the benchmark's sources."""
+    bench = sorted(PERFBENCH.rglob("*.py"))
+    assert bench, f"no benchmark sources under {PERFBENCH}"
+    return [p for p in SRC.glob("*.py") if p.name != "__init__.py"] + bench
 
 
 def test_no_callerless_public_names():
     # a public name that neither the package nor the benchmark reads is kept
-    # for the tests alone: it belongs in tests/reference.py, or nowhere
-    bench = sorted(PERFBENCH.rglob("*.py"))
-    assert bench, f"no benchmark sources under {PERFBENCH}"
-    callers = [p for p in SRC.glob("*.py") if p.name != "__init__.py"] + bench
-    assert sorted(public_names() - referenced_names(callers) - CALLERLESS) == []
+    # for the tests alone: it belongs in tests/reference.py, or nowhere.  A
+    # method is only ever called as x.name; a bare name of the same spelling
+    # is a local or another function
+    bare, attributes = referenced_names(caller_paths())
+    unread = (exported_names() - bare - attributes) | (public_methods() - attributes)
+    assert sorted(unread - CALLERLESS) == []
+
+
+# defaulted parameters that no call in the package or the benchmark passes,
+# each with its reason
+UNPASSED = {
+    ("main", "argv"): "the console entry point: the interpreter calls main() "
+                      "and argparse reads sys.argv; the tests pass argv",
+}
+
+
+def public_functions():
+    """(definition, leading arguments a call does not pass) for every public
+    module function and every public method of a public class."""
+    found = [(node, 0) for path in SRC.glob("*.py") for node in ast.parse(path.read_text()).body
+             if isinstance(node, ast.FunctionDef)]
+    for cls in public_classes():
+        for f in cls.body:
+            if isinstance(f, ast.FunctionDef):
+                static = any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
+                found.append((f, 0 if static else 1))  # self or cls
+    return [(f, skip) for f, skip in found if not f.name.startswith("_")]
+
+
+def defaulted_parameters():
+    """(function, parameter, position) for every defaulted parameter of a
+    public function.  The position counts the positional arguments a call
+    passes before the parameter; it is None for a keyword-only one."""
+    found = []
+    for f, skip in public_functions():
+        positional = f.args.posonlyargs + f.args.args
+        first = len(positional) - len(f.args.defaults)
+        found += [(f.name, p.arg, i - skip) for i, p in enumerate(positional) if i >= first]
+        found += [(f.name, p.arg, None)
+                  for p, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None]
+    return found
+
+
+def passed_arguments(paths):
+    """Calls in these files, matched by the called name (``f(...)`` or
+    ``x.f(...)``): the most positional arguments a call passes, the
+    (name, keyword) pairs passed, and the names some call passes *args or
+    **kwargs to."""
+    positional, keywords, unpacked = {}, set(), set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                unpacked.add(name)
+            positional[name] = max(positional.get(name, 0), len(node.args))
+            keywords.update((name, k.arg) for k in node.keywords)
+    return positional, keywords, unpacked
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller():
+    # a default that every caller keeps is a setting nobody sets: it doubles
+    # the configurations to test and belongs in the body as a constant
+    positional, keywords, unpacked = passed_arguments(caller_paths())
+    unpassed = {(f, p) for f, p, at in defaulted_parameters()
+                if f not in unpacked and (f, p) not in keywords
+                and (at is None or positional.get(f, 0) <= at)}
+    assert sorted(unpassed - UNPASSED.keys()) == []
 
 
 def private_definitions(path):

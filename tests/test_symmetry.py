@@ -7,7 +7,8 @@ import pytest
 from qpolar.channel import qec, qsc
 from qpolar.code import PolarCode, decreasing_sets, polar_transform
 from qpolar.gf import default_field
-from qpolar.oracle import exact_average_ser
+from qpolar.oracle import exact_average_ser, exact_ser
+from qpolar.sc import sc_decode, sc_decode_distribution
 from qpolar.symmetry import (
     check_coset_invariance,
     check_equal_ser,
@@ -217,3 +218,25 @@ def test_equal_ser_invariant_under_field_representation():
         assert ok
         sers.append(detail["ser"])
     assert sers[0] == sers[1]
+
+
+EXACT_PATHS = {
+    "check_equal_ser": check_equal_ser,
+    "check_coset_invariance": check_coset_invariance,
+    "check_xi_invariance": lambda code, ch: check_xi_invariance(code, ch, 0),
+    "exact_ser": lambda code, ch: exact_ser(code, ch, [code.field.zero] * code.n),
+    "sc_decode": lambda code, ch: sc_decode(code, ch, (0,) * code.n),
+    "recursive": lambda code, ch: sc_decode_distribution(code, ch, (0,) * code.n),
+    "definitional": lambda code, ch: sc_decode_distribution(code, ch, (0,) * code.n,
+                                                            method="definitional"),
+}
+
+
+@pytest.mark.parametrize("path", sorted(EXACT_PATHS))
+@pytest.mark.parametrize("code_q,channel_q", [(2, 4), (4, 2)])
+def test_exact_paths_reject_a_channel_over_another_field(path, code_q, channel_q):
+    # an F_2 code on an F_4 channel once returned results, the reverse an IndexError
+    code = PolarCode(default_field(code_q), 2, (1, 2, 3))
+    ch = qsc(default_field(channel_q), Fraction(1, 10))
+    with pytest.raises(ValueError, match="differs from the code field"):
+        EXACT_PATHS[path](code, ch)
