@@ -22,8 +22,6 @@ from fractions import Fraction
 
 import numpy as np
 
-ERASURE = "?"
-
 
 def _as_fraction(v):
     if isinstance(v, (Fraction, int, str)):
@@ -51,11 +49,10 @@ class FiniteChannel:
     ----------
     field : Field
         Input alphabet F_q.
-    outputs : sequence
-        Output symbol labels; symbols are addressed by their index here.
     matrix : sequence of rows
         ``matrix[x][y]`` = W(y | x) as ``Fraction`` (or int/str coercible),
-        one row per input element index.  Rows must sum to exactly 1.
+        one row per input element index.  Rows must sum to exactly 1, and
+        outputs are addressed by their column index.
 
     The permutation families ``shift`` and ``scale`` are found from the
     matrix by :func:`verify_symmetry`; construction fails if none exist.
@@ -63,15 +60,14 @@ class FiniteChannel:
 
     is_finite = True
 
-    def __init__(self, field, outputs, matrix, kind="table", params=None):
+    def __init__(self, field, matrix, kind="table", params=None):
         self.field = field
-        self.outputs = tuple(outputs)
         self.kind = kind
         self.params = dict(params or {})
         q = field.q
-        ny = len(self.outputs)
         if len(matrix) != q:
             raise ValueError(f"matrix needs {q} rows, got {len(matrix)}")
+        ny = self.num_outputs = len(matrix[0])
         rows = []
         for x, row in enumerate(matrix):
             row = tuple(_as_fraction(v) for v in row)
@@ -88,24 +84,17 @@ class FiniteChannel:
             raise ValueError(f"channel is not F_q-symmetric: {report.detail}")
         self._sigma = report.sigma
         self._pi = report.pi
-        self._float = None
-        self._cum = None
+        # float mirrors of the law, read-only like the field's tables
+        self.matrix_float = np.array([[float(v) for v in row] for row in self.matrix])
+        self.matrix_float.flags.writeable = False
+        self.cumulative_float = np.cumsum(self.matrix_float, axis=1)
+        self.cumulative_float.flags.writeable = False
 
     # -- core law ---------------------------------------------------------
 
     @property
     def q(self):
         return self.field.q
-
-    @property
-    def num_outputs(self):
-        return len(self.outputs)
-
-    @property
-    def matrix_float(self):
-        if self._float is None:
-            self._float = np.array([[float(v) for v in row] for row in self.matrix])
-        return self._float
 
     def likelihood_batch(self, y):
         """(q, ...) float likelihoods for an integer array of output indices."""
@@ -125,12 +114,6 @@ class FiniteChannel:
         return self._pi[a.index][y]
 
     # -- sampling -----------------------------------------------------------
-
-    @property
-    def cumulative_float(self):
-        if self._cum is None:
-            self._cum = np.cumsum(self.matrix_float, axis=1)
-        return self._cum
 
     def sample_batch(self, x_indices, uniforms):
         """Vectorized inverse-CDF sampling: one uniform per transmitted symbol."""
@@ -153,6 +136,7 @@ class AwgnBpskChannel:
     """
 
     is_finite = False
+    q = 2
 
     def __init__(self, field, sigma2):
         if field.q != 2:
@@ -164,11 +148,7 @@ class AwgnBpskChannel:
         self.field = field
         self.sigma2 = float(sigma2)
         self.kind = "awgn_bpsk"
-        self.params = {"sigma2": self.sigma2}
-
-    @property
-    def q(self):
-        return 2
+        self.params = {}
 
     @staticmethod
     def modulate(x_index):
@@ -202,30 +182,27 @@ def qsc(field, epsilon):
     q = field.q
     wrong = eps / (q - 1)
     matrix = [[(1 - eps) if y == x else wrong for y in range(q)] for x in range(q)]
-    return FiniteChannel(field, field.elements, matrix, kind="qsc", params={"epsilon": eps})
+    return FiniteChannel(field, matrix, kind="qsc", params={"epsilon": eps})
 
 
 def qec(field, epsilon):
-    """q-ary erasure channel: output alphabet F_q + erasure, erased with eps."""
+    """q-ary erasure channel: outputs F_q (by index) and the erasure q, erased with eps."""
     eps = _as_fraction(epsilon)
     if not 0 <= eps <= 1:
         raise ValueError("epsilon must lie in [0, 1]")
     q = field.q
-    outputs = tuple(field.elements) + (ERASURE,)
     matrix = []
     for x in range(q):
         row = [Fraction(0)] * (q + 1)
         row[x] = 1 - eps
         row[q] = eps
         matrix.append(row)
-    return FiniteChannel(field, outputs, matrix, kind="qec", params={"epsilon": eps})
+    return FiniteChannel(field, matrix, kind="qec", params={"epsilon": eps})
 
 
 def table_channel(field, matrix):
-    """Arbitrary finite channel given by its transition matrix; outputs are
-    labelled 0, 1, ... in column order."""
-    matrix = [list(row) for row in matrix]
-    return FiniteChannel(field, range(len(matrix[0])), matrix, kind="table")
+    """Arbitrary finite channel given by its transition matrix."""
+    return FiniteChannel(field, [list(row) for row in matrix], kind="table")
 
 
 # -- verification ----------------------------------------------------------

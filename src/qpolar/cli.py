@@ -52,10 +52,6 @@ def _jsonify(value):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
     return value
 
 
@@ -100,10 +96,11 @@ def _parse_message(field, items, n):
 def _cmd_construct(args):
     ch = channel_from_json(_load_json(args.channel))
     field = ch.field
-    seed, generated = _resolve_seed(args.seed)
+    seed = generated = None
     if args.method == "erasure":
         method = ErasureExact()
     elif args.method == "genie":
+        seed, generated = _resolve_seed(args.seed)
         method = GenieMC(trials=args.trials, seed=seed)
     else:
         method = Manual(tuple(args.info))
@@ -112,8 +109,8 @@ def _cmd_construct(args):
     out = code.to_json()
     out["meta"] = {
         "method": args.method,
-        "seed": seed if args.method == "genie" else None,
-        "seed_generated": generated if args.method == "genie" else None,
+        "seed": seed,
+        "seed_generated": generated,
         "trials": args.trials if args.method == "genie" else None,
         "channel": channel_to_json(ch),
     }
@@ -195,8 +192,7 @@ def _cmd_simulate(args):
     ch_obj = cfg_obj["channel"]
     ch = channel_from_json(_load_json(ch_obj) if isinstance(ch_obj, str) else ch_obj,
                            field=code.field)
-    seed = cfg_obj.get("seed", args.seed)
-    seed, generated = _resolve_seed(seed)
+    seed, generated = _resolve_seed(cfg_obj.get("seed"))
     cfg = ExperimentConfig(
         code=code, channel=ch,
         trials=cfg_obj["trials"],
@@ -270,18 +266,17 @@ def _cmd_verify(args):
     for lemma in lemmas:
         if lemma not in _LEMMA_CHOICES:
             raise ValueError(f"unknown lemma {lemma!r}; choose from {_LEMMA_CHOICES}")
-    samples = None if args.exhaustive else args.samples
     results = {}
     failed = False
     for lemma in lemmas:
-        ok, witness = _run_lemma(lemma, code, ch, samples, args.seed)
+        ok, witness = _run_lemma(lemma, code, ch, args.samples, args.seed)
         results[lemma] = {"ok": ok, "witness": witness}
         status = "pass" if ok else "FAIL"
         print(f"{lemma}: {status}" + ("" if ok else f" witness={_jsonify(witness)}"))
         failed = failed or not ok
     out = {"results": results,
            "config": {"code": code.to_json(), "channel": channel_to_json(ch),
-                      "samples": samples, "seed": args.seed}}
+                      "samples": args.samples, "seed": args.seed}}
     if args.out:
         _write_json(out, args.out)
     return 1 if failed else 0
@@ -345,7 +340,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--plot", help="also write a gnuplot script here")
-    p.add_argument("--seed", type=int, help="fallback when the config has no seed")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="check the symmetry lemmas and the theorem")
@@ -353,8 +347,8 @@ def build_parser():
     p.add_argument("--channel", required=True)
     p.add_argument("--lemmas", default="thm1",
                    help="comma list from 2,3,4,5,6,7,thm1")
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=int, default=None,
+                   help="random samples per lemma; default exhaustive where feasible")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)

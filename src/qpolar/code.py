@@ -132,25 +132,15 @@ class PolarCode:
             raise ValueError(
                 f"need {len(self.frozen_set)} frozen values, got {len(frozen_values)}")
         self.frozen_values = tuple(frozen_values)
-        self._frozen_map = dict(zip(self.frozen_set, self.frozen_values))
         self.is_decreasing, self.condition_witness = check_condition_A(info, m)
-        self._info_mask = np.zeros(self.n, dtype=bool)
-        self._info_mask[list(info)] = True
-        self._frozen_idx = np.zeros(self.n, dtype=np.intp)
-        for i, v in self._frozen_map.items():
-            self._frozen_idx[i] = v.index
-
-    def is_info(self, i):
-        return bool(self._info_mask[i])
-
-    @property
-    def info_mask(self):
-        return self._info_mask
-
-    @property
-    def frozen_index_array(self):
-        """Per-position frozen value indices (zero at information positions)."""
-        return self._frozen_idx
+        # per-position views for the decoders, read-only: a write would
+        # change the decoded code under an unchanged info_set
+        self.info_mask = np.isin(np.arange(self.n), info)
+        self.info_mask.flags.writeable = False
+        # frozen value indices, zero at information positions
+        self.frozen_index_array = np.zeros(self.n, dtype=np.intp)
+        self.frozen_index_array[list(self.frozen_set)] = [v.index for v in self.frozen_values]
+        self.frozen_index_array.flags.writeable = False
 
     def with_frozen_values(self, frozen_values):
         return PolarCode(self.field, self.m, self.info_set, frozen_values)
@@ -163,7 +153,7 @@ class PolarCode:
         u = [None] * self.n
         for i, v in zip(self.info_set, info_symbols):
             u[i] = v
-        for i, v in self._frozen_map.items():
+        for i, v in zip(self.frozen_set, self.frozen_values):
             u[i] = v
         return tuple(u)
 
@@ -172,7 +162,7 @@ class PolarCode:
         u = [self.field.element(v) for v in u]
         if len(u) != self.n:
             raise ValueError(f"message length {len(u)} != n = {self.n}")
-        for i, v in self._frozen_map.items():
+        for i, v in zip(self.frozen_set, self.frozen_values):
             if u[i] != v:
                 raise ValueError(
                     f"position {i} is frozen to {v!r} but the message carries {u[i]!r}")

@@ -192,7 +192,7 @@ def sc_decode_distribution(code, ch, y, method="recursive", job=None):
             nxt = {}
             for prefix, p in branches.items():
                 cands = (_argmax_set(synthetic_channel(code, ch, y, prefix, i))
-                         if code.is_info(i) else [frozen[i]])
+                         if code.info_mask[i] else [frozen[i]])
                 for u in cands:
                     nxt[prefix + (u,)] = p / len(cands)
             branches = nxt
@@ -229,8 +229,8 @@ class _ExactJob:
         self.aff = code.field.aff.tolist()
         self.n = code.n
         # plain tuples: reading numpy scalars in the recursion is slower
-        self.info = tuple(code.is_info(i) for i in range(code.n))
-        self.frozen = tuple(int(v) for v in code.frozen_index_array)
+        self.info = tuple(code.info_mask.tolist())
+        self.frozen = tuple(code.frozen_index_array.tolist())
         self.denominator = math.lcm(*(v.denominator for row in ch.matrix for v in row))
         self.rows = tuple(tuple(v.numerator * (self.denominator // v.denominator) for v in row)
                           for row in ch.matrix)
@@ -369,7 +369,8 @@ def _decode_span(tb, lo, job):
     if span == 1:
         m = tb[:, 0]
         if job.info_mask[lo]:
-            tied = m >= _symbol_max(m) * (1.0 - DEFAULT_TIE_RTOL)
+            # every message was normalized, so its maximum is exactly 1.0
+            tied = m >= 1.0 - DEFAULT_TIE_RTOL
             s = tied.sum(axis=0)
             k = np.minimum((job.tie_uniforms[lo] * s).astype(np.intp), s - 1)
             u = np.argmax(np.cumsum(tied, axis=0) == k + 1, axis=0)
@@ -402,18 +403,12 @@ def _decode_span(tb, lo, job):
     return np.concatenate([x_lo, xh], axis=0)
 
 
-def _symbol_max(t):
-    """Maximum over axis 0 by q - 1 elementwise maxima."""
-    mx = np.maximum(t[0], t[1])
-    for row in t[2:]:
-        np.maximum(mx, row, out=mx)
-    return mx
-
-
 def _normalize(t):
     """Scale each message (axis 0) in place to maximum 1; an all-zero
     message becomes all ones."""
-    mx = _symbol_max(t)
+    mx = np.maximum(t[0], t[1])
+    for row in t[2:]:
+        np.maximum(mx, row, out=mx)
     if not mx.all():
         zero = mx == 0
         t[:, zero] = 1.0

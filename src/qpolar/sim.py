@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -30,12 +31,22 @@ def ebno_to_channel(ebno_db, rate, field=None):
 
     Unit-energy BPSK: sigma^2 = 1 / (2 * rate * 10^(ebno_db/10)).
     """
+    for name, value in (("ebno_db", ebno_db), ("rate", rate)):
+        # a bool is an int; the channel rejects the zero, infinite or NaN
+        # variance that an infinite, NaN or extreme value gives
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
     if rate <= 0 or rate > 1:
         raise ValueError(f"rate must lie in (0, 1], got {rate}")
     if field is None:
         from .gf import default_field
         field = default_field(2)
-    sigma2 = 1.0 / (2.0 * rate * 10.0 ** (ebno_db / 10.0))
+    try:
+        sigma2 = 1.0 / (2.0 * rate * 10.0 ** (ebno_db / 10.0))
+    except OverflowError:  # 10^(ebno_db/10) beyond the floats
+        sigma2 = 0.0
+    except ZeroDivisionError:  # 10^(ebno_db/10) rounded to 0
+        sigma2 = math.inf
     ch = AwgnBpskChannel(field, sigma2)
     ch.params.update({"ebno_db": float(ebno_db), "rate": float(rate)})
     return ch

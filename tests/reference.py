@@ -128,7 +128,7 @@ def reference_sc_decode(code, ch, y, exact=None):
 
     def rec(t_list, pos):
         if len(t_list) == 1:
-            if code.is_info(pos):
+            if code.info_mask[pos]:
                 u = elems[_argmax_set(t_list[0])[0]]
             else:
                 u = elems[code.frozen_index_array[pos]]
@@ -345,8 +345,6 @@ def polarize(ch):
     add, alpha_mul = field._add.tolist(), field._mul[alpha.index].tolist()
 
     # minus: outputs are pairs, index = y0 * ny + y1
-    pair_outputs = tuple((ch.outputs[y0], ch.outputs[y1])
-                         for y0 in range(ny) for y1 in range(ny))
     minus_matrix = []
     for u in range(q):
         row = []
@@ -358,12 +356,10 @@ def polarize(ch):
                     acc += ch.matrix[xin][y0] * ch.matrix[u1][y1]
                 row.append(inv_q * acc)
         minus_matrix.append(row)
-    minus = FiniteChannel(field, pair_outputs, minus_matrix,
+    minus = FiniteChannel(field, minus_matrix,
                           kind="minus", params={"base": ch.kind, "alpha": alpha.index})
 
     # plus: outputs are triples (y0, y1, u0), index = (y0 * ny + y1) * q + u0
-    triple_outputs = tuple((ch.outputs[y0], ch.outputs[y1], field.elements[u0])
-                           for y0 in range(ny) for y1 in range(ny) for u0 in range(q))
     plus_matrix = []
     for u in range(q):
         row = []
@@ -374,7 +370,7 @@ def polarize(ch):
                     row.append(inv_q * ch.matrix[xin][y0] * ch.matrix[u][y1])
         plus_matrix.append(row)
 
-    plus = FiniteChannel(field, triple_outputs, plus_matrix,
+    plus = FiniteChannel(field, plus_matrix,
                          kind="plus", params={"base": ch.kind, "alpha": alpha.index})
     return minus, plus
 

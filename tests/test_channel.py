@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qpolar.channel import (
-    ERASURE,
     AwgnBpskChannel,
+    FiniteChannel,
     channel_from_json,
     channel_to_json,
     qec,
@@ -33,8 +33,9 @@ def test_qsc_transition_values():
 def test_qec_transition_values():
     f4 = default_field(4)
     ch = qec(f4, Fraction(1, 3))
-    erasure = ch.num_outputs - 1
-    assert ch.outputs[erasure] == ERASURE
+    # the erasure is output q, after the q field elements
+    erasure = f4.q
+    assert ch.num_outputs == erasure + 1
     for x in f4.elements:
         assert transition(ch, erasure, x) == Fraction(1, 3)
     assert transition(ch, 0, f4.zero) == Fraction(2, 3)
@@ -126,6 +127,25 @@ def test_rows_must_sum_to_one():
     f2 = default_field(2)
     with pytest.raises(ValueError):
         table_channel(f2, [["1/2", "1/3"], ["1/3", "2/3"]])
+
+
+def test_finite_channel_takes_its_outputs_from_the_matrix_width():
+    f2 = default_field(2)
+    ch = FiniteChannel(f2, [["2/3", "0", "1/3"], ["0", "2/3", "1/3"]])
+    assert ch.num_outputs == 3 and ch.kind == "table"
+    assert ch.matrix_float.shape == ch.cumulative_float.shape == (2, 3)
+    with pytest.raises(ValueError, match="row 1 has 2 entries, expected 3"):
+        FiniteChannel(f2, [["2/3", "0", "1/3"], ["1/3", "2/3"]])
+
+
+@pytest.mark.parametrize("make", [qsc, qec])
+def test_float_law_is_read_only(make):
+    # a write once stuck and changed every later sample and likelihood
+    ch = make(default_field(4), Fraction(1, 10))
+    for table in (ch.matrix_float, ch.cumulative_float):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.5
+    assert ch.matrix_float[0, 0] == 0.9
 
 
 def test_verify_symmetry_pass_and_fail():

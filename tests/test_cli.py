@@ -65,6 +65,20 @@ def test_construct_genie_records_seed(paths, tmp_path):
     assert len(obj["info_set"]) == 4
 
 
+def test_construct_manual_writes_the_given_set(tmp_path, capsys):
+    out = tmp_path / "manual.json"
+    assert main(["construct", "--m", "3", "--k", "4", "--channel", str(FIXTURES / "bsc.json"),
+                 "--method", "manual", "--info", "7", "3", "6", "5", "--out", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert obj["info_set"] == [3, 5, 6, 7]
+    assert obj["meta"]["method"] == "manual" and obj["meta"]["seed"] is None
+    # 3 is in but its dominating 7 is not
+    assert main(["construct", "--m", "3", "--k", "4", "--channel", str(FIXTURES / "bsc.json"),
+                 "--method", "manual", "--info", "3", "4", "5", "6"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "upward closure" in err and "Traceback" not in err
+
+
 def test_encode_round(paths, tmp_path):
     _, _, code_path = paths
     u_path = tmp_path / "u.json"
@@ -279,6 +293,16 @@ def test_simulate_csv_and_plot(paths, tmp_path):
     assert again.read_bytes() == out.read_bytes()
 
 
+def test_verify_samples_record_their_seed(paths, tmp_path, capsys):
+    _, ch_path, code_path = paths
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--code", code_path, "--channel", ch_path, "--lemmas", "2,3,5",
+                 "--samples", "3", "--seed", "17", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.count("pass") == 3
+    config = json.loads(out.read_text())["config"]
+    assert config["samples"] == 3 and config["seed"] == 17
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_rejects_nonpositive_samples(paths, capsys, samples):
     _, ch_path, code_path = paths
@@ -286,6 +310,17 @@ def test_verify_rejects_nonpositive_samples(paths, capsys, samples):
                  "--lemmas", "2,3", "--samples", samples]) == 1
     captured = capsys.readouterr()
     assert "pass" not in captured.out and "--samples" in captured.err
+
+
+def test_simulate_without_a_seed_records_a_generated_one(paths, tmp_path):
+    _, ch_path, code_path = paths
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"code": code_path, "channel": ch_path, "trials": 100}))
+    out = tmp_path / "rep.json"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                 "--format", "json"]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["seed_generated"] is True and type(config["seed"]) is int
 
 
 def test_simulate_rejects_plot_of_json_report(paths, tmp_path, capsys):
@@ -337,4 +372,36 @@ def test_simulate_rejects_a_config_value_it_would_coerce(paths, tmp_path, capsys
                  "--format", "json"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and f"{field} must be" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("channel", [
+    {"kind": "awgn_bpsk", "ebno_db": -4000, "rate": 0.5},
+    {"kind": "awgn_bpsk", "ebno_db": 4000, "rate": 0.5},
+    {"kind": "awgn_bpsk", "ebno_db": "2", "rate": 0.5},
+    {"kind": "awgn_bpsk", "ebno_db": 2.0, "rate": "0.5"},
+])
+def test_simulate_rejects_an_ebno_without_a_noise_variance(tmp_path, capsys, channel):
+    # each once ended in a ZeroDivisionError, OverflowError or TypeError traceback
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"code": str(FIXTURES / "code_q2_n16.json"),
+                                    "channel": channel, "trials": 100, "seed": 1}))
+    out = tmp_path / "rep.csv"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [2**64 + 5, -1])
+def test_simulate_rejects_a_seed_outside_64_bits(paths, tmp_path, capsys, seed):
+    # 2^64 + 5 once ran seed 5's tallies and recorded 18446744073709551621
+    _, ch_path, code_path = paths
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"code": code_path, "channel": ch_path, "trials": 100,
+                                    "seed": seed}))
+    out = tmp_path / "rep.csv"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "seed must be an integer in" in err and "Traceback" not in err
     assert not out.exists()

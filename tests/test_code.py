@@ -228,6 +228,19 @@ def test_full_message_and_nonzero_frozen():
     u = code.full_message([f.zero, f.one])
     assert u == (f.one, f.alpha, f.zero, f.one)
     code.encode(u)
+    assert code.frozen_index_array.tolist() == [f.one.index, f.alpha.index, 0, 0]
+    assert code.info_mask.tolist() == [False, False, True, True]
+
+
+def test_per_position_arrays_are_read_only():
+    # a write into info_mask once made the batch decoder decode position 0
+    # as information while info_set still said (3, 5, 6, 7)
+    code = PolarCode(default_field(2), 3, [3, 5, 6, 7])
+    with pytest.raises(ValueError, match="read-only"):
+        code.info_mask[0] = True
+    with pytest.raises(ValueError, match="read-only"):
+        code.frozen_index_array[0] = 1
+    assert code.info_mask.tolist() == [i in code.info_set for i in range(8)]
 
 
 def test_code_json_round_trip():

@@ -147,6 +147,13 @@ def test_method_preconditions():
         construct_info_set(F2, 2, 1, ident, ErasureExact())
 
 
+@pytest.mark.parametrize("seed", [2.5, -1, 2**64])
+def test_genie_construction_rejects_a_seed_it_would_alias(seed):
+    # 2.5 once ran the genie trials on seed 2
+    with pytest.raises(ValueError, match="seed must be an integer in"):
+        construct_info_set(F2, 2, 2, qsc(F2, Fraction(1, 10)), GenieMC(trials=10, seed=seed))
+
+
 def test_construction_rejects_a_channel_over_another_field():
     # once returned (3, 5, 6, 7), ranked on the F_4 channel's epsilon
     with pytest.raises(ValueError, match="differs from the code field"):

@@ -49,7 +49,7 @@ def reference_sc_decode_distribution(code, ch, y):
 
     def rec(t_list, pos):
         if len(t_list) == 1:
-            if code.is_info(pos):
+            if code.info_mask[pos]:
                 cands = _ties(t_list[0])
                 return {(elems[u],): Fraction(1, len(cands)) for u in cands}
             return {(elems[code.frozen_index_array[pos]],): Fraction(1)}

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from scipy.special import ndtri
 
 from qpolar import rng
@@ -45,3 +46,16 @@ def test_draws_match_splitmix64_reference_slot_major():
             for i, t in enumerate(trials):
                 assert u[j, i] == counter_uniform(seed, t, s)
                 assert z[j, i] == ndtri(counter_uniform(seed, t, s))
+
+
+@pytest.mark.parametrize("seed", [2**64 + 5, -1, 2.5, True, np.float64(3.0)])
+def test_uniforms_reject_a_seed_they_would_alias(seed):
+    # 2^64 + 5 once ran seed 5's draws, -1 those of 2^64 - 1, and 2.5 seed 2's
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        rng.uniforms(seed, np.arange(3), np.arange(2))
+
+
+def test_uniforms_accept_every_64_bit_seed():
+    top = rng.uniforms(2**64 - 1, np.arange(3), np.arange(2))
+    assert np.array_equal(rng.uniforms(np.uint64(2**64 - 1), np.arange(3), np.arange(2)), top)
+    assert not np.array_equal(rng.uniforms(0, np.arange(3), np.arange(2)), top)

@@ -42,6 +42,23 @@ def test_ebno_conversion_values():
             ebno_to_channel(ebno_db, rate)
 
 
+@pytest.mark.parametrize("ebno_db,rate,message", [
+    (-4000, 0.5, "noise variance must be a finite positive number, got inf"),
+    (4000, 0.5, "noise variance must be a finite positive number, got 0.0"),
+    (float("inf"), 0.5, "noise variance must be a finite positive number, got 0.0"),
+    ("2", 0.5, "ebno_db must be a real number"),
+    (2.0, "0.5", "rate must be a real number"),
+    (True, 0.5, "ebno_db must be a real number"),
+    (2.0, True, "rate must be a real number"),
+    (2.0, float("inf"), "rate must lie in"),
+])
+def test_ebno_to_channel_rejects_inputs_without_a_noise_variance(ebno_db, rate, message):
+    # these once raised ZeroDivisionError, OverflowError or TypeError, and
+    # True ran as 1 dB
+    with pytest.raises(ValueError, match=message):
+        ebno_to_channel(ebno_db, rate)
+
+
 def test_noiseless_experiment_all_zero():
     ident = table_channel(F2, [[1, 0], [0, 1]])
     code = PolarCode(F2, 3, [3, 5, 6, 7])
@@ -94,6 +111,15 @@ def test_config_rejects_a_seed_that_is_not_an_integer(seed):
     with pytest.raises(ValueError, match="seed must be an integer"):
         ExperimentConfig(PolarCode(F2, 1, [1]), qsc(F2, Fraction(1, 10)), trials=10,
                          seed=seed)
+
+
+@pytest.mark.parametrize("seed", [2**64 + 5, -1])
+def test_experiment_rejects_a_seed_outside_64_bits(seed):
+    # 2^64 + 5 once gave seed 5's tallies while its report recorded 2^64 + 5
+    cfg = ExperimentConfig(PolarCode(F2, 1, [1]), qsc(F2, Fraction(1, 10)), trials=10,
+                           seed=seed)
+    with pytest.raises(ValueError, match="seed must be an integer in"):
+        run_experiment(cfg)
 
 
 def test_experiment_matches_oracle_n4():

@@ -1,9 +1,11 @@
 """Static checks on the package source."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import qpolar
+from qpolar.cli import build_parser
 
 SRC = Path(qpolar.__file__).parent
 
@@ -184,3 +186,49 @@ def test_no_private_name_kept_for_the_tests():
     unread = {path.name: [n for n in private_definitions(path) if n not in read]
               for path in paths}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def cli_options():
+    """The long options of every subcommand of the command line parser."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: {o for a in p._actions for o in a.option_strings if o.startswith("--")}
+            - {"--help"} for name, p in sub.choices.items()}
+
+
+def options_passed_by_tests(commands):
+    """The options that argv lists in the test files pass to each subcommand.
+
+    A list that starts with a subcommand passes the options among its string
+    constants.  A list that starts with an option is one a helper appends to
+    that file's argv lists (the golden tests' ``--out``), so its options
+    count for every subcommand the file's lists start with.
+    """
+    passed = {command: set() for command in commands}
+    for path in sorted(TESTS.glob("*.py")):
+        named, appended = set(), set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.List) or not node.elts:
+                continue
+            strings = [e.value for e in node.elts
+                       if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+            options = {v for v in strings if v.startswith("--")}
+            head = getattr(node.elts[0], "value", None)
+            if head in commands:
+                named.add(head)
+                passed[head] |= options
+            elif isinstance(head, str) and head.startswith("--"):
+                appended |= options
+        for command in named:
+            passed[command] |= appended
+    return passed
+
+
+def test_every_cli_option_is_passed_by_a_test():
+    # an option no test passes is an input nobody checks: test it, or drop it
+    # if another input already gives the same value
+    options = cli_options()
+    passed = options_passed_by_tests(options)
+    assert sorted((c, o) for c, opts in options.items() for o in opts - passed[c]) == []
