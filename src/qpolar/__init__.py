@@ -10,11 +10,8 @@ reproducible Monte Carlo harness.
 from .channel import (
     AwgnBpskChannel,
     FiniteChannel,
-    SymmetryReport,
     qec,
     qsc,
-    table_channel,
-    verify_symmetry,
 )
 from .code import (
     PolarCode,
@@ -48,8 +45,6 @@ from .sim import (
     ExperimentConfig,
     chi2_homogeneity,
     ebno_to_channel,
-    export_report,
-    plot_script,
     run_experiment,
 )
 from .symmetry import (

@@ -7,7 +7,8 @@ on the output alphabet exist: additive shifts ``sigma_b`` with
 transition law as exact rationals so the brute-force oracle can certify
 exact equalities; float mirrors are derived from the rational source.
 Their families are never declared: every finite channel, the shipped
-constructions included, gets them from one search over its matrix.
+constructions included, gets them from one search over its matrix when
+it is built, and a matrix without them is rejected there.
 
 Likelihood vectors are indexed by the input element index: the exact
 column ``matrix[:][y]`` of a finite channel, axis 0 of ``likelihood_batch``.
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,17 +29,6 @@ def _as_fraction(v):
     if isinstance(v, float):
         return Fraction(v).limit_denominator(10**12)
     raise TypeError(f"cannot interpret {v!r} as an exact probability")
-
-
-@dataclass
-class SymmetryReport:
-    """Outcome of the search for the two defining permutation families."""
-
-    ok: bool
-    sigma: list | None = None       # sigma[b][y] -> y', for every b index
-    pi: dict | None = None          # pi[a][y] -> y', for every nonzero a index
-    witness: tuple | None = None    # (kind, y, x, b_or_a) for the violated identity
-    detail: str = ""
 
 
 class FiniteChannel:
@@ -55,7 +44,7 @@ class FiniteChannel:
         outputs are addressed by their column index.
 
     The permutation families ``shift`` and ``scale`` are found from the
-    matrix by :func:`verify_symmetry`; construction fails if none exist.
+    matrix by one search; construction fails if none exist.
     """
 
     is_finite = True
@@ -79,11 +68,9 @@ class FiniteChannel:
                 raise ValueError(f"row {x} sums to {sum(row)}, not 1")
             rows.append(row)
         self.matrix = tuple(rows)
-        report = verify_symmetry(self)
-        if not report.ok:
-            raise ValueError(f"channel is not F_q-symmetric: {report.detail}")
-        self._sigma = report.sigma
-        self._pi = report.pi
+        # sigma_b realizes x -> b + x, pi_a realizes x -> a * x
+        self._sigma = _search_family(self.matrix, field._add.tolist(), range(q), "shift")
+        self._pi = _search_family(self.matrix, field._mul.tolist(), range(1, q), "scaling")
         # float mirrors of the law, read-only like the field's tables
         self.matrix_float = np.array([[float(v) for v in row] for row in self.matrix])
         self.matrix_float.flags.writeable = False
@@ -200,27 +187,24 @@ def qec(field, epsilon):
     return FiniteChannel(field, matrix, kind="qec", params={"epsilon": eps})
 
 
-def table_channel(field, matrix):
-    """Arbitrary finite channel given by its transition matrix."""
-    return FiniteChannel(field, [list(row) for row in matrix], kind="table")
+# -- symmetry search -------------------------------------------------------
 
-
-# -- verification ----------------------------------------------------------
-
-def _search_family(ch, table, keys):
+def _search_family(matrix, table, keys, action):
     """Find output permutations realizing a family of input maps.
 
     For each key the input map is g = ``table[key]`` (an index list), and we
     search a permutation s of outputs with W[y|x] = W[s(y)|g(x)] for all
     x, y.  Outputs with identical likelihood columns are interchangeable,
-    so we match columns up to that grouping.  Returns ``(found, None)`` or
-    ``(None, (y, key))`` for the first output y without a match.
+    so we match columns up to that grouping.  A permutation found satisfies
+    its identity by construction, so the search is the whole check.
+    Returns ``{key: perm}``, or raises ``ValueError`` naming the first output
+    without a match and the ``action`` key it fails under.
     """
-    q = ch.q
-    ny = ch.num_outputs
+    q = len(matrix)
+    ny = len(matrix[0])
     # columns of value ids: equal entries share an id, hashed far faster than Fractions
     ids = {}
-    cols = [tuple(ids.setdefault(ch.matrix[x][y], len(ids)) for x in range(q)) for y in range(ny)]
+    cols = [tuple(ids.setdefault(matrix[x][y], len(ids)) for x in range(q)) for y in range(ny)]
     found = {}
     for key in keys:
         g = table[key]
@@ -236,35 +220,11 @@ def _search_family(ch, table, keys):
             target = tuple(cols[y][ginv[x]] for x in range(q))
             bucket = pool.get(target)
             if not bucket:
-                return None, (y, key)
+                raise ValueError(f"channel is not F_q-symmetric: no output matches "
+                                 f"y={y} under the {action} by index {key}")
             perm[y] = bucket.pop()
         found[key] = perm
-    return found, None
-
-
-def verify_symmetry(ch):
-    """Find both permutation families from the transition matrix.
-
-    A family the search returns satisfies its defining identity by
-    construction, so the search is the whole check.  On failure the report
-    carries a witness: the output with no match and the shift or scaling
-    index.
-    """
-    if not ch.is_finite:
-        raise ValueError("exhaustive symmetry verification requires a finite output alphabet")
-    q = ch.q
-    families = []
-    # sigma_b realizes x -> b + x, pi_a realizes x -> a * x
-    for kind, table, keys, action in (("sigma", ch.field._add.tolist(), range(q), "shift"),
-                                       ("pi", ch.field._mul.tolist(), range(1, q), "scaling")):
-        found, witness = _search_family(ch, table, keys)
-        if found is None:
-            y, g = witness
-            return SymmetryReport(False, witness=(kind, y, 0, g),
-                                  detail=f"no output matches y={y} under the {action} by index {g}")
-        families.append(found)
-    sigma, pi = families
-    return SymmetryReport(True, sigma=[sigma[b] for b in range(q)], pi=pi)
+    return found
 
 
 # -- JSON config ------------------------------------------------------------
@@ -298,12 +258,15 @@ def channel_from_json(obj, field=None):
     if kind == "qec":
         return qec(field, Fraction(obj["epsilon"]))
     if kind == "awgn_bpsk":
-        if "sigma2" in obj:
-            ch = AwgnBpskChannel(field, obj["sigma2"])
-        else:
-            from .sim import ebno_to_channel
-            ch = ebno_to_channel(obj["ebno_db"], obj["rate"], field)
+        if "ebno_db" not in obj and "rate" not in obj:
+            return AwgnBpskChannel(field, obj["sigma2"])
+        from .sim import ebno_to_channel
+        ch = ebno_to_channel(obj["ebno_db"], obj["rate"], field)
+        # a variance given with the pair must be the one the pair gives
+        if "sigma2" in obj and obj["sigma2"] != ch.sigma2:
+            raise ValueError(f"sigma2 {obj['sigma2']!r} differs from {ch.sigma2!r}, "
+                             f"the variance of ebno_db {obj['ebno_db']!r} at rate {obj['rate']!r}")
         return ch
     if kind == "table":
-        return table_channel(field, obj["matrix"])
+        return FiniteChannel(field, obj["matrix"])
     raise ValueError(f"unknown channel kind {kind!r}")

@@ -1,9 +1,11 @@
 """Command line front end.
 
-Subcommands: construct, encode, decode, exact-ser, mc-ser, simulate,
-verify.  Configs are JSON (rationals as "num/den" strings), tabular output
-is CSV, and every output file embeds the resolved configuration including
-the seed, so identical invocations reproduce byte-identical files.
+Subcommands: construct, encode, decode, exact-ser, simulate, verify.
+Configs are JSON (rationals as "num/den" strings), the Monte Carlo report
+of ``simulate`` is CSV or JSON, and every output file embeds the resolved
+configuration including the seed, so identical invocations reproduce
+byte-identical files.  The writers live here; the harness they report on
+is ``sim.run_experiment``.
 
 Exit codes: 0 success, 1 validation failure (witness printed), 2 internal
 invariant failure.
@@ -26,7 +28,7 @@ from .construct import ErasureExact, GenieMC, Manual, construct_info_set
 from .gf import FieldElement
 from .oracle import exact_average_ser, exact_ser
 from .sc import sc_decode, sc_decode_distribution
-from .sim import ExperimentConfig, export_report, plot_script, run_experiment
+from .sim import ExperimentConfig, run_experiment
 from .symmetry import (
     check_coset_invariance,
     check_equal_ser,
@@ -60,13 +62,58 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _write_json(obj, path):
-    text = json.dumps(_jsonify(obj), indent=2, sort_keys=True) + "\n"
+def _write(text, path):
+    """Write text to the file at path, or to stdout when path is None."""
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_json(obj, path):
+    _write(json.dumps(_jsonify(obj), indent=2, sort_keys=True) + "\n", path)
+
+
+def _write_report(report, path, fmt):
+    """Write a BerReport as CSV or JSON; both embed the resolved config."""
+    if fmt == "json":
+        _write_json(report.to_json(), path)
+        return
+    info = set(report.info_set)
+    mber = report.message_ber
+    cber = report.codeword_ber
+    mse = report.stderr(mber)
+    cse = report.stderr(cber)
+    lines = [
+        "# qpolar-report " + json.dumps(report.config, sort_keys=True),
+        "index,is_info,message_errors,message_ber,message_stderr,"
+        "codeword_errors,codeword_ber,codeword_stderr",
+    ]
+    for i in range(report.n):
+        lines.append(
+            f"{i},{int(i in info)},{report.message_errors[i]},{mber[i]:.10e},"
+            f"{mse[i]:.10e},{report.codeword_errors[i]},{cber[i]:.10e},{cse[i]:.10e}")
+    _write("\n".join(lines) + "\n", path)
+
+
+def _plot_script(csv_path):
+    """gnuplot script drawing the two per-index panels of a CSV report into
+    ber_panels.png."""
+    return "\n".join([
+        "set datafile separator ','",
+        "set output 'ber_panels.png'",
+        "set terminal pngcairo size 1200,480",
+        "set multiplot layout 1,2",
+        "set logscale y",
+        "set xlabel 'index'",
+        "set title 'message symbol error rate'",
+        f"plot '{csv_path}' using (column(2) == 1 ? column(1) : 1/0):4 "
+        "with points pt 7 ps 0.4 notitle",
+        "set title 'codeword symbol error rate'",
+        f"plot '{csv_path}' using 1:7 with points pt 7 ps 0.4 notitle",
+        "unset multiplot",
+    ]) + "\n"
 
 
 def _resolve_seed(seed):
@@ -171,17 +218,6 @@ def _cmd_exact_ser(args):
     return 0
 
 
-def _cmd_mc_ser(args):
-    code, ch = _load_code_and_channel(args.code, args.channel)
-    seed, generated = _resolve_seed(args.seed)
-    cfg = ExperimentConfig(code=code, channel=ch, trials=args.trials, seed=seed,
-                           shards=args.shards)
-    report = run_experiment(cfg)
-    report.config["seed_generated"] = generated
-    export_report(report, args.out, fmt=args.format)
-    return 0
-
-
 def _cmd_simulate(args):
     if args.plot and args.format != "csv":
         raise ValueError("--plot draws from the CSV report; it needs --format csv")
@@ -202,10 +238,9 @@ def _cmd_simulate(args):
     )
     report = run_experiment(cfg)
     report.config["seed_generated"] = generated
-    export_report(report, args.out, fmt=args.format)
+    _write_report(report, args.out, args.format)
     if args.plot:
-        with open(args.plot, "w") as fh:
-            fh.write(plot_script(args.out))
+        _write(_plot_script(args.out), args.plot)
     summary = report.summary()
     print(f"codeword ber mean {summary['codeword']['mean']:.4e} "
           f"(max {summary['codeword']['max']:.4e}, min {summary['codeword']['min']:.4e})")
@@ -223,18 +258,18 @@ def _random_outputs(ch, n, samples, seed):
 
 def _random_messages(field, n, samples, seed):
     rng = np.random.Generator(np.random.Philox(seed))
-    return [[field.from_index(int(v)) for v in rng.integers(0, field.q, size=n)]
+    return [[field.element(int(v)) for v in rng.integers(0, field.q, size=n)]
             for _ in range(samples)]
 
 
 def _run_lemma(lemma, code, ch, samples, seed):
     field = code.field
     if lemma == "2":
-        if samples is None and field.q ** code.n <= 256:
+        if samples is None:
             messages = [list(u) for u in
                         itertools.product(field.elements, repeat=code.n)]
         else:
-            messages = _random_messages(field, code.n, samples or 20, seed)
+            messages = _random_messages(field, code.n, samples, seed)
         return check_message_invariance(code, ch, messages)
     ys = None if samples is None else _random_outputs(ch, code.n, samples, seed)
     if lemma in ("3", "4"):
@@ -266,6 +301,10 @@ def _cmd_verify(args):
     for lemma in lemmas:
         if lemma not in _LEMMA_CHOICES:
             raise ValueError(f"unknown lemma {lemma!r}; choose from {_LEMMA_CHOICES}")
+    q, n = code.field.q, code.n
+    if "2" in lemmas and args.samples is None and q ** n > 256:
+        raise ValueError(f"lemma 2 checks every message only up to 256 of them, "
+                         f"and this code has {q}^{n}; give --samples")
     results = {}
     failed = False
     for lemma in lemmas:
@@ -325,16 +364,6 @@ def build_parser():
     p.add_argument("--out")
     p.set_defaults(func=_cmd_exact_ser)
 
-    p = sub.add_parser("mc-ser", help="Monte Carlo per-index SER")
-    p.add_argument("--code", required=True)
-    p.add_argument("--channel", required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_mc_ser)
-
     p = sub.add_parser("simulate", help="run a configured experiment")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
@@ -348,7 +377,8 @@ def build_parser():
     p.add_argument("--lemmas", default="thm1",
                    help="comma list from 2,3,4,5,6,7,thm1")
     p.add_argument("--samples", type=int, default=None,
-                   help="random samples per lemma; default exhaustive where feasible")
+                   help="random samples per lemma; default every message or "
+                        "output, an error where there are too many")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)

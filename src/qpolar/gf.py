@@ -305,9 +305,6 @@ class Field:
     def elements(self):
         return self._elems
 
-    def from_index(self, i):
-        return self._elems[i]
-
     def element(self, value):
         """Coerce an index, coordinate sequence, or FieldElement into this field."""
         if isinstance(value, FieldElement):

@@ -6,16 +6,15 @@ decodes every trial with the vectorized SC decoder, and tallies message and
 codeword symbol errors per index.  Trials split into shards that decode on
 a thread pool; every draw is counter indexed by (seed, trial), so tallies
 are identical for any shard count or batch size and shards merge by plain
-integer addition.
+integer addition.  The module holds the harness only: the ``simulate``
+command writes its ``BerReport`` as CSV or JSON.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
@@ -197,56 +196,3 @@ def chi2_homogeneity(counts, trials):
         return 0.0, 1.0
     stat = float(((counts - mean) ** 2).sum() / (trials * p * (1 - p)))
     return stat, float(chdtrc(len(counts) - 1, stat))
-
-
-CSV_COLUMNS = ("index", "is_info", "message_errors", "message_ber",
-               "message_stderr", "codeword_errors", "codeword_ber",
-               "codeword_stderr")
-
-
-def export_report(report, path, fmt="csv"):
-    """Write a report as CSV or JSON to ``path`` (stdout when None); both
-    embed the resolved config."""
-    if fmt == "json":
-        text = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
-        info = set(report.info_set)
-        mber = report.message_ber
-        cber = report.codeword_ber
-        mse = report.stderr(mber)
-        cse = report.stderr(cber)
-        lines = [
-            "# qpolar-report " + json.dumps(report.config, sort_keys=True),
-            ",".join(CSV_COLUMNS),
-        ]
-        for i in range(report.n):
-            lines.append(
-                f"{i},{int(i in info)},{report.message_errors[i]},{mber[i]:.10e},"
-                f"{mse[i]:.10e},{report.codeword_errors[i]},{cber[i]:.10e},{cse[i]:.10e}")
-        text = "\n".join(lines) + "\n"
-    else:
-        raise ValueError(f"unknown export format {fmt!r}")
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def plot_script(csv_path):
-    """gnuplot script drawing the two per-index panels from an exported CSV
-    into ber_panels.png."""
-    return "\n".join([
-        "set datafile separator ','",
-        "set output 'ber_panels.png'",
-        "set terminal pngcairo size 1200,480",
-        "set multiplot layout 1,2",
-        "set logscale y",
-        "set xlabel 'index'",
-        "set title 'message symbol error rate'",
-        f"plot '{csv_path}' using (column(2) == 1 ? column(1) : 1/0):4 "
-        "with points pt 7 ps 0.4 notitle",
-        "set title 'codeword symbol error rate'",
-        f"plot '{csv_path}' using 1:7 with points pt 7 ps 0.4 notitle",
-        "unset multiplot",
-    ]) + "\n"

@@ -26,8 +26,8 @@ of the greedy decreasing selection.
 The rest are element-level referees of the package's index-level code:
 
 * ``polarize`` builds the minus and plus channels of one polarization
-  step as exact tables; criterion 6 runs the channel family search
-  (``verify_symmetry``) on them.
+  step as exact ``FiniteChannel`` tables, whose constructor runs the
+  channel family search on them (criterion 6).
 * ``coset_transform`` maps (y, x) to (a*y + x_b, a*x + x_b) and referees
   ``check_coset_invariance``.
 * ``xi_apply_field`` and ``xi_apply_output`` apply the signed bit flip

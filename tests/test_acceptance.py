@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpolar.channel import qec, qsc, verify_symmetry
+from qpolar.channel import qec, qsc
 from qpolar.code import PolarCode, decreasing_sets
 from qpolar.construct import GenieMC, construct_info_set
 from qpolar.gf import default_field
@@ -87,7 +87,7 @@ def test_criterion_3_message_invariance():
         field = FIELDS[q]
         ch = qsc(field, Fraction(1, 10))
         code = PolarCode(field, 2, [2, 3])
-        msgs = [[field.from_index(int(v)) for v in rng.integers(0, q, size=4)]
+        msgs = [[field.element(int(v)) for v in rng.integers(0, q, size=4)]
                 for _ in range(20)]
         ok, witness = check_message_invariance(code, ch, msgs)
         if not ok:
@@ -172,21 +172,26 @@ def test_criterion_6_polarized_channels_symmetric():
     # the lemma on each polarized law itself: the canonical maps are
     # permutations and satisfy the defining identities.  The channels carry
     # the families their search finds, which may pair outputs with equal
-    # columns differently, so those are only required to exist.
+    # columns differently, so those are only required to exist: building a
+    # polarized channel raises unless the search finds them.
     failures = []
     for q, field in FIELDS.items():
         alpha = field.alpha
         add, mul = field._add, field._mul
         for base in (qsc(field, Fraction(1, 10)), qec(field, Fraction(1, 3))):
-            minus, plus = polarize(base)
-            for ch in (minus, plus):
-                report = verify_symmetry(ch)
-                if not report.ok:
-                    failures.append((q, base.kind, ch.kind, report.detail))
+            try:
+                minus, plus = polarize(base)
+            except ValueError as exc:
+                failures.append((q, base.kind, str(exc)))
+                continue
             ny = base.num_outputs
             # canonical forms: sigma_b(y0,y1) = (y0+b, y1) on the check side,
             # sigma_b(y0,y1,u0) = (y0+alpha*b, y1+b, u0) on the variable side
             for b in field.elements:
+                for name, half in (("minus", minus), ("plus", plus)):
+                    kept = [half.shift(y, b) for y in range(half.num_outputs)]
+                    if not _family_holds(half, kept, lambda x: add[x][b.index]):
+                        failures.append((q, base.kind, f"{name}-kept-sigma", b.index))
                 want_m = [base.shift(y0, b) * ny + y1
                           for y0 in range(ny) for y1 in range(ny)]
                 if not _family_holds(minus, want_m, lambda x: add[x][b.index]):

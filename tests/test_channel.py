@@ -1,5 +1,4 @@
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,10 +10,9 @@ from qpolar.channel import (
     channel_to_json,
     qec,
     qsc,
-    table_channel,
-    verify_symmetry,
 )
 from qpolar.gf import default_field
+from qpolar.sim import ebno_to_channel
 from reference import likelihoods, polarize, product_transition, sample, transition
 
 
@@ -25,7 +23,7 @@ def test_qsc_transition_values():
 
     f4 = default_field(4)
     ch = qsc(f4, Fraction(3, 10))
-    a1, a2 = f4.from_index(1), f4.from_index(2)
+    a1, a2 = f4.element(1), f4.element(2)
     assert transition(ch, a2.index, a1) == Fraction(1, 10)
     assert transition(ch, a1.index, a1) == Fraction(7, 10)
 
@@ -126,7 +124,7 @@ def test_scale_by_zero_rejected():
 def test_rows_must_sum_to_one():
     f2 = default_field(2)
     with pytest.raises(ValueError):
-        table_channel(f2, [["1/2", "1/3"], ["1/3", "2/3"]])
+        FiniteChannel(f2, [["1/2", "1/3"], ["1/3", "2/3"]])
 
 
 def test_finite_channel_takes_its_outputs_from_the_matrix_width():
@@ -149,33 +147,26 @@ def test_float_law_is_read_only(make):
 
 
 def test_verify_symmetry_pass_and_fail():
+    # the constructor runs the family search: it keeps the families of a
+    # symmetric law and rejects a law without them
     f3 = default_field(3)
     ch = qsc(f3, Fraction(3, 10))
-    report = verify_symmetry(ch)
-    assert report.ok
-    assert sorted(report.sigma[1]) == [0, 1, 2]
+    assert [ch.shift(y, f3.element(1)) for y in range(3)] == [1, 2, 0]
 
     rows = [list(r) for r in ch.matrix]
     rows[1][0], rows[1][1] = rows[1][1], rows[1][0]  # row sums preserved
-    # a channel object cannot hold a non-symmetric law, so the search runs
-    # on a stand-in with the same attributes
-    broken = SimpleNamespace(is_finite=True, field=f3, q=3, num_outputs=3, matrix=rows)
-    report = verify_symmetry(broken)
-    assert not report.ok
-    assert report.witness is not None
-
-    with pytest.raises(ValueError):
-        table_channel(f3, rows)  # constructor verifies by default
+    with pytest.raises(ValueError, match="not F_q-symmetric: no output matches y=0 "
+                                         "under the shift by index 1"):
+        FiniteChannel(f3, rows)
 
 
 def test_search_recovers_symmetry_of_plain_table():
     f2 = default_field(2)
-    ch = table_channel(f2, [["7/10", "1/10", "1/10", "1/10"],
+    ch = FiniteChannel(f2, [["7/10", "1/10", "1/10", "1/10"],
                             ["1/10", "7/10", "1/10", "1/10"]])
-    report = verify_symmetry(ch)
-    assert report.ok
     # sigma_1 must swap the first two outputs and fix-or-swap the tied pair
-    assert report.sigma[1][0] == 1 and report.sigma[1][1] == 0
+    one = f2.element(1)
+    assert ch.shift(0, one) == 1 and ch.shift(1, one) == 0
 
 
 def test_product_transition_identity():
@@ -183,7 +174,7 @@ def test_product_transition_identity():
     ch = qsc(f3, Fraction(1, 5))
     rng = np.random.default_rng(7)
     for _ in range(20):
-        xs = [f3.from_index(int(i)) for i in rng.integers(0, 3, size=5)]
+        xs = [f3.element(int(i)) for i in rng.integers(0, 3, size=5)]
         ys = [int(i) for i in rng.integers(0, 3, size=5)]
         manual = Fraction(1)
         for y, x in zip(ys, xs):
@@ -193,7 +184,7 @@ def test_product_transition_identity():
 
 def test_sampling_noiseless_and_deterministic():
     f2 = default_field(2)
-    ident = table_channel(f2, [[1, 0], [0, 1]])
+    ident = FiniteChannel(f2, [[1, 0], [0, 1]])
     u = np.random.default_rng(0).random(2)
     assert ident.sample_batch(np.array([0, 1]), u).tolist() == [0, 1]
 
@@ -208,7 +199,7 @@ def test_sample_batch_matches_inverse_cdf_reference(q, make):
     rng = np.random.default_rng(8)
     x = rng.integers(0, q, size=2000)
     u = rng.random(2000)
-    want = [sample(ch, f.from_index(int(xi)), ui) for xi, ui in zip(x, u)]
+    want = [sample(ch, f.element(int(xi)), ui) for xi, ui in zip(x, u)]
     assert ch.sample_batch(x, u).tolist() == want
 
 
@@ -216,7 +207,7 @@ def test_sample_batch_stays_inside_output_alphabet():
     # a uniform at or above the float cumulative row's last value still
     # names a valid output
     f2 = default_field(2)
-    ch = table_channel(f2, [["1/10"] * 10, ["1/10"] * 10])
+    ch = FiniteChannel(f2, [["1/10"] * 10, ["1/10"] * 10])
     last = ch.cumulative_float[0, -1]
     assert last < 1.0
     y = ch.sample_batch(np.array([0, 1, 0]), np.array([last, 1.0, 0.05]))
@@ -238,12 +229,16 @@ def test_sampling_flip_fraction_binomial():
 def test_polarized_channels_are_symmetric(q):
     f = default_field(q)
     ch = qsc(f, Fraction(1, 5))
-    minus, plus = polarize(ch)
-    assert verify_symmetry(minus).ok
-    assert verify_symmetry(plus).ok
-    # rows of both polarized laws are exact probability vectors
-    for row in minus.matrix + plus.matrix:
-        assert sum(row) == 1
+    # each polarized law was built only because the search found its
+    # families; the shifts it kept satisfy W[y|x] = W[sigma_b(y)|x + b]
+    for half in polarize(ch):
+        for b in f.elements:
+            perm = [half.shift(y, b) for y in range(half.num_outputs)]
+            assert sorted(perm) == list(range(half.num_outputs))
+            assert all(row[y] == half.matrix[f._add[x][b.index]][perm[y]]
+                       for x, row in enumerate(half.matrix) for y in range(len(row)))
+        # rows of both polarized laws are exact probability vectors
+        assert all(sum(row) == 1 for row in half.matrix)
 
 
 def test_plus_shift_matches_canonical_form():
@@ -255,7 +250,7 @@ def test_plus_shift_matches_canonical_form():
     q = f4.q
     for b in f4.elements:
         # canonical sigma_b(y0, y1, u0) = (y0 + alpha*b, y1 + b, u0)
-        perm = [((f4.from_index(y0) + alpha * b).index * ny + (f4.from_index(y1) + b).index)
+        perm = [((f4.element(y0) + alpha * b).index * ny + (f4.element(y1) + b).index)
                 * q + u0 for y0 in range(ny) for y1 in range(ny) for u0 in range(q)]
         assert sorted(perm) == list(range(plus.num_outputs))
         assert all(plus.matrix[x][y] == plus.matrix[f4._add[x][b.index]][perm[y]]
@@ -295,8 +290,6 @@ def test_awgn_likelihood_batch_is_symbol_major():
 def test_awgn_requires_binary_field():
     with pytest.raises(ValueError):
         AwgnBpskChannel(default_field(4), 0.5)
-    with pytest.raises(ValueError):
-        verify_symmetry(AwgnBpskChannel(default_field(2), 0.5))
 
 
 @pytest.mark.parametrize("sigma2", [float("nan"), float("inf"), 0, -0.5, "0.5", True, None])
@@ -306,19 +299,23 @@ def test_awgn_rejects_a_noise_variance_that_is_not_finite_and_positive(sigma2):
         AwgnBpskChannel(default_field(2), sigma2)
 
 
-def test_channel_json_round_trip():
-    f4 = default_field(4)
-    for ch in (qsc(f4, Fraction(1, 10)), qec(f4, Fraction(1, 3))):
-        back = channel_from_json(channel_to_json(ch))
-        assert back.kind == ch.kind
-        assert back.matrix == ch.matrix
+@pytest.mark.parametrize("make", [
+    lambda: qsc(default_field(4), Fraction(1, 10)),
+    lambda: qec(default_field(4), Fraction(1, 3)),
+    lambda: FiniteChannel(default_field(2), [["7/10", "1/10", "1/10", "1/10"],
+                                             ["1/10", "7/10", "1/10", "1/10"]]),
+    lambda: AwgnBpskChannel(default_field(2), 0.631),
+    lambda: ebno_to_channel(2.0, 0.5),
+], ids=["qsc", "qec", "table", "awgn_sigma2", "awgn_ebno"])
+def test_channel_config_round_trip_is_exact(make):
+    # the Eb/N0 pair was once dropped for the sigma2 written beside it, so a
+    # report's embedded config did not reproduce its own config block
+    obj = channel_to_json(make())
+    assert channel_to_json(channel_from_json(obj)) == obj
 
-    awgn = AwgnBpskChannel(default_field(2), 0.631)
-    back = channel_from_json(channel_to_json(awgn))
-    assert back.sigma2 == pytest.approx(awgn.sigma2)
 
-    f2 = default_field(2)
-    tab = table_channel(f2, [["7/10", "1/10", "1/10", "1/10"],
-                             ["1/10", "7/10", "1/10", "1/10"]])
-    back = channel_from_json(channel_to_json(tab))
-    assert back.matrix == tab.matrix
+def test_awgn_config_rejects_a_variance_its_ebno_pair_does_not_give():
+    obj = channel_to_json(ebno_to_channel(2.0, 0.5))
+    obj["sigma2"] = 0.5
+    with pytest.raises(ValueError, match="sigma2 0.5 differs"):
+        channel_from_json(obj)

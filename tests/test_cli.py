@@ -229,48 +229,54 @@ def test_verify_fails_on_counterexample_with_witness(paths, tmp_path, capsys):
     assert obj["results"]["thm1"]["ok"] is False
 
 
-def test_mc_ser_csv_byte_identical(paths, tmp_path, monkeypatch):
+def test_simulate_csv_byte_identical(paths, tmp_path, monkeypatch):
     # four shards decode on two threads; one shard gives the same tallies
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     _, ch_path, code_path = paths
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    single = tmp_path / "single.csv"
-    for out, shards in ((a, "4"), (b, "4"), (single, "1")):
-        rc = main(["mc-ser", "--code", code_path, "--channel", ch_path,
-                   "--trials", "20000", "--seed", "3", "--shards", shards,
-                   "--format", "csv", "--out", str(out)])
-        assert rc == 0
+    outs = []
+    for name, shards in (("a", 4), ("b", 4), ("single", 1)):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps({"code": code_path, "channel": ch_path,
+                                        "trials": 20000, "seed": 3, "shards": shards}))
+        outs.append(tmp_path / f"{name}.csv")
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(outs[-1])]) == 0
+    a, b, single = outs
     assert a.read_bytes() == b.read_bytes()
     header, *rows = a.read_text().splitlines()
     assert json.loads(header.removeprefix("# qpolar-report "))["seed"] == 3
     assert single.read_text().splitlines()[1:] == rows
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_mc_ser_writes_the_simulate_report(paths, tmp_path, capsys, fmt):
+def test_simulate_report_round_trip(paths, tmp_path):
+    # both formats carry the experiment's tallies and its resolved config
     _, ch_path, code_path = paths
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps({"code": code_path, "channel": ch_path, "trials": 3000,
                                     "seed": 4, "shards": 2}))
-    sim_out = tmp_path / f"rep.{fmt}"
-    assert main(["simulate", "--config", str(cfg_path), "--out", str(sim_out),
-                 "--format", fmt]) == 0
-    capsys.readouterr()
-    # no --out: the report goes to stdout
-    assert main(["mc-ser", "--code", code_path, "--channel", ch_path, "--trials", "3000",
-                 "--seed", "4", "--shards", "2", "--format", fmt]) == 0
-    text = capsys.readouterr().out
-    assert text == sim_out.read_text()
-    if fmt == "csv":
-        # the codeword columns carry the experiment's counts, rates and errors
-        report = run_experiment(ExperimentConfig(PolarCode(F2, 2, [1, 2, 3]),
-                                                 qsc(F2, Fraction(1, 10)), trials=3000, seed=4))
-        rates = report.codeword_ber
-        rows = [line.split(",") for line in text.splitlines()[2:]]
-        assert [int(r[5]) for r in rows] == list(report.codeword_errors)
-        assert [r[6] for r in rows] == [f"{v:.10e}" for v in rates]
-        assert [r[7] for r in rows] == [f"{v:.10e}" for v in report.stderr(rates)]
+    jpath, cpath = tmp_path / "rep.json", tmp_path / "rep.csv"
+    for path, fmt in ((jpath, "json"), (cpath, "csv")):
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(path),
+                     "--format", fmt]) == 0
+    report = run_experiment(ExperimentConfig(PolarCode(F2, 2, [1, 2, 3]),
+                                             qsc(F2, Fraction(1, 10)), trials=3000, seed=4))
+    back = json.loads(jpath.read_text())
+    assert tuple(back["info_set"]) == report.info_set
+    assert back["trials"] == report.trials
+    assert tuple(back["message_errors"]) == report.message_errors
+    assert tuple(back["codeword_errors"]) == report.codeword_errors
+    assert back["config"] == dict(report.config, shards=2, seed_generated=False)
+
+    header, columns, *lines = cpath.read_text().splitlines()
+    assert json.loads(header.removeprefix("# qpolar-report ")) == back["config"]
+    assert columns == ("index,is_info,message_errors,message_ber,message_stderr,"
+                       "codeword_errors,codeword_ber,codeword_stderr")
+    rows = [line.split(",") for line in lines]
+    assert [int(r[0]) for r in rows] == list(range(4))
+    # the codeword columns carry the experiment's counts, rates and errors
+    rates = report.codeword_ber
+    assert [int(r[5]) for r in rows] == list(report.codeword_errors)
+    assert [r[6] for r in rows] == [f"{v:.10e}" for v in rates]
+    assert [r[7] for r in rows] == [f"{v:.10e}" for v in report.stderr(rates)]
 
 
 def test_simulate_csv_and_plot(paths, tmp_path):
@@ -286,7 +292,11 @@ def test_simulate_csv_and_plot(paths, tmp_path):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 2 + 4
-    assert "codeword symbol error rate" in plot.read_text()
+    script = plot.read_text()
+    assert "message symbol error rate" in script
+    assert "codeword symbol error rate" in script
+    assert script.count(str(out)) == 2
+    assert "set output 'ber_panels.png'" in script
 
     again = tmp_path / "rep2.csv"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(again)]) == 0
@@ -301,6 +311,23 @@ def test_verify_samples_record_their_seed(paths, tmp_path, capsys):
     assert capsys.readouterr().out.count("pass") == 3
     config = json.loads(out.read_text())["config"]
     assert config["samples"] == 3 and config["seed"] == 17
+
+
+def test_verify_lemma_2_needs_samples_beyond_256_messages(tmp_path, capsys):
+    # 5^4 = 625 messages: it once checked 20 random ones and recorded
+    # samples null, the mark of an exhaustive check
+    f5 = default_field(5)
+    code_path = tmp_path / "code.json"
+    code_path.write_text(json.dumps(PolarCode(f5, 2, [2, 3]).to_json()))
+    ch_path = tmp_path / "qsc5.json"
+    ch_path.write_text(json.dumps(channel_to_json(qsc(f5, Fraction(1, 10)))))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--code", str(code_path), "--channel", str(ch_path),
+                 "--lemmas", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "pass" not in captured.out
+    assert "error:" in captured.err and "--samples" in captured.err
+    assert "Traceback" not in captured.err and not out.exists()
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

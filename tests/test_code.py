@@ -72,7 +72,7 @@ def test_recursive_encode_matches_matrix_on_random_messages(q, m):
     rng = np.random.default_rng(11)
     for _ in range(10):
         u_idx = [int(v) for v in rng.integers(0, q, size=1 << m)]
-        u = [f.from_index(i) for i in u_idx]
+        u = [f.element(i) for i in u_idx]
         assert tuple(e.index for e in polar_transform(f, u)) == matrix_multiply(f, u_idx, g)
 
 
@@ -94,7 +94,7 @@ def test_inverse_kernel_tower_recovers_message():
 
         rng = np.random.default_rng(5)
         for _ in range(10):
-            u = [f.from_index(int(i)) for i in rng.integers(0, q, size=1 << m)]
+            u = [f.element(int(i)) for i in rng.integers(0, q, size=1 << m)]
             assert inverse_transform(polar_transform(f, u)) == tuple(u)
         assert f.key == neg_alpha_field_key
 
@@ -103,9 +103,9 @@ def test_encode_is_linear():
     f = default_field(4)
     rng = np.random.default_rng(3)
     for _ in range(10):
-        u = [f.from_index(int(i)) for i in rng.integers(0, 4, size=8)]
-        v = [f.from_index(int(i)) for i in rng.integers(0, 4, size=8)]
-        a = f.from_index(int(rng.integers(1, 4)))
+        u = [f.element(int(i)) for i in rng.integers(0, 4, size=8)]
+        v = [f.element(int(i)) for i in rng.integers(0, 4, size=8)]
+        a = f.element(int(rng.integers(1, 4)))
         left = polar_transform(f, [a * ui + vi for ui, vi in zip(u, v)])
         xu = polar_transform(f, u)
         xv = polar_transform(f, v)
@@ -128,7 +128,7 @@ def test_batch_transform_matches_scalar():
     for row_in, row_out in zip(u, batch):
         want = matrix_multiply(f, [int(i) for i in row_in], g)
         assert tuple(row_out.tolist()) == want
-        scalar = polar_transform(f, [f.from_index(int(i)) for i in row_in])
+        scalar = polar_transform(f, [f.element(int(i)) for i in row_in])
         assert tuple(e.index for e in scalar) == want
 
 
@@ -273,11 +273,11 @@ def test_codewords_enumeration():
 def test_codewords_match_matrix_enumeration(q, m, info, frozen):
     # order: the first information symbol varies slowest; k = 0 gives one word
     f = default_field(q)
-    code = PolarCode(f, m, info, frozen_values=[f.from_index(v) for v in frozen])
+    code = PolarCode(f, m, info, frozen_values=[f.element(v) for v in frozen])
     g = kron_matrix(f, m)
     want = []
     for syms in itertools.product(range(q), repeat=len(info)):
-        u = [e.index for e in code.full_message([f.from_index(v) for v in syms])]
-        want.append(tuple(f.from_index(i) for i in matrix_multiply(f, u, g)))
+        u = [e.index for e in code.full_message([f.element(v) for v in syms])]
+        want.append(tuple(f.element(i) for i in matrix_multiply(f, u, g)))
     assert codewords(code) == want
     assert len(want) == q ** len(info)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpolar.channel import qec, qsc, table_channel
+from qpolar.channel import FiniteChannel, qec, qsc
 from qpolar.code import check_condition_A, dominates
 from qpolar.construct import (
     ErasureExact,
@@ -142,7 +142,7 @@ def test_method_preconditions():
     ch = qsc(F2, Fraction(1, 10))
     with pytest.raises(ValueError):
         GenieMC(trials=0, seed=1)
-    ident = table_channel(F2, [[1, 0], [0, 1]])
+    ident = FiniteChannel(F2, [[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         construct_info_set(F2, 2, 1, ident, ErasureExact())
 
@@ -161,7 +161,7 @@ def test_construction_rejects_a_channel_over_another_field():
 
 
 def test_genie_rank_noiseless_is_zero():
-    ident = table_channel(F2, [[1, 0], [0, 1]])
+    ident = FiniteChannel(F2, [[1, 0], [0, 1]])
     assert genie_mc_rank(F2, 2, ident, 500, seed=0) == (0.0,) * 4
 
 
@@ -190,7 +190,7 @@ def test_genie_rank_converges_to_exact_probs():
 def test_genie_rank_matches_exact_probs_on_zero_entry_channels():
     # exact ties and all-zero messages arise on these channels; the float
     # genie decoder must still err as often as the exact genie decisions
-    table = table_channel(F2, [["1/2", "3/10", "1/5", "0"], ["0", "1/5", "3/10", "1/2"]])
+    table = FiniteChannel(F2, [["1/2", "3/10", "1/5", "0"], ["0", "1/5", "3/10", "1/2"]])
     trials = 200_000
     for field, m, ch in ((F4, 1, qec(F4, Fraction(1, 3))), (F2, 2, table)):
         est = genie_mc_rank(field, m, ch, trials, seed=5)

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 import qpolar.oracle
-from qpolar.channel import qec, qsc, table_channel
+from qpolar.channel import FiniteChannel, qec, qsc
 from qpolar.code import PolarCode, decreasing_sets, polar_transform
 from qpolar.gf import FieldElement, default_field
 from qpolar.oracle import exact_ser
@@ -113,7 +113,7 @@ def test_exact_ser_equals_reference_q3_q4_n4(q, kind):
 
 @pytest.mark.parametrize("name", ["qec4_half", "table2"])
 def test_exact_ser_equals_reference_zero_entry_channels_n8(name):
-    ch = qec(F4, Fraction(1, 2)) if name == "qec4_half" else table_channel(F2, ZERO_ENTRY_TABLE)
+    ch = qec(F4, Fraction(1, 2)) if name == "qec4_half" else FiniteChannel(F2, ZERO_ENTRY_TABLE)
     _assert_exact_equal(PolarCode(ch.field, 3, (3, 5, 6, 7)), ch, [0] * 8)
 
 
@@ -132,7 +132,7 @@ def test_exact_ser_equals_reference_nonzero_messages_and_frozen_values():
 def test_decode_distribution_equals_reference_every_output_q4_n4(kind):
     ch = qsc(F4, Fraction(3, 10)) if kind == "qsc" else qec(F4, Fraction(1, 3))
     codes = [PolarCode(F4, 2, (2, 3)), PolarCode(F4, 2, (1, 2, 3)),
-             PolarCode(F4, 2, (2, 3), [F4.from_index(2), F4.from_index(3)])]
+             PolarCode(F4, 2, (2, 3), [F4.element(2), F4.element(3)])]
     for code in codes:
         for y in itertools.product(range(ch.num_outputs), repeat=4):
             got = sc_decode_distribution(code, ch, y)

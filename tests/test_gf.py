@@ -143,7 +143,7 @@ def test_constructor_rejects_bad_alpha():
 
 def test_element_index_outside_field_raises():
     f = default_field(4)
-    assert f.element(3) == f.from_index(3)
+    assert f.element(3) is f.elements[3]
     for bad in (-1, 4, 7):
         with pytest.raises(ValueError):
             f.element(bad)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qpolar.channel import qec, qsc, table_channel
+from qpolar.channel import FiniteChannel, qec, qsc
 from qpolar.code import PolarCode
 from qpolar.gf import default_field
 from qpolar.mc import decode_tallies
@@ -24,7 +24,7 @@ BSC01 = qsc(F2, Fraction(1, 10))
 
 
 def test_noiseless_ser_is_zero():
-    ident = table_channel(F2, [[1, 0], [0, 1]])
+    ident = FiniteChannel(F2, [[1, 0], [0, 1]])
     code = PolarCode(F2, 2, [1, 2, 3])
     assert exact_average_ser(code, ident).per_index == (Fraction(0),) * 4
 
@@ -79,7 +79,7 @@ def test_message_invariance_n4_random_messages():
     rng = np.random.default_rng(0)
     baseline = exact_ser(code, BSC01, [F2.zero] * 4).per_index
     for _ in range(6):
-        u = [F2.from_index(int(b)) for b in rng.integers(0, 2, size=4)]
+        u = [F2.element(int(b)) for b in rng.integers(0, 2, size=4)]
         assert exact_ser(code, BSC01, u).per_index == baseline
 
 
@@ -139,7 +139,7 @@ def test_genie_error_probs_n2():
 
 
 def test_mc_ser_noiseless_and_deterministic():
-    ident = table_channel(F2, [[1, 0], [0, 1]])
+    ident = FiniteChannel(F2, [[1, 0], [0, 1]])
     code = PolarCode(F2, 2, [1, 2, 3])
     report = mc_ser(code, ident, 2000, seed=1)
     assert report.per_index == (0.0,) * 4
@@ -159,7 +159,7 @@ def test_mc_ser_matches_oracle_within_4_sigma():
 ZERO_ENTRY_CHANNELS = {
     "qec2": lambda: qec(F2, Fraction(1, 2)),
     "qec4": lambda: qec(F4, Fraction(1, 2)),
-    "table2": lambda: table_channel(F2, [["1/2", "3/10", "1/5", "0"],
+    "table2": lambda: FiniteChannel(F2, [["1/2", "3/10", "1/5", "0"],
                                          ["0", "1/5", "3/10", "1/2"]]),
 }
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpolar.channel import AwgnBpskChannel, qec, qsc, table_channel
+from qpolar.channel import AwgnBpskChannel, FiniteChannel, qec, qsc
 from qpolar.code import PolarCode, polar_transform
 from qpolar.gf import default_field
 from qpolar.oracle import exact_average_ser
@@ -84,7 +84,7 @@ def test_synthetic_channel_same_in_small_chunks(monkeypatch, field, m, make):
     cases = []
     for i in range(code.n):
         y = tuple(int(v) for v in rng.integers(0, ch.num_outputs, size=code.n))
-        prefix = tuple(field.from_index(int(v)) for v in rng.integers(0, field.q, size=i))
+        prefix = tuple(field.element(int(v)) for v in rng.integers(0, field.q, size=i))
         cases.append((y, prefix, i, synthetic_channel(code, ch, y, prefix, i)))
     monkeypatch.setattr(qpolar.sc, "_SYNTHETIC_CHUNK", 4)
     for y, prefix, i, want in cases:
@@ -138,7 +138,7 @@ def test_minus_message_swap_symmetry(make):
 
 
 def test_noiseless_decode_recovers_codeword():
-    ident = table_channel(F2, [[1, 0], [0, 1]])
+    ident = FiniteChannel(F2, [[1, 0], [0, 1]])
     code = PolarCode(F2, 2, [1, 2, 3])
     for info in itertools.product(F2.elements, repeat=3):
         x = code.encode(code.full_message(info))
@@ -268,7 +268,7 @@ def test_batch_decoder_matches_exact_on_unique_decodes():
     tie_u = rng.random((len(unique), 4))
     _, x = sc_decode_batch(code, T, tie_u.T)
     for row, want in zip(x.T, expected):
-        assert tuple(F4.from_index(int(i)) for i in row) == want
+        assert tuple(F4.element(int(i)) for i in row) == want
 
 
 def test_batch_decoder_tie_frequencies():

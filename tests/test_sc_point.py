@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpolar.channel import qec, qsc, table_channel
+from qpolar.channel import FiniteChannel, qec, qsc
 from qpolar.code import PolarCode, polar_transform
 from qpolar.construct import construct_info_set
 from qpolar.gf import default_field
@@ -28,7 +28,7 @@ ZERO_ENTRY_TABLE = [["1/2", "3/10", "1/5", "0"], ["0", "1/5", "3/10", "1/2"]]
 CHANNELS = {
     "qsc": lambda f: qsc(f, Fraction(1, 10)),
     "qec": lambda f: qec(f, Fraction(1, 3)),
-    "table": lambda f: table_channel(f, ZERO_ENTRY_TABLE),
+    "table": lambda f: FiniteChannel(f, ZERO_ENTRY_TABLE),
 }
 
 
@@ -36,7 +36,7 @@ def _codes(field, m):
     """An erasure-constructed code with all-zero and with nonzero frozen values."""
     n = 1 << m
     code = PolarCode(field, m, construct_info_set(field, m, n // 2, qec(field, Fraction(1, 2))))
-    frozen = [field.from_index(1 + j % (field.q - 1)) for j in range(n - code.k)]
+    frozen = [field.element(1 + j % (field.q - 1)) for j in range(n - code.k)]
     return [code, code.with_frozen_values(frozen)]
 
 
@@ -122,7 +122,7 @@ def test_inverse_transform_undoes_polar_transform(q):
     rng = np.random.default_rng(q)
     for n in (1, 2, 8, 32, 64):
         u = tuple(int(v) for v in rng.integers(0, q, size=n))
-        x = tuple(e.index for e in polar_transform(field, [field.from_index(i) for i in u]))
+        x = tuple(e.index for e in polar_transform(field, [field.element(i) for i in u]))
         assert _inverse_transform(field, x) == u
 
 

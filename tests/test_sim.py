@@ -1,4 +1,3 @@
-import json
 import os
 import subprocess
 import sys
@@ -10,7 +9,7 @@ import pytest
 
 import qpolar
 from qpolar import sim
-from qpolar.channel import qsc, table_channel
+from qpolar.channel import FiniteChannel, qsc
 from qpolar.code import PolarCode
 from qpolar.gf import default_field
 from qpolar.mc import decode_tallies
@@ -20,8 +19,6 @@ from qpolar.sim import (
     ExperimentConfig,
     chi2_homogeneity,
     ebno_to_channel,
-    export_report,
-    plot_script,
     run_experiment,
 )
 
@@ -60,7 +57,7 @@ def test_ebno_to_channel_rejects_inputs_without_a_noise_variance(ebno_db, rate, 
 
 
 def test_noiseless_experiment_all_zero():
-    ident = table_channel(F2, [[1, 0], [0, 1]])
+    ident = FiniteChannel(F2, [[1, 0], [0, 1]])
     code = PolarCode(F2, 3, [3, 5, 6, 7])
     cfg = ExperimentConfig(code, ident, trials=500, seed=1)
     report = run_experiment(cfg)
@@ -205,36 +202,3 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
-
-
-def test_export_round_trip(tmp_path):
-    ch = qsc(F2, Fraction(1, 10))
-    code = PolarCode(F2, 2, [1, 2, 3])
-    report = run_experiment(ExperimentConfig(code, ch, trials=2000, seed=5))
-
-    jpath = tmp_path / "report.json"
-    export_report(report, jpath, fmt="json")
-    back = json.loads(jpath.read_text())
-    assert tuple(back["info_set"]) == report.info_set
-    assert back["trials"] == report.trials
-    assert tuple(back["message_errors"]) == report.message_errors
-    assert tuple(back["codeword_errors"]) == report.codeword_errors
-    assert back["config"] == report.config
-
-    cpath = tmp_path / "report.csv"
-    export_report(report, cpath, fmt="csv")
-    lines = cpath.read_text().splitlines()
-    assert lines[0].startswith("# qpolar-report ")
-    assert json.loads(lines[0].removeprefix("# qpolar-report "))["seed"] == 5
-    assert len(lines) == 2 + code.n  # header comment + columns + one row per index
-
-    export_report(report, tmp_path / "again.csv", fmt="csv")
-    assert (tmp_path / "again.csv").read_bytes() == cpath.read_bytes()
-
-
-def test_plot_script_references_both_panels():
-    script = plot_script("report.csv")
-    assert "message symbol error rate" in script
-    assert "codeword symbol error rate" in script
-    assert script.count("report.csv") == 2
-    assert "set output 'ber_panels.png'" in script

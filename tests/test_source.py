@@ -2,9 +2,11 @@
 
 import argparse
 import ast
+import re
 from pathlib import Path
 
 import qpolar
+from qpolar import cli
 from qpolar.cli import build_parser
 
 SRC = Path(qpolar.__file__).parent
@@ -232,3 +234,10 @@ def test_every_cli_option_is_passed_by_a_test():
     options = cli_options()
     passed = options_passed_by_tests(options)
     assert sorted((c, o) for c, opts in options.items() for o in opts - passed[c]) == []
+
+
+def test_cli_docstring_names_exactly_the_subcommands():
+    # the module docstring lists the subcommands by hand; a list kept by hand
+    # drifts from the parser unless a test compares them
+    listed = re.search(r"Subcommands:([^.]*)\.", cli.__doc__).group(1)
+    assert sorted(name.strip() for name in listed.split(",")) == sorted(cli_options())

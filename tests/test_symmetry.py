@@ -74,7 +74,7 @@ def test_xi_is_involution():
     rng = np.random.default_rng(4)
     for m in (1, 2, 3):
         for r in range(m):
-            x = tuple(F4.from_index(int(i)) for i in rng.integers(0, 4, size=1 << m))
+            x = tuple(F4.element(int(i)) for i in rng.integers(0, 4, size=1 << m))
             assert xi_apply_field(m, r, xi_apply_field(m, r, x)) == x
 
 
@@ -94,9 +94,9 @@ def test_xi_output_erasures_track_positions():
 
 
 def test_xi_output_on_noiseless_tracks_field_map():
-    from qpolar.channel import table_channel
+    from qpolar.channel import FiniteChannel
 
-    ident = table_channel(F4, np.eye(4, dtype=int).tolist())
+    ident = FiniteChannel(F4, np.eye(4, dtype=int).tolist())
     x = tuple(F4.elements)
     y = tuple(e.index for e in x)
     got = xi_apply_output(2, 0, ident, y)
@@ -121,14 +121,14 @@ def test_coset_transform_identity_and_weight():
     code = PolarCode(F4, 2, [1, 2, 3])
     rng = np.random.default_rng(2)
     y = tuple(int(v) for v in rng.integers(0, 4, size=4))
-    x = tuple(F4.from_index(int(v)) for v in rng.integers(0, 4, size=4))
+    x = tuple(F4.element(int(v)) for v in rng.integers(0, 4, size=4))
     y_id, x_id = coset_transform(code, ch, F4.one, [F4.zero] * 4, y, x)
     assert y_id == y and x_id == x
 
     # W^n(y|x) = W^n(a*y + x_b | a*x + x_b), arbitrary message b
     for _ in range(10):
-        a = F4.from_index(int(rng.integers(1, 4)))
-        b = [F4.from_index(int(v)) for v in rng.integers(0, 4, size=4)]
+        a = F4.element(int(rng.integers(1, 4)))
+        b = [F4.element(int(v)) for v in rng.integers(0, 4, size=4)]
         y2, x2 = coset_transform(code, ch, a, b, y, x)
         assert product_transition(ch, y, x) == product_transition(ch, y2, x2)
 
