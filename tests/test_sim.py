@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 import qpolar
 from qpolar import sim
+from qpolar.cli import _plot_script, _write_report
 from qpolar.channel import FiniteChannel, qsc
 from qpolar.code import PolarCode
 from qpolar.gf import default_field
@@ -202,3 +204,36 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_export_round_trip(tmp_path):
+    ch = qsc(F2, Fraction(1, 10))
+    code = PolarCode(F2, 2, [1, 2, 3])
+    report = run_experiment(ExperimentConfig(code, ch, trials=2000, seed=5))
+
+    jpath = tmp_path / "report.json"
+    _write_report(report, jpath, "json")
+    back = json.loads(jpath.read_text())
+    assert tuple(back["info_set"]) == report.info_set
+    assert back["trials"] == report.trials
+    assert tuple(back["message_errors"]) == report.message_errors
+    assert tuple(back["codeword_errors"]) == report.codeword_errors
+    assert back["config"] == report.config
+
+    cpath = tmp_path / "report.csv"
+    _write_report(report, cpath, "csv")
+    lines = cpath.read_text().splitlines()
+    assert lines[0].startswith("# qpolar-report ")
+    assert json.loads(lines[0].removeprefix("# qpolar-report "))["seed"] == 5
+    assert len(lines) == 2 + code.n  # header comment + columns + one row per index
+
+    _write_report(report, tmp_path / "again.csv", "csv")
+    assert (tmp_path / "again.csv").read_bytes() == cpath.read_bytes()
+
+
+def test_plot_script_references_both_panels():
+    script = _plot_script("report.csv")
+    assert "message symbol error rate" in script
+    assert "codeword symbol error rate" in script
+    assert script.count("report.csv") == 2
+    assert "set output 'ber_panels.png'" in script
