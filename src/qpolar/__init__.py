@@ -21,7 +21,6 @@ from .code import (
     polar_transform,
 )
 from .construct import (
-    ErasureExact,
     GenieMC,
     Manual,
     construct_info_set,

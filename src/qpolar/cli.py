@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import channel_from_json, channel_to_json
 from .code import PolarCode
-from .construct import ErasureExact, GenieMC, Manual, construct_info_set
+from .construct import GenieMC, Manual, construct_info_set
 from .gf import FieldElement
 from .oracle import exact_average_ser, exact_ser
 from .sc import sc_decode, sc_decode_distribution
@@ -137,20 +137,30 @@ def _parse_message(field, items, n):
     return [field.element(v) for v in items]
 
 
+def _refuse(args, options, path):
+    """Raise if any of these options was given: the chosen path ignores them."""
+    for option in options:
+        if getattr(args, option) is not None:
+            raise ValueError(f"--{option} is not read {path}")
+
+
 # -- subcommand handlers ------------------------------------------------------
 
 
 def _cmd_construct(args):
+    if args.method != "manual":
+        _refuse(args, ("info",), "without --method manual")
+    if args.method != "genie":
+        _refuse(args, ("trials", "seed"), "without --method genie")
     ch = channel_from_json(_load_json(args.channel))
     field = ch.field
-    seed = generated = None
-    if args.method == "erasure":
-        method = ErasureExact()
-    elif args.method == "genie":
+    seed = generated = trials = method = None
+    if args.method == "genie":
         seed, generated = _resolve_seed(args.seed)
-        method = GenieMC(trials=args.trials, seed=seed)
-    else:
-        method = Manual(tuple(args.info))
+        trials = 100_000 if args.trials is None else args.trials
+        method = GenieMC(trials=trials, seed=seed)
+    elif args.method == "manual":
+        method = Manual(tuple(args.info or ()))
     info = construct_info_set(field, args.m, args.k, ch, method)
     code = PolarCode(field, args.m, info)
     out = code.to_json()
@@ -158,7 +168,7 @@ def _cmd_construct(args):
         "method": args.method,
         "seed": seed,
         "seed_generated": generated,
-        "trials": args.trials if args.method == "genie" else None,
+        "trials": trials,
         "channel": channel_to_json(ch),
     }
     _write_json(out, args.out)
@@ -174,6 +184,10 @@ def _cmd_encode(args):
 
 
 def _cmd_decode(args):
+    if args.exact:
+        _refuse(args, ("tie", "seed"), "with --exact")
+    elif args.tie != "random":
+        _refuse(args, ("seed",), "with lex ties")
     code, ch = _load_code_and_channel(args.code, args.channel)
     y_raw = _load_json(args.y)
     if len(y_raw) != code.n:
@@ -301,6 +315,8 @@ def _cmd_verify(args):
     for lemma in lemmas:
         if lemma not in _LEMMA_CHOICES:
             raise ValueError(f"unknown lemma {lemma!r}; choose from {_LEMMA_CHOICES}")
+        if lemma in ("7", "thm1"):
+            _refuse(args, ("samples",), f"by lemma {lemma}, which checks every output")
     q, n = code.field.q, code.n
     if "2" in lemmas and args.samples is None and q ** n > 256:
         raise ValueError(f"lemma 2 checks every message only up to 256 of them, "
@@ -333,10 +349,9 @@ def build_parser():
     p.add_argument("--channel", required=True)
     p.add_argument("--method", choices=("erasure", "genie", "manual"),
                    default="erasure")
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--info", type=int, nargs="*", default=[],
-                   help="indices for --method manual")
+    p.add_argument("--trials", type=int, help="for --method genie; default 100000")
+    p.add_argument("--seed", type=int, help="for --method genie")
+    p.add_argument("--info", type=int, nargs="*", help="indices for --method manual")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_construct)
 
@@ -352,8 +367,8 @@ def build_parser():
     p.add_argument("--y", required=True)
     p.add_argument("--exact", action="store_true",
                    help="emit the exact decode distribution")
-    p.add_argument("--tie", choices=("lex", "random"), default="lex")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--tie", choices=("lex", "random"), help="default lex")
+    p.add_argument("--seed", type=int, help="for --tie random")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_decode)
 

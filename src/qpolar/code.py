@@ -8,8 +8,9 @@ i dominates j (i >= j in the bitwise order) when every bit of j is set in
 i; information sets closed upward under this order are called decreasing.
 
 :func:`polar_transform_indices` computes u * G_n on arrays of element
-indices for every caller but :func:`polar_transform`, its element-level form.
-Each step is one gather from the field's table ``aff[z, u]`` = z + alpha*u.
+indices, one gather from the field's table ``aff[z, u]`` = z + alpha*u per
+step, for every caller but one: ``oracle.exact_ser`` encodes its reference
+codeword with :func:`polar_transform`, the element-level form.
 """
 
 from __future__ import annotations
@@ -145,28 +146,18 @@ class PolarCode:
     def with_frozen_values(self, frozen_values):
         return PolarCode(self.field, self.m, self.info_set, frozen_values)
 
-    def full_message(self, info_symbols):
-        """Assemble the length-n message from k information symbols."""
-        info_symbols = [self.field.element(v) for v in info_symbols]
-        if len(info_symbols) != self.k:
-            raise ValueError(f"need {self.k} information symbols, got {len(info_symbols)}")
-        u = [None] * self.n
-        for i, v in zip(self.info_set, info_symbols):
-            u[i] = v
-        for i, v in zip(self.frozen_set, self.frozen_values):
-            u[i] = v
-        return tuple(u)
-
     def encode(self, u):
         """Codeword u * G_n; raises if u departs from a frozen value."""
-        u = [self.field.element(v) for v in u]
+        elems = self.field.elements
+        u = np.array([self.field.element(v).index for v in u], dtype=np.intp)
         if len(u) != self.n:
             raise ValueError(f"message length {len(u)} != n = {self.n}")
-        for i, v in zip(self.frozen_set, self.frozen_values):
-            if u[i] != v:
-                raise ValueError(
-                    f"position {i} is frozen to {v!r} but the message carries {u[i]!r}")
-        return polar_transform(self.field, u)
+        departs = np.flatnonzero((u != self.frozen_index_array) & ~self.info_mask)
+        if departs.size:
+            i = departs[0]
+            raise ValueError(f"position {i} is frozen to {elems[self.frozen_index_array[i]]!r} "
+                             f"but the message carries {elems[u[i]]!r}")
+        return tuple(elems[i] for i in polar_transform_indices(self.field, u).tolist())
 
     def __repr__(self):
         return (f"PolarCode(n={self.n}, k={self.k}, q={self.field.q}, "

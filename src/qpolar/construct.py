@@ -21,11 +21,6 @@ from .mc import decode_tallies
 
 
 @dataclass
-class ErasureExact:
-    """Exact erasure-probability ranking; epsilon taken from the channel."""
-
-
-@dataclass
 class GenieMC:
     trials: int
     seed: int
@@ -107,23 +102,16 @@ def genie_mc_rank(field, m, ch, trials, seed):
 def construct_info_set(field, m, k, ch, method=None):
     """Choose k information indices for length 2^m over the given channel.
 
-    The returned set always satisfies the upward-closure condition.  The
-    default method is the exact erasure ranking for erasure and symmetric
-    channels (using epsilon as an erasure proxy for the latter) and
-    genie-aided Monte Carlo for AWGN.
+    The returned set always satisfies the upward-closure condition.
+    ``method`` None is the exact erasure ranking, for erasure and symmetric
+    channels only (using epsilon as an erasure proxy for the latter);
+    :class:`GenieMC` ranks by genie-aided Monte Carlo on any channel.
     """
     n = 1 << m
     if not 0 <= k <= n:
         raise ValueError(f"k={k} outside [0, {n}]")
     if ch.field != field:
         raise ValueError(f"channel field {ch.field!r} differs from the code field {field!r}")
-    if method is None:
-        if getattr(ch, "kind", None) in ("qsc", "qec"):
-            method = ErasureExact()
-        elif getattr(ch, "kind", None) == "awgn_bpsk":
-            raise ValueError("AWGN construction needs an explicit GenieMC(trials, seed)")
-        else:
-            raise ValueError(f"no default construction for channel kind {ch.kind!r}")
 
     if isinstance(method, Manual):
         a = method.info_set
@@ -136,9 +124,10 @@ def construct_info_set(field, m, k, ch, method=None):
                 f"dominating {witness[1]} is not")
         return a
 
-    if isinstance(method, ErasureExact):
-        if getattr(ch, "kind", None) not in ("qsc", "qec"):
-            raise ValueError("the erasure ranking needs an erasure or symmetric channel")
+    if method is None:
+        if ch.kind not in ("qsc", "qec"):
+            raise ValueError(f"the erasure ranking needs a qsc or qec channel, not {ch.kind!r}; "
+                             "give GenieMC(trials, seed) for AWGN, or Manual(info_set)")
         eps = ch.params["epsilon"]
         estimates = _erasure_numerators(m, eps.numerator, eps.denominator)
     elif isinstance(method, GenieMC):

@@ -136,7 +136,7 @@ def sc_decode(code, ch, y, tie_uniforms=None):
     if ch.is_finite:
         job = _ExactJob(code, ch, tie_uniforms=uniforms)
         (x,) = _distribution_indices(job.messages(y), 0, job)
-        u = _inverse_transform(code.field, x)
+        u = job.decisions
     else:
         y = np.asarray(y, dtype=float)
         if not np.isfinite(y).all():
@@ -145,19 +145,6 @@ def sc_decode(code, ch, y, tie_uniforms=None):
         decisions, codewords = sc_decode_batch(code, T, uniforms[:, None])
         u, x = decisions[:, 0], codewords[:, 0]
     return tuple(elems[i] for i in u), tuple(elems[i] for i in x)
-
-
-def _inverse_transform(field, x):
-    """Message indices u with u * G_n = x.
-
-    The kernel K = [[1, 0], [alpha, 1]] has the inverse [[1, 0], [-alpha, 1]]
-    = S K S for S = diag(1, -1), so G_n^-1 = S_n G_n S_n: S_n, the m-fold
-    Kronecker power of S, negates the positions with an odd bit count.
-    """
-    neg = field._neg
-    odd = np.array([bin(j).count("1") & 1 for j in range(len(x))], dtype=bool)
-    u = polar_transform_indices(field, np.where(odd, neg[list(x)], x))
-    return tuple(np.where(odd, neg[u], u).tolist())
 
 
 def sc_decode_distribution(code, ch, y, method="recursive", job=None):
@@ -218,8 +205,8 @@ class _ExactJob:
     a sub-decode shorter than the block; it lives as long as the job.
 
     A point decode passes ``tie_uniforms``, one per position: a tie then
-    keeps one candidate (the :func:`sc_decode` pick) instead of branching.
-    The pick depends only on (message, lo), so the memo stays valid.
+    keeps one candidate (the :func:`sc_decode` pick) instead of branching,
+    and ``decisions[i]`` records the symbol kept at position i.
     """
 
     def __init__(self, code, ch, tie_uniforms=None):
@@ -236,6 +223,7 @@ class _ExactJob:
                           for row in ch.matrix)
         self.leaves = tuple(_reduced(col) for col in zip(*self.rows))
         self.tie_uniforms = tie_uniforms
+        self.decisions = None if tie_uniforms is None else [0] * code.n
         self.memo = {}
 
     def messages(self, y):
@@ -255,27 +243,32 @@ def _distribution_indices(msgs, lo, job):
 
     ``msgs`` holds one integer message per position.  Returns a dict from
     codeword index tuples to masses: int 1 for a branch no tie split,
-    otherwise the Fraction 1 / (product of the tie sizes).  With the job's
-    ``tie_uniforms`` set, no tie splits a branch and the dict has one key.  The result may
-    be shared through the memo, so callers must not mutate it.
+    otherwise the Fraction 1 / (product of the tie sizes).  A point job
+    (``tie_uniforms`` set) splits no branch, so the dict has one key, and
+    writes the symbol kept at each leaf into ``job.decisions``.  The result
+    may be shared through the memo, so callers must not mutate it.
     """
     span = len(msgs)
     if span == 1:
+        decisions = job.decisions
         if not job.info[lo]:
-            return {(job.frozen[lo],): 1}
-        t = msgs[0]
-        mx = max(t)
-        cands = [u for u, v in enumerate(t) if v == mx]
-        s = len(cands)
-        if s == 1:
-            return {(cands[0],): 1}
-        if job.tie_uniforms is not None:
-            return {(cands[min(int(job.tie_uniforms[lo] * s), s - 1)],): 1}
-        share = Fraction(1, s)
-        return {(u,): share for u in cands}
-    # whole blocks are not memoized: distinct outputs rarely share them
+            u = job.frozen[lo]
+        else:
+            t = msgs[0]
+            mx = max(t)
+            cands = [u for u, v in enumerate(t) if v == mx]
+            s = len(cands)
+            if s > 1 and decisions is None:
+                share = Fraction(1, s)
+                return {(u,): share for u in cands}
+            u = cands[min(int(job.tie_uniforms[lo] * s), s - 1)] if s > 1 else cands[0]
+        if decisions is not None:
+            decisions[lo] = u
+        return {(u,): 1}
+    # whole blocks are not memoized: distinct outputs rarely share them.  A
+    # point job visits each (lo, span) once, so no memo entry could answer it
     key = (msgs, lo)
-    memoize = span < job.n
+    memoize = span < job.n and job.decisions is None
     if memoize and key in job.memo:
         return job.memo[key]
     half = span // 2
@@ -325,10 +318,9 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
     relative tolerance ``DEFAULT_TIE_RTOL`` of the maximum tie.  An
     all-zero message (a leaf or plus message on a channel with zero
     transition entries) becomes all ones, so every symbol ties.  The
-    recursion runs under ``np.errstate(invalid="raise", divide="raise")``,
-    which stops an infinite likelihood (inf / inf) but not a NaN in T: NaN
-    arithmetic raises no invalid flag, so a NaN propagates quietly and its
-    leaf keeps index 0.  Finite likelihoods are the channels' duty.
+    recursion runs under ``np.errstate(invalid="raise", divide="raise")``.
+    NaN arithmetic raises no invalid flag, so a NaN in T would reach a
+    decision unnoticed: a T with a NaN or infinite entry raises ValueError.
     """
     field = code.field
     n = code.n
@@ -337,6 +329,10 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
         raise ValueError(f"likelihood array shape {T.shape} does not match ({field.q}, {n}, B)")
     if force is not None and np.shape(force) != (n, B):
         raise ValueError(f"force has shape {np.shape(force)}, expected {(n, B)}")
+    # a NaN survives min and max, and an infinity is one of them; the two
+    # reductions allocate nothing, where np.isfinite(T) would copy T as bools
+    if not np.isfinite([T.min(initial=0.0), T.max(initial=0.0)]).all():
+        raise ValueError("likelihoods must be finite; T holds a NaN or an infinity")
     job = _BatchJob(code, np.asarray(tie_uniforms), force)
     with np.errstate(invalid="raise", divide="raise"):
         tb = np.array(T, dtype=float, order="C")

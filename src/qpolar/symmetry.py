@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import itertools
 
-from .code import polar_transform
+import numpy as np
+
+from .code import polar_transform_indices
 from .oracle import _check_enumeration_cap, exact_average_ser, exact_ser
 from .sc import _ExactJob, sc_decode_distribution
 
@@ -36,9 +38,11 @@ def delta(m, r, i):
 
 
 def xi_coefficients(field, m, r):
-    """Per-coordinate multipliers of the signed map: -alpha or its inverse."""
-    neg_alpha = -field.alpha
-    neg_alpha_inv = -field.alpha.inverse()
+    """Per-coordinate multipliers of the signed map as element indices:
+    -alpha, or -alpha^(-1) where bit r of the coordinate is set."""
+    a = field.alpha.index
+    neg_alpha = int(field._neg[a])
+    neg_alpha_inv = int(field._neg[field._inv[a]])
     return tuple(neg_alpha_inv if (i >> r) & 1 else neg_alpha for i in range(1 << m))
 
 
@@ -81,7 +85,7 @@ def _transport(code, ch, ys):
 
 
 def _require_zero_frozen(code):
-    if any(v.index for v in code.frozen_values):
+    if code.frozen_index_array.any():
         raise ValueError("this identity is stated for all-zero frozen symbols")
 
 
@@ -111,18 +115,22 @@ def check_coset_invariance(code, ch, ys=None):
     """
     _require_zero_frozen(code)
     field = code.field
+    elems = field.elements
     first_violation = _transport(code, ch, ys)
     src = range(code.n)
-    for info in itertools.product(field.elements, repeat=code.k):
-        b = code.full_message(info)
-        xb = polar_transform(field, b)
-        for a in field.elements[1:]:
+    # every message of the zero-frozen code, the first information symbol
+    # varying slowest, and its codeword
+    b = np.zeros((field.q ** code.k, code.n), dtype=np.intp)
+    b[:, list(code.info_set)] = list(itertools.product(range(field.q), repeat=code.k))
+    for b_row, xb in zip(b.tolist(), polar_transform_indices(field, b).tolist()):
+        for a in range(1, field.q):
             # coordinate j acts as y -> sigma_{xb_j}(pi_a(y)) and x -> a*x + xb_j
-            ymaps = [[ch.shift(ch.scale(v, a), w) for v in range(ch.num_outputs)] for w in xb]
-            xmaps = [field._add[field._mul[a.index], w.index].tolist() for w in xb]
+            scaled = [ch.scale(v, elems[a]) for v in range(ch.num_outputs)]
+            ymaps = [[ch.shift(v, elems[w]) for v in scaled] for w in xb]
+            xmaps = [field._add[field._mul[a], w].tolist() for w in xb]
             y = first_violation(ymaps, xmaps, src)
             if y is not None:
-                return False, {"a": a, "b": b, "y": y}
+                return False, {"a": elems[a], "b": tuple(elems[i] for i in b_row), "y": y}
     return True, None
 
 
@@ -142,8 +150,8 @@ def check_xi_invariance(code, ch, r, ys=None):
     # coordinate i of the image reads coordinate delta(i) scaled by coeffs[i]
     src = [delta(m, r, i) for i in range(code.n)]
     coeffs = xi_coefficients(field, m, r)
-    ymaps = [[ch.scale(v, c) for v in range(ch.num_outputs)] for c in coeffs]
-    xmaps = [field._mul[c.index].tolist() for c in coeffs]
+    ymaps = [[ch.scale(v, field.elements[c]) for v in range(ch.num_outputs)] for c in coeffs]
+    xmaps = [field._mul[c].tolist() for c in coeffs]
     y = first_violation(ymaps, xmaps, src)
     if y is not None:
         return False, {"r": r, "y": y}

@@ -7,7 +7,8 @@ floats renormalized to maximum 1 on the float path, with ties resolved
 lexicographically.  The package decodes one block on its two kernels
 instead (the integer exact recursion and the float batch kernel) and must
 reproduce these decisions.  ``kron_matrix`` builds G_n as an explicit
-matrix, the referee of the package's one transform, and ``codewords``
+matrix, the referee of the package's one transform, ``full_message``
+assembles a message from its information symbols, and ``codewords``
 enumerates a code with that transform.  ``matrix_multiply``,
 ``transition``, ``likelihoods``, ``product_transition`` and ``sample`` are
 the element-level definitions of encoding, the channel and block
@@ -30,8 +31,10 @@ The rest are element-level referees of the package's index-level code:
   channel family search on them (criterion 6).
 * ``coset_transform`` maps (y, x) to (a*y + x_b, a*x + x_b) and referees
   ``check_coset_invariance``.
-* ``xi_apply_field`` and ``xi_apply_output`` apply the signed bit flip
-  xi_r to codewords and to outputs and referee ``check_xi_invariance``.
+* ``xi_coefficients`` computes the multipliers of the signed bit flip
+  xi_r by element arithmetic; ``xi_apply_field`` and ``xi_apply_output``
+  apply xi_r to codewords and to outputs and referee
+  ``check_xi_invariance``.
 * ``reference_exact_genie_error_probs`` sums the exact genie-aided error
   probability of every position over Y^n and referees ``genie_mc_rank``.
 * ``erasure_params`` computes each erasure probability as a Fraction, index
@@ -49,7 +52,7 @@ from qpolar.channel import FiniteChannel
 from qpolar.code import PolarCode, polar_transform, polar_transform_indices
 from qpolar.gf import _poly_mod, _poly_trim
 from qpolar.sc import synthetic_channel
-from qpolar.symmetry import delta, xi_coefficients
+from qpolar.symmetry import delta
 
 TIE_RTOL = 1e-12
 
@@ -165,6 +168,20 @@ def kron_matrix(field, m):
         nxt[n:, n:] = g
         g = nxt
     return g
+
+
+def full_message(code, info_symbols):
+    """The length-n message of a code: k information symbols in index order,
+    the frozen values elsewhere."""
+    info_symbols = [code.field.element(v) for v in info_symbols]
+    if len(info_symbols) != code.k:
+        raise ValueError(f"need {code.k} information symbols, got {len(info_symbols)}")
+    u = [None] * code.n
+    for i, v in zip(code.info_set, info_symbols):
+        u[i] = v
+    for i, v in zip(code.frozen_set, code.frozen_values):
+        u[i] = v
+    return tuple(u)
 
 
 def codewords(code):
@@ -373,6 +390,13 @@ def polarize(ch):
     plus = FiniteChannel(field, plus_matrix,
                          kind="plus", params={"base": ch.kind, "alpha": alpha.index})
     return minus, plus
+
+
+def xi_coefficients(field, m, r):
+    """Per-coordinate multipliers of xi_r by element arithmetic: -alpha, or
+    -alpha^(-1) where bit r of the coordinate is set."""
+    alpha = field.alpha
+    return tuple(-alpha.inverse() if (i >> r) & 1 else -alpha for i in range(1 << m))
 
 
 def xi_apply_field(m, r, x):

@@ -79,6 +79,46 @@ def test_construct_manual_writes_the_given_set(tmp_path, capsys):
     assert "error:" in err and "upward closure" in err and "Traceback" not in err
 
 
+# (arguments, the option the chosen path ignores): each of these once exited
+# 0, and construct wrote info_set [3] for --info 0
+IGNORED_OPTIONS = [
+    (["construct", "--m", "2", "--k", "1", "--info", "0"], "--info"),
+    (["construct", "--m", "2", "--k", "1", "--method", "genie", "--trials", "20",
+      "--seed", "1", "--info", "3"], "--info"),
+    (["construct", "--m", "2", "--k", "1", "--trials", "20"], "--trials"),
+    (["construct", "--m", "2", "--k", "1", "--seed", "1"], "--seed"),
+    (["construct", "--m", "2", "--k", "1", "--method", "manual", "--info", "3",
+      "--trials", "20"], "--trials"),
+    (["construct", "--m", "2", "--k", "1", "--method", "manual", "--info", "3",
+      "--seed", "1"], "--seed"),
+    (["decode", "--seed", "5"], "--seed"),
+    (["decode", "--tie", "lex", "--seed", "5"], "--seed"),
+    (["decode", "--exact", "--tie", "random"], "--tie"),
+    (["decode", "--exact", "--tie", "lex"], "--tie"),
+    (["decode", "--exact", "--seed", "5"], "--seed"),
+    (["verify", "--lemmas", "7", "--samples", "3"], "--samples"),
+    (["verify", "--lemmas", "thm1", "--samples", "3"], "--samples"),
+    (["verify", "--lemmas", "2,7", "--samples", "3"], "--samples"),
+]
+
+
+@pytest.mark.parametrize("args,option", IGNORED_OPTIONS,
+                         ids=[" ".join(args) for args, _ in IGNORED_OPTIONS])
+def test_an_option_the_path_ignores_is_refused(paths, capsys, args, option):
+    tmp, ch_path, code_path = paths
+    y_path = tmp / "y.json"
+    y_path.write_text(json.dumps([0, 0, 1, 0]))
+    files = {"construct": ["--channel", ch_path],
+             "decode": ["--code", code_path, "--channel", ch_path, "--y", str(y_path)],
+             "verify": ["--code", code_path, "--channel", ch_path]}[args[0]]
+    out = tmp / "out.json"
+    assert main(args + files + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and option in captured.err
+    assert "Traceback" not in captured.err and "pass" not in captured.out
+    assert not out.exists()
+
+
 def test_encode_round(paths, tmp_path):
     _, _, code_path = paths
     u_path = tmp_path / "u.json"

@@ -14,6 +14,7 @@ from qpolar.code import (
 from qpolar.gf import default_field
 from reference import (
     codewords,
+    full_message,
     kron_matrix,
     matrix_multiply,
     reference_check_condition_A,
@@ -225,7 +226,7 @@ def test_encode_validates_frozen_positions():
 def test_full_message_and_nonzero_frozen():
     f = default_field(4)
     code = PolarCode(f, 2, [2, 3], frozen_values=[f.one, f.alpha])
-    u = code.full_message([f.zero, f.one])
+    u = full_message(code, [f.zero, f.one])
     assert u == (f.one, f.alpha, f.zero, f.one)
     code.encode(u)
     assert code.frozen_index_array.tolist() == [f.one.index, f.alpha.index, 0, 0]
@@ -277,7 +278,7 @@ def test_codewords_match_matrix_enumeration(q, m, info, frozen):
     g = kron_matrix(f, m)
     want = []
     for syms in itertools.product(range(q), repeat=len(info)):
-        u = [e.index for e in code.full_message([f.element(v) for v in syms])]
+        u = [e.index for e in full_message(code, [f.element(v) for v in syms])]
         want.append(tuple(f.element(i) for i in matrix_multiply(f, u, g)))
     assert codewords(code) == want
     assert len(want) == q ** len(info)

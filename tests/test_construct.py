@@ -7,7 +7,6 @@ import pytest
 from qpolar.channel import FiniteChannel, qec, qsc
 from qpolar.code import check_condition_A, dominates
 from qpolar.construct import (
-    ErasureExact,
     GenieMC,
     Manual,
     _erasure_numerators,
@@ -16,6 +15,7 @@ from qpolar.construct import (
     genie_mc_rank,
 )
 from qpolar.gf import default_field
+from qpolar.sim import ebno_to_channel
 from reference import (
     erasure_params,
     reference_exact_genie_error_probs,
@@ -143,8 +143,10 @@ def test_method_preconditions():
     with pytest.raises(ValueError):
         GenieMC(trials=0, seed=1)
     ident = FiniteChannel(F2, [[1, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        construct_info_set(F2, 2, 1, ident, ErasureExact())
+    with pytest.raises(ValueError, match="erasure ranking needs a qsc or qec channel"):
+        construct_info_set(F2, 2, 1, ident)
+    with pytest.raises(ValueError, match=r"GenieMC\(trials, seed\) for AWGN"):
+        construct_info_set(F2, 2, 1, ebno_to_channel(2.0, 0.5, F2))
 
 
 @pytest.mark.parametrize("seed", [2.5, -1, 2**64])

@@ -27,6 +27,7 @@ from reference import (
     combine_minus,
     combine_plus,
     coset_transform,
+    full_message,
     likelihoods,
     xi_apply_field,
     xi_apply_output,
@@ -161,7 +162,7 @@ def reference_check_coset_invariance(code, ch):
     ys = list(itertools.product(range(ch.num_outputs), repeat=code.n))
     dists = {y: reference_sc_decode_distribution(code, ch, y) for y in ys}
     for info in itertools.product(field.elements, repeat=code.k):
-        b = code.full_message(info)
+        b = full_message(code, info)
         for a in [e for e in field.elements if e]:
             for y in ys:
                 image = {}

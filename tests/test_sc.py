@@ -14,7 +14,7 @@ from qpolar.sc import (
     sc_decode_distribution,
     synthetic_channel,
 )
-from reference import codewords, combine_minus, combine_plus, likelihoods
+from reference import codewords, combine_minus, combine_plus, full_message, likelihoods
 
 
 F2 = default_field(2)
@@ -141,11 +141,11 @@ def test_noiseless_decode_recovers_codeword():
     ident = FiniteChannel(F2, [[1, 0], [0, 1]])
     code = PolarCode(F2, 2, [1, 2, 3])
     for info in itertools.product(F2.elements, repeat=3):
-        x = code.encode(code.full_message(info))
+        x = code.encode(full_message(code, info))
         y = tuple(e.index for e in x)
         u_hat, x_hat = sc_decode(code, ident, y)
         assert x_hat == x
-        assert u_hat == code.full_message(info)
+        assert u_hat == full_message(code, info)
 
 
 def test_tie_example_n2():

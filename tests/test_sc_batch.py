@@ -231,3 +231,14 @@ def test_batch_decode_leaves_no_cyclic_garbage():
     finally:
         gc.enable()
     assert found == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batch_decode_refuses_non_finite_likelihoods(bad):
+    # two NaN leaves once decoded to 0 at every position of every block,
+    # raising nothing; inf raised FloatingPointError from inside the recursion
+    code = PolarCode(default_field(2), 2, [1, 2, 3])
+    T = np.ones((2, 4, 3))
+    T[0, 1, 0] = T[1, 3, 2] = bad
+    with pytest.raises(ValueError, match="likelihoods must be finite"):
+        sc_decode_batch(code, T, np.zeros((4, 3)))

@@ -6,9 +6,10 @@ import pytest
 
 from qpolar.channel import qec, qsc
 from qpolar.code import PolarCode, decreasing_sets, polar_transform
-from qpolar.gf import default_field
+from qpolar.gf import FieldElement, default_field
 from qpolar.oracle import exact_average_ser, exact_ser
 from qpolar.sc import sc_decode, sc_decode_distribution
+from qpolar.sim import ebno_to_channel
 from qpolar.symmetry import (
     check_coset_invariance,
     check_equal_ser,
@@ -81,7 +82,7 @@ def test_xi_is_involution():
 def test_xi_coefficient_pattern():
     coeffs = xi_coefficients(F4, 2, 0)
     a = F4.alpha
-    assert coeffs == (-a, -a.inverse(), -a, -a.inverse())
+    assert coeffs == tuple(e.index for e in (-a, -a.inverse(), -a, -a.inverse()))
 
 
 def test_xi_output_erasures_track_positions():
@@ -240,3 +241,40 @@ def test_exact_paths_reject_a_channel_over_another_field(path, code_q, channel_q
     ch = qsc(default_field(channel_q), Fraction(1, 10))
     with pytest.raises(ValueError, match="differs from the code field"):
         EXACT_PATHS[path](code, ch)
+
+
+ELEMENT_ARITHMETIC = ("__add__", "__sub__", "__mul__", "__neg__", "__truediv__", "__pow__",
+                      "inverse")
+_QEC4 = qec(F4, Fraction(1, 3))
+_CODE4 = PolarCode(F4, 2, (1, 2, 3))
+_ERASED = (_QEC4.num_outputs - 1,) * 4  # every position ties
+_YS = [(0, 4, 1, 4), (2, 3, 4, 0), _ERASED]
+_AWGN = ebno_to_channel(2.0, 0.5, F2)
+_CODE2 = PolarCode(F2, 3, (3, 5, 6, 7))
+
+# calls that take or return FieldElements but must compute on indices.
+# oracle.exact_ser is the one exception left: it encodes its reference
+# codeword with the element recursion polar_transform
+INDEX_ONLY_CALLS = {
+    "encode": lambda: _CODE4.encode([0, 1, 2, 3]),
+    "sc_decode_qec_f4_ties": lambda: sc_decode(_CODE4, _QEC4, _ERASED, np.full(4, 0.9)),
+    "sc_decode_awgn": lambda: sc_decode(_CODE2, _AWGN, [0.3, -1.1, 0.2, 0.7, 1.0, -0.4, 0.1, 0.9]),
+    "distribution_recursive": lambda: sc_decode_distribution(_CODE4, _QEC4, _YS[0]),
+    "distribution_definitional": lambda: sc_decode_distribution(_CODE4, _QEC4, _YS[0],
+                                                                method="definitional"),
+    "coset": lambda: check_coset_invariance(_CODE4, _QEC4, ys=_YS),
+    "xi": lambda: [check_xi_invariance(_CODE4, _QEC4, r, ys=_YS) for r in range(2)],
+}
+
+
+def _refuse(*args):
+    raise AssertionError("FieldElement arithmetic")
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_ONLY_CALLS))
+def test_package_paths_do_no_element_arithmetic(name, monkeypatch):
+    # the encoder and the coset and xi checkers once ran u * G_n and
+    # -alpha^(+-1) on FieldElements, next to the index tables the kernels read
+    for op in ELEMENT_ARITHMETIC:
+        monkeypatch.setattr(FieldElement, op, _refuse)
+    INDEX_ONLY_CALLS[name]()
