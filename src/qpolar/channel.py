@@ -144,8 +144,9 @@ class AwgnBpskChannel:
     def likelihood_batch(self, y):
         """(2, ...) float likelihoods of a real output array, built in place."""
         # common density factors drop out of every argmax, keep the exponents
-        # only: -(y - 1)^2 and -(y + 1)^2 less their maximum, over 2 sigma^2
-        out = np.subtract.outer([1.0, -1.0], y)
+        # only: -(y - 1)^2 and -(y + 1)^2 less their maximum, over 2 sigma^2;
+        # at |y| <= 2^40 they neither overflow nor round to one float
+        out = np.subtract.outer([1.0, -1.0], np.clip(y, -2.0**40, 2.0**40))
         np.square(out, out=out)
         np.negative(out, out=out)
         out -= np.maximum(out[0], out[1])

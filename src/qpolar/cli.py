@@ -317,6 +317,9 @@ def _cmd_verify(args):
             raise ValueError(f"unknown lemma {lemma!r}; choose from {_LEMMA_CHOICES}")
         if lemma in ("7", "thm1"):
             _refuse(args, ("samples",), f"by lemma {lemma}, which checks every output")
+    if args.samples is None:
+        _refuse(args, ("seed",), "without --samples")
+    seed = None if args.samples is None else args.seed or 0
     q, n = code.field.q, code.n
     if "2" in lemmas and args.samples is None and q ** n > 256:
         raise ValueError(f"lemma 2 checks every message only up to 256 of them, "
@@ -324,14 +327,14 @@ def _cmd_verify(args):
     results = {}
     failed = False
     for lemma in lemmas:
-        ok, witness = _run_lemma(lemma, code, ch, args.samples, args.seed)
+        ok, witness = _run_lemma(lemma, code, ch, args.samples, seed)
         results[lemma] = {"ok": ok, "witness": witness}
         status = "pass" if ok else "FAIL"
         print(f"{lemma}: {status}" + ("" if ok else f" witness={_jsonify(witness)}"))
         failed = failed or not ok
     out = {"results": results,
            "config": {"code": code.to_json(), "channel": channel_to_json(ch),
-                      "samples": args.samples, "seed": args.seed}}
+                      "samples": args.samples, "seed": seed}}
     if args.out:
         _write_json(out, args.out)
     return 1 if failed else 0
@@ -394,7 +397,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=None,
                    help="random samples per lemma; default every message or "
                         "output, an error where there are too many")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="for --samples; default 0")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 

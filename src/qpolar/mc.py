@@ -42,7 +42,6 @@ def decode_tallies(code, ch, seed, start, stop, batch=DEFAULT_BATCH,
     msg_err = np.zeros(n, dtype=np.int64)
     cw_err = np.zeros(n, dtype=np.int64)
     channel_slots = np.arange(n)
-    tie_slots = np.arange(n, 2 * n)
     message_slots = np.arange(2 * n, 3 * n)
     if not random_message:
         u_row = code.frozen_index_array
@@ -65,8 +64,9 @@ def decode_tallies(code, ch, seed, start, stop, batch=DEFAULT_BATCH,
             noise = rng.normals(seed, t_idx, channel_slots)
         y = ch.sample_batch(x, noise)
         likes = ch.likelihood_batch(y)
-        tie_u = rng.uniforms(seed, t_idx, tie_slots)
-        decisions, x_hat = sc_decode_batch(code, likes, tie_u, force=u if genie else None)
+        decisions, x_hat = sc_decode_batch(
+            code, likes, lambda i, cols: rng.uniforms(seed, t_idx[cols], [n + i])[0],
+            force=u if genie else None)
         msg_err += (decisions != u).sum(axis=1)
         if not genie:
             cw_err += (x_hat != x).sum(axis=1)

@@ -6,10 +6,10 @@ into the final 64-bit word.  Trials can therefore be processed in any batch
 size and split across any number of shards without changing a single draw.
 
 Slot layout is owned by the caller; by convention the decoding loops use
-slots [0, n) for channel noise, [n, 2n) for tie draws (the draw at slot
-n + i resolves the tie at position i, if any), and [2n, 3n) for random
-message symbols.  Draws come slot-major, one row per slot, the layout the
-batch decoder works in.
+slots [0, n) for channel noise, [n, 2n) for tie draws (slot n + i resolves
+the tie at position i and is drawn for the tied trials only), and [2n, 3n)
+for random message symbols.  Draws come slot-major, one row per slot, the
+layout the batch decoder works in.
 """
 
 from __future__ import annotations

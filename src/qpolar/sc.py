@@ -16,7 +16,8 @@ one of them:
 * :func:`sc_decode_batch` (float) decodes a batch of blocks.  It drops the
   1/q constants and scales every message to maximum 1, which also prevents
   underflow at long block lengths.  Entries within the fixed relative
-  tolerance ``DEFAULT_TIE_RTOL`` of the maximum count as tied.
+  tolerance ``DEFAULT_TIE_RTOL`` of the maximum count as tied.  At q = 2 it
+  carries each message as its argmax bit and ratio r = min/max.
 * :func:`_distribution_indices` (exact) decodes one block on integer
   messages: the channel matrix is scaled by the common denominator D of
   its entries, the 1/q constants are dropped, and every message is divided
@@ -34,17 +35,12 @@ kernel, on the block alone, on the AWGN channel.  Both resolve ties the same
 way, from one tie uniform v_i in [0, 1) per position: a tie among s symbols
 at position i keeps the k-th tied symbol in index order,
 k = min(floor(v_i * s), s - 1).  All-zero uniforms keep the smallest tied
-index (the lexicographic rule).
+index (the lexicographic rule); the batch kernel draws v_i for tied blocks only.
 
 On channels with zero transition entries a message can be identically
 zero (a plus message after a wrong tie guess on an erasure channel).  The
 exact kernel then finds all q symbols tied; the float kernel matches that
 by turning an all-zero message into all ones instead of dividing 0/0.
-
-The batch decoder keeps its messages in a symbol-major (q, n, B) layout, so
-every combining step works on contiguous (n/2, B) slabs.  Its minus sums add
-the q products left to right in u1, so every minus message equals, bit for
-bit, a plain left-to-right loop over u1.
 """
 
 from __future__ import annotations
@@ -142,7 +138,7 @@ def sc_decode(code, ch, y, tie_uniforms=None):
         if not np.isfinite(y).all():
             raise ValueError(f"AWGN outputs must be finite reals, got {y.tolist()}")
         T = ch.likelihood_batch(y[:, None])
-        decisions, codewords = sc_decode_batch(code, T, uniforms[:, None])
+        decisions, codewords = sc_decode_batch(code, T, lambda i, cols: uniforms[[i]][cols])
         u, x = decisions[:, 0], codewords[:, 0]
     return tuple(elems[i] for i in u), tuple(elems[i] for i in x)
 
@@ -297,9 +293,9 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
         Leaf likelihood vectors along axis 0 (any positive scaling per
         position), in the layout ``likelihood_batch`` returns for (n, B)
         outputs.  It is not modified.
-    tie_uniforms : (n, B) float array
-        One uniform draw per (position, block); the draw at position i
-        resolves the tie there, if any.
+    tie_uniforms : callable
+        ``tie_uniforms(i, columns)`` returns the uniforms in [0, 1) that
+        resolve the ties at position i, one per tied block in ``columns``.
     force : optional (n, B) int array
         Genie mode: propagate these true symbol indices instead of the
         decisions.  Decisions are still recorded and returned.
@@ -311,9 +307,11 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
 
     The messages stay in that symbol-major, block-innermost layout, in one
     C-ordered working copy of T: the minus rule is q * q multiply-adds over
-    contiguous (n/2, B) slabs, each sum taken left to right in u1, each
+    contiguous (n/2, B) slabs, each sum taken left to right in u1 (so every
+    minus message equals a plain left-to-right loop over u1), each
     maximum over the symbol axis is q - 1 ``np.maximum`` calls, and the
-    plus rule is one gather along axis 0 (a select at q = 2).
+    plus rule is one gather along axis 0.  At q = 2 they are (bit, ratio)
+    pairs instead, read from T without a copy (:func:`_decode_bits`).
     Every message is scaled to maximum 1, and entries within the fixed
     relative tolerance ``DEFAULT_TIE_RTOL`` of the maximum tie.  An
     all-zero message (a leaf or plus message on a channel with zero
@@ -333,29 +331,29 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
     # reductions allocate nothing, where np.isfinite(T) would copy T as bools
     if not np.isfinite([T.min(initial=0.0), T.max(initial=0.0)]).all():
         raise ValueError("likelihoods must be finite; T holds a NaN or an infinity")
-    job = _BatchJob(code, np.asarray(tie_uniforms), force)
+    job = _BatchJob(code, B, tie_uniforms, force)
     with np.errstate(invalid="raise", divide="raise"):
-        tb = np.array(T, dtype=float, order="C")
-        _normalize(tb)
-        x = _decode_span(tb, 0, job)
+        if q == 2:
+            x = _decode_bits(*_pair(False, T[0], T[1]), 0, job).astype(np.intp)
+        else:
+            tb = np.array(T, dtype=float, order="C")
+            _normalize(tb)
+            x = _decode_span(tb, 0, job)
     return job.decisions, x
 
 
 class _BatchJob:
     """Per-call constants and the decision array of one batch decode."""
 
-    def __init__(self, code, tie_uniforms, force):
+    def __init__(self, code, B, tie_uniforms, force):
         # aff[z, u] = index of z + alpha*u; serves both combining rules and
         # the re-encoding
         self.aff = code.field.aff
-        # over F_2, z + alpha*u = z xor u, so both combining rules and the
-        # re-encoding need no table lookups: a select and a xor are faster
-        self.binary = code.field.q == 2
         self.info_mask = code.info_mask
         self.frozen_idx = code.frozen_index_array
         self.tie_uniforms = tie_uniforms
         self.force = force
-        self.decisions = np.empty((code.n, tie_uniforms.shape[1]), dtype=np.intp)
+        self.decisions = np.empty((code.n, B), dtype=np.intp)
 
 
 def _decode_span(tb, lo, job):
@@ -365,11 +363,15 @@ def _decode_span(tb, lo, job):
     if span == 1:
         m = tb[:, 0]
         if job.info_mask[lo]:
+            u = np.argmax(m, axis=0)
             # every message was normalized, so its maximum is exactly 1.0
             tied = m >= 1.0 - DEFAULT_TIE_RTOL
             s = tied.sum(axis=0)
-            k = np.minimum((job.tie_uniforms[lo] * s).astype(np.intp), s - 1)
-            u = np.argmax(np.cumsum(tied, axis=0) == k + 1, axis=0)
+            cols = np.flatnonzero(s > 1)
+            if len(cols):
+                s = s[cols]
+                k = np.minimum((job.tie_uniforms(lo, cols) * s).astype(np.intp), s - 1)
+                u[cols] = np.argmax(np.cumsum(tied[:, cols], axis=0) == k + 1, axis=0)
         else:
             u = np.full(m.shape[1], job.frozen_idx[lo], dtype=np.intp)
         job.decisions[lo] = u
@@ -383,20 +385,54 @@ def _decode_span(tb, lo, job):
     _normalize(tm)
     xl = _decode_span(tm, lo, job)
     del tm  # freed before the plus messages are built
-    if job.binary:
-        tp = np.where(xl.astype(bool), t0[::-1], t0)
-    else:
-        # built row by row: a fancy index with a leading slice would lay
-        # the symbol axis innermost in memory, and so would the gather
-        idx = np.empty(t0.shape, dtype=np.intp)
-        for u, col in enumerate(job.aff.T):
-            np.take(col, xl, out=idx[u])
-        tp = np.take_along_axis(t0, idx, axis=0)
+    # built row by row: a fancy index with a leading slice would lay the
+    # symbol axis innermost in memory, and so would the gather
+    idx = np.empty(t0.shape, dtype=np.intp)
+    for u, col in enumerate(job.aff.T):
+        np.take(col, xl, out=idx[u])
+    tp = np.take_along_axis(t0, idx, axis=0)
     tp *= t1
     _normalize(tp)
     xh = _decode_span(tp, lo + half, job)
-    x_lo = xl ^ xh if job.binary else job.aff[xl, xh]
-    return np.concatenate([x_lo, xh], axis=0)
+    return np.concatenate([job.aff[xl, xh], xh], axis=0)
+
+
+def _decode_bits(bit, r, lo, job):
+    """:func:`_decode_span` at q = 2 on (span, B) messages, 1 at ``bit`` and r at
+    the other.  The entries below are the floats of the (q, n, B) rules, whose
+    other products are with an exact 1.0; a tied leaf decides v >= 0.5."""
+    if len(r) == 1:
+        if job.info_mask[lo]:
+            u = bit[0].copy()
+            cols = np.flatnonzero(r[0] >= 1.0 - DEFAULT_TIE_RTOL)
+            if len(cols):
+                u[cols] = job.tie_uniforms(lo, cols) >= 0.5
+        else:
+            u = np.full(len(r[0]), job.frozen_idx[lo] == 1)
+        job.decisions[lo] = u
+        if job.force is not None:
+            u = job.force[lo] == 1
+        return u[None, :]
+    half = len(r) // 2
+    b0, b1 = bit[:half], bit[half:]
+    r0, r1 = r[:half], r[half:]
+    prod = r0 * r1
+    xl = _decode_bits(*_pair(b0 ^ b1, 1.0 + prod, r0 + r1), lo, job)
+    # at b1 and the other: 1 and r0*r1 where x is 0, r0 and r1 where it is 1
+    x = b0 ^ b1 ^ xl
+    xh = _decode_bits(*_pair(b1, np.where(x, r0, 1.0), np.where(x, r1, prod)), lo + half, job)
+    return np.concatenate([xl ^ xh, xh], axis=0)
+
+
+def _pair(bit, a, c):
+    """(argmax bit, min/max) of messages a at ``bit`` and c at the other; 0/0 is 1."""
+    big = np.maximum(a, c, dtype=float)
+    small = np.minimum(a, c, dtype=float)
+    if not big.all():
+        zero = big == 0
+        big[zero] = small[zero] = 1.0
+    small /= big
+    return bit ^ (c > a), small
 
 
 def _normalize(t):

@@ -16,9 +16,11 @@ transition laws and channel sampling.  ``rank_alpha_generates`` decides whether 
 generates F_q over F_p by the linear-algebra definition.  ``_poly_mul``
 multiplies polynomials over F_p; with the package's ``_poly_mod`` it
 referees the field tables and ``rank_alpha_generates``.
-``counter_uniform`` is the counter RNG's draw for one (seed, trial, slot)
-in Python integers: splitmix64 finalizers chained over the seed, the trial
-and the slot, then the top 53 bits as a float in the open (0, 1).
+``tie_draws`` wraps an (n, B) array of tie uniforms as the tie source
+``sc_decode_batch`` calls.  ``counter_uniform`` is the counter RNG's draw
+for one (seed, trial, slot) in Python integers: splitmix64 finalizers
+chained over the seed, the trial and the slot, then the top 53 bits as a
+float in the open (0, 1).
 ``reference_check_condition_A``, ``reference_closure`` and
 ``reference_select_decreasing`` scan every dominating index of every
 member: the quadratic form of the upward-closure check, of the closure and
@@ -322,6 +324,11 @@ def reference_select_decreasing(estimates, k, m):
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+
+def tie_draws(uniforms):
+    """The tie source of ``sc_decode_batch`` over an (n, B) array of draws."""
+    return lambda i, columns: uniforms[i, columns]
 
 
 def _splitmix64_finalize(z):

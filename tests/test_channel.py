@@ -287,6 +287,20 @@ def test_awgn_likelihood_batch_is_symbol_major():
         assert T[1, j, i] / T[0, j, i] == pytest.approx(ratio, rel=1e-12)
 
 
+def test_awgn_likelihoods_of_large_outputs_are_finite_and_untied():
+    # beyond about 1.3e154 the squares overflowed to inf - inf = NaN, and at
+    # 1e20 the likelihoods tied, since y - 1 and y + 1 round to one float
+    ch = AwgnBpskChannel(default_field(2), 0.5)
+    y = np.array([1e300, 1e200, 1e20, 2.0**40, -2.0**40, -1e20, -1e200, -1e300])
+    assert ch.likelihood_batch(y).tolist() == [[1.0] * 4 + [0.0] * 4, [0.0] * 4 + [1.0] * 4]
+    # outputs up to 2^40 keep the unclipped values
+    y = np.array([2.0**40, -2.0**40, 3e11, -7e9, 41.5, 1e-3])
+    d = np.subtract.outer([1.0, -1.0], y)
+    want = -(d * d)
+    want = np.exp((want - want.max(axis=0)) / (2 * 0.5))
+    assert np.array_equal(ch.likelihood_batch(y), want)
+
+
 def test_awgn_requires_binary_field():
     with pytest.raises(ValueError):
         AwgnBpskChannel(default_field(4), 0.5)

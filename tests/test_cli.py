@@ -99,6 +99,7 @@ IGNORED_OPTIONS = [
     (["verify", "--lemmas", "7", "--samples", "3"], "--samples"),
     (["verify", "--lemmas", "thm1", "--samples", "3"], "--samples"),
     (["verify", "--lemmas", "2,7", "--samples", "3"], "--samples"),
+    (["verify", "--lemmas", "3", "--seed", "5"], "--seed"),
 ]
 
 
@@ -218,6 +219,20 @@ def test_decode_rejects_awgn_output_that_is_not_a_finite_real(tmp_path, capsys, 
                  "--channel", str(FIXTURES / "awgn.json"), "--y", str(y_path)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("y0,x0", [(1e200, 0), (1e20, 0), (-1e20, 1), (-1e200, 1)])
+def test_decode_reads_an_awgn_output_of_any_finite_size(tmp_path, y0, x0):
+    # at |y| = 1e200 the likelihoods were NaN and decode exited 1; at 1e20
+    # they tied, and -1e20 decoded to 0
+    y = json.loads((FIXTURES / "y_awgn_n16.json").read_text())
+    y[0] = y0
+    y_path, out = tmp_path / "y.json", tmp_path / "hat.json"
+    y_path.write_text(json.dumps(y))
+    assert main(["decode", "--code", str(FIXTURES / "code_q2_n16.json"),
+                 "--channel", str(FIXTURES / "awgn.json"), "--y", str(y_path),
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["x_hat"][0] == [x0]
 
 
 def test_decode_point_with_recorded_seed(paths, tmp_path):
@@ -369,6 +384,18 @@ def test_verify_samples_record_their_seed(paths, tmp_path, capsys):
     assert capsys.readouterr().out.count("pass") == 3
     config = json.loads(out.read_text())["config"]
     assert config["samples"] == 3 and config["seed"] == 17
+
+
+def test_verify_samples_without_a_seed_use_and_record_seed_0(paths, tmp_path, capsys):
+    _, ch_path, code_path = paths
+    argv = ["verify", "--code", code_path, "--channel", ch_path, "--lemmas", "2,3",
+            "--samples", "4"]
+    out, seeded = tmp_path / "verify.json", tmp_path / "seeded.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert main(argv + ["--seed", "0", "--out", str(seeded)]) == 0
+    assert capsys.readouterr().out.count("pass") == 4
+    assert json.loads(out.read_text()) == json.loads(seeded.read_text())
+    assert json.loads(out.read_text())["config"]["seed"] == 0
 
 
 def test_verify_lemma_2_needs_samples_beyond_256_messages(tmp_path, capsys):

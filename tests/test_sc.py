@@ -14,7 +14,9 @@ from qpolar.sc import (
     sc_decode_distribution,
     synthetic_channel,
 )
-from reference import codewords, combine_minus, combine_plus, full_message, likelihoods
+from reference import (
+    codewords, combine_minus, combine_plus, full_message, likelihoods, tie_draws,
+)
 
 
 F2 = default_field(2)
@@ -245,7 +247,7 @@ def test_float_point_decode_ties_all_zero_messages():
     # per trial, 8 channel uniforms and then 8 tie uniforms
     noise, tie_u = np.random.default_rng(4).random((trials, 2, 8)).transpose(1, 0, 2)
     y = ch.sample_batch(np.zeros((trials, 8), dtype=int), noise)
-    _, x = sc_decode_batch(code, ch.likelihood_batch(y.T), tie_u.T)
+    _, x = sc_decode_batch(code, ch.likelihood_batch(y.T), tie_draws(tie_u.T))
     for err, truth in zip((x != 0).mean(axis=1), exact):
         p = float(truth)
         assert abs(err - p) <= 4 * (p * (1 - p) / trials) ** 0.5
@@ -266,7 +268,7 @@ def test_batch_decoder_matches_exact_on_unique_decodes():
     assert unique, "need at least one tie-free output in the sample"
     T = np.stack([ch.likelihood_batch(np.array(y)) for y in unique], axis=-1)
     tie_u = rng.random((len(unique), 4))
-    _, x = sc_decode_batch(code, T, tie_u.T)
+    _, x = sc_decode_batch(code, T, tie_draws(tie_u.T))
     for row, want in zip(x.T, expected):
         assert tuple(F4.element(int(i)) for i in row) == want
 
@@ -279,7 +281,7 @@ def test_batch_decoder_tie_frequencies():
     trials = 6000
     T = np.repeat(ch.likelihood_batch(y.T), trials, axis=2)
     tie_u = np.random.default_rng(11).random((trials, 2))
-    _, x = sc_decode_batch(code, T, tie_u.T)
+    _, x = sc_decode_batch(code, T, tie_draws(tie_u.T))
     frac_zero = float(np.mean(x[0] == 0))
     want = float(dist[(F2.zero, F2.zero)])
     assert abs(frac_zero - want) < 0.03
@@ -291,11 +293,11 @@ def test_batch_decoder_genie_mode_propagates_truth():
     rng = np.random.default_rng(5)
     T = ch.likelihood_batch(rng.integers(0, 2, size=(50, 4)).T)
     tie_u = rng.random((50, 4))
-    decisions, x = sc_decode_batch(code, T, tie_u.T, force=np.zeros((4, 50), dtype=int))
+    decisions, x = sc_decode_batch(code, T, tie_draws(tie_u.T), force=np.zeros((4, 50), dtype=int))
     assert np.all(x == 0)  # transform of the all-zero truth
     assert decisions.shape == (4, 50)
     with pytest.raises(ValueError, match="force has shape"):
-        sc_decode_batch(code, T, tie_u.T, force=np.zeros(4, dtype=int))
+        sc_decode_batch(code, T, tie_draws(tie_u.T), force=np.zeros(4, dtype=int))
 
 
 def test_wrong_length_tie_uniforms_raise():

@@ -3,13 +3,16 @@
 ``reference_sc_decode_batch`` is the straightforward block-major form of
 the kernel: a (B, n/2, q, q) gather for the minus rule, reduced over the
 trailing axis left to right.  The production kernel works block-innermost
-on (q, n, B) arrays and must reproduce its decisions and codewords bit for
-bit on channels without zero transition entries.  The inputs here are built
-block-major for the reference, and ``_kernel`` transposes them for the
-production kernel and its outputs back.
+on (q, n, B) arrays, and at q = 2 on (bit, ratio) messages, and must
+reproduce its decisions and codewords bit for bit.  The inputs here are
+built block-major for the reference, and ``_kernel`` transposes them for
+the production kernel and its outputs back.  ``_general`` runs the
+kernel's general (q, n, B) recursion on a q = 2 batch, the referee of the
+(bit, ratio) path on the same inputs.
 """
 
 import gc
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -21,11 +24,23 @@ from qpolar.code import PolarCode, polar_transform_indices
 from qpolar.construct import construct_info_set
 from qpolar.gf import default_field
 from qpolar.mc import decode_tallies
-from qpolar.sc import DEFAULT_TIE_RTOL, _minus, sc_decode_batch
+from qpolar.sc import (
+    DEFAULT_TIE_RTOL, _BatchJob, _decode_span, _minus, _normalize, sc_decode_batch,
+)
 from qpolar.sim import ExperimentConfig, ebno_to_channel, run_experiment
+from reference import tie_draws
 
 
-def reference_sc_decode_batch(code, T, tie_uniforms, force=None):
+def _scaled(t):
+    """Each message (trailing axis) over its maximum; all ones where all zero."""
+    mx = t.max(axis=-1, keepdims=True)
+    zero = mx == 0
+    return np.where(zero, 1.0, t / np.where(zero, 1.0, mx))
+
+
+def reference_sc_decode_batch(code, T, tie_uniforms, force=None, tied_blocks=None):
+    """Decisions and codewords, (B, n) each; ``tied_blocks``, a dict if given,
+    receives the blocks with s > 1 tied symbols at each information leaf."""
     field = code.field
     n = code.n
     B, nt, q = T.shape
@@ -39,7 +54,7 @@ def reference_sc_decode_batch(code, T, tie_uniforms, force=None):
         force = np.broadcast_to(np.asarray(force, dtype=np.intp), (B, n))
     decisions = np.empty((B, n), dtype=np.intp)
 
-    T = T / T.max(axis=2, keepdims=True)
+    T = _scaled(T)
 
     def rec(tb, lo, hi):
         span = hi - lo
@@ -50,6 +65,8 @@ def reference_sc_decode_batch(code, T, tie_uniforms, force=None):
                 tied = m >= (mx * (1.0 - DEFAULT_TIE_RTOL))[:, None]
                 s = tied.sum(axis=1)
                 k = np.minimum((tie_uniforms[:, lo] * s).astype(np.intp), s - 1)
+                if tied_blocks is not None:
+                    tied_blocks[lo] = np.flatnonzero(s > 1)
                 cum = np.cumsum(tied, axis=1)
                 u = np.argmax(cum == (k + 1)[:, None], axis=1)
             else:
@@ -65,10 +82,10 @@ def reference_sc_decode_batch(code, T, tie_uniforms, force=None):
         tm = products[..., 0].copy()
         for u1 in range(1, q):
             tm += products[..., u1]
-        tm /= tm.max(axis=2, keepdims=True)
+        tm = _scaled(tm)
         xl = rec(tm, lo, lo + half)
         tp = np.take_along_axis(t0, AFF[xl], axis=2) * t1
-        tp /= tp.max(axis=2, keepdims=True)
+        tp = _scaled(tp)
         xh = rec(tp, lo + half, hi)
         return np.concatenate([ADD[xl, MULA[xh]], xh], axis=1)
 
@@ -78,7 +95,8 @@ def reference_sc_decode_batch(code, T, tie_uniforms, force=None):
 def _kernel(code, T, tie_uniforms, force=None):
     """sc_decode_batch on block-major (B, n, q) inputs, with (B, n) outputs."""
     force = None if force is None else np.asarray(force).T
-    decisions, x = sc_decode_batch(code, T.transpose(2, 1, 0), tie_uniforms.T, force=force)
+    decisions, x = sc_decode_batch(code, T.transpose(2, 1, 0), tie_draws(tie_uniforms.T),
+                                   force=force)
     return decisions.T, x.T
 
 
@@ -147,7 +165,7 @@ def test_kernel_reads_any_memory_order_and_leaves_input_alone():
     assert (want_x != 0).any()
     for arr in layouts:
         before = arr.copy()
-        got_d, got_x = sc_decode_batch(code, arr, tie_u)
+        got_d, got_x = sc_decode_batch(code, arr, tie_draws(tie_u))
         assert np.array_equal(got_d.T, want_d) and np.array_equal(got_x.T, want_x)
         assert np.array_equal(arr, before)
 
@@ -241,4 +259,142 @@ def test_batch_decode_refuses_non_finite_likelihoods(bad):
     T = np.ones((2, 4, 3))
     T[0, 1, 0] = T[1, 3, 2] = bad
     with pytest.raises(ValueError, match="likelihoods must be finite"):
-        sc_decode_batch(code, T, np.zeros((4, 3)))
+        sc_decode_batch(code, T, tie_draws(np.zeros((4, 3))))
+
+
+def _general(code, T, ties, force=None):
+    """The general (q, n, B) recursion of the kernel, which takes any q, on a
+    batch: normalize a C-ordered copy of T and decode it."""
+    job = _BatchJob(code, T.shape[2], ties, force)
+    with np.errstate(invalid="raise", divide="raise"):
+        tb = np.array(T, dtype=float, order="C")
+        _normalize(tb)
+        x = _decode_span(tb, 0, job)
+    return job.decisions, x
+
+
+def _recording(draws):
+    """A tie source over an (n, B) array that records each (position, columns)."""
+    calls = []
+
+    def ties(i, columns):
+        calls.append((i, columns.copy()))
+        return draws[i, columns]
+    return ties, calls
+
+
+F2 = default_field(2)
+BINARY = {
+    "awgn_0db": (lambda: ebno_to_channel(0.0, 0.5), False),
+    "bsc": (lambda: qsc(F2, Fraction(1, 10)), True),
+    "bec_zero": (lambda: qec(F2, Fraction(1, 2)), False),
+    "bec_random": (lambda: qec(F2, Fraction(1, 2)), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BINARY))
+@pytest.mark.parametrize("m", [1, 3, 6, 8])
+@pytest.mark.parametrize("genie", [False, True])
+def test_binary_path_matches_the_general_recursion(case, m, genie):
+    build, random_message = BINARY[case]
+    code = _code(2, m, 1 << (m - 1))
+    likes, tie_u, u = _batch_inputs(code, build(), seed=m, b=600, random_message=random_message)
+    T, draws = likes.transpose(2, 1, 0), tie_draws(tie_u.T)
+    force = u.T if genie else None
+    want_d, want_x = _general(code, T, draws, force)
+    got_d, got_x = sc_decode_batch(code, T, draws, force=force)
+    assert got_x.dtype == want_x.dtype == np.intp
+    assert np.array_equal(got_d, want_d) and np.array_equal(got_x, want_x)
+
+
+@pytest.mark.parametrize("genie", [False, True])
+def test_binary_path_matches_the_general_recursion_at_the_tie_edge(genie):
+    # leaves with ratio 0, just below the tie threshold, at it exactly and 1,
+    # some all zero, each scaled by a power of two so that min/max is exact
+    code = _code(2, 6, 32)
+    n, b = code.n, 3000
+    gen = np.random.default_rng(12)
+    edge = 1.0 - DEFAULT_TIE_RTOL
+    ratios = np.array([0.0, np.nextafter(edge, 0.0), edge, 1.0, 0.5])
+    r = ratios[gen.integers(0, len(ratios), size=(n, b))]
+    scale = 2.0 ** gen.integers(-30, 30, size=(n, b))
+    T = np.stack([scale, scale * r])
+    flip = gen.random((n, b)) < 0.5
+    T[:, flip] = T[::-1, flip]
+    T[:, gen.random((n, b)) < 0.02] = 0.0
+    # tie draws on and beside the edges of the k-th tied rule at s = 2
+    draws = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, 0.75])[gen.integers(0, 4, size=(n, b))]
+    draws = tie_draws(draws)
+    force = gen.integers(0, 2, size=(n, b)) if genie else None
+    want_d, want_x = _general(code, T, draws, force)
+    got_d, got_x = sc_decode_batch(code, T, draws, force=force)
+    assert np.array_equal(got_d, want_d) and np.array_equal(got_x, want_x)
+
+
+def test_no_tie_draw_on_a_tie_free_awgn_batch():
+    code = _code(2, 8, 128)
+    likes, tie_u, _ = _batch_inputs(code, ebno_to_channel(2.0, 0.5), seed=3, b=2048,
+                                    random_message=False)
+    ties, calls = _recording(tie_u.T)
+    sc_decode_batch(code, likes.transpose(2, 1, 0), ties)
+    assert calls == []
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_ties_are_drawn_for_the_tied_blocks_only(q):
+    # on an erasure channel with random messages many leaves tie, and plus
+    # messages after a wrong guess are all zero
+    code = _code(q, 6, 32)
+    likes, tie_u, u = _batch_inputs(code, qec(default_field(q), Fraction(1, 2)), seed=6,
+                                    b=1500, random_message=True)
+    tied = {}
+    want_d, want_x = reference_sc_decode_batch(code, likes, tie_u, tied_blocks=tied)
+    ties, calls = _recording(tie_u.T)
+    got_d, got_x = sc_decode_batch(code, likes.transpose(2, 1, 0), ties)
+    assert np.array_equal(got_d.T, want_d) and np.array_equal(got_x.T, want_x)
+    want = {i: blocks for i, blocks in tied.items() if len(blocks)}
+    assert len(want) > 10
+    assert [i for i, _ in calls] == sorted(want)
+    for i, blocks in calls:
+        assert np.array_equal(blocks, want[i])
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_tallies_equal_a_decode_fed_every_tie_draw(q):
+    code = _code(q, 6, 32)
+    ch = qec(default_field(q), Fraction(1, 2))
+    msg, cw, _ = decode_tallies(code, ch, seed=8, start=0, stop=1500, random_message=True)
+    likes, tie_u, u = _batch_inputs(code, ch, seed=8, b=1500, random_message=True)
+    decisions, x_hat = _kernel(code, likes, tie_u)
+    x = polar_transform_indices(code.field, u)
+    assert np.array_equal(msg, (decisions != u).sum(axis=0))
+    assert np.array_equal(cw, (x_hat != x).sum(axis=0))
+    assert cw.sum() > 0
+
+
+# the criterion 7 code: the information set GenieMC(trials=100_000, seed=2024)
+# builds at 2 dB
+FIG1_INFO = (
+    59, 61, 62, 63, 79, 87, 91, 92, 93, 94, 95, 103, 106, 107, 108, 109, 110, 111,
+    113, 114, 115, 116, 117, 118, 119, 120, 121, 122, 123, 124, 125, 126, 127, 143,
+    150, 151, 153, 154, 155, 156, 157, 158, 159, 163, 165, 166, 167, 169, 170, 171,
+    172, 173, 174, 175, 177, 178, 179, 180, 181, 182, 183, 184, 185, 186, 187, 188,
+    189, 190, 191, 195, 197, 198, 199, *range(201, 256))
+# sha256 of the int64 message and codeword tallies of 5,000 blocks (two
+# batches), as the (2, n, B) form of the kernel computed them
+FIG1_DIGESTS = {
+    (31, False): "d7c319b288484fbf877c1ec22b9ef8f73ad124d7b6eab8c5c0924d2033050a45",
+    (31, True): "dc2892fa85133325cf80ec19bce19d520cacfb22e62f4cd7c7e1831376b3f91f",
+    (32, False): "99169c26dadf10217da29cd6ba007fbb8a5f4ca0d346aa096a7f430afd2c917a",
+    (32, True): "dd87ddde6221980f867b4b270390dc81c9278b767d233077156a6b50e193f5b1",
+}
+
+
+@pytest.mark.parametrize("seed", [31, 32])
+@pytest.mark.parametrize("genie", [False, True])
+def test_fig1_tallies_are_pinned(seed, genie):
+    code = PolarCode(F2, 8, FIG1_INFO)
+    msg, cw, _ = decode_tallies(code, ebno_to_channel(2.0, 0.5), seed, 0, 5000, genie=genie)
+    assert code.k == 128 and msg.sum() > 0
+    digest = hashlib.sha256(msg.astype("<i8").tobytes() + cw.astype("<i8").tobytes())
+    assert digest.hexdigest() == FIG1_DIGESTS[seed, genie]

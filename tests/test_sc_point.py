@@ -20,7 +20,7 @@ from qpolar.construct import construct_info_set
 from qpolar.gf import default_field
 from qpolar.sc import MAX_DEFINITIONAL_N, sc_decode, sc_decode_batch
 from qpolar.sim import ebno_to_channel
-from reference import full_message, reference_sc_decode
+from reference import full_message, reference_sc_decode, tie_draws
 
 F2 = default_field(2)
 ZERO_ENTRY_TABLE = [["1/2", "3/10", "1/5", "0"], ["0", "1/5", "3/10", "1/2"]]
@@ -49,7 +49,7 @@ def _float_decode(code, ch, y):
     """Lexicographic decode of one block on the float batch kernel."""
     elems = code.field.elements
     T = ch.likelihood_batch(np.asarray(y)[:, None])
-    u, x = sc_decode_batch(code, T, np.zeros((code.n, 1)))
+    u, x = sc_decode_batch(code, T, tie_draws(np.zeros((code.n, 1))))
     return tuple(elems[i] for i in u[:, 0]), tuple(elems[i] for i in x[:, 0])
 
 
