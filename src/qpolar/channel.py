@@ -76,6 +76,13 @@ class FiniteChannel:
         self.matrix_float.flags.writeable = False
         self.cumulative_float = np.cumsum(self.matrix_float, axis=1)
         self.cumulative_float.flags.writeable = False
+        # thresholds[j, x]: a uniform at or above it sends input x past output
+        # j.  From a row's last positive entry on it is inf: a float row can
+        # sum to just below 1, and no uniform may reach an output of mass 0
+        last = [max(y for y, v in enumerate(row) if v) for row in self.matrix]
+        self._thresholds = np.where(np.arange(ny - 1)[:, None] >= last, np.inf,
+                                    self.cumulative_float[:, :-1].T)
+        self._thresholds.flags.writeable = False
 
     # -- core law ---------------------------------------------------------
 
@@ -103,11 +110,16 @@ class FiniteChannel:
     # -- sampling -----------------------------------------------------------
 
     def sample_batch(self, x_indices, uniforms):
-        """Vectorized inverse-CDF sampling: one uniform per transmitted symbol."""
-        x_indices = np.asarray(x_indices)
-        cum = self.cumulative_float[x_indices]
-        # a float cumulative row can end just below 1
-        return np.minimum((uniforms[..., None] >= cum).sum(axis=-1), self.num_outputs - 1)
+        """Inverse-CDF sampling, one uniform in [0, 1] per transmitted symbol: the
+        output counts the input's thresholds the uniform reaches, one threshold
+        at a time over the batch, and never has probability 0."""
+        # np.take reads a transposed index array (the layout of encoded random
+        # messages) about ten times slower than a C-ordered copy
+        x_indices = np.ascontiguousarray(x_indices)
+        y = np.zeros(np.broadcast_shapes(x_indices.shape, np.shape(uniforms)), dtype=np.intp)
+        for row in self._thresholds:
+            y += uniforms >= np.take(row, x_indices)
+        return y
 
     def __repr__(self):
         return f"FiniteChannel(kind={self.kind!r}, q={self.q}, outputs={self.num_outputs})"

@@ -34,8 +34,11 @@ def decode_tallies(code, ch, seed, start, stop, batch=DEFAULT_BATCH,
     message tally counts raw per-position decision errors, and the codeword
     tally is identically zero.
     """
-    if stop < start:
-        raise ValueError("empty or negative trial range")
+    if not 0 <= start <= stop:
+        raise ValueError(f"trials [{start!r}, {stop!r}) are not a range of indices >= 0")
+    # a negative batch would count every trial error-free; a bool is an int
+    if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)) or batch < 1:
+        raise ValueError(f"batch must be a positive integer, got {batch!r}")
     field = code.field
     n = code.n
     q = field.q

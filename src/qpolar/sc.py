@@ -17,7 +17,8 @@ one of them:
   1/q constants and scales every message to maximum 1, which also prevents
   underflow at long block lengths.  Entries within the fixed relative
   tolerance ``DEFAULT_TIE_RTOL`` of the maximum count as tied.  At q = 2 it
-  carries each message as its argmax bit and ratio r = min/max.
+  carries each message as its argmax bit and ratio r = min/max; at q > 2 it
+  takes each plus message row from the node's flat buffer.
 * :func:`_distribution_indices` (exact) decodes one block on integer
   messages: the channel matrix is scaled by the common denominator D of
   its entries, the 1/q constants are dropped, and every message is divided
@@ -310,7 +311,8 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
     contiguous (n/2, B) slabs, each sum taken left to right in u1 (so every
     minus message equals a plain left-to-right loop over u1), each
     maximum over the symbol axis is q - 1 ``np.maximum`` calls, and the
-    plus rule is one gather along axis 0.  At q = 2 they are (bit, ratio)
+    plus rule is q 1-D takes from the node's flat buffer, one per row
+    (:func:`_plus`).  At q = 2 they are (bit, ratio)
     pairs instead, read from T without a copy (:func:`_decode_bits`).
     Every message is scaled to maximum 1, and entries within the fixed
     relative tolerance ``DEFAULT_TIE_RTOL`` of the maximum tie.  An
@@ -379,19 +381,11 @@ def _decode_span(tb, lo, job):
             u = job.force[lo]
         return u[None, :]
     half = span // 2
-    t0 = tb[:, :half]
-    t1 = tb[:, half:]
-    tm = _minus(t0, t1, job.aff)
+    tm = _minus(tb[:, :half], tb[:, half:], job.aff)
     _normalize(tm)
     xl = _decode_span(tm, lo, job)
     del tm  # freed before the plus messages are built
-    # built row by row: a fancy index with a leading slice would lay the
-    # symbol axis innermost in memory, and so would the gather
-    idx = np.empty(t0.shape, dtype=np.intp)
-    for u, col in enumerate(job.aff.T):
-        np.take(col, xl, out=idx[u])
-    tp = np.take_along_axis(t0, idx, axis=0)
-    tp *= t1
+    tp = _plus(tb, xl, job.aff)
     _normalize(tp)
     xh = _decode_span(tp, lo + half, job)
     return np.concatenate([job.aff[xl, xh], xh], axis=0)
@@ -446,6 +440,26 @@ def _normalize(t):
         t[:, zero] = 1.0
         mx[zero] = 1.0
     t /= mx
+
+
+def _plus(tb, xl, aff):
+    """plus[u] = t0[aff[xl, u]] * t1[u] for C-ordered (q, 2h, B) messages tb
+    = [t0, t1].  Row u is one take from the flat tb at aff[xl, u]*2hB + jB + b,
+    so no (q, h, B) index array is built; every index is in range, and mode
+    "clip" spares the copy of ``out`` that the default mode makes."""
+    q, span, B = tb.shape
+    h = span // 2
+    flat = tb.reshape(-1)
+    pos = np.arange(h * B).reshape(h, B)
+    offsets = aff.T * (span * B)
+    out = np.empty((q, h, B))
+    idx = np.empty((h, B), dtype=np.intp)
+    for u in range(q):
+        np.take(offsets[u], xl, out=idx, mode="clip")
+        idx += pos
+        np.take(flat, idx, out=out[u], mode="clip")
+    out *= tb[:, h:]
+    return out
 
 
 def _minus(t0, t1, aff):

@@ -12,7 +12,11 @@ assembles a message from its information symbols, and ``codewords``
 enumerates a code with that transform.  ``matrix_multiply``,
 ``transition``, ``likelihoods``, ``product_transition`` and ``sample`` are
 the element-level definitions of encoding, the channel and block
-transition laws and channel sampling.  ``rank_alpha_generates`` decides whether alpha
+transition laws and channel sampling.  ``reference_sample_batch`` is the
+gather form of the batch sampler: an (..., |Y|) comparison against the
+cumulative rows, summed over its last axis and capped at the last output.
+The package must match it except where it draws an output of mass 0.
+``rank_alpha_generates`` decides whether alpha
 generates F_q over F_p by the linear-algebra definition.  ``_poly_mul``
 multiplies polynomials over F_p; with the package's ``_poly_mod`` it
 referees the field tables and ``rank_alpha_generates``.
@@ -238,6 +242,13 @@ def sample(ch, x, u):
     """The output index of a finite channel that the uniform u draws under
     input x: output y has probability W(y|x)."""
     return int(np.searchsorted(ch.cumulative_float[x.index], u, side="right"))
+
+
+def reference_sample_batch(ch, x_indices, uniforms):
+    """Output indices of a finite channel for arrays of inputs and uniforms,
+    by one (..., |Y|) comparison with the gathered cumulative rows."""
+    cum = ch.cumulative_float[np.asarray(x_indices)]
+    return np.minimum((uniforms[..., None] >= cum).sum(axis=-1), ch.num_outputs - 1)
 
 
 def _rank_mod_p(rows, p):

@@ -12,8 +12,11 @@ from qpolar.channel import (
     qsc,
 )
 from qpolar.gf import default_field
+from qpolar.rng import _BELOW_ONE
 from qpolar.sim import ebno_to_channel
-from reference import likelihoods, polarize, product_transition, sample, transition
+from reference import (
+    likelihoods, polarize, product_transition, reference_sample_batch, sample, transition,
+)
 
 
 def test_qsc_transition_values():
@@ -140,7 +143,7 @@ def test_finite_channel_takes_its_outputs_from_the_matrix_width():
 def test_float_law_is_read_only(make):
     # a write once stuck and changed every later sample and likelihood
     ch = make(default_field(4), Fraction(1, 10))
-    for table in (ch.matrix_float, ch.cumulative_float):
+    for table in (ch.matrix_float, ch.cumulative_float, ch._thresholds):
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.5
     assert ch.matrix_float[0, 0] == 0.9
@@ -212,6 +215,65 @@ def test_sample_batch_stays_inside_output_alphabet():
     assert last < 1.0
     y = ch.sample_batch(np.array([0, 1, 0]), np.array([last, 1.0, 0.05]))
     assert y.tolist() == [9, 9, 0]
+
+
+# a row whose float sum ends at 1 - 2^-53 before a trailing zero, and a
+# row that starts with a zero entry
+ZERO_ENTRY_TABLE = [["1/6", "4/6", "1/6", "0"], ["0", "1/6", "4/6", "1/6"]]
+
+
+def test_sampler_never_returns_an_output_of_probability_0():
+    ch = FiniteChannel(default_field(2), ZERO_ENTRY_TABLE)
+    assert ch.cumulative_float[0, 2] == _BELOW_ONE
+    # the counter streams emit _BELOW_ONE for their top word
+    assert ch.sample_batch(np.array([[0]]), np.array([[_BELOW_ONE]])).tolist() == [[2]]
+    y = ch.sample_batch(np.array([0, 0, 1, 1]), np.array([1.0, 0.0, 0.0, 1.0]))
+    assert y.tolist() == [2, 0, 1, 3]
+
+
+def _boundary_uniforms(ch):
+    """0, 1, the largest draw below 1 and every cumulative value of the
+    channel with its two float neighbours, where ``>=`` decides."""
+    cum = np.unique(ch.cumulative_float)
+    u = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
+                        [0.0, 1.0, _BELOW_ONE]])
+    return np.unique(np.clip(u, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("make,q", [(qsc, 2), (qsc, 3), (qsc, 16), (qec, 2), (qec, 4),
+                                    (None, 2)])
+def test_sample_batch_equals_the_gather_reference(make, q):
+    f = default_field(q)
+    ch = FiniteChannel(f, ZERO_ENTRY_TABLE) if make is None else make(f, Fraction(1, 5))
+    gen = np.random.default_rng(q)
+    edges = _boundary_uniforms(ch)
+    cases = [
+        # random inputs and uniforms, inputs also transposed in memory as
+        # encoded random messages are
+        (gen.integers(0, q, (64, 50)), gen.random((64, 50))),
+        (gen.integers(0, q, (50, 64)).T, gen.random((64, 50))),
+        # every input against every boundary uniform
+        (np.repeat(np.arange(q), len(edges))[:, None],
+         np.tile(edges, q)[:, None]),
+        # one input row broadcast over the batch, as all-zero messages are
+        (np.broadcast_to(gen.integers(0, q, 8)[:, None], (8, len(edges))),
+         np.broadcast_to(edges, (8, len(edges)))),
+    ]
+    nulls = 0
+    for x, u in cases:
+        got = ch.sample_batch(x, u)
+        want = reference_sample_batch(ch, x, u)
+        assert got.shape == want.shape
+        assert (ch.matrix_float[x, got] > 0).all()
+        # the reference may draw an output of mass 0; the sampler then
+        # keeps the row's last output of positive mass
+        null = ch.matrix_float[x, want] == 0
+        last = np.array([max(np.flatnonzero(row)) for row in ch.matrix_float])
+        assert np.array_equal(got[~null], want[~null])
+        assert np.array_equal(got[null], last[np.broadcast_to(x, null.shape)[null]])
+        nulls += null.sum()
+    # only the table with a trailing zero entry has such draws
+    assert (nulls > 0) == (make is None)
 
 
 def test_sampling_flip_fraction_binomial():

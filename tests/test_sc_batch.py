@@ -25,7 +25,7 @@ from qpolar.construct import construct_info_set
 from qpolar.gf import default_field
 from qpolar.mc import decode_tallies
 from qpolar.sc import (
-    DEFAULT_TIE_RTOL, _BatchJob, _decode_span, _minus, _normalize, sc_decode_batch,
+    DEFAULT_TIE_RTOL, _BatchJob, _decode_span, _minus, _normalize, _plus, sc_decode_batch,
 )
 from qpolar.sim import ExperimentConfig, ebno_to_channel, run_experiment
 from reference import tie_draws
@@ -192,6 +192,26 @@ def test_minus_sum_order_matches_trailing_axis_reduce(q):
                 want[blk, j, u] = acc
     got = _minus(t0.transpose(2, 1, 0).copy(), t1.transpose(2, 1, 0).copy(), np.array(aff))
     assert np.array_equal(got, want.transpose(2, 1, 0))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 16, 17, 131, 256])
+def test_plus_takes_each_row_from_the_node_buffer(q):
+    # plus[u][j, b] = t0[aff[z, u]][j, b] * t1[u][j, b], entry by entry in
+    # plain Python floats, on a C-ordered (q, 2h, B) node buffer
+    aff = default_field(q).aff
+    gen = np.random.default_rng(q)
+    b, h = (3, 2) if q > 100 else (40, 4)
+    tb = gen.random((q, 2 * h, b)) ** 4
+    z = gen.integers(0, q, (h, b))
+    before = tb.copy()
+    got = _plus(tb, z, aff)
+    assert np.array_equal(tb, before)
+    t0, t1 = tb[:, :h].tolist(), tb[:, h:].tolist()
+    for u in range(q):
+        for j in range(h):
+            for blk in range(b):
+                zz = z[j, blk]
+                assert got[u, j, blk] == t0[aff[zz, u]][j][blk] * t1[u][j][blk]
 
 
 def test_kernel_resolves_exact_ties_uniformly_at_q16():
@@ -398,3 +418,40 @@ def test_fig1_tallies_are_pinned(seed, genie):
     assert code.k == 128 and msg.sum() > 0
     digest = hashlib.sha256(msg.astype("<i8").tobytes() + cw.astype("<i8").tobytes())
     assert digest.hexdigest() == FIG1_DIGESTS[seed, genie]
+
+
+# the q = 16 code of the benchmark: k = 32 by the erasure ranking on QSC(1/10)
+Q16_INFO = (15, 23, 27, 28, 29, 30, 31, 37, 38, 39, 41, 42, 43, 44, 45, 46, 47, 49,
+            *range(50, 64))
+# sha256 of the int64 message and codeword tallies of seed 33 on finite
+# channels, as the gather sampler and gather plus rule computed them:
+# (code, plain or genie) -> digest
+FINITE_DIGESTS = {
+    ("qsc16", False): "7c4b20be28256905a00c5ada266b359708ddcabafc6d871538fe1f4a7fe92754",
+    ("qsc16", True): "6d8f1278a9c1644a689e13e671ad121700a7fcd818b3979e1aa49a1e3e91fee9",
+    ("qec4", False): "9fc7a1238cacc5502f9031a2f311d0342f281d1ca82ce9717be181c97b06a09b",
+    ("qec4", True): "993cf36331f708725ec9095cb2c6a91de292e336c0d69037b5c641e1211a6615",
+    ("bsc", False): "11f1ca3af8e7a85f985aab92176fd1014eb5c729479c94eac893b9c7559d3d6a",
+    ("bsc", True): "d0788521153bf3dda2851bc0ed7e59ebf790ea4de1af735385eb3bd26cb269e2",
+}
+
+
+def _finite_case(name):
+    """(code, channel, random_message, blocks) of a pinned finite-channel run."""
+    if name == "qsc16":
+        f16 = default_field(16)
+        return PolarCode(f16, 6, Q16_INFO), qsc(f16, Fraction(1, 10)), True, 3000
+    f = default_field(4 if name == "qec4" else 2)
+    ch = qec(f, Fraction(1, 2)) if name == "qec4" else qsc(f, Fraction(1, 10))
+    return PolarCode(f, 3, (3, 5, 6, 7)), ch, False, 20000
+
+
+@pytest.mark.parametrize("name", ["qsc16", "qec4", "bsc"])
+@pytest.mark.parametrize("genie", [False, True])
+def test_finite_channel_tallies_are_pinned(name, genie):
+    code, ch, random_message, blocks = _finite_case(name)
+    msg, cw, _ = decode_tallies(code, ch, 33, 0, blocks, genie=genie,
+                                random_message=random_message)
+    assert msg.sum() > 0
+    digest = hashlib.sha256(msg.astype("<i8").tobytes() + cw.astype("<i8").tobytes())
+    assert digest.hexdigest() == FINITE_DIGESTS[name, genie]

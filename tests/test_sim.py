@@ -83,6 +83,14 @@ def test_shard_and_batch_invariance():
     assert tuple(int(v) for v in parts[0][1] + parts[1][1]) == base.codeword_errors
 
 
+@pytest.mark.parametrize("batch,start", [(-5, 0), (0, 0), (2.5, 0), (True, 0), (1000, -3)])
+def test_decode_tallies_rejects_a_bad_batch_or_start(batch, start):
+    # a negative batch once returned all-zero tallies over every trial
+    code = PolarCode(F2, 3, (3, 5, 6, 7))
+    with pytest.raises(ValueError, match="batch must be a positive integer|not a range of indices"):
+        decode_tallies(code, qsc(F2, Fraction(1, 2)), 1, start, 1000, batch=batch)
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_shard_pool_keeps_tallies(monkeypatch, cpus):
     # the shards decode on min(shards, cpu count) threads, here at most 2
