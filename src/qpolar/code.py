@@ -15,6 +15,8 @@ codeword with :func:`polar_transform`, the element-level form.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import numpy as np
 
 
@@ -142,6 +144,16 @@ class PolarCode:
         self.frozen_index_array = np.zeros(self.n, dtype=np.intp)
         self.frozen_index_array[list(self.frozen_set)] = [v.index for v in self.frozen_values]
         self.frozen_index_array.flags.writeable = False
+        # (lo, span) -> transform of the frozen values of each all-frozen
+        # (rate-0) subtree, which the SC decoders take instead of decoding it
+        rate0 = {(i, 1): self.frozen_index_array[i:i + 1] for i in self.frozen_set}
+        for span in (1 << s for s in range(m)):
+            for lo in range(0, self.n, 2 * span):
+                xl, xh = rate0.get((lo, span)), rate0.get((lo + span, span))
+                if xl is not None and xh is not None:
+                    rate0[lo, 2 * span] = np.concatenate([field.aff[xl, xh], xh])
+                    rate0[lo, 2 * span].flags.writeable = False
+        self.rate0_transforms = MappingProxyType(rate0)
 
     def with_frozen_values(self, frozen_values):
         return PolarCode(self.field, self.m, self.info_set, frozen_values)

@@ -10,8 +10,11 @@ length-q likelihood vectors through the minus/plus combining rules
     plus(t0, t1, z)[u]  = (1/q) * t0[z + alpha*u] * t1[u]
 splitting on the most significant index bit, decoding the low half against
 the minus messages, re-encoding it, and decoding the high half against the
-plus messages.  Two kernels run that recursion, and every decoder here is
-one of them:
+plus messages.  Frozen positions are known in advance, so an all-frozen
+(rate-0) child, or root, decodes to its frozen values and propagates
+their transform (``PolarCode.rate0_transforms``); no message of it is
+built, and every leaf reached is an information leaf.  Two kernels run
+that recursion, and every decoder here is one of them:
 
 * :func:`sc_decode_batch` (float) decodes a batch of blocks.  It drops the
   1/q constants and scales every message to maximum 1, which also prevents
@@ -132,7 +135,7 @@ def sc_decode(code, ch, y, tie_uniforms=None):
     elems = code.field.elements
     if ch.is_finite:
         job = _ExactJob(code, ch, tie_uniforms=uniforms)
-        (x,) = _distribution_indices(job.messages(y), 0, job)
+        (x,) = job.decode(y)
         u = job.decisions
     else:
         y = np.asarray(y, dtype=float)
@@ -187,9 +190,8 @@ def sc_decode_distribution(code, ch, y, method="recursive", job=None):
     if method != "recursive":
         raise ValueError(f"unknown method {method!r}")
     if job is not None:
-        return _distribution_indices(job.messages(y), 0, job)
-    job = _ExactJob(code, ch)
-    dist = _distribution_indices(job.messages(y), 0, job)
+        return job.decode(y)
+    dist = _ExactJob(code, ch).decode(y)
     return {tuple(elems[i] for i in x): Fraction(p) for x, p in dist.items()}
 
 
@@ -212,21 +214,22 @@ class _ExactJob:
         # u1, the plus rule row z, and re-encoding entry [z_lo][z_hi]
         self.aff = code.field.aff.tolist()
         self.n = code.n
-        # plain tuples: reading numpy scalars in the recursion is slower
-        self.info = tuple(code.info_mask.tolist())
-        self.frozen = tuple(code.frozen_index_array.tolist())
+        # (lo, span) -> the one-key distribution of a rate-0 subtree
+        self.rate0 = {key: {tuple(x.tolist()): 1} for key, x in code.rate0_transforms.items()}
         self.denominator = math.lcm(*(v.denominator for row in ch.matrix for v in row))
         self.rows = tuple(tuple(v.numerator * (self.denominator // v.denominator) for v in row)
                           for row in ch.matrix)
         self.leaves = tuple(_reduced(col) for col in zip(*self.rows))
         self.tie_uniforms = tie_uniforms
-        self.decisions = None if tie_uniforms is None else [0] * code.n
+        # frozen decisions are known before any message arrives
+        self.decisions = None if tie_uniforms is None else code.frozen_index_array.tolist()
         self.memo = {}
 
-    def messages(self, y):
-        """Leaf messages of an output block, checked for length and range."""
+    def decode(self, y):
+        """Index distribution of an output block, checked for length and range."""
         _check_block(y, self.n, len(self.leaves))
-        return tuple(self.leaves[v] for v in y)
+        return self.rate0.get((0, self.n)) or _distribution_indices(
+            tuple(self.leaves[v] for v in y), 0, self)
 
 
 def _reduced(t):
@@ -238,27 +241,25 @@ def _reduced(t):
 def _distribution_indices(msgs, lo, job):
     """Exact SC decode distribution of positions [lo, lo + len(msgs)).
 
-    ``msgs`` holds one integer message per position.  Returns a dict from
-    codeword index tuples to masses: int 1 for a branch no tie split,
-    otherwise the Fraction 1 / (product of the tie sizes).  A point job
-    (``tie_uniforms`` set) splits no branch, so the dict has one key, and
-    writes the symbol kept at each leaf into ``job.decisions``.  The result
-    may be shared through the memo, so callers must not mutate it.
+    ``msgs`` holds one integer message per position, and the span holds an
+    information position.  Returns a dict from codeword index tuples to
+    masses: int 1 for a branch no tie split, otherwise the Fraction
+    1 / (product of the tie sizes).  A point job (``tie_uniforms`` set)
+    splits no branch, so the dict has one key, and writes the symbol kept
+    at each leaf into ``job.decisions``.  The result may be shared through
+    the memo, so callers must not mutate it.
     """
     span = len(msgs)
     if span == 1:
         decisions = job.decisions
-        if not job.info[lo]:
-            u = job.frozen[lo]
-        else:
-            t = msgs[0]
-            mx = max(t)
-            cands = [u for u, v in enumerate(t) if v == mx]
-            s = len(cands)
-            if s > 1 and decisions is None:
-                share = Fraction(1, s)
-                return {(u,): share for u in cands}
-            u = cands[min(int(job.tie_uniforms[lo] * s), s - 1)] if s > 1 else cands[0]
+        t = msgs[0]
+        mx = max(t)
+        cands = [u for u, v in enumerate(t) if v == mx]
+        s = len(cands)
+        if s > 1 and decisions is None:
+            share = Fraction(1, s)
+            return {(u,): share for u in cands}
+        u = cands[min(int(job.tie_uniforms[lo] * s), s - 1)] if s > 1 else cands[0]
         if decisions is not None:
             decisions[lo] = u
         return {(u,): 1}
@@ -271,13 +272,17 @@ def _distribution_indices(msgs, lo, job):
     half = span // 2
     aff = job.aff
     lows, highs = msgs[:half], msgs[half:]
-    tm = tuple(_reduced(tuple(sum(t0[i] * v for i, v in zip(row, t1)) for row in aff))
-               for t0, t1 in zip(lows, highs))
+    # a rate-0 half is taken from the job, and its messages are never built
+    dist_lo = job.rate0.get((lo, half)) or _distribution_indices(
+        tuple(_reduced(tuple(sum(t0[i] * v for i, v in zip(row, t1)) for row in aff))
+              for t0, t1 in zip(lows, highs)), lo, job)
+    frozen_hi = job.rate0.get((lo + half, half))
     out = {}
-    for z_lo, p_lo in _distribution_indices(tm, lo, job).items():
-        tp = tuple(_reduced(tuple(t0[i] * v for i, v in zip(aff[z], t1)))
-                   for t0, t1, z in zip(lows, highs, z_lo))
-        for z_hi, p_hi in _distribution_indices(tp, lo + half, job).items():
+    for z_lo, p_lo in dist_lo.items():
+        dist_hi = frozen_hi or _distribution_indices(
+            tuple(_reduced(tuple(t0[i] * v for i, v in zip(aff[z], t1)))
+                  for t0, t1, z in zip(lows, highs, z_lo)), lo + half, job)
+        for z_hi, p_hi in dist_hi.items():
             # (z_lo, z_hi) -> x is one to one, so no two branches share a key
             out[tuple(aff[a][b] for a, b in zip(z_lo, z_hi)) + z_hi] = p_lo * p_hi
     if memoize:
@@ -305,6 +310,11 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
     -------
     (decisions, codeword) : int index arrays of shape (n, B)
         ``codeword`` is the transform of whatever was propagated.
+
+    A rate-0 subtree (all positions frozen) decides its frozen values and
+    propagates ``code.rate0_transforms`` (under ``force``, the transform of
+    the forced rows); no message of it is built, so leaves are information
+    leaves only.
 
     The messages stay in that symbol-major, block-innermost layout, in one
     C-ordered working copy of T: the minus rule is q * q multiply-adds over
@@ -334,6 +344,9 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
     if not np.isfinite([T.min(initial=0.0), T.max(initial=0.0)]).all():
         raise ValueError("likelihoods must be finite; T holds a NaN or an infinity")
     job = _BatchJob(code, B, tie_uniforms, force)
+    x = job.frozen_part(0, n)
+    if x is not None:  # k = 0: nothing to decode
+        return job.decisions, np.array(x, dtype=np.intp)
     with np.errstate(invalid="raise", divide="raise"):
         if q == 2:
             x = _decode_bits(*_pair(False, T[0], T[1]), 0, job).astype(np.intp)
@@ -350,44 +363,57 @@ class _BatchJob:
     def __init__(self, code, B, tie_uniforms, force):
         # aff[z, u] = index of z + alpha*u; serves both combining rules and
         # the re-encoding
+        self.field = code.field
         self.aff = code.field.aff
-        self.info_mask = code.info_mask
-        self.frozen_idx = code.frozen_index_array
+        self.rate0 = code.rate0_transforms
         self.tie_uniforms = tie_uniforms
         self.force = force
-        self.decisions = np.empty((code.n, B), dtype=np.intp)
+        # frozen decisions are known before any message arrives
+        self.decisions = np.repeat(code.frozen_index_array[:, None], B, axis=1)
+
+    def frozen_part(self, lo, span):
+        """The propagated (span, B) codeword part of positions [lo, lo + span)
+        if all are frozen (maybe a read-only broadcast), otherwise None."""
+        x = self.rate0.get((lo, span))
+        if x is None:
+            return None
+        if self.force is None:
+            return np.broadcast_to(x[:, None], (span, self.decisions.shape[1]))
+        return polar_transform_indices(self.field, self.force[lo:lo + span].T).T
 
 
 def _decode_span(tb, lo, job):
     """Decode positions [lo, lo + span) from (q, span, B) messages; returns
     the (span, B) transform of the propagated symbols."""
     span = tb.shape[1]
-    if span == 1:
+    if span == 1:  # an information leaf
         m = tb[:, 0]
-        if job.info_mask[lo]:
-            u = np.argmax(m, axis=0)
-            # every message was normalized, so its maximum is exactly 1.0
-            tied = m >= 1.0 - DEFAULT_TIE_RTOL
-            s = tied.sum(axis=0)
-            cols = np.flatnonzero(s > 1)
-            if len(cols):
-                s = s[cols]
-                k = np.minimum((job.tie_uniforms(lo, cols) * s).astype(np.intp), s - 1)
-                u[cols] = np.argmax(np.cumsum(tied[:, cols], axis=0) == k + 1, axis=0)
-        else:
-            u = np.full(m.shape[1], job.frozen_idx[lo], dtype=np.intp)
+        u = np.argmax(m, axis=0)
+        # every message was normalized, so its maximum is exactly 1.0
+        tied = m >= 1.0 - DEFAULT_TIE_RTOL
+        s = tied.sum(axis=0)
+        cols = np.flatnonzero(s > 1)
+        if len(cols):
+            s = s[cols]
+            k = np.minimum((job.tie_uniforms(lo, cols) * s).astype(np.intp), s - 1)
+            u[cols] = np.argmax(np.cumsum(tied[:, cols], axis=0) == k + 1, axis=0)
         job.decisions[lo] = u
         if job.force is not None:
             u = job.force[lo]
         return u[None, :]
     half = span // 2
-    tm = _minus(tb[:, :half], tb[:, half:], job.aff)
-    _normalize(tm)
-    xl = _decode_span(tm, lo, job)
-    del tm  # freed before the plus messages are built
-    tp = _plus(tb, xl, job.aff)
-    _normalize(tp)
-    xh = _decode_span(tp, lo + half, job)
+    # a rate-0 half is taken from the job, and its messages are never built
+    xl = job.frozen_part(lo, half)
+    if xl is None:
+        tm = _minus(tb[:, :half], tb[:, half:], job.aff)
+        _normalize(tm)
+        xl = _decode_span(tm, lo, job)
+        del tm  # freed before the plus messages are built
+    xh = job.frozen_part(lo + half, half)
+    if xh is None:
+        tp = _plus(tb, xl, job.aff)
+        _normalize(tp)
+        xh = _decode_span(tp, lo + half, job)
     return np.concatenate([job.aff[xl, xh], xh], axis=0)
 
 
@@ -395,14 +421,11 @@ def _decode_bits(bit, r, lo, job):
     """:func:`_decode_span` at q = 2 on (span, B) messages, 1 at ``bit`` and r at
     the other.  The entries below are the floats of the (q, n, B) rules, whose
     other products are with an exact 1.0; a tied leaf decides v >= 0.5."""
-    if len(r) == 1:
-        if job.info_mask[lo]:
-            u = bit[0].copy()
-            cols = np.flatnonzero(r[0] >= 1.0 - DEFAULT_TIE_RTOL)
-            if len(cols):
-                u[cols] = job.tie_uniforms(lo, cols) >= 0.5
-        else:
-            u = np.full(len(r[0]), job.frozen_idx[lo] == 1)
+    if len(r) == 1:  # an information leaf
+        u = bit[0].copy()
+        cols = np.flatnonzero(r[0] >= 1.0 - DEFAULT_TIE_RTOL)
+        if len(cols):
+            u[cols] = job.tie_uniforms(lo, cols) >= 0.5
         job.decisions[lo] = u
         if job.force is not None:
             u = job.force[lo] == 1
@@ -411,10 +434,13 @@ def _decode_bits(bit, r, lo, job):
     b0, b1 = bit[:half], bit[half:]
     r0, r1 = r[:half], r[half:]
     prod = r0 * r1
-    xl = _decode_bits(*_pair(b0 ^ b1, 1.0 + prod, r0 + r1), lo, job)
+    xl = job.frozen_part(lo, half)
+    xl = _decode_bits(*_pair(b0 ^ b1, 1.0 + prod, r0 + r1), lo, job) if xl is None else xl == 1
     # at b1 and the other: 1 and r0*r1 where x is 0, r0 and r1 where it is 1
     x = b0 ^ b1 ^ xl
-    xh = _decode_bits(*_pair(b1, np.where(x, r0, 1.0), np.where(x, r1, prod)), lo + half, job)
+    xh = job.frozen_part(lo + half, half)
+    xh = (_decode_bits(*_pair(b1, np.where(x, r0, 1.0), np.where(x, r1, prod)), lo + half, job)
+          if xh is None else xh == 1)
     return np.concatenate([xl ^ xh, xh], axis=0)
 
 

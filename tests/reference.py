@@ -240,8 +240,10 @@ def product_transition(ch, y_vec, x_vec):
 
 def sample(ch, x, u):
     """The output index of a finite channel that the uniform u draws under
-    input x: output y has probability W(y|x)."""
-    return int(np.searchsorted(ch.cumulative_float[x.index], u, side="right"))
+    input x: output y has probability W(y|x).  A u at or above the row's
+    float sum draws the row's last output of positive mass."""
+    last = max(y for y, w in enumerate(ch.matrix[x.index]) if w > 0)
+    return min(int(np.searchsorted(ch.cumulative_float[x.index], u, side="right")), last)
 
 
 def reference_sample_batch(ch, x_indices, uniforms):

@@ -195,13 +195,31 @@ def test_sampling_noiseless_and_deterministic():
     assert ch.sample_batch(np.array([1]), np.random.default_rng(3).random(1)).tolist() == [1]
 
 
-@pytest.mark.parametrize("q,make", [(3, qsc), (4, qec)])
+# a row whose float sum ends at 1 - 2^-53 before a trailing zero, and a
+# row that starts with a zero entry
+ZERO_ENTRY_TABLE = [["1/6", "4/6", "1/6", "0"], ["0", "1/6", "4/6", "1/6"]]
+
+
+def ten_outputs(f, _p):
+    """Ten outputs of mass 1/10 each: the float row sums to below 1."""
+    return FiniteChannel(f, [["1/10"] * 10] * 2)
+
+
+def zero_entry_table(f, _p):
+    return FiniteChannel(f, ZERO_ENTRY_TABLE)
+
+
+@pytest.mark.parametrize("q,make", [(3, qsc), (4, qec), (2, ten_outputs),
+                                    (2, zero_entry_table)])
 def test_sample_batch_matches_inverse_cdf_reference(q, make):
     f = default_field(q)
     ch = make(f, Fraction(1, 5))
     rng = np.random.default_rng(8)
-    x = rng.integers(0, q, size=2000)
-    u = rng.random(2000)
+    # random draws, then every input at each float cumulative value, at
+    # the counter streams' top word and at 1.0
+    edges = np.concatenate([ch.cumulative_float.ravel(), [_BELOW_ONE, 1.0]])
+    x = np.concatenate([rng.integers(0, q, size=2000), np.repeat(np.arange(q), len(edges))])
+    u = np.concatenate([rng.random(2000), np.tile(edges, q)])
     want = [sample(ch, f.element(int(xi)), ui) for xi, ui in zip(x, u)]
     assert ch.sample_batch(x, u).tolist() == want
 
@@ -215,11 +233,6 @@ def test_sample_batch_stays_inside_output_alphabet():
     assert last < 1.0
     y = ch.sample_batch(np.array([0, 1, 0]), np.array([last, 1.0, 0.05]))
     assert y.tolist() == [9, 9, 0]
-
-
-# a row whose float sum ends at 1 - 2^-53 before a trailing zero, and a
-# row that starts with a zero entry
-ZERO_ENTRY_TABLE = [["1/6", "4/6", "1/6", "0"], ["0", "1/6", "4/6", "1/6"]]
 
 
 def test_sampler_never_returns_an_output_of_probability_0():

@@ -242,6 +242,28 @@ def test_per_position_arrays_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         code.frozen_index_array[0] = 1
     assert code.info_mask.tolist() == [i in code.info_set for i in range(8)]
+    with pytest.raises(TypeError):
+        code.rate0_transforms[4, 2] = np.zeros(2, dtype=np.intp)
+    for key in [(0, 1), (0, 2)]:
+        with pytest.raises(ValueError, match="read-only"):
+            code.rate0_transforms[key][0] = 1
+
+
+@pytest.mark.parametrize("q,m,info", [
+    (2, 3, [3, 5, 6, 7]), (4, 3, [1, 6, 7]), (3, 4, [7, 11, 13, 14, 15]), (3, 2, []),
+    (2, 2, [0, 1, 2, 3]),
+])
+def test_rate0_table_holds_every_all_frozen_subtree(q, m, info):
+    # (4, 3, [1, 6, 7]) is not decreasing, so a low half decodes while the
+    # high half beside it is all frozen
+    f = default_field(q)
+    n = 1 << m
+    code = PolarCode(f, m, info, [i % (q - 1) + 1 for i in range(n - len(info))])
+    frozen = code.frozen_index_array.tolist()
+    want = {(lo, 1 << s): matrix_multiply(f, frozen[lo:lo + (1 << s)], kron_matrix(f, s))
+            for s in range(m + 1) for lo in range(0, n, 1 << s)
+            if not set(range(lo, lo + (1 << s))) & set(info)}
+    assert {key: tuple(x.tolist()) for key, x in code.rate0_transforms.items()} == want
 
 
 def test_code_json_round_trip():

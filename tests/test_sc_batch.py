@@ -18,17 +18,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpolar import rng
+from qpolar import rng, sc
 from qpolar.channel import qec, qsc
 from qpolar.code import PolarCode, polar_transform_indices
 from qpolar.construct import construct_info_set
 from qpolar.gf import default_field
 from qpolar.mc import decode_tallies
+from qpolar.oracle import exact_average_ser
 from qpolar.sc import (
-    DEFAULT_TIE_RTOL, _BatchJob, _decode_span, _minus, _normalize, _plus, sc_decode_batch,
+    DEFAULT_TIE_RTOL, _BatchJob, _decode_span, _minus, _normalize, _plus, sc_decode,
+    sc_decode_batch, sc_decode_distribution,
 )
 from qpolar.sim import ExperimentConfig, ebno_to_channel, run_experiment
-from reference import tie_draws
+from reference import kron_matrix, matrix_multiply, reference_sc_decode, tie_draws
 
 
 def _scaled(t):
@@ -132,22 +134,69 @@ CASES = {
     # extension fields of characteristics 2 and 3 with minus sums of 8 and 9 terms
     "qsc_q8_n64": (lambda: (_code(8, 6, 32), qsc(default_field(8), Fraction(1, 10))), True),
     "qsc_q9_n32": (lambda: (_code(9, 5, 16), qsc(default_field(9), Fraction(1, 10))), True),
+    # nonzero frozen values, so that every all-frozen subtree has a nonzero transform
+    "awgn_q2_n64_frozen": (lambda: (_code(2, 6, 32).with_frozen_values([1] * 32),
+                                    ebno_to_channel(1.0, 0.5)), True),
+    "qsc_q4_n64_frozen": (lambda: (_code(4, 6, 32).with_frozen_values(
+        [1 + i % 3 for i in range(32)]), qsc(default_field(4), Fraction(1, 5))), True),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-@pytest.mark.parametrize("genie", [False, True])
+@pytest.mark.parametrize("genie", [False, True, "departs"])
 @pytest.mark.parametrize("b", [700, 2048])
 def test_kernel_bit_identical_to_reference(case, genie, b):
     build, random_message = CASES[case]
     code, ch = build()
     likes, tie_u, u = _batch_inputs(code, ch, seed=5, b=b, random_message=random_message)
     force = u if genie else None
+    if genie == "departs":
+        # a genie off the frozen values at every frozen position: a skipped
+        # all-frozen subtree must propagate the transform of these rows
+        frozen = list(code.frozen_set)
+        q = code.field.q
+        force = u.copy()
+        force[:, frozen] = (u[:, frozen] + np.random.default_rng(b).integers(
+            1, q, size=(b, len(frozen)))) % q
     want_d, want_x = reference_sc_decode_batch(code, likes, tie_u, force=force)
     got_d, got_x = _kernel(code, likes, tie_u, force=force)
     assert got_d.shape == got_x.shape == (b, code.n)
     assert np.array_equal(got_d, want_d)
     assert np.array_equal(got_x, want_x)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("m", [0, 3])
+def test_code_without_information_positions_decodes_to_its_frozen_values(q, m):
+    # k = 0: the root itself is all frozen, so every decoder takes it whole
+    f = default_field(q)
+    n, b = 1 << m, 40
+    frozen = [i % (q - 1) + 1 for i in range(n)]
+    code = PolarCode(f, m, [], frozen)
+    g = kron_matrix(f, m)
+    ch = qsc(f, Fraction(1, 5))
+    gen = np.random.default_rng(q + m)
+    y = gen.integers(0, q, size=(n, b))
+    T, tie_u = ch.likelihood_batch(y), gen.random((n, b))
+    force = gen.integers(0, q, size=(n, b))
+    for genie, rows in [(None, [frozen] * b), (force, force.T)]:
+        d, x = sc_decode_batch(code, T, tie_draws(tie_u), force=genie)
+        want_d, want_x = reference_sc_decode_batch(
+            code, T.transpose(2, 1, 0), tie_u.T, force=None if genie is None else genie.T)
+        assert np.array_equal(d.T, want_d) and np.array_equal(x.T, want_x)
+        assert d.T.tolist() == [frozen] * b
+        assert x.T.tolist() == [list(matrix_multiply(f, row, g)) for row in rows]
+    elems = f.elements
+    want = (tuple(elems[i] for i in frozen),
+            tuple(elems[i] for i in matrix_multiply(f, frozen, g)))
+    for col in range(3):
+        yb = tuple(y[:, col].tolist())
+        assert sc_decode(code, ch, yb) == reference_sc_decode(code, ch, yb) == want
+        for method in ("recursive", "definitional"):
+            assert sc_decode_distribution(code, ch, yb, method=method) == {want[1]: 1}
+    if q == 2:
+        assert sc_decode(code, ebno_to_channel(2.0, 0.5), gen.standard_normal(n)) == want
+    assert exact_average_ser(code, ch).per_index == (0,) * n
 
 
 def test_kernel_reads_any_memory_order_and_leaves_input_alone():
@@ -455,3 +504,31 @@ def test_finite_channel_tallies_are_pinned(name, genie):
     assert msg.sum() > 0
     digest = hashlib.sha256(msg.astype("<i8").tobytes() + cw.astype("<i8").tobytes())
     assert digest.hexdigest() == FINITE_DIGESTS[name, genie]
+
+
+@pytest.mark.parametrize("name", ["fig1", "qsc16"])
+def test_no_messages_are_built_for_an_all_frozen_child(monkeypatch, name):
+    if name == "fig1":
+        code, ch = PolarCode(F2, 8, FIG1_INFO), ebno_to_channel(2.0, 0.5)
+    else:
+        code, ch, _, _ = _finite_case(name)
+    calls = dict.fromkeys(["_minus", "_plus", "_pair"], 0)
+    for fname in calls:
+        def counted(*args, _real=getattr(sc, fname), _name=fname):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(sc, fname, counted)
+    likes, tie_u, _ = _batch_inputs(code, ch, seed=4, b=64, random_message=True)
+    _kernel(code, likes, tie_u)
+    n = code.n
+    spans = [1 << s for s in range(code.m)]
+    live_low = sum(code.info_mask[lo:lo + s].any() for s in spans for lo in range(0, n, 2 * s))
+    live_high = sum(code.info_mask[lo + s:lo + 2 * s].any()
+                    for s in spans for lo in range(0, n, 2 * s))
+    # both codes hold all-frozen children, so the counts are below 2(n - 1)
+    assert live_low + live_high < 2 * (n - 1)
+    if code.field.q == 2:
+        # one pair for the leaves, then one per child
+        assert calls == {"_minus": 0, "_plus": 0, "_pair": 1 + live_low + live_high}
+    else:
+        assert calls == {"_minus": live_low, "_plus": live_high, "_pair": 0}
