@@ -17,7 +17,6 @@ from .code import (
     PolarCode,
     check_condition_A,
     decreasing_sets,
-    dominates,
     polar_transform,
 )
 from .construct import (

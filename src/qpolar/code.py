@@ -20,33 +20,24 @@ from types import MappingProxyType
 import numpy as np
 
 
-def dominates(i, j):
-    """Bitwise domination: every set bit of j is set in i."""
-    return (i & j) == j
-
-
 def check_condition_A(info_set, m):
     """Is the index set closed upward under domination?
 
-    Returns ``(True, None)`` or ``(False, (j, i))``: j is the smallest member
-    with a dominating index missing, and i the smallest such index.
+    It is closed exactly when every one-bit superset j | 2^r of each member
+    j is a member.  Returns ``(True, None)`` or ``(False, (j, i))``: j is
+    the smallest member with a one-bit superset missing, and i = j | 2^r
+    the smallest such superset.
     """
     n = 1 << m
     members = set(info_set)
     for j in members:
         if not 0 <= j < n:
             raise ValueError(f"index {j} outside [0, {n})")
-    # closed when every one-bit superset of each member is a member
-    if all(j | 1 << r in members for j in members for r in range(m)):
-        return True, None
-    # j is the smallest member outside `closed`, the members whose every
-    # dominating index is a member, built downward through one-bit supersets
-    closed = set()
-    for i in range(n - 1, -1, -1):
-        if i in members and all(i | 1 << r in closed for r in range(m) if not i >> r & 1):
-            closed.add(i)
-    j = min(members - closed)
-    return False, (j, next(i for i in range(j + 1, n) if dominates(i, j) and i not in members))
+    for j in sorted(members):
+        for i in (j | 1 << r for r in range(m)):
+            if i not in members:
+                return False, (j, i)
+    return True, None
 
 
 def decreasing_sets(m):

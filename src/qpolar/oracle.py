@@ -30,35 +30,21 @@ MAX_ENUMERATION = 10**6
 class SerReport:
     """Per-codeword-index symbol error rates.
 
-    Exact reports (``trials`` None) hold Fractions in ``per_index``; Monte
-    Carlo reports hold float estimates, the trial count and the raw error
-    counts, from which the binomial standard errors follow.
+    Exact reports (``trials`` None) hold Fractions in ``per_index`` and are
+    the only ones written as JSON.  Monte Carlo reports (from
+    :func:`mc_ser`) hold float estimates, the trial count and the raw error
+    counts.
     """
 
     per_index: tuple
     trials: int | None = None
     errors: tuple | None = None
 
-    @property
-    def mode(self):
-        return "exact" if self.trials is None else "monte_carlo"
-
-    @property
-    def stderr(self):
-        if self.trials is None:
-            return None
-        return tuple(math.sqrt(r * (1 - r) / self.trials) for r in self.per_index)
-
     def to_json(self):
-        obj = {"mode": self.mode}
-        if self.trials is None:
-            obj["per_index"] = [f"{v.numerator}/{v.denominator}" for v in self.per_index]
-        else:
-            obj["per_index"] = list(self.per_index)
-            obj["trials"] = self.trials
-            obj["stderr"] = list(self.stderr)
-            obj["errors"] = list(self.errors)
-        return obj
+        if self.trials is not None:
+            raise ValueError("only exact SER reports have a JSON form")
+        return {"mode": "exact",
+                "per_index": [f"{v.numerator}/{v.denominator}" for v in self.per_index]}
 
 
 def _check_enumeration_cap(ch, n):

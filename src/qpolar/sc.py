@@ -304,7 +304,8 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
         resolve the ties at position i, one per tied block in ``columns``.
     force : optional (n, B) int array
         Genie mode: propagate these true symbol indices instead of the
-        decisions.  Decisions are still recorded and returned.
+        decisions.  Decisions are still recorded and returned.  At frozen
+        positions it must equal the frozen values; ValueError otherwise.
 
     Returns
     -------
@@ -312,9 +313,8 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
         ``codeword`` is the transform of whatever was propagated.
 
     A rate-0 subtree (all positions frozen) decides its frozen values and
-    propagates ``code.rate0_transforms`` (under ``force``, the transform of
-    the forced rows); no message of it is built, so leaves are information
-    leaves only.
+    propagates ``code.rate0_transforms``; no message of it is built, so
+    leaves are information leaves only.
 
     The messages stay in that symbol-major, block-innermost layout, in one
     C-ordered working copy of T: the minus rule is q * q multiply-adds over
@@ -337,8 +337,13 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
     q, nt, B = T.shape
     if nt != n or q != field.q:
         raise ValueError(f"likelihood array shape {T.shape} does not match ({field.q}, {n}, B)")
-    if force is not None and np.shape(force) != (n, B):
-        raise ValueError(f"force has shape {np.shape(force)}, expected {(n, B)}")
+    if force is not None:
+        if np.shape(force) != (n, B):
+            raise ValueError(f"force has shape {np.shape(force)}, expected {(n, B)}")
+        rows = np.asarray(code.frozen_set, dtype=np.intp)
+        departs = rows[(np.asarray(force)[rows] != code.frozen_index_array[rows, None]).any(axis=1)]
+        if departs.size:
+            raise ValueError(f"force departs from the frozen value at frozen position {departs[0]}")
     # a NaN survives min and max, and an infinity is one of them; the two
     # reductions allocate nothing, where np.isfinite(T) would copy T as bools
     if not np.isfinite([T.min(initial=0.0), T.max(initial=0.0)]).all():
@@ -363,7 +368,6 @@ class _BatchJob:
     def __init__(self, code, B, tie_uniforms, force):
         # aff[z, u] = index of z + alpha*u; serves both combining rules and
         # the re-encoding
-        self.field = code.field
         self.aff = code.field.aff
         self.rate0 = code.rate0_transforms
         self.tie_uniforms = tie_uniforms
@@ -375,11 +379,7 @@ class _BatchJob:
         """The propagated (span, B) codeword part of positions [lo, lo + span)
         if all are frozen (maybe a read-only broadcast), otherwise None."""
         x = self.rate0.get((lo, span))
-        if x is None:
-            return None
-        if self.force is None:
-            return np.broadcast_to(x[:, None], (span, self.decisions.shape[1]))
-        return polar_transform_indices(self.field, self.force[lo:lo + span].T).T
+        return None if x is None else np.broadcast_to(x[:, None], (span, self.decisions.shape[1]))
 
 
 def _decode_span(tb, lo, job):

@@ -291,26 +291,27 @@ def rank_alpha_generates(p, s, modulus, alpha_coeffs):
     return _rank_mod_p(powers, p) == s
 
 
-def _dominates(i, j):
+def dominates(i, j):
+    """Bitwise domination: every set bit of j is set in i."""
     return (i & j) == j
 
 
 def reference_check_condition_A(info_set, m):
-    """``(True, None)`` or ``(False, (j, i))`` with j the smallest member that
-    has a dominating index missing, and i the smallest such index."""
+    """``(True, None)`` when no member has a dominating index missing, else
+    ``(False, (j, i))`` with j the smallest member that has a one-bit
+    superset i = j | 2^r missing, and i the smallest such superset."""
     n = 1 << m
     members = set(info_set)
-    for j in sorted(members):
-        for i in range(j + 1, n):
-            if _dominates(i, j) and i not in members:
-                return False, (j, i)
-    return True, None
+    if all(i in members for j in members for i in range(j, n) if dominates(i, j)):
+        return True, None
+    return False, next((j, i) for j in sorted(members) for i in range(j + 1, n)
+                       if dominates(i, j) and bin(i ^ j).count("1") == 1 and i not in members)
 
 
 def reference_closure(info_set, m):
     """Sorted tuple of every index that dominates a member."""
     n = 1 << m
-    return tuple(sorted({i for j in info_set for i in range(j, n) if _dominates(i, j)}))
+    return tuple(sorted({i for j in info_set for i in range(j, n) if dominates(i, j)}))
 
 
 def reference_select_decreasing(estimates, k, m):
@@ -325,12 +326,12 @@ def reference_select_decreasing(estimates, k, m):
             break
         if i in selected:
             continue
-        need = [d for d in range(i, n) if _dominates(d, i) and d not in selected]
+        need = [d for d in range(i, n) if dominates(d, i) and d not in selected]
         if len(selected) + len(need) <= k:
             selected.update(need)
     while len(selected) < k:
         addable = [i for i in range(n) if i not in selected
-                   and all(d in selected for d in range(i + 1, n) if _dominates(d, i))]
+                   and all(d in selected for d in range(i + 1, n) if dominates(d, i))]
         selected.add(min(addable, key=lambda i: (estimates[i], -i)))
     return tuple(sorted(selected)), sorted(selected - naive)
 

@@ -7,13 +7,13 @@ from qpolar.code import (
     PolarCode,
     check_condition_A,
     decreasing_sets,
-    dominates,
     polar_transform,
     polar_transform_indices,
 )
 from qpolar.gf import default_field
 from reference import (
     codewords,
+    dominates,
     full_message,
     kron_matrix,
     matrix_multiply,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qpolar.channel import FiniteChannel, qec, qsc
-from qpolar.code import check_condition_A, dominates
+from qpolar.code import check_condition_A
 from qpolar.construct import (
     GenieMC,
     Manual,

@@ -151,13 +151,14 @@ def test_kernel_bit_identical_to_reference(case, genie, b):
     likes, tie_u, u = _batch_inputs(code, ch, seed=5, b=b, random_message=random_message)
     force = u if genie else None
     if genie == "departs":
-        # a genie off the frozen values at every frozen position: a skipped
-        # all-frozen subtree must propagate the transform of these rows
-        frozen = list(code.frozen_set)
-        q = code.field.q
+        # a genie off the frozen values at one frozen position is refused: a
+        # skipped all-frozen subtree propagates the code's frozen transform
+        i = code.frozen_set[np.random.default_rng(b).integers(len(code.frozen_set))]
         force = u.copy()
-        force[:, frozen] = (u[:, frozen] + np.random.default_rng(b).integers(
-            1, q, size=(b, len(frozen)))) % q
+        force[b // 2, i] = (force[b // 2, i] + 1) % code.field.q
+        with pytest.raises(ValueError, match=f"frozen position {i}$"):
+            _kernel(code, likes, tie_u, force=force)
+        return
     want_d, want_x = reference_sc_decode_batch(code, likes, tie_u, force=force)
     got_d, got_x = _kernel(code, likes, tie_u, force=force)
     assert got_d.shape == got_x.shape == (b, code.n)
@@ -178,14 +179,17 @@ def test_code_without_information_positions_decodes_to_its_frozen_values(q, m):
     gen = np.random.default_rng(q + m)
     y = gen.integers(0, q, size=(n, b))
     T, tie_u = ch.likelihood_batch(y), gen.random((n, b))
-    force = gen.integers(0, q, size=(n, b))
-    for genie, rows in [(None, [frozen] * b), (force, force.T)]:
+    force = np.repeat(np.array(frozen)[:, None], b, axis=1)
+    for genie in (None, force):
         d, x = sc_decode_batch(code, T, tie_draws(tie_u), force=genie)
         want_d, want_x = reference_sc_decode_batch(
             code, T.transpose(2, 1, 0), tie_u.T, force=None if genie is None else genie.T)
         assert np.array_equal(d.T, want_d) and np.array_equal(x.T, want_x)
         assert d.T.tolist() == [frozen] * b
-        assert x.T.tolist() == [list(matrix_multiply(f, row, g)) for row in rows]
+        assert x.T.tolist() == [list(matrix_multiply(f, frozen, g))] * b
+    force[n - 1, b - 1] = 0
+    with pytest.raises(ValueError, match=f"frozen position {n - 1}$"):
+        sc_decode_batch(code, T, tie_draws(tie_u), force=force)
     elems = f.elements
     want = (tuple(elems[i] for i in frozen),
             tuple(elems[i] for i in matrix_multiply(f, frozen, g)))
@@ -394,7 +398,10 @@ def test_binary_path_matches_the_general_recursion_at_the_tie_edge(genie):
     # tie draws on and beside the edges of the k-th tied rule at s = 2
     draws = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, 0.75])[gen.integers(0, 4, size=(n, b))]
     draws = tie_draws(draws)
-    force = gen.integers(0, 2, size=(n, b)) if genie else None
+    force = None
+    if genie:
+        # random at information positions, the frozen value (0) elsewhere
+        force = gen.integers(0, 2, size=(n, b)) * code.info_mask[:, None]
     want_d, want_x = _general(code, T, draws, force)
     got_d, got_x = sc_decode_batch(code, T, draws, force=force)
     assert np.array_equal(got_d, want_d) and np.array_equal(got_x, want_x)
