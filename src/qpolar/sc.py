@@ -43,8 +43,12 @@ index (the lexicographic rule); the batch kernel draws v_i for tied blocks only.
 
 On channels with zero transition entries a message can be identically
 zero (a plus message after a wrong tie guess on an erasure channel).  The
-exact kernel then finds all q symbols tied; the float kernel matches that
-by turning an all-zero message into all ones instead of dividing 0/0.
+exact kernel keeps it zero: every message built from it by either rule is
+zero too, and every information leaf below it ties all q symbols.  The
+float kernel follows that rule.  At q > 2 a zero message stays zero (it is
+scaled by 1, not divided 0/0) and a zero leaf ties every symbol; at q = 2,
+where a (bit, ratio) pair cannot be zero, a ``dead`` mask marks the
+messages that are zero or built from one, and a dead leaf ties.
 """
 
 from __future__ import annotations
@@ -327,8 +331,9 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
     Every message is scaled to maximum 1, and entries within the fixed
     relative tolerance ``DEFAULT_TIE_RTOL`` of the maximum tie.  An
     all-zero message (a leaf or plus message on a channel with zero
-    transition entries) becomes all ones, so every symbol ties.  The
-    recursion runs under ``np.errstate(invalid="raise", divide="raise")``.
+    transition entries) stays zero, as in the exact kernel: so does every
+    message built from it, and an information leaf below it ties every
+    symbol.  The recursion runs under ``np.errstate(invalid="raise", divide="raise")``.
     NaN arithmetic raises no invalid flag, so a NaN in T would reach a
     decision unnoticed: a T with a NaN or infinite entry raises ValueError.
     """
@@ -354,7 +359,7 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
         return job.decisions, np.array(x, dtype=np.intp)
     with np.errstate(invalid="raise", divide="raise"):
         if q == 2:
-            x = _decode_bits(*_pair(False, T[0], T[1]), 0, job).astype(np.intp)
+            x = _decode_bits(*_pair(False, T[0], T[1], None), 0, job).astype(np.intp)
         else:
             tb = np.array(T, dtype=float, order="C")
             _normalize(tb)
@@ -389,8 +394,10 @@ def _decode_span(tb, lo, job):
     if span == 1:  # an information leaf
         m = tb[:, 0]
         u = np.argmax(m, axis=0)
-        # every message was normalized, so its maximum is exactly 1.0
+        # every message was normalized, so its maximum is exactly 1.0 unless
+        # it is all zero, and then every symbol ties
         tied = m >= 1.0 - DEFAULT_TIE_RTOL
+        tied |= ~tied.any(axis=0)
         s = tied.sum(axis=0)
         cols = np.flatnonzero(s > 1)
         if len(cols):
@@ -417,13 +424,15 @@ def _decode_span(tb, lo, job):
     return np.concatenate([job.aff[xl, xh], xh], axis=0)
 
 
-def _decode_bits(bit, r, lo, job):
+def _decode_bits(bit, r, dead, lo, job):
     """:func:`_decode_span` at q = 2 on (span, B) messages, 1 at ``bit`` and r at
-    the other.  The entries below are the floats of the (q, n, B) rules, whose
-    other products are with an exact 1.0; a tied leaf decides v >= 0.5."""
+    the other, or zero where ``dead`` (None while no message is).  The entries
+    below are the floats of the (q, n, B) rules, whose other products are with
+    an exact 1.0; a tied or dead leaf decides v >= 0.5."""
     if len(r) == 1:  # an information leaf
         u = bit[0].copy()
-        cols = np.flatnonzero(r[0] >= 1.0 - DEFAULT_TIE_RTOL)
+        tied = r[0] >= 1.0 - DEFAULT_TIE_RTOL
+        cols = np.flatnonzero(tied if dead is None else tied | dead[0])
         if len(cols):
             u[cols] = job.tie_uniforms(lo, cols) >= 0.5
         job.decisions[lo] = u
@@ -434,37 +443,40 @@ def _decode_bits(bit, r, lo, job):
     b0, b1 = bit[:half], bit[half:]
     r0, r1 = r[:half], r[half:]
     prod = r0 * r1
+    # a message built from a dead one is dead
+    dead = None if dead is None else dead[:half] | dead[half:]
     xl = job.frozen_part(lo, half)
-    xl = _decode_bits(*_pair(b0 ^ b1, 1.0 + prod, r0 + r1), lo, job) if xl is None else xl == 1
+    xl = (_decode_bits(*_pair(b0 ^ b1, 1.0 + prod, r0 + r1, dead), lo, job)
+          if xl is None else xl == 1)
     # at b1 and the other: 1 and r0*r1 where x is 0, r0 and r1 where it is 1
     x = b0 ^ b1 ^ xl
     xh = job.frozen_part(lo + half, half)
-    xh = (_decode_bits(*_pair(b1, np.where(x, r0, 1.0), np.where(x, r1, prod)), lo + half, job)
-          if xh is None else xh == 1)
+    xh = (_decode_bits(*_pair(b1, np.where(x, r0, 1.0), np.where(x, r1, prod), dead),
+                       lo + half, job) if xh is None else xh == 1)
     return np.concatenate([xl ^ xh, xh], axis=0)
 
 
-def _pair(bit, a, c):
-    """(argmax bit, min/max) of messages a at ``bit`` and c at the other; 0/0 is 1."""
+def _pair(bit, a, c, dead):
+    """(argmax bit, min/max, dead) of messages a at ``bit`` and c at the other,
+    given the ``dead`` mask of their inputs; an all-zero message joins it."""
     big = np.maximum(a, c, dtype=float)
     small = np.minimum(a, c, dtype=float)
     if not big.all():
         zero = big == 0
-        big[zero] = small[zero] = 1.0
+        big[zero] = 1.0
+        dead = zero if dead is None else dead | zero
     small /= big
-    return bit ^ (c > a), small
+    return bit ^ (c > a), small, dead
 
 
 def _normalize(t):
     """Scale each message (axis 0) in place to maximum 1; an all-zero
-    message becomes all ones."""
+    message stays zero."""
     mx = np.maximum(t[0], t[1])
     for row in t[2:]:
         np.maximum(mx, row, out=mx)
     if not mx.all():
-        zero = mx == 0
-        t[:, zero] = 1.0
-        mx[zero] = 1.0
+        mx[mx == 0] = 1.0
     t /= mx
 
 

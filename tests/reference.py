@@ -3,7 +3,8 @@
 ``reference_sc_decode`` is the scalar SC point decoder in its literal
 form: Fraction likelihood vectors carrying the 1/q constants through
 ``combine_minus``/``combine_plus`` on the exact path, and tuples of Python
-floats renormalized to maximum 1 on the float path, with ties resolved
+floats renormalized to maximum 1 on the float path (an all-zero tuple
+stays zero, as in the exact kernel), with ties resolved
 lexicographically.  The package decodes one block on its two kernels
 instead (the integer exact recursion and the float batch kernel) and must
 reproduce these decisions.  ``kron_matrix`` builds G_n as an explicit
@@ -25,10 +26,12 @@ referees the field tables and ``rank_alpha_generates``.
 for one (seed, trial, slot) in Python integers: splitmix64 finalizers
 chained over the seed, the trial and the slot, then the top 53 bits as a
 float in the open (0, 1).
-``reference_check_condition_A``, ``reference_closure`` and
-``reference_select_decreasing`` scan every dominating index of every
-member: the quadratic form of the upward-closure check, of the closure and
-of the greedy decreasing selection.
+``dominates`` is the bitwise order.  ``reference_check_condition_A``,
+``reference_closure`` and ``reference_select_decreasing`` scan every
+dominating index of every member: the quadratic form of the upward-closure
+decision, of the closure and of the greedy decreasing selection.
+``ZERO_ENTRY_CHANNELS`` are the shipped finite channel kinds with zero
+transition entries, on which a message can be all zero.
 
 The rest are element-level referees of the package's index-level code:
 
@@ -54,13 +57,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from qpolar.channel import FiniteChannel
+from qpolar.channel import FiniteChannel, qec
 from qpolar.code import PolarCode, polar_transform, polar_transform_indices
-from qpolar.gf import _poly_mod, _poly_trim
+from qpolar.gf import _poly_mod, _poly_trim, default_field
 from qpolar.sc import synthetic_channel
 from qpolar.symmetry import delta
 
 TIE_RTOL = 1e-12
+
+ZERO_ENTRY_CHANNELS = {
+    "qec2": lambda: qec(default_field(2), Fraction(1, 2)),
+    "qec4": lambda: qec(default_field(4), Fraction(1, 2)),
+    "table2": lambda: FiniteChannel(default_field(2), [["1/2", "3/10", "1/5", "0"],
+                                                       ["0", "1/5", "3/10", "1/2"]]),
+}
 
 
 def _poly_mul(a, b, p):
@@ -112,8 +122,8 @@ def _argmax_set(t):
 
 def _renorm(t):
     mx = max(t)
-    if mx == 0:
-        return (1.0,) * len(t)
+    if mx == 0:  # stays zero, as in the exact kernel
+        return t
     return tuple(v / mx for v in t)
 
 

@@ -12,6 +12,7 @@ from qpolar.oracle import exact_average_ser, exact_ser, mc_ser
 from qpolar.sc import synthetic_channel
 from qpolar.symmetry import check_coset_invariance, check_xi_invariance
 from reference import (
+    ZERO_ENTRY_CHANNELS,
     combine_minus,
     combine_plus,
     likelihoods,
@@ -158,14 +159,6 @@ def test_mc_ser_matches_oracle_within_4_sigma():
     code = PolarCode(F2, 2, [1, 2, 3])
     report = mc_ser(code, BSC01, 200_000, seed=7)
     _assert_within_4_sigma(report, exact_average_ser(code, BSC01).per_index)
-
-
-ZERO_ENTRY_CHANNELS = {
-    "qec2": lambda: qec(F2, Fraction(1, 2)),
-    "qec4": lambda: qec(F4, Fraction(1, 2)),
-    "table2": lambda: FiniteChannel(F2, [["1/2", "3/10", "1/5", "0"],
-                                         ["0", "1/5", "3/10", "1/2"]]),
-}
 
 
 @pytest.mark.parametrize("name", sorted(ZERO_ENTRY_CHANNELS))
