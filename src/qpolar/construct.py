@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .code import PolarCode, check_condition_A
 from .mc import decode_tallies
+from .sc import _check_field
 
 
 @dataclass
@@ -110,8 +111,7 @@ def construct_info_set(field, m, k, ch, method=None):
     n = 1 << m
     if not 0 <= k <= n:
         raise ValueError(f"k={k} outside [0, {n}]")
-    if ch.field != field:
-        raise ValueError(f"channel field {ch.field!r} differs from the code field {field!r}")
+    _check_field(field, ch)
 
     if isinstance(method, Manual):
         a = method.info_set

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import rng
 from .code import polar_transform_indices
-from .sc import sc_decode_batch
+from .sc import _check_field, sc_decode_batch
 
 # Blocks per decoder call; tallies do not depend on it.  With the
 # block-innermost decoder, 4,096 blocks decode at least as fast per block
@@ -40,6 +40,7 @@ def decode_tallies(code, ch, seed, start, stop, batch=DEFAULT_BATCH,
     if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)) or batch < 1:
         raise ValueError(f"batch must be a positive integer, got {batch!r}")
     field = code.field
+    _check_field(field, ch)
     n = code.n
     q = field.q
     msg_err = np.zeros(n, dtype=np.int64)

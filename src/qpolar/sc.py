@@ -90,7 +90,7 @@ def synthetic_channel(code, ch, y, u_prefix, i):
         raise ValueError(f"prefix has length {len(u_prefix)}, expected {i}")
     if n > MAX_DEFINITIONAL_N:
         raise ValueError(f"definitional form capped at n <= {MAX_DEFINITIONAL_N}")
-    _check_field(code, ch)
+    _check_field(code.field, ch)
     _check_block(y, n, ch.num_outputs)
     # cols[j][x] = W(y_j | x)
     cols = [[row[yj] for row in ch.matrix] for yj in y]
@@ -107,9 +107,9 @@ def synthetic_channel(code, ch, y, u_prefix, i):
     return tuple(v * norm for v in likel)
 
 
-def _check_field(code, ch):
-    if ch.field != code.field:
-        raise ValueError(f"channel field {ch.field!r} differs from the code field {code.field!r}")
+def _check_field(field, ch):
+    if ch.field != field:
+        raise ValueError(f"channel field {ch.field!r} differs from the code field {field!r}")
 
 
 def _check_block(y, n, num_outputs):
@@ -174,7 +174,7 @@ def sc_decode_distribution(code, ch, y, method="recursive", job=None):
 
     if method == "definitional":
         # checked here too: without information positions y is never scored
-        _check_field(code, ch)
+        _check_field(code.field, ch)
         _check_block(y, code.n, ch.num_outputs)
         # branches map message prefixes (index tuples) to their masses
         frozen = code.frozen_index_array.tolist()
@@ -213,7 +213,7 @@ class _ExactJob:
     """
 
     def __init__(self, code, ch, tie_uniforms=None):
-        _check_field(code, ch)
+        _check_field(code.field, ch)
         # aff[z][u] = index of z + alpha*u; the minus rule reads row u over
         # u1, the plus rule row z, and re-encoding entry [z_lo][z_hi]
         self.aff = code.field.aff.tolist()

@@ -13,9 +13,10 @@ from qpolar import sim
 from qpolar.cli import _plot_script, _write_report
 from qpolar.channel import FiniteChannel, qsc
 from qpolar.code import PolarCode
-from qpolar.gf import default_field
+from qpolar.gf import Field, default_field
 from qpolar.mc import decode_tallies
 from qpolar.oracle import exact_average_ser
+from qpolar.sc import sc_decode
 from qpolar.sim import (
     BerReport,
     ExperimentConfig,
@@ -89,6 +90,18 @@ def test_decode_tallies_rejects_a_bad_batch_or_start(batch, start):
     code = PolarCode(F2, 3, (3, 5, 6, 7))
     with pytest.raises(ValueError, match="batch must be a positive integer|not a range of indices"):
         decode_tallies(code, qsc(F2, Fraction(1, 2)), 1, start, 1000, batch=batch)
+
+
+def test_monte_carlo_refuses_a_channel_over_another_field():
+    # F_9 modulo x^2 + 1 and modulo x^2 + 2x + 2: the Monte Carlo path once
+    # returned tallies for this pair, which the point decoder refuses
+    code = PolarCode(Field(3, 2, (1, 0)), 2, (1, 2, 3))
+    ch = qsc(Field(3, 2, (2, 2)), Fraction(1, 10))
+    for run in (lambda: sc_decode(code, ch, (0, 0, 0, 0)),
+                lambda: decode_tallies(code, ch, 1, 0, 100),
+                lambda: run_experiment(ExperimentConfig(code, ch, trials=100, seed=1))):
+        with pytest.raises(ValueError, match="differs from the code field"):
+            run()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
