@@ -24,11 +24,14 @@ import numpy as np
 
 
 def _as_fraction(v):
-    if isinstance(v, (Fraction, int, str)):
-        return Fraction(v)
+    """The one parser of probabilities: a float reads as the nearest fraction
+    with denominator at most 10^12, so 0.1 is 1/10."""
+    # a bool is an int, and would read as probability 0 or 1
+    if isinstance(v, bool) or not isinstance(v, (Fraction, int, str, float)):
+        raise ValueError(f"cannot interpret {v!r} as an exact probability")
     if isinstance(v, float):
         return Fraction(v).limit_denominator(10**12)
-    raise TypeError(f"cannot interpret {v!r} as an exact probability")
+    return Fraction(v)
 
 
 class FiniteChannel:
@@ -267,9 +270,9 @@ def channel_from_json(obj, field=None):
         field = Field.from_json(obj["field"]) if "field" in obj else default_field(2)
     kind = obj["kind"]
     if kind == "qsc":
-        return qsc(field, Fraction(obj["epsilon"]))
+        return qsc(field, obj["epsilon"])
     if kind == "qec":
-        return qec(field, Fraction(obj["epsilon"]))
+        return qec(field, obj["epsilon"])
     if kind == "awgn_bpsk":
         if "ebno_db" not in obj and "rate" not in obj:
             return AwgnBpskChannel(field, obj["sigma2"])

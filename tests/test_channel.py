@@ -408,3 +408,27 @@ def test_awgn_config_rejects_a_variance_its_ebno_pair_does_not_give():
     obj["sigma2"] = 0.5
     with pytest.raises(ValueError, match="sigma2 0.5 differs"):
         channel_from_json(obj)
+
+
+def test_config_epsilon_parses_as_the_constructors_do():
+    # a JSON 0.1 was once read by a bare Fraction, as 3602879701896397/2^55,
+    # and written back that way
+    f = default_field(4)
+    for kind, make in (("qsc", qsc), ("qec", qec)):
+        for eps in (0.1, "0.1", "1/10", Fraction(1, 10)):
+            ch = channel_from_json({"kind": kind, "epsilon": eps}, f)
+            assert ch.params == make(f, eps).params == {"epsilon": Fraction(1, 10)}
+            assert channel_to_json(ch)["epsilon"] == "1/10"
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_a_probability_is_never_a_bool(value):
+    # qsc(f, True) once built the useless channel with epsilon 1
+    f = default_field(2)
+    for make in (qsc, qec):
+        with pytest.raises(ValueError, match="exact probability"):
+            make(f, value)
+        with pytest.raises(ValueError, match="exact probability"):
+            channel_from_json({"kind": make.__name__, "epsilon": value}, f)
+    with pytest.raises(ValueError, match="exact probability"):
+        FiniteChannel(f, [[value, 1 - value], [1 - value, value]])
