@@ -232,10 +232,16 @@ def _cmd_exact_ser(args):
     return 0
 
 
+_SIMULATE_KEYS = ("code", "channel", "trials", "seed", "shards", "random_message")
+
+
 def _cmd_simulate(args):
     if args.plot and args.format != "csv":
         raise ValueError("--plot draws from the CSV report; it needs --format csv")
     cfg_obj = _load_json(args.config)
+    unknown = sorted(set(cfg_obj) - set(_SIMULATE_KEYS))
+    if unknown:
+        raise ValueError(f"config keys {unknown} are not read; choose from {_SIMULATE_KEYS}")
     code_obj = cfg_obj["code"]
     code = PolarCode.from_json(_load_json(code_obj) if isinstance(code_obj, str)
                                else code_obj)
@@ -312,6 +318,8 @@ def _cmd_verify(args):
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     code, ch = _load_code_and_channel(args.code, args.channel)
     lemmas = [s.strip() for s in args.lemmas.split(",") if s.strip()]
+    if not lemmas:
+        raise ValueError(f"--lemmas {args.lemmas!r} names no lemma")
     for lemma in lemmas:
         if lemma not in _LEMMA_CHOICES:
             raise ValueError(f"unknown lemma {lemma!r}; choose from {_LEMMA_CHOICES}")

@@ -517,3 +517,29 @@ def test_simulate_rejects_a_seed_outside_64_bits(paths, tmp_path, capsys, seed):
     err = capsys.readouterr().err
     assert "error:" in err and "seed must be an integer in" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_simulate_refuses_a_config_key_it_does_not_read(paths, tmp_path, capsys):
+    # "random_messages" once ran all-zero messages and recorded
+    # "random_message": false
+    _, ch_path, code_path = paths
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"code": code_path, "channel": ch_path, "trials": 100,
+                                    "seed": 1, "random_messages": True}))
+    out = tmp_path / "rep.json"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                 "--format", "json"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "random_messages" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lemmas", [",", " , ", ""])
+def test_verify_refuses_an_empty_lemma_list(paths, capsys, lemmas):
+    # --lemmas "," once exited 0 after checking nothing
+    _, ch_path, code_path = paths
+    assert main(["verify", "--code", code_path, "--channel", ch_path,
+                 "--lemmas", lemmas]) == 1
+    captured = capsys.readouterr()
+    assert "pass" not in captured.out
+    assert "error:" in captured.err and "names no lemma" in captured.err
