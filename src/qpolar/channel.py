@@ -25,8 +25,7 @@ import numpy as np
 
 def _as_fraction(v):
     """The one parser of probabilities: a float reads as the nearest fraction
-    with denominator at most 10^12, so 0.1 is 1/10."""
-    # a bool is an int, and would read as probability 0 or 1
+    with denominator at most 10^12 (0.1 is 1/10), and a bool is refused."""
     if isinstance(v, bool) or not isinstance(v, (Fraction, int, str, float)):
         raise ValueError(f"cannot interpret {v!r} as an exact probability")
     if isinstance(v, float):

@@ -232,16 +232,13 @@ def _cmd_exact_ser(args):
     return 0
 
 
-_SIMULATE_KEYS = ("code", "channel", "trials", "seed", "shards", "random_message")
-
-
 def _cmd_simulate(args):
     if args.plot and args.format != "csv":
         raise ValueError("--plot draws from the CSV report; it needs --format csv")
     cfg_obj = _load_json(args.config)
-    unknown = sorted(set(cfg_obj) - set(_SIMULATE_KEYS))
+    unknown = set(cfg_obj) - {"code", "channel", "trials", "seed", "shards", "random_message"}
     if unknown:
-        raise ValueError(f"config keys {unknown} are not read; choose from {_SIMULATE_KEYS}")
+        raise ValueError(f"simulate reads no config key {sorted(unknown)}")
     code_obj = cfg_obj["code"]
     code = PolarCode.from_json(_load_json(code_obj) if isinstance(code_obj, str)
                                else code_obj)

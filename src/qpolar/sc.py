@@ -333,9 +333,10 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
     all-zero message (a leaf or plus message on a channel with zero
     transition entries) stays zero, as in the exact kernel: so does every
     message built from it, and an information leaf below it ties every
-    symbol.  The recursion runs under ``np.errstate(invalid="raise", divide="raise")``.
-    NaN arithmetic raises no invalid flag, so a NaN in T would reach a
-    decision unnoticed: a T with a NaN or infinite entry raises ValueError.
+    symbol.  The recursion runs under
+    ``np.errstate(invalid="raise", divide="raise")``.  NaN arithmetic
+    raises no invalid flag, so a NaN in T would reach a decision
+    unnoticed: a T with a NaN or infinite entry raises ValueError.
     """
     field = code.field
     n = code.n
@@ -345,10 +346,9 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
     if force is not None:
         if np.shape(force) != (n, B):
             raise ValueError(f"force has shape {np.shape(force)}, expected {(n, B)}")
-        rows = np.asarray(code.frozen_set, dtype=np.intp)
-        departs = rows[(np.asarray(force)[rows] != code.frozen_index_array[rows, None]).any(axis=1)]
-        if departs.size:
-            raise ValueError(f"force departs from the frozen value at frozen position {departs[0]}")
+        frozen = ~code.info_mask
+        if (np.asarray(force)[frozen] != code.frozen_index_array[frozen, None]).any():
+            raise ValueError("force departs from the frozen values at a frozen position")
     # a NaN survives min and max, and an infinity is one of them; the two
     # reductions allocate nothing, where np.isfinite(T) would copy T as bools
     if not np.isfinite([T.min(initial=0.0), T.max(initial=0.0)]).all():

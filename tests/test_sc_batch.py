@@ -158,7 +158,7 @@ def test_kernel_bit_identical_to_reference(case, genie, b):
         i = code.frozen_set[np.random.default_rng(b).integers(len(code.frozen_set))]
         force = u.copy()
         force[b // 2, i] = (force[b // 2, i] + 1) % code.field.q
-        with pytest.raises(ValueError, match=f"frozen position {i}$"):
+        with pytest.raises(ValueError, match="departs from the frozen values"):
             _kernel(code, likes, tie_u, force=force)
         return
     want_d, want_x = reference_sc_decode_batch(code, likes, tie_u, force=force)
@@ -190,7 +190,7 @@ def test_code_without_information_positions_decodes_to_its_frozen_values(q, m):
         assert d.T.tolist() == [frozen] * b
         assert x.T.tolist() == [list(matrix_multiply(f, frozen, g))] * b
     force[n - 1, b - 1] = 0
-    with pytest.raises(ValueError, match=f"frozen position {n - 1}$"):
+    with pytest.raises(ValueError, match="departs from the frozen values"):
         sc_decode_batch(code, T, tie_draws(tie_u), force=force)
     elems = f.elements
     want = (tuple(elems[i] for i in frozen),
