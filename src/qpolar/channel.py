@@ -25,8 +25,10 @@ import numpy as np
 
 def _as_fraction(v):
     """The one parser of probabilities: a float reads as the nearest fraction
-    with denominator at most 10^12 (0.1 is 1/10), and a bool is refused."""
-    if isinstance(v, bool) or not isinstance(v, (Fraction, int, str, float)):
+    with denominator at most 10^12 (0.1 is 1/10); a bool or a float that is not
+    finite is refused."""
+    if (isinstance(v, bool) or not isinstance(v, (Fraction, int, str, float))
+            or isinstance(v, float) and not math.isfinite(v)):
         raise ValueError(f"cannot interpret {v!r} as an exact probability")
     if isinstance(v, float):
         return Fraction(v).limit_denominator(10**12)

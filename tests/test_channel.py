@@ -421,9 +421,10 @@ def test_config_epsilon_parses_as_the_constructors_do():
             assert channel_to_json(ch)["epsilon"] == "1/10"
 
 
-@pytest.mark.parametrize("value", [True, False])
-def test_a_probability_is_never_a_bool(value):
-    # qsc(f, True) once built the useless channel with epsilon 1
+@pytest.mark.parametrize("value", [True, False, float("inf"), float("-inf"), float("nan")])
+def test_a_probability_is_never_a_bool_or_an_infinity(value):
+    # qsc(f, True) once built the useless channel with epsilon 1, and a JSON
+    # Infinity ended in an OverflowError traceback
     f = default_field(2)
     for make in (qsc, qec):
         with pytest.raises(ValueError, match="exact probability"):
