@@ -236,7 +236,7 @@ def _cmd_simulate(args):
     if args.plot and args.format != "csv":
         raise ValueError("--plot draws from the CSV report; it needs --format csv")
     cfg_obj = _load_json(args.config)
-    unknown = set(cfg_obj) - {"code", "channel", "trials", "seed", "shards", "random_message"}
+    unknown = set(cfg_obj) - {"code", "channel", "trials", "seed", "random_message"}
     if unknown:
         raise ValueError(f"simulate reads no config key {sorted(unknown)}")
     code_obj = cfg_obj["code"]
@@ -250,7 +250,6 @@ def _cmd_simulate(args):
         code=code, channel=ch,
         trials=cfg_obj["trials"],
         seed=seed,
-        shards=cfg_obj.get("shards", 1),
         random_message=cfg_obj.get("random_message", False),
     )
     report = run_experiment(cfg)

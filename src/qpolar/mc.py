@@ -3,9 +3,10 @@
 One trial = sample a message (all-zero unless ``random_message``), push its
 codeword through the channel, SC-decode, and tally per-index symbol errors.
 All randomness is drawn from the counter streams in :mod:`qpolar.rng`, so
-tallies depend only on ``(seed, trial index)`` and shard or batch layout
-cannot change them.  Every per-slot array of a batch, from the draws to the
-decisions, is slot-major (n, B), the layout the decoder works in.
+tallies depend only on ``(seed, trial index)`` and neither the split of
+the trials into ranges nor the batch size can change them.  Every per-slot
+array of a batch, from the draws to the decisions, is slot-major (n, B),
+the layout the decoder works in.
 """
 
 from __future__ import annotations

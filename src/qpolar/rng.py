@@ -1,9 +1,9 @@
-"""Counter-based random streams for shard-invariant Monte Carlo runs.
+"""Counter-based random streams for split-invariant Monte Carlo runs.
 
 Every draw is a pure function of ``(seed, trial, slot)``: a splitmix64-style
 finalizer hashes the trial index into a per-trial key and the slot index
 into the final 64-bit word.  Trials can therefore be processed in any batch
-size and split across any number of shards without changing a single draw.
+size and split into any number of ranges without changing a single draw.
 
 Slot layout is owned by the caller; by convention the decoding loops use
 slots [0, n) for channel noise, [n, 2n) for tie draws (slot n + i resolves

@@ -3,11 +3,12 @@
 Transmits the all-zero codeword by default (message invariance makes that
 representative; a flag re-runs with random messages as an empirical check),
 decodes every trial with the vectorized SC decoder, and tallies message and
-codeword symbol errors per index.  Trials split into shards that decode on
-a thread pool; every draw is counter indexed by (seed, trial), so tallies
-are identical for any shard count or batch size and shards merge by plain
-integer addition.  The module holds the harness only: the ``simulate``
-command writes its ``BerReport`` as CSV or JSON.
+codeword symbol errors per index.  The trials split into one contiguous
+range per CPU, each decoded on its own thread; every draw is counter indexed
+by (seed, trial), so tallies are identical for any CPU count, trial split or
+batch size and the ranges merge by plain integer addition.  The module holds
+the harness only: the ``simulate`` command writes its ``BerReport`` as CSV
+or JSON.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .channel import AwgnBpskChannel, channel_to_json
-from .mc import decode_tallies
+from .mc import DEFAULT_BATCH, decode_tallies
 
 
 def ebno_to_channel(ebno_db, rate, field=None):
@@ -57,11 +58,10 @@ class ExperimentConfig:
     channel: object
     trials: int
     seed: int
-    shards: int = 1
     random_message: bool = False
 
     def __post_init__(self):
-        for name in ("trials", "seed", "shards"):
+        for name in ("trials", "seed"):
             value = getattr(self, name)
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -69,8 +69,6 @@ class ExperimentConfig:
             raise ValueError(f"random_message must be true or false, got {self.random_message!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.shards < 1:
-            raise ValueError("shard count must be >= 1")
 
     def to_json(self):
         return {
@@ -78,7 +76,6 @@ class ExperimentConfig:
             "channel": channel_to_json(self.channel),
             "trials": self.trials,
             "seed": self.seed,
-            "shards": self.shards,
             "random_message": self.random_message,
         }
 
@@ -148,22 +145,22 @@ class BerReport:
 def run_experiment(cfg):
     """Run the configured trials and return a validated BerReport.
 
-    The shards decode on min(shards, os.cpu_count()) threads; numpy
-    releases the interpreter lock inside its array operations.
+    The trials split into one contiguous range per CPU, each decoded on its
+    own thread (numpy releases the interpreter lock inside its array
+    operations) in batches of ``DEFAULT_BATCH // threads`` blocks, so the
+    blocks in flight stay one default batch whatever the CPU count.
     """
     code = cfg.code
-    bounds = [cfg.trials * s // cfg.shards for s in range(cfg.shards + 1)]
+    threads = os.cpu_count() or 1
+    bounds = [cfg.trials * s // threads for s in range(threads + 1)]
 
-    def one_shard(s):
+    def one_range(s):
         return decode_tallies(code, cfg.channel, cfg.seed, bounds[s], bounds[s + 1],
+                              batch=DEFAULT_BATCH // threads,
                               random_message=cfg.random_message)
 
-    threads = min(cfg.shards, os.cpu_count() or 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_shard, range(cfg.shards)))
-    else:
-        results = [one_shard(s) for s in range(cfg.shards)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(one_range, range(threads)))
 
     msg = np.zeros(code.n, dtype=np.int64)
     cw = np.zeros(code.n, dtype=np.int64)

@@ -8,6 +8,7 @@ tolerance, Monte Carlo claims use the stated sigma multiples or windows.
 
 import itertools
 import json
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -223,8 +224,7 @@ def test_criterion_7_fig1_reproduction():
     info = construct_info_set(F2, 8, 128, ch, GenieMC(trials=100_000, seed=2024))
     code = PolarCode(F2, 8, info)
     assert code.is_decreasing
-    report = run_experiment(ExperimentConfig(code, ch, trials=trials, seed=7,
-                                             shards=4))
+    report = run_experiment(ExperimentConfig(code, ch, trials=trials, seed=7))
 
     _, pvalue = chi2_homogeneity(report.codeword_errors, trials)
     homogeneous = pvalue >= 0.01
@@ -244,13 +244,14 @@ def test_criterion_7_fig1_reproduction():
         f"message max/min={ratio:.1f} (need >3)"), (pvalue, mean_cw, ratio)
 
 
-def test_criterion_8_monte_carlo_oracle_consistency():
+def test_criterion_8_monte_carlo_oracle_consistency(monkeypatch):
     trials = 1_000_000
     ch = qsc(F2, Fraction(1, 10))
     code = PolarCode(F2, 2, [1, 2, 3])
     exact = exact_average_ser(code, ch).per_index
+    cfg = ExperimentConfig(code, ch, trials=trials, seed=5)
 
-    report = run_experiment(ExperimentConfig(code, ch, trials=trials, seed=5))
+    report = run_experiment(cfg)
     rates = report.codeword_ber
     deviations = []
     for est, se, truth in zip(rates, report.stderr(rates), exact):
@@ -259,17 +260,15 @@ def test_criterion_8_monte_carlo_oracle_consistency():
     within = all(d <= 4 for d in deviations)
 
     def blob(rep):
-        # the config records the shard count, so it is left out
-        obj = rep.to_json()
-        del obj["config"]
-        return json.dumps(obj, sort_keys=True).encode()
+        return json.dumps(rep.to_json(), sort_keys=True).encode()
 
-    blobs = {blob(report)} | {
-        blob(run_experiment(ExperimentConfig(code, ch, trials=trials, seed=5, shards=s)))
-        for s in (2, 8)}
+    blobs = {blob(report)}
+    for cpus in (1, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        blobs.add(blob(run_experiment(cfg)))
     reproducible = len(blobs) == 1
 
     ok = within and reproducible
     assert _emit(8, "Monte Carlo vs oracle", ok,
                  f"max |dev| {max(deviations):.2f} sigma (need <=4), "
-                 f"byte-identical across shard counts: {reproducible}"), deviations
+                 f"byte-identical across CPU counts: {reproducible}"), deviations

@@ -285,21 +285,20 @@ def test_verify_fails_on_counterexample_with_witness(paths, tmp_path, capsys):
 
 
 def test_simulate_csv_byte_identical(paths, tmp_path, monkeypatch):
-    # four shards decode on two threads; one shard gives the same tallies
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # two runs on two threads write the same bytes as one run on one thread
     _, ch_path, code_path = paths
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"code": code_path, "channel": ch_path,
+                                    "trials": 20000, "seed": 3}))
     outs = []
-    for name, shards in (("a", 4), ("b", 4), ("single", 1)):
-        cfg_path = tmp_path / f"{name}.json"
-        cfg_path.write_text(json.dumps({"code": code_path, "channel": ch_path,
-                                        "trials": 20000, "seed": 3, "shards": shards}))
+    for name, cpus in (("a", 2), ("b", 2), ("single", 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         outs.append(tmp_path / f"{name}.csv")
         assert main(["simulate", "--config", str(cfg_path), "--out", str(outs[-1])]) == 0
     a, b, single = outs
-    assert a.read_bytes() == b.read_bytes()
-    header, *rows = a.read_text().splitlines()
+    assert a.read_bytes() == b.read_bytes() == single.read_bytes()
+    header = a.read_text().splitlines()[0]
     assert json.loads(header.removeprefix("# qpolar-report "))["seed"] == 3
-    assert single.read_text().splitlines()[1:] == rows
 
 
 def test_simulate_report_round_trip(paths, tmp_path):
@@ -307,7 +306,7 @@ def test_simulate_report_round_trip(paths, tmp_path):
     _, ch_path, code_path = paths
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps({"code": code_path, "channel": ch_path, "trials": 3000,
-                                    "seed": 4, "shards": 2}))
+                                    "seed": 4}))
     jpath, cpath = tmp_path / "rep.json", tmp_path / "rep.csv"
     for path, fmt in ((jpath, "json"), (cpath, "csv")):
         assert main(["simulate", "--config", str(cfg_path), "--out", str(path),
@@ -319,7 +318,7 @@ def test_simulate_report_round_trip(paths, tmp_path):
     assert back["trials"] == report.trials
     assert tuple(back["message_errors"]) == report.message_errors
     assert tuple(back["codeword_errors"]) == report.codeword_errors
-    assert back["config"] == dict(report.config, shards=2, seed_generated=False)
+    assert back["config"] == dict(report.config, seed_generated=False)
 
     header, columns, *lines = cpath.read_text().splitlines()
     assert json.loads(header.removeprefix("# qpolar-report ")) == back["config"]
@@ -334,13 +333,12 @@ def test_mc_ser_writes_the_simulate_report(paths, tmp_path, fmt):
     _, ch_path, code_path = paths
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps({"code": code_path, "channel": ch_path, "trials": 3000,
-                                    "seed": 4, "shards": 2}))
+                                    "seed": 4}))
     sim_out = tmp_path / f"rep.{fmt}"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(sim_out),
                  "--format", fmt]) == 0
     report = run_experiment(ExperimentConfig(PolarCode(F2, 2, [1, 2, 3]),
-                                             qsc(F2, Fraction(1, 10)), trials=3000, seed=4,
-                                             shards=2))
+                                             qsc(F2, Fraction(1, 10)), trials=3000, seed=4))
     report.config["seed_generated"] = False
     direct = tmp_path / f"direct.{fmt}"
     _write_report(report, direct, fmt)
@@ -357,8 +355,7 @@ def test_mc_ser_writes_the_simulate_report(paths, tmp_path, fmt):
 
 def test_simulate_csv_and_plot(paths, tmp_path):
     _, ch_path, code_path = paths
-    cfg = {"code": code_path, "channel": ch_path, "trials": 5000, "seed": 9,
-           "shards": 2}
+    cfg = {"code": code_path, "channel": ch_path, "trials": 5000, "seed": 9}
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "rep.csv"
@@ -471,10 +468,10 @@ def test_missing_file_is_validation_failure(capsys):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("trials", 10.9), ("shards", 1.5), ("random_message", "false"), ("seed", 2.5)])
+    ("trials", 10.9), ("random_message", "false"), ("seed", 2.5)])
 def test_simulate_rejects_a_config_value_it_would_coerce(paths, tmp_path, capsys, field,
                                                          value):
-    # each once ran: 10 trials, 1 shard, random messages, seed 2
+    # each once ran: 10 trials, random messages, seed 2
     _, ch_path, code_path = paths
     cfg = {"code": code_path, "channel": ch_path, "trials": 100, "seed": 1, field: value}
     cfg_path = tmp_path / "exp.json"
@@ -521,16 +518,18 @@ def test_simulate_rejects_a_seed_outside_64_bits(paths, tmp_path, capsys, seed):
 
 def test_simulate_refuses_a_config_key_it_does_not_read(paths, tmp_path, capsys):
     # "random_messages" once ran all-zero messages and recorded
-    # "random_message": false
+    # "random_message": false; "shards" set a thread count, which the run
+    # now takes from the CPU count
     _, ch_path, code_path = paths
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps({"code": code_path, "channel": ch_path, "trials": 100,
-                                    "seed": 1, "random_messages": True}))
+                                    "seed": 1, "random_messages": True, "shards": 2}))
     out = tmp_path / "rep.json"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
                  "--format", "json"]) == 1
     err = capsys.readouterr().err
-    assert "error:" in err and "random_messages" in err and "Traceback" not in err
+    assert "error:" in err and "['random_messages', 'shards']" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

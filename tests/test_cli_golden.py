@@ -4,10 +4,10 @@ The files under ``fixtures/cli`` hold the inputs (codes, channels, output
 blocks, messages, a simulation config) and, in ``*.out.json`` and
 ``*.out.csv``, the output each command wrote.  The exact and
 finite-channel decodes pin the integer kernel; the Monte Carlo report
-(F_16 QSC(1/10), n = 64, random messages, two shards) pins the float
-kernel's tallies, the AWGN report (Eb/N0 = 2 dB, n = 64, two shards) the
-normal draws and AWGN likelihoods that feed it, and the AWGN decode the
-point decoder's float route.
+(F_16 QSC(1/10), n = 64, random messages) pins the float kernel's tallies,
+the AWGN report (Eb/N0 = 2 dB, n = 64) the normal draws and AWGN
+likelihoods that feed it, and the AWGN decode the point decoder's float
+route.  The Monte Carlo reports do not depend on the CPU count.
 The commands must keep writing the same bytes.
 """
 

@@ -14,7 +14,7 @@ from qpolar.cli import _plot_script, _write_report
 from qpolar.channel import FiniteChannel, qsc
 from qpolar.code import PolarCode
 from qpolar.gf import Field, default_field
-from qpolar.mc import decode_tallies
+from qpolar.mc import DEFAULT_BATCH, decode_tallies
 from qpolar.oracle import exact_average_ser
 from qpolar.sc import sc_decode
 from qpolar.sim import (
@@ -72,11 +72,6 @@ def test_shard_and_batch_invariance():
     ch = qsc(F2, Fraction(1, 10))
     code = PolarCode(F2, 3, [3, 5, 6, 7])
     base = run_experiment(ExperimentConfig(code, ch, trials=20_000, seed=11))
-    for shards in (2, 5):
-        rep = run_experiment(ExperimentConfig(code, ch, trials=20_000, seed=11,
-                                              shards=shards))
-        assert rep.message_errors == base.message_errors
-        assert rep.codeword_errors == base.codeword_errors
     # split trial ranges decoded in 777-block batches add up to the same tallies
     parts = [decode_tallies(code, ch, 11, a, b, batch=777)
              for a, b in ((0, 6_000), (6_000, 20_000))]
@@ -104,25 +99,38 @@ def test_monte_carlo_refuses_a_channel_over_another_field():
             run()
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
 def test_shard_pool_keeps_tallies(monkeypatch, cpus):
-    # the shards decode on min(shards, cpu count) threads, here at most 2
-    started = []
+    # the trials split into one range per CPU, each decoded on a pool thread
+    # in batches that keep one default batch in flight; the report, config
+    # included, is the same byte for byte, also with fewer trials than CPUs
+    ch = qsc(F2, Fraction(1, 10))
+    code = PolarCode(F2, 3, [3, 5, 6, 7])
+
+    def blobs():
+        return [json.dumps(run_experiment(ExperimentConfig(
+            code, ch, trials=trials, seed=11, random_message=True)).to_json()).encode()
+            for trials in (9_000, 5)]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    want = blobs()
+    started, batches = [], []
 
     class Pool(ThreadPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
             super().__init__(max_workers=max_workers)
 
+    def spy(*args, batch, **kwargs):
+        batches.append(batch)
+        return decode_tallies(*args, batch=batch, **kwargs)
+
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(sim, "ThreadPoolExecutor", Pool)
-    ch = qsc(F2, Fraction(1, 10))
-    code = PolarCode(F2, 3, [3, 5, 6, 7])
-    reports = [run_experiment(ExperimentConfig(code, ch, trials=9_000, seed=11,
-                                               shards=shards))
-               for shards in (1, 2, 5)]
-    assert started == ([] if cpus == 1 else [2, 2])
-    assert len({(r.message_errors, r.codeword_errors) for r in reports}) == 1
+    monkeypatch.setattr(sim, "decode_tallies", spy)
+    assert blobs() == want
+    assert started == [cpus, cpus]
+    assert batches == [DEFAULT_BATCH // cpus] * (2 * cpus)
 
 
 @pytest.mark.parametrize("seed", [2.5, True, "2", None])
