@@ -265,10 +265,16 @@ def channel_to_json(ch):
 
 
 def channel_from_json(obj, field=None):
+    """The channel a config object describes; ``field`` is the field of an
+    object that names none (F_2 when not given)."""
     from .gf import Field, default_field
 
-    if field is None:
-        field = Field.from_json(obj["field"]) if "field" in obj else default_field(2)
+    if not isinstance(obj, dict):
+        raise ValueError(f"a channel must be a JSON object, got {obj!r}")
+    if "field" in obj:
+        field = Field.from_json(obj["field"])
+    elif field is None:
+        field = default_field(2)
     kind = obj["kind"]
     if kind == "qsc":
         return qsc(field, obj["epsilon"])

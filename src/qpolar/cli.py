@@ -132,6 +132,8 @@ def _load_code_and_channel(code_path, channel_path):
 
 
 def _parse_message(field, items, n):
+    if not isinstance(items, list):
+        raise ValueError(f"a message must be a JSON list, got {items!r}")
     if len(items) != n:
         raise ValueError(f"message needs {n} symbols, got {len(items)}")
     return [field.element(v) for v in items]
@@ -190,6 +192,8 @@ def _cmd_decode(args):
         _refuse(args, ("seed",), "with lex ties")
     code, ch = _load_code_and_channel(args.code, args.channel)
     y_raw = _load_json(args.y)
+    if not isinstance(y_raw, list):
+        raise ValueError(f"a received block must be a JSON list, got {y_raw!r}")
     if len(y_raw) != code.n:
         raise ValueError(f"received block has {len(y_raw)} symbols, expected {code.n}")
     if ch.is_finite and any(type(v) is not int for v in y_raw):
@@ -236,6 +240,8 @@ def _cmd_simulate(args):
     if args.plot and args.format != "csv":
         raise ValueError("--plot draws from the CSV report; it needs --format csv")
     cfg_obj = _load_json(args.config)
+    if not isinstance(cfg_obj, dict):
+        raise ValueError(f"a config must be a JSON object, got {cfg_obj!r}")
     unknown = set(cfg_obj) - {"code", "channel", "trials", "seed", "random_message"}
     if unknown:
         raise ValueError(f"simulate reads no config key {sorted(unknown)}")

@@ -179,6 +179,8 @@ class PolarCode:
     def from_json(obj):
         from .gf import Field, default_field
 
+        if not isinstance(obj, dict):
+            raise ValueError(f"a code must be a JSON object, got {obj!r}")
         field = Field.from_json(obj["field"]) if "field" in obj else default_field(2)
         code = PolarCode(field, obj["m"], obj["info_set"], obj.get("frozen_values"))
         if "k" in obj and obj["k"] != code.k:

@@ -340,6 +340,8 @@ class Field:
 
     @staticmethod
     def from_json(obj):
+        if not isinstance(obj, dict):
+            raise ValueError(f"a field must be a JSON object, got {obj!r}")
         return Field(obj["p"], obj["s"], obj.get("modulus"), obj.get("alpha"))
 
 

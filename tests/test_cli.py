@@ -533,6 +533,60 @@ def test_simulate_refuses_a_config_key_it_does_not_read(paths, tmp_path, capsys)
     assert not out.exists()
 
 
+WRONG_SHAPES = {
+    "config list": (["simulate", "--config"], []),
+    "code list": (["exact-ser", "--channel", "bsc.json", "--code"], []),
+    "channel list": (["exact-ser", "--code", "code_q2.json", "--channel"], []),
+    "construct channel list": (["construct", "--m", "1", "--k", "1", "--channel"], []),
+    "inline code list": (["simulate", "--config"],
+                         {"code": [], "channel": str(FIXTURES / "bsc.json"), "trials": 10,
+                          "seed": 1}),
+    "channel field list": (["exact-ser", "--code", "code_q2.json", "--channel"],
+                           {"kind": "qsc", "epsilon": "1/10", "field": []}),
+    "message number": (["exact-ser", "--code", "code_q2.json", "--channel", "bsc.json",
+                        "--message"], 5),
+    "block number": (["decode", "--code", "code_q2.json", "--channel", "bsc.json", "--y"], 5),
+    "encode number": (["encode", "--code", "code_q2.json", "--u"], 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_SHAPES))
+def test_json_of_the_wrong_shape_is_validation_failure(tmp_path, capsys, name):
+    # each once ended in a TypeError traceback: configs, codes, channels and
+    # fields are JSON objects, messages and blocks lists
+    args, content = WRONG_SHAPES[name]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    out = tmp_path / "out.json"
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in args]
+    assert main(argv + [str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "must be a JSON" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["exact-ser", "--code", "code_q2.json", "--channel", "qsc4.json"],
+    ["decode", "--code", "code_q2.json", "--channel", "qec4.json", "--y", "y_q2.json"],
+    ["simulate", "--config"],
+], ids=["exact-ser", "decode", "simulate"])
+def test_a_channel_file_over_another_field_is_refused(tmp_path, capsys, args):
+    # the code's field once replaced the file's own: F_4 channels ran over
+    # F_2 and the output config recorded F_2
+    if args[0] == "simulate":
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"code": str(FIXTURES / "code_q2.json"),
+                                   "channel": str(FIXTURES / "qsc4.json"),
+                                   "trials": 10, "seed": 1}))
+        args = args + [str(cfg)]
+    out = tmp_path / "out.json"
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in args]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "differs from the code field" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lemmas", [",", " , ", ""])
 def test_verify_refuses_an_empty_lemma_list(paths, capsys, lemmas):
     # --lemmas "," once exited 0 after checking nothing
