@@ -437,24 +437,59 @@ def test_ties_are_drawn_for_the_tied_blocks_only(q):
         assert np.array_equal(blocks, want[i])
 
 
-@pytest.mark.parametrize("name", sorted(ZERO_ENTRY_CHANNELS))
+# channel, m and whether the messages are random; the zero-entry channels
+# send the all-zero message
+BLOCK_CASES = {name: (make, 6, False) for name, make in ZERO_ENTRY_CHANNELS.items()} | {
+    "qsc_q3_n64": (lambda: qsc(default_field(3), Fraction(1, 5)), 6, True),
+    "qsc_q16_n64": (lambda: qsc(default_field(16), Fraction(1, 5)), 6, True),
+    "qsc_q2_n256": (lambda: qsc(default_field(2), Fraction(1, 5)), 8, True),
+    "qec_q3_n64": (lambda: qec(default_field(3), Fraction(1, 2)), 6, True),
+    "qec_q4_n256": (lambda: qec(default_field(4), Fraction(1, 2)), 8, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
 def test_batch_kernel_equals_the_exact_point_decoder_block_by_block(name):
     # with the same tie uniforms both kernels must make the same decisions.
-    # On these channels a wrong tie guess makes all-zero messages, which the
-    # exact kernel keeps zero down to leaves that tie
-    ch = ZERO_ENTRY_CHANNELS[name]()
-    code = _code(ch.field.q, 6, 32)
+    # On the zero-entry channels a wrong tie guess makes all-zero messages,
+    # which the exact kernel keeps zero down to leaves that tie.  The float
+    # kernel also ties symbols within DEFAULT_TIE_RTOL of the maximum, below
+    # the resolution of float64: on QSC(1/5) at q = 16, position 28 of block
+    # 7 holds two exact values 2.2e-16 apart (relative), a strict maximum
+    # for the exact kernel and a tie for the float one.  A block may differ
+    # only from such a leaf
+    make, m, random_message = BLOCK_CASES[name]
+    ch = make()
+    code = _code(ch.field.q, m, 1 << (m - 1))
     n, b = code.n, 100
     t_idx = np.arange(b, dtype=np.uint64)
-    y = ch.sample_batch(np.zeros((n, b), dtype=np.intp), rng.uniforms(5, t_idx, np.arange(n)))
+    u = np.zeros((n, b), dtype=np.intp)
+    if random_message:
+        u[code.info_mask] = (rng.uniforms(5, t_idx, np.arange(2 * n, 3 * n))[code.info_mask]
+                             * ch.field.q).astype(np.intp)
+    sent = polar_transform_indices(code.field, u.T).T
+    y = ch.sample_batch(sent, rng.uniforms(5, t_idx, np.arange(n)))
     tie_u = rng.uniforms(5, t_idx, np.arange(n, 2 * n))
-    decisions, x = sc_decode_batch(code, ch.likelihood_batch(y), tie_draws(tie_u))
-    assert x.any()  # some blocks decode wrongly, after a wrong tie guess
+    ties, calls = _recording(tie_u)
+    decisions, x = sc_decode_batch(code, ch.likelihood_batch(y), ties)
+    assert (x != sent).any()  # some blocks decode wrongly
+    float_ties = {(i, j) for i, cols in calls for j in cols.tolist()}
     elems = code.field.elements
+    near_ties = []
     for j in range(b):
-        want = sc_decode(code, ch, tuple(y[:, j].tolist()), tie_u[:, j])
-        assert want == (tuple(elems[i] for i in decisions[:, j]),
-                        tuple(elems[i] for i in x[:, j])), j
+        block = tuple(y[:, j].tolist())
+        want = sc_decode(code, ch, block, tie_u[:, j])
+        got = (tuple(elems[i] for i in decisions[:, j]), tuple(elems[i] for i in x[:, j]))
+        if want == got:
+            continue
+        i = next(i for i, (a, c) in enumerate(zip(want[0], got[0])) if a != c)
+        # another uniform at i keeps the exact decision: no exact tie there
+        shifted = tie_u[:, j].copy()
+        shifted[i] = (shifted[i] + 0.5) % 1
+        assert (i, j) in float_ties, (i, j)
+        assert sc_decode(code, ch, block, shifted)[0][i] == want[0][i], (i, j)
+        near_ties.append((i, j))
+    assert near_ties == ([(28, 7)] if name == "qsc_q16_n64" else [])
 
 
 @pytest.mark.parametrize("v7", [0.25, 0.75])
