@@ -114,16 +114,17 @@ def test_shard_pool_keeps_tallies(monkeypatch, cpus):
 
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     want = blobs()
-    started, batches = [], []
+    started, ranges, batches = [], [], []
 
     class Pool(ThreadPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    def spy(*args, batch, **kwargs):
+    def spy(code, ch, seed, start, stop, batch, **kwargs):
+        ranges.append((start, stop))
         batches.append(batch)
-        return decode_tallies(*args, batch=batch, **kwargs)
+        return decode_tallies(code, ch, seed, start, stop, batch=batch, **kwargs)
 
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(sim, "ThreadPoolExecutor", Pool)
@@ -131,6 +132,9 @@ def test_shard_pool_keeps_tallies(monkeypatch, cpus):
     assert blobs() == want
     assert started == [cpus, cpus]
     assert batches == [DEFAULT_BATCH // cpus] * (2 * cpus)
+    # the ranges of each run tile its trials, one per thread
+    for trials, run in zip((9_000, 5), (sorted(ranges[:cpus]), sorted(ranges[cpus:]))):
+        assert [a for a, _ in run] == [0] + [b for _, b in run[:-1]] and run[-1][1] == trials
 
 
 @pytest.mark.parametrize("seed", [2.5, True, "2", None])
