@@ -14,8 +14,10 @@ tabulates the arithmetic once (q <= 256), from the element coordinates in
 a few array steps: read-only numpy index arrays ``_add``, ``_mul``,
 ``_neg`` and ``_inv``, and the kernel's one operation ``aff[z, u]``, the
 index of z + alpha*u, which the encoder, both SC kernels and the checkers
-read.  Element operations are lookups in those tables.  Fields and
-elements are immutable and safe for unrestricted concurrent use.
+read.  Element operations are lookups in those tables, and they are the
+module's only arithmetic: a modulus of degree s is irreducible when it has
+no root in the smaller fields F_{p^d}, d <= s/2, evaluated on their tables.
+Fields and elements are immutable and safe for unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -35,36 +37,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# -- dense polynomial helpers over F_p (coefficient lists, low degree first) --
-
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mod(a, mod, p):
-    a = list(a)
-    _poly_trim(a)
-    dm = len(mod) - 1
-    lead_inv = pow(mod[-1], -1, p)
-    while len(a) - 1 >= dm and a:
-        shift = len(a) - 1 - dm
-        factor = (a[-1] * lead_inv) % p
-        for j, mj in enumerate(mod):
-            a[shift + j] = (a[shift + j] - factor * mj) % p
-        _poly_trim(a)
-    return a
-
-
-def _index_to_poly(idx, p, degree):
-    out = []
-    for _ in range(degree):
-        out.append(idx % p)
-        idx //= p
-    return out
-
-
 def _coordinates(values, p, s, what):
     """The s coordinates of a modulus or an element, each checked to be an
     integer in [0, p)."""
@@ -80,28 +52,34 @@ def _coordinates(values, p, s, what):
 
 
 def is_irreducible(modulus, p):
-    """Brute-force irreducibility of a monic polynomial over F_p.
+    """Irreducibility of a monic polynomial over F_p, decided from its roots.
 
     ``modulus`` is the low-first coefficient list of the non-leading
-    coefficients; the monic leading coefficient is implicit.  Checks trial
-    division by every monic polynomial of degree 1..deg/2.
+    coefficients; the monic leading coefficient is implicit.  An irreducible
+    factor of degree d has its roots in F_{p^d}, so a polynomial of degree
+    s >= 1 is irreducible exactly when it has no root in F_{p^d} for any
+    d = 1..s/2.  Each ``Field(p, d)`` evaluates it at all p^d elements at
+    once, by Horner's rule on that field's tables; the constant c of F_p is
+    the element of index c.
     """
     s = len(modulus)
-    full = list(modulus) + [1]
     if s == 0:
         return False
     for d in range(1, s // 2 + 1):
-        for idx in range(p ** d):
-            g = _index_to_poly(idx, p, d) + [1]
-            if not _poly_mod(full, g, p):
-                return False
+        f = Field(p, d)
+        x = np.arange(f.q)
+        value = np.ones(f.q, dtype=np.intp)  # the leading coefficient
+        for c in reversed(modulus):
+            value = f._add[f._mul[value, x], c]
+        if not value.all():
+            return False
     return True
 
 
 def find_irreducible(p, s):
     """First monic irreducible polynomial of degree s over F_p, in index order."""
     for idx in range(p ** s):
-        cand = tuple(_index_to_poly(idx, p, s))
+        cand = tuple(idx // p ** i % p for i in range(s))
         if is_irreducible(cand, p):
             return cand
     raise ValueError(f"no irreducible polynomial of degree {s} over F_{p}")

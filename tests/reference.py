@@ -18,9 +18,11 @@ gather form of the batch sampler: an (..., |Y|) comparison against the
 cumulative rows, summed over its last axis and capped at the last output.
 The package must match it except where it draws an output of mass 0.
 ``rank_alpha_generates`` decides whether alpha
-generates F_q over F_p by the linear-algebra definition.  ``_poly_mul``
-multiplies polynomials over F_p; with the package's ``_poly_mod`` it
-referees the field tables and ``rank_alpha_generates``.
+generates F_q over F_p by the linear-algebra definition, and
+``reference_is_irreducible`` decides irreducibility by trial division.
+``_poly_mul``, ``_poly_mod`` and ``_poly_trim`` do arithmetic on
+coefficient lists over F_p, with no code from the package: they referee
+the field tables and carry both deciders.
 ``tie_draws`` wraps an (n, B) array of tie uniforms as the tie source
 ``sc_decode_batch`` calls.  ``counter_uniform`` is the counter RNG's draw
 for one (seed, trial, slot) in Python integers: splitmix64 finalizers
@@ -59,7 +61,7 @@ import numpy as np
 
 from qpolar.channel import FiniteChannel, qec
 from qpolar.code import PolarCode, polar_transform, polar_transform_indices
-from qpolar.gf import _poly_mod, _poly_trim, default_field
+from qpolar.gf import default_field
 from qpolar.sc import synthetic_channel
 from qpolar.symmetry import delta
 
@@ -71,6 +73,28 @@ ZERO_ENTRY_CHANNELS = {
     "table2": lambda: FiniteChannel(default_field(2), [["1/2", "3/10", "1/5", "0"],
                                                        ["0", "1/5", "3/10", "1/2"]]),
 }
+
+
+def _poly_trim(c):
+    """Drop the zero top coefficients of a low-first list, in place."""
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_mod(a, mod, p):
+    """Remainder of a low-first coefficient list by ``mod`` over F_p."""
+    a = list(a)
+    _poly_trim(a)
+    dm = len(mod) - 1
+    lead_inv = pow(mod[-1], -1, p)
+    while len(a) - 1 >= dm and a:
+        shift = len(a) - 1 - dm
+        factor = (a[-1] * lead_inv) % p
+        for j, mj in enumerate(mod):
+            a[shift + j] = (a[shift + j] - factor * mj) % p
+        _poly_trim(a)
+    return a
 
 
 def _poly_mul(a, b, p):
@@ -299,6 +323,21 @@ def rank_alpha_generates(p, s, modulus, alpha_coeffs):
         powers.append(padded[:s])
         cur = _poly_mod(_poly_mul(cur, coeffs, p), full_mod, p)
     return _rank_mod_p(powers, p) == s
+
+
+def reference_is_irreducible(modulus, p):
+    """Trial division: the monic polynomial with non-leading coefficients
+    ``modulus`` (low first) is irreducible over F_p iff it has degree >= 1
+    and no monic polynomial of degree 1..deg/2 divides it."""
+    s = len(modulus)
+    if s == 0:
+        return False
+    full = list(modulus) + [1]
+    for d in range(1, s // 2 + 1):
+        for g in itertools.product(range(p), repeat=d):
+            if not _poly_mod(full, list(g) + [1], p):
+                return False
+    return True
 
 
 def dominates(i, j):

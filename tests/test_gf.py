@@ -2,15 +2,8 @@ import itertools
 
 import pytest
 
-from qpolar.gf import (
-    Field,
-    _poly_mod,
-    alpha_generates,
-    default_field,
-    find_irreducible,
-    is_irreducible,
-)
-from reference import _poly_mul, rank_alpha_generates
+from qpolar.gf import Field, alpha_generates, default_field, find_irreducible, is_irreducible
+from reference import _poly_mod, _poly_mul, rank_alpha_generates, reference_is_irreducible
 
 
 SHIPPED_SIZES = [2, 3, 4, 5, 7, 8, 9, 16]
@@ -195,6 +188,25 @@ def test_constructor_rejects_reducible_modulus():
         Field(4, 1, (0,))  # p not prime
 
 
+def test_is_irreducible_matches_trial_division():
+    # every monic modulus with p <= 13 and q = p^s <= 256 (1,398 moduli, 391
+    # irreducible) against trial division.  Over F_2, (x^2 + x + 1)^2 =
+    # x^4 + x^2 + 1 has no root in F_2 and roots in F_4, so the check must
+    # reach d = s/2
+    assert not is_irreducible((1, 0, 1, 0), 2)
+    moduli = irreducible = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        s = 1
+        while p ** s <= 256:
+            for modulus in itertools.product(range(p), repeat=s):
+                got = is_irreducible(modulus, p)
+                assert got == reference_is_irreducible(modulus, p), (p, modulus)
+                moduli += 1
+                irreducible += got
+            s += 1
+    assert (moduli, irreducible) == (1398, 391)
+
+
 def test_irreducibility_search():
     assert is_irreducible((1, 1), 2)
     assert not is_irreducible((1, 0), 2)
@@ -221,8 +233,10 @@ def test_index_table_consistency():
 
 @pytest.mark.parametrize("q", SHIPPED_SIZES + [125, 256])
 def test_tables_match_polynomial_reference(q):
-    # every table against coordinate-wise addition and _poly_mul/_poly_mod,
-    # over every pinned modulus and the largest fields of both kinds
+    # every table against coordinate-wise addition and the coefficient-list
+    # product and remainder of tests/reference.py, which share no code with
+    # the package, over every pinned modulus and the largest fields of both
+    # kinds
     f = default_field(q)
     p, s, full = f.p, f.s, list(f.modulus) + [1]
     polys = [[i // p ** d % p for d in range(s)] for i in range(q)]
