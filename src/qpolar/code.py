@@ -19,6 +19,8 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .gf import Field, _integer, default_field
+
 
 def check_condition_A(info_set, m):
     """Is the index set closed upward under domination?
@@ -105,12 +107,13 @@ class PolarCode:
     """
 
     def __init__(self, field, m, info_set, frozen_values=None):
+        m = _integer(m, "m")
         if m < 0:
             raise ValueError("m must be nonnegative")
         self.field = field
         self.m = m
         self.n = 1 << m
-        given = tuple(info_set)
+        given = tuple(_integer(i, "information index") for i in info_set)
         info = tuple(sorted(set(given)))
         if info and not (0 <= info[0] and info[-1] < self.n):
             raise ValueError(f"information indices outside [0, {self.n})")
@@ -177,12 +180,10 @@ class PolarCode:
 
     @staticmethod
     def from_json(obj):
-        from .gf import Field, default_field
-
         if not isinstance(obj, dict):
             raise ValueError(f"a code must be a JSON object, got {obj!r}")
         field = Field.from_json(obj["field"]) if "field" in obj else default_field(2)
         code = PolarCode(field, obj["m"], obj["info_set"], obj.get("frozen_values"))
-        if "k" in obj and obj["k"] != code.k:
+        if "k" in obj and _integer(obj["k"], "k") != code.k:
             raise ValueError(f"config says k={obj['k']} but info_set has {code.k} indices")
         return code

@@ -37,6 +37,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _integer(value, what):
+    """``value`` as an int; a bool or any other non-integer raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
 def _coordinates(values, p, s, what):
     """The s coordinates of a modulus or an element, each checked to be an
     integer in [0, p)."""
@@ -44,8 +51,7 @@ def _coordinates(values, p, s, what):
     if len(coeffs) != s:
         raise ValueError(f"{what} needs {s} coordinates, got {len(coeffs)}")
     for c in coeffs:
-        if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
-            raise ValueError(f"{what} coordinate {c!r} is not an integer")
+        _integer(c, f"{what} coordinate")
         if not 0 <= c < p:
             raise ValueError(f"{what} coordinate {c} outside [0, {p})")
     return tuple(int(c) for c in coeffs)
@@ -207,6 +213,7 @@ class Field:
     """
 
     def __init__(self, p, s, modulus=None, alpha=None):
+        p, s = _integer(p, "p"), _integer(s, "extension degree")
         if not _is_prime(p):
             raise ValueError(f"p={p} is not prime")
         if s < 1:

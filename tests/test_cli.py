@@ -565,6 +565,27 @@ def test_json_of_the_wrong_shape_is_validation_failure(tmp_path, capsys, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("m", True), ("m", "1"), ("m", 1.0),
+    ("info_set", [True]), ("info_set", ["1"]), ("info_set", [1.0]), ("k", True),
+    ("s", True), ("s", 1.0), ("s", "1"), ("p", 2.0),
+])
+def test_a_code_size_or_index_that_is_not_an_integer_is_refused(paths, tmp_path, capsys,
+                                                                key, value):
+    # true once ran as 1 and was echoed as true; a float or a string ended in
+    # a TypeError or IndexError traceback
+    tmp, ch_path, _ = paths
+    obj = PolarCode(F2, 1, [1]).to_json()
+    (obj["field"] if key in ("p", "s") else obj)[key] = value
+    bad = tmp / "bad.json"
+    bad.write_text(json.dumps(obj))
+    out = tmp / "out.json"
+    assert main(["exact-ser", "--code", str(bad), "--channel", ch_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "not an integer" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["exact-ser", "--code", "code_q2.json", "--channel", "qsc4.json"],
     ["decode", "--code", "code_q2.json", "--channel", "qec4.json", "--y", "y_q2.json"],
