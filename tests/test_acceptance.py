@@ -67,11 +67,24 @@ def test_criterion_1_equal_ser_exact():
 
 
 def test_criterion_2_condition_necessity():
+    # an observed characterization, not a theorem: at n = 4, on these
+    # channels and fields, the exact codeword SERs are all equal for exactly
+    # the decreasing information sets.  The paper proves only the "if"
     code = PolarCode(F2, 1, [0])
     per = exact_average_ser(code, qsc(F2, Fraction(1, 10))).per_index
-    ok = per == (Fraction(9, 50), Fraction(0)) and per[0] != per[1]
+    mismatches = []
+    for q, field in FIELDS.items():
+        for ch in (qsc(field, Fraction(1, 10)), qec(field, Fraction(1, 3))):
+            for r in range(1, 5):
+                for info in itertools.combinations(range(4), r):
+                    code4 = PolarCode(field, 2, info)
+                    equal = len(set(exact_average_ser(code4, ch).per_index)) == 1
+                    if equal != code4.is_decreasing:
+                        mismatches.append((q, ch.kind, info, equal))
+    ok = per == (Fraction(9, 50), Fraction(0)) and not mismatches
     assert _emit(2, "non-decreasing counterexample", ok,
-                 f"SER vector {per[0]}, {per[1]}"), per
+                 f"SER vector {per[0]}, {per[1]} at n=2; equal SER iff decreasing "
+                 "for all 15 sets at n=4, q=2,3,4, QSC and QEC"), (per, mismatches)
 
 
 def test_criterion_3_message_invariance():

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from qpolar import rng, sc
-from qpolar.channel import qec, qsc
+from qpolar.channel import FiniteChannel, qec, qsc
 from qpolar.code import PolarCode, polar_transform_indices
 from qpolar.construct import construct_info_set
 from qpolar.gf import default_field
@@ -437,6 +437,12 @@ def test_ties_are_drawn_for_the_tied_blocks_only(q):
         assert np.array_equal(blocks, want[i])
 
 
+# an F_3-symmetric table of two reliability classes: input x shifts each
+# block of three outputs by x
+TABLE_Q3 = [["6/10", "1/20", "1/20", "1/5", "1/20", "1/20"],
+            ["1/20", "6/10", "1/20", "1/20", "1/5", "1/20"],
+            ["1/20", "1/20", "6/10", "1/20", "1/20", "1/5"]]
+
 # channel, m and whether the messages are random; the zero-entry channels
 # send the all-zero message
 BLOCK_CASES = {name: (make, 6, False) for name, make in ZERO_ENTRY_CHANNELS.items()} | {
@@ -445,6 +451,8 @@ BLOCK_CASES = {name: (make, 6, False) for name, make in ZERO_ENTRY_CHANNELS.item
     "qsc_q2_n256": (lambda: qsc(default_field(2), Fraction(1, 5)), 8, True),
     "qec_q3_n64": (lambda: qec(default_field(3), Fraction(1, 2)), 6, True),
     "qec_q4_n256": (lambda: qec(default_field(4), Fraction(1, 2)), 8, True),
+    "qsc_q4_n64": (lambda: qsc(default_field(4), Fraction(1, 5)), 6, True),
+    "table_q3_n64": (lambda: FiniteChannel(default_field(3), TABLE_Q3), 6, True),
 }
 
 

@@ -241,3 +241,13 @@ def test_cli_docstring_names_exactly_the_subcommands():
     # drifts from the parser unless a test compares them
     listed = re.search(r"Subcommands:([^.]*)\.", cli.__doc__).group(1)
     assert sorted(name.strip() for name in listed.split(",")) == sorted(cli_options())
+
+
+def test_reference_imports_no_private_name_from_the_package():
+    # a referee that runs the package's own helpers cannot catch their faults:
+    # tests/reference.py takes only public names from qpolar
+    private = [f"{node.module}.{alias.name}"
+               for node in ast.walk(ast.parse((TESTS / "reference.py").read_text()))
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qpolar")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
