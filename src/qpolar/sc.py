@@ -28,8 +28,10 @@ that recursion, and every decoder here is one of them:
   by the gcd of its entries.  That is exact, because both combining rules
   are bilinear and an argmax set, ties included, does not change when a
   vector is scaled by a positive constant.  It works on symbol index
-  tuples and memoizes sub-decodes within one :class:`_ExactJob`, which the
-  exact oracle shares across the outputs of one computation.  Exact ties
+  tuples; within one :class:`_ExactJob`, which the exact oracle shares
+  across the outputs of one computation, it keeps every combined message
+  in a table and memoizes sub-decodes.  A branch carries an int weight d,
+  the product of the tie sizes on its path, for mass 1/d.  Exact ties
   never depend on a tolerance.
 
 :func:`sc_decode_distribution` branches at every exact tie and returns the
@@ -163,7 +165,8 @@ def sc_decode_distribution(code, ch, y, method="recursive", job=None):
     an :class:`_ExactJob` of that code and channel: the recursive call then
     shares the job's integer tables and sub-decode memo and returns the
     index distribution of :func:`_distribution_indices` as it is (index
-    tuple keys, int or Fraction masses), without building field elements.
+    tuple keys, int weights d for masses 1/d), without building field
+    elements or Fractions.
     """
     if not ch.is_finite:
         raise ValueError("exact decode distributions require a finite channel")
@@ -196,16 +199,21 @@ def sc_decode_distribution(code, ch, y, method="recursive", job=None):
     if job is not None:
         return job.decode(y)
     dist = _ExactJob(code, ch).decode(y)
-    return {tuple(elems[i] for i in x): Fraction(p) for x, p in dist.items()}
+    return {tuple(elems[i] for i in x): Fraction(1, d) for x, d in dist.items()}
 
 
 class _ExactJob:
-    """Integer channel, code tables and sub-decode memo of one exact computation.
+    """Integer channel, code tables, combining tables and sub-decode memo of
+    one exact computation.
 
     ``rows[x][y]`` is D * W(y | x) for the common denominator D of the
     channel matrix, ``leaves[y]`` the column of output y divided by its
-    gcd.  The memo maps (message tuple, lo) to the index distribution of
-    a sub-decode shorter than the block; it lives as long as the job.
+    gcd.  ``minus`` maps (t0, t1) to the reduced minus message and
+    ``plus`` maps (t0, t1, z) to the reduced plus message, each computed on
+    its first lookup: leaves take only |Y| values, so messages repeat
+    across the outputs of one computation.  The memo maps (message tuple,
+    lo) to the index distribution of a sub-decode shorter than the block.
+    The tables and the memo live as long as the job.
 
     A point decode passes ``tie_uniforms``, one per position: a tie then
     keeps one candidate (the :func:`sc_decode` pick) instead of branching,
@@ -216,7 +224,7 @@ class _ExactJob:
         _check_field(code.field, ch)
         # aff[z][u] = index of z + alpha*u; the minus rule reads row u over
         # u1, the plus rule row z, and re-encoding entry [z_lo][z_hi]
-        self.aff = code.field.aff.tolist()
+        aff = self.aff = code.field.aff.tolist()
         self.n = code.n
         # (lo, span) -> the one-key distribution of a rate-0 subtree
         self.rate0 = {key: {tuple(x.tolist()): 1} for key, x in code.rate0_transforms.items()}
@@ -224,6 +232,10 @@ class _ExactJob:
         self.rows = tuple(tuple(v.numerator * (self.denominator // v.denominator) for v in row)
                           for row in ch.matrix)
         self.leaves = tuple(_reduced(col) for col in zip(*self.rows))
+        self.minus = _Table(lambda t0, t1: _reduced(tuple(
+            sum(t0[i] * v for i, v in zip(row, t1)) for row in aff)))
+        self.plus = _Table(lambda t0, t1, z: _reduced(tuple(
+            t0[i] * v for i, v in zip(aff[z], t1))))
         self.tie_uniforms = tie_uniforms
         # frozen decisions are known before any message arrives
         self.decisions = None if tie_uniforms is None else code.frozen_index_array.tolist()
@@ -234,6 +246,17 @@ class _ExactJob:
         _check_block(y, self.n, len(self.leaves))
         return self.rate0.get((0, self.n)) or _distribution_indices(
             tuple(self.leaves[v] for v in y), 0, self)
+
+
+class _Table(dict):
+    """A dict that computes ``rule(*key)`` for a missing key and keeps it."""
+
+    def __init__(self, rule):
+        self.rule = rule
+
+    def __missing__(self, key):
+        value = self[key] = self.rule(*key)
+        return value
 
 
 def _reduced(t):
@@ -247,11 +270,13 @@ def _distribution_indices(msgs, lo, job):
 
     ``msgs`` holds one integer message per position, and the span holds an
     information position.  Returns a dict from codeword index tuples to
-    masses: int 1 for a branch no tie split, otherwise the Fraction
-    1 / (product of the tie sizes).  A point job (``tie_uniforms`` set)
-    splits no branch, so the dict has one key, and writes the symbol kept
-    at each leaf into ``job.decisions``.  The result may be shared through
-    the memo, so callers must not mutate it.
+    int weights: a branch of weight d has mass 1/d, where d is the product
+    of the tie sizes on its path (1 where no tie split it).  The minus and
+    plus messages come from the job's combining tables.  A point job
+    (``tie_uniforms`` set) splits no branch, so the dict has one key of
+    weight 1, and writes the symbol kept at each leaf into
+    ``job.decisions``.  The result may be shared through the memo, so
+    callers must not mutate it.
     """
     span = len(msgs)
     if span == 1:
@@ -261,8 +286,7 @@ def _distribution_indices(msgs, lo, job):
         cands = [u for u, v in enumerate(t) if v == mx]
         s = len(cands)
         if s > 1 and decisions is None:
-            share = Fraction(1, s)
-            return {(u,): share for u in cands}
+            return {(u,): s for u in cands}
         u = cands[min(int(job.tie_uniforms[lo] * s), s - 1)] if s > 1 else cands[0]
         if decisions is not None:
             decisions[lo] = u
@@ -275,20 +299,19 @@ def _distribution_indices(msgs, lo, job):
         return job.memo[key]
     half = span // 2
     aff = job.aff
-    lows, highs = msgs[:half], msgs[half:]
+    minus, plus = job.minus, job.plus
+    pairs = tuple(zip(msgs[:half], msgs[half:]))
     # a rate-0 half is taken from the job, and its messages are never built
     dist_lo = job.rate0.get((lo, half)) or _distribution_indices(
-        tuple(_reduced(tuple(sum(t0[i] * v for i, v in zip(row, t1)) for row in aff))
-              for t0, t1 in zip(lows, highs)), lo, job)
+        tuple([minus[p] for p in pairs]), lo, job)
     frozen_hi = job.rate0.get((lo + half, half))
     out = {}
-    for z_lo, p_lo in dist_lo.items():
+    for z_lo, w_lo in dist_lo.items():
         dist_hi = frozen_hi or _distribution_indices(
-            tuple(_reduced(tuple(t0[i] * v for i, v in zip(aff[z], t1)))
-                  for t0, t1, z in zip(lows, highs, z_lo)), lo + half, job)
-        for z_hi, p_hi in dist_hi.items():
+            tuple([plus[t0, t1, z] for (t0, t1), z in zip(pairs, z_lo)]), lo + half, job)
+        for z_hi, w_hi in dist_hi.items():
             # (z_lo, z_hi) -> x is one to one, so no two branches share a key
-            out[tuple(aff[a][b] for a, b in zip(z_lo, z_hi)) + z_hi] = p_lo * p_hi
+            out[tuple([aff[a][b] for a, b in zip(z_lo, z_hi)]) + z_hi] = w_lo * w_hi
     if memoize:
         job.memo[key] = out
     return out

@@ -48,7 +48,7 @@ def xi_coefficients(field, m, r):
 
 def _act(v, maps, src):
     """Coordinate i of the image of index vector v is maps[i][v[src[i]]]."""
-    return tuple(maps[i][v[j]] for i, j in enumerate(src))
+    return tuple([m[v[j]] for m, j in zip(maps, src)])
 
 
 def _pushforward(dist, maps, src):
