@@ -64,15 +64,17 @@ def is_irreducible(modulus, p):
     coefficients; the monic leading coefficient is implicit.  An irreducible
     factor of degree d has its roots in F_{p^d}, so a polynomial of degree
     s >= 1 is irreducible exactly when it has no root in F_{p^d} for any
-    d = 1..s/2.  Each ``Field(p, d)`` evaluates it at all p^d elements at
-    once, by Horner's rule on that field's tables; the constant c of F_p is
-    the element of index c.
+    d = 1..s/2.
     """
     s = len(modulus)
-    if s == 0:
-        return False
-    for d in range(1, s // 2 + 1):
-        f = Field(p, d)
+    return s > 0 and _rootless(modulus, [Field(p, d) for d in range(1, s // 2 + 1)])
+
+
+def _rootless(modulus, fields):
+    """True iff the monic polynomial has a root in none of ``fields``.  Each
+    field evaluates it at all of its elements at once, by Horner's rule on
+    its tables; the constant c of F_p is the element of index c."""
+    for f in fields:
         x = np.arange(f.q)
         value = np.ones(f.q, dtype=np.intp)  # the leading coefficient
         for c in reversed(modulus):
@@ -84,9 +86,10 @@ def is_irreducible(modulus, p):
 
 def find_irreducible(p, s):
     """First monic irreducible polynomial of degree s over F_p, in index order."""
+    fields = [Field(p, d) for d in range(1, s // 2 + 1)]  # shared by every candidate
     for idx in range(p ** s):
         cand = tuple(idx // p ** i % p for i in range(s))
-        if is_irreducible(cand, p):
+        if _rootless(cand, fields):
             return cand
     raise ValueError(f"no irreducible polynomial of degree {s} over F_{p}")
 
@@ -221,9 +224,9 @@ class Field:
         q = p ** s
         if q > MAX_FIELD_SIZE:
             raise ValueError(f"field size {q} exceeds supported maximum {MAX_FIELD_SIZE}")
-        modulus = (find_irreducible(p, s) if modulus is None
-                   else _coordinates(modulus, p, s, "modulus"))
-        if not is_irreducible(modulus, p):
+        if modulus is None:
+            modulus = find_irreducible(p, s)
+        elif not is_irreducible(modulus := _coordinates(modulus, p, s, "modulus"), p):
             raise ValueError(f"modulus {modulus} is reducible over F_{p}")
 
         self.p = p
