@@ -21,9 +21,10 @@ from qpolar.channel import FiniteChannel, qec, qsc
 from qpolar.code import PolarCode, decreasing_sets, polar_transform
 from qpolar.gf import FieldElement, default_field
 from qpolar.oracle import exact_ser
-from qpolar.sc import sc_decode_distribution
+from qpolar.sc import _ExactJob, sc_decode_distribution
 from qpolar.symmetry import check_coset_invariance, check_xi_invariance
 from reference import (
+    ZERO_ENTRY_CHANNELS,
     combine_minus,
     combine_plus,
     coset_transform,
@@ -140,6 +141,28 @@ def test_decode_distribution_equals_reference_every_output_q4_n4(kind):
             assert got == reference_sc_decode_distribution(code, ch, y)
             assert all(type(p) is Fraction for p in got.values())
             assert all(e.field is F4 for x in got for e in x)
+
+
+@pytest.mark.parametrize("name", ["qec3", "qsc4", "table2"])
+def test_job_path_weights_are_ints_whose_inverses_are_the_masses(name):
+    # a shared job returns int weights d for masses 1/d, reusing its
+    # combining tables and memo across outputs decoded in either order; a
+    # plus table keyed without z would hand one z's message to another
+    ch = {"qec3": lambda: qec(F3, Fraction(1, 3)), "qsc4": lambda: qsc(F4, Fraction(1, 10)),
+          "table2": ZERO_ENTRY_CHANNELS["table2"]}[name]()
+    code = PolarCode(ch.field, 2, (1, 2, 3))
+    elems = ch.field.elements
+    ys = list(itertools.product(range(ch.num_outputs), repeat=4))
+    want = {y: reference_sc_decode_distribution(code, ch, y) for y in ys}
+    job = _ExactJob(code, ch)
+    split = False
+    for y in ys + ys[::-1]:
+        dist = sc_decode_distribution(code, ch, y, job=job)
+        assert all(type(d) is int for d in dist.values())
+        split |= any(d > 1 for d in dist.values())
+        got = {tuple(elems[i] for i in x): Fraction(1, d) for x, d in dist.items()}
+        assert got == sc_decode_distribution(code, ch, y) == want[y]
+    assert split  # some tie split a branch
 
 
 def test_exact_ser_decodes_only_outputs_with_mass(monkeypatch):
