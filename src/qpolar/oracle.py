@@ -62,7 +62,8 @@ def _outputs_with_mass(rows, x_idx):
     """
     cols = [[(y, w) for y, w in enumerate(rows[x]) if w] for x in x_idx]
     for combo in itertools.product(*cols):
-        yield tuple(y for y, _ in combo), math.prod(w for _, w in combo)
+        ys, ws = zip(*combo)
+        yield ys, math.prod(ws)
 
 
 def exact_ser(code, ch, u_full):

@@ -245,7 +245,7 @@ class _ExactJob:
         """Index distribution of an output block, checked for length and range."""
         _check_block(y, self.n, len(self.leaves))
         return self.rate0.get((0, self.n)) or _distribution_indices(
-            tuple(self.leaves[v] for v in y), 0, self)
+            tuple([self.leaves[v] for v in y]), 0, self)
 
 
 class _Table(dict):
