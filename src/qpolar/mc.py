@@ -21,8 +21,9 @@ from .sc import _check_field, sc_decode_batch
 # block-innermost decoder, 4,096 blocks decode at least as fast per block
 # as 16,384 (16,384 blocks, Xeon host, numpy 2.4: 0.56-0.67 s against
 # 0.61-0.75 s at q=2, n=256 AWGN; 2.6-2.8 s against 3.2-3.8 s at q=16,
-# n=64 QSC), and the peak memory of a 16,384-block run falls from 494 to
-# 221 MiB at q=2 and from 679 to 250 MiB at q=16.
+# n=64 QSC), in a quarter of the memory: the tracemalloc peak of a
+# two-batch call is 41 against 164 MiB at q=2 and 72 against 288 MiB at
+# q=16.
 DEFAULT_BATCH = 1 << 12
 
 
@@ -34,6 +35,12 @@ def decode_tallies(code, ch, seed, start, stop, batch=DEFAULT_BATCH,
     length n.  In genie mode the decoder propagates the true symbols, the
     message tally counts raw per-position decision errors, and the codeword
     tally is identically zero.
+
+    Each batch array lives until its last read and no longer.  The draws,
+    outputs and likelihoods are temporaries handed from one stage to the
+    next, and the decoder drops the likelihoods once its root messages
+    exist; a batch's messages, decisions and codewords are released before
+    the next batch is drawn.  So the peak is one batch's decode.
     """
     if not 0 <= start <= stop:
         raise ValueError(f"trials [{start!r}, {stop!r}) are not a range of indices >= 0")
@@ -51,28 +58,25 @@ def decode_tallies(code, ch, seed, start, stop, batch=DEFAULT_BATCH,
     if not random_message:
         u_row = code.frozen_index_array
         x_row = polar_transform_indices(field, u_row)
+    draw = rng.uniforms if ch.is_finite else rng.normals
     for lo in range(start, stop, batch):
         hi = min(lo + batch, stop)
         t_idx = np.arange(lo, hi, dtype=np.uint64)
         b = hi - lo
         if random_message:
-            mu = rng.uniforms(seed, t_idx, message_slots)
-            u = np.minimum((mu * q).astype(np.intp), q - 1)
+            u = np.minimum((rng.uniforms(seed, t_idx, message_slots) * q).astype(np.intp),
+                           q - 1)
             u[list(code.frozen_set)] = code.frozen_index_array[list(code.frozen_set), None]
             x = polar_transform_indices(field, u.T).T
         else:
             u = np.broadcast_to(u_row[:, None], (n, b))
             x = np.broadcast_to(x_row[:, None], (n, b))
-        if ch.is_finite:
-            noise = rng.uniforms(seed, t_idx, channel_slots)
-        else:
-            noise = rng.normals(seed, t_idx, channel_slots)
-        y = ch.sample_batch(x, noise)
-        likes = ch.likelihood_batch(y)
         decisions, x_hat = sc_decode_batch(
-            code, likes, lambda i, cols: rng.uniforms(seed, t_idx[cols], [n + i])[0],
+            code, ch.likelihood_batch(ch.sample_batch(x, draw(seed, t_idx, channel_slots))),
+            lambda i, cols: rng.uniforms(seed, t_idx[cols], [n + i])[0],
             force=u if genie else None)
         msg_err += (decisions != u).sum(axis=1)
         if not genie:
             cw_err += (x_hat != x).sum(axis=1)
+        del decisions, x_hat, u, x  # freed before the next batch is drawn
     return msg_err, cw_err, stop - start

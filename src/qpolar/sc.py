@@ -325,7 +325,9 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
     T : (q, n, B) float array
         Leaf likelihood vectors along axis 0 (any positive scaling per
         position), in the layout ``likelihood_batch`` returns for (n, B)
-        outputs.  It is not modified.
+        outputs.  It is not modified, and the decoder drops its reference
+        to it once the root messages are built: a T that only the call
+        holds is freed before the recursion starts.
     tie_uniforms : callable
         ``tie_uniforms(i, columns)`` returns the uniforms in [0, 1) that
         resolve the ties at position i, one per tied block in ``columns``.
@@ -344,7 +346,7 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
     leaves are information leaves only.
 
     The messages stay in that symbol-major, block-innermost layout, in one
-    C-ordered working copy of T: the minus rule is q * q multiply-adds over
+    C-ordered normalized copy of T: the minus rule is q * q multiply-adds over
     contiguous (n/2, B) slabs, each sum taken left to right in u1 (so every
     minus message equals a plain left-to-right loop over u1), each
     maximum over the symbol axis is q - 1 ``np.maximum`` calls, and the
@@ -382,10 +384,14 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
         return job.decisions, np.array(x, dtype=np.intp)
     with np.errstate(invalid="raise", divide="raise"):
         if q == 2:
-            x = _decode_bits(*_pair(False, T[0], T[1], None), 0, job).astype(np.intp)
+            root = _pair(False, T[0], T[1], None)
+            del T
+            x = _decode_bits(*root, 0, job).astype(np.intp)
         else:
-            tb = np.array(T, dtype=float, order="C")
-            _normalize(tb)
+            T = np.asarray(T, dtype=float)
+            tb = np.empty(T.shape)
+            _normalize(T, out=tb)
+            del T
             x = _decode_span(tb, 0, job)
     return job.decisions, x
 
@@ -492,15 +498,15 @@ def _pair(bit, a, c, dead):
     return bit ^ (c > a), small, dead
 
 
-def _normalize(t):
-    """Scale each message (axis 0) in place to maximum 1; an all-zero
-    message stays zero."""
+def _normalize(t, out=None):
+    """Scale each message (axis 0) to maximum 1, in place or into ``out``; an
+    all-zero message stays zero."""
     mx = np.maximum(t[0], t[1])
     for row in t[2:]:
         np.maximum(mx, row, out=mx)
     if not mx.all():
         mx[mx == 0] = 1.0
-    t /= mx
+    np.divide(t, mx, out=t if out is None else out)
 
 
 def _plus(tb, xl, aff):

@@ -13,12 +13,13 @@ kernel's general (q, n, B) recursion on a q = 2 batch, the referee of the
 
 import gc
 import hashlib
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qpolar import rng, sc
+from qpolar import mc, rng, sc
 from qpolar.channel import FiniteChannel, qec, qsc
 from qpolar.code import PolarCode, polar_transform_indices
 from qpolar.construct import construct_info_set
@@ -324,6 +325,71 @@ def test_batch_decode_leaves_no_cyclic_garbage():
     finally:
         gc.enable()
     assert found == 0
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_batch_decode_drops_t_once_the_root_messages_exist(q):
+    # T is made where only the call holds it, and it ties everywhere, so a
+    # tie is drawn at every information leaf: by then T must be freed
+    code = _code(q, 4, 8)
+    refs, draws = [], []
+
+    def all_tied():
+        T = np.ones((q, code.n, 3))
+        refs.append(weakref.ref(T))
+        return T
+
+    def ties(i, columns):
+        draws.append((i, refs[0]() is None))
+        return np.zeros(len(columns))
+
+    sc_decode_batch(code, all_tied(), ties)
+    assert draws == [(i, True) for i in sorted(code.info_set)]
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_decode_tallies_frees_each_batch_array_after_its_last_read(monkeypatch, q):
+    # the draws and outputs must be freed before the decoder runs, and a
+    # batch's decisions and codeword before the next batch draws anything
+    if q == 2:
+        code, ch = _code(2, 5, 16), ebno_to_channel(1.0, 0.5)
+    else:
+        code, ch = _code(4, 4, 8), qsc(default_field(4), Fraction(1, 5))
+    cls = type(ch)
+    real_sample, real_likelihood = cls.sample_batch, cls.likelihood_batch
+    real_decode, real_uniforms = mc.sc_decode_batch, rng.uniforms
+    refs = {"decoded": []}
+    decodes = []
+
+    def sample_batch(self, x, noise):
+        refs["noise"] = weakref.ref(noise)
+        return real_sample(self, x, noise)
+
+    def likelihood_batch(self, y):
+        refs["y"] = weakref.ref(y)
+        return real_likelihood(self, y)
+
+    def uniforms(*args):
+        # normals draw through this too, and so do the tie draws
+        assert all(r() is None for r in refs["decoded"]), "last batch's arrays alive"
+        return real_uniforms(*args)
+
+    def decode(*args, **kwargs):
+        assert refs["noise"]() is None and refs["y"]() is None, "draws or outputs alive"
+        out = real_decode(*args, **kwargs)
+        refs["decoded"] = [weakref.ref(a) for a in out]
+        decodes.append(len(refs["decoded"]))
+        return out
+
+    monkeypatch.setattr(cls, "sample_batch", sample_batch)
+    monkeypatch.setattr(cls, "likelihood_batch", likelihood_batch)
+    monkeypatch.setattr(mc, "sc_decode_batch", decode)
+    monkeypatch.setattr(rng, "uniforms", uniforms)
+    want = decode_tallies(code, ch, 5, 0, 250, batch=100, random_message=q > 2)
+    monkeypatch.undo()
+    assert decodes == [2, 2, 2]
+    got = decode_tallies(code, ch, 5, 0, 250, batch=100, random_message=q > 2)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
