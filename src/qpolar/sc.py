@@ -141,6 +141,7 @@ def sc_decode(code, ch, y, tie_uniforms=None):
     elems = code.field.elements
     if ch.is_finite:
         job = _ExactJob(code, ch, tie_uniforms=uniforms)
+        _check_block(y, n, ch.num_outputs)
         (x,) = job.decode(y)
         u = job.decisions
     else:
@@ -166,7 +167,8 @@ def sc_decode_distribution(code, ch, y, method="recursive", job=None):
     shares the job's integer tables and sub-decode memo and returns the
     index distribution of :func:`_distribution_indices` as it is (index
     tuple keys, int weights d for masses 1/d), without building field
-    elements or Fractions.
+    elements or Fractions.  It does not check ``y`` then: the caller passes
+    a length-n block of output indices.
     """
     if not ch.is_finite:
         raise ValueError("exact decode distributions require a finite channel")
@@ -198,7 +200,9 @@ def sc_decode_distribution(code, ch, y, method="recursive", job=None):
         raise ValueError(f"unknown method {method!r}")
     if job is not None:
         return job.decode(y)
-    dist = _ExactJob(code, ch).decode(y)
+    job = _ExactJob(code, ch)
+    _check_block(y, code.n, ch.num_outputs)
+    dist = job.decode(y)
     return {tuple(elems[i] for i in x): Fraction(1, d) for x, d in dist.items()}
 
 
@@ -242,8 +246,8 @@ class _ExactJob:
         self.memo = {}
 
     def decode(self, y):
-        """Index distribution of an output block, checked for length and range."""
-        _check_block(y, self.n, len(self.leaves))
+        """Index distribution of an output block, which the caller has checked
+        for length and range (:func:`_check_block`)."""
         return self.rate0.get((0, self.n)) or _distribution_indices(
             tuple([self.leaves[v] for v in y]), 0, self)
 

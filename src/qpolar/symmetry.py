@@ -25,7 +25,7 @@ import numpy as np
 
 from .code import polar_transform_indices
 from .oracle import _check_enumeration_cap, exact_average_ser, exact_ser
-from .sc import _ExactJob, sc_decode_distribution
+from .sc import _ExactJob, _check_block, sc_decode_distribution
 
 
 def delta(m, r, i):
@@ -69,7 +69,12 @@ def _transport(code, ch, ys):
     first y whose image decodes to anything but the image of y's decode
     distribution, or None.  ``ys`` None means every output of Y^n.
     """
-    ys = list(_all_outputs(ch, code.n)) if ys is None else [tuple(y) for y in ys]
+    if ys is None:
+        ys = list(_all_outputs(ch, code.n))
+    else:
+        ys = [tuple(y) for y in ys]
+        for y in ys:
+            _check_block(y, code.n, ch.num_outputs)
     job = _ExactJob(code, ch)
     dists = {y: sc_decode_distribution(code, ch, y, job=job) for y in ys}
 

@@ -159,6 +159,18 @@ def test_coset_invariance_n4_binary():
     assert ok, witness
 
 
+@pytest.mark.parametrize("y", [(-1, 0, 0, 0), (0, 0, 2, 0), (0, 0, 0)])
+def test_transport_checks_refuse_a_given_block_outside_the_alphabet(y):
+    # a given block reaches the exact kernel unchecked otherwise, where a
+    # negative index would wrap around to the last output
+    ch = qsc(F2, Fraction(1, 10))
+    code = PolarCode(F2, 2, [1, 2, 3])
+    with pytest.raises(ValueError, match="outside alphabet of size 2|expected 4"):
+        check_coset_invariance(code, ch, ys=[(0, 1, 1, 0), y])
+    with pytest.raises(ValueError, match="outside alphabet of size 2|expected 4"):
+        check_xi_invariance(code, ch, 0, ys=[y])
+
+
 def test_xi_invariance_n4_binary_all_bits():
     ch = qsc(F2, Fraction(1, 10))
     code = PolarCode(F2, 2, [2, 3])
