@@ -92,11 +92,12 @@ def synthetic_channel(code, ch, y, u_prefix, i):
         raise ValueError(f"prefix has length {len(u_prefix)}, expected {i}")
     if n > MAX_DEFINITIONAL_N:
         raise ValueError(f"definitional form capped at n <= {MAX_DEFINITIONAL_N}")
-    _check_field(code.field, ch)
+    job = _ExactJob(code, ch)
     _check_block(y, n, ch.num_outputs)
-    # cols[j][x] = W(y_j | x)
-    cols = [[row[yj] for row in ch.matrix] for yj in y]
-    likel = [Fraction(0)] * q
+    # cols[j][x] = D * W(y_j | x), an int: the sums stay integer and the
+    # scale q^(n-1) * D^n is divided out once
+    cols = [[row[yj] for row in job.rows] for yj in y]
+    likel = [0] * q
     # every message (u_i, completion) with the prefix fixed, in bounded chunks
     tails = itertools.product(range(q), repeat=n - i)
     while chunk := list(itertools.islice(tails, _SYNTHETIC_CHUNK)):
@@ -105,8 +106,8 @@ def synthetic_channel(code, ch, y, u_prefix, i):
         u[:, i:] = chunk
         for ui, x in zip(u[:, i].tolist(), polar_transform_indices(field, u).tolist()):
             likel[ui] += math.prod(col[xj] for col, xj in zip(cols, x))
-    norm = Fraction(1, q ** (n - 1))
-    return tuple(v * norm for v in likel)
+    scale = q ** (n - 1) * job.denominator ** n
+    return tuple(Fraction(v, scale) for v in likel)
 
 
 def _check_field(field, ch):
