@@ -21,9 +21,8 @@ from .sc import _check_field, sc_decode_batch
 # block-innermost decoder, 4,096 blocks decode at least as fast per block
 # as 16,384 (16,384 blocks, Xeon host, numpy 2.4: 0.56-0.67 s against
 # 0.61-0.75 s at q=2, n=256 AWGN; 2.6-2.8 s against 3.2-3.8 s at q=16,
-# n=64 QSC), in a quarter of the memory: the tracemalloc peak of a
-# two-batch call is 41 against 164 MiB at q=2 and 72 against 288 MiB at
-# q=16.
+# n=64 QSC) in a quarter of the memory (tracemalloc peak of a two-batch
+# call: 41 against 164 MiB at q=2, 72 against 288 MiB at q=16).
 DEFAULT_BATCH = 1 << 12
 
 
@@ -36,11 +35,9 @@ def decode_tallies(code, ch, seed, start, stop, batch=DEFAULT_BATCH,
     message tally counts raw per-position decision errors, and the codeword
     tally is identically zero.
 
-    Each batch array lives until its last read and no longer.  The draws,
-    outputs and likelihoods are temporaries handed from one stage to the
-    next, and the decoder drops the likelihoods once its root messages
-    exist; a batch's messages, decisions and codewords are released before
-    the next batch is drawn.  So the peak is one batch's decode.
+    Batch arrays die after their last read: the draws, outputs and
+    likelihoods are temporaries that the next stage consumes, and a batch's
+    messages, decisions and codewords are dropped before the next draw.
     """
     if not 0 <= start <= stop:
         raise ValueError(f"trials [{start!r}, {stop!r}) are not a range of indices >= 0")
@@ -64,8 +61,7 @@ def decode_tallies(code, ch, seed, start, stop, batch=DEFAULT_BATCH,
         t_idx = np.arange(lo, hi, dtype=np.uint64)
         b = hi - lo
         if random_message:
-            u = np.minimum((rng.uniforms(seed, t_idx, message_slots) * q).astype(np.intp),
-                           q - 1)
+            u = np.minimum((rng.uniforms(seed, t_idx, message_slots) * q).astype(np.intp), q - 1)
             u[list(code.frozen_set)] = code.frozen_index_array[list(code.frozen_set), None]
             x = polar_transform_indices(field, u.T).T
         else:

@@ -94,8 +94,7 @@ def synthetic_channel(code, ch, y, u_prefix, i):
         raise ValueError(f"definitional form capped at n <= {MAX_DEFINITIONAL_N}")
     job = _ExactJob(code, ch)
     _check_block(y, n, ch.num_outputs)
-    # cols[j][x] = D * W(y_j | x), an int: the sums stay integer and the
-    # scale q^(n-1) * D^n is divided out once
+    # cols[j][x] = D * W(y_j | x): integer sums, scaled down once at the end
     cols = [[row[yj] for row in job.rows] for yj in y]
     likel = [0] * q
     # every message (u_i, completion) with the prefix fixed, in bounded chunks
@@ -247,8 +246,7 @@ class _ExactJob:
         self.memo = {}
 
     def decode(self, y):
-        """Index distribution of an output block, which the caller has checked
-        for length and range (:func:`_check_block`)."""
+        """Index distribution of an output block that the caller has checked."""
         return self.rate0.get((0, self.n)) or _distribution_indices(
             tuple([self.leaves[v] for v in y]), 0, self)
 
