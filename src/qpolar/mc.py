@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .code import polar_transform_indices
-from .sc import _check_field, sc_decode_batch
+from .sc import PairTables, _check_field, sc_decode_batch
 
 # Blocks per decoder call; tallies do not depend on it.  With the
 # block-innermost decoder, 4,096 blocks decode at least as fast per block
@@ -35,9 +35,12 @@ def decode_tallies(code, ch, seed, start, stop, batch=DEFAULT_BATCH,
     message tally counts raw per-position decision errors, and the codeword
     tally is identically zero.
 
-    Batch arrays die after their last read: the draws, outputs and
-    likelihoods are temporaries that the next stage consumes, and a batch's
-    messages, decisions and codewords are dropped before the next draw.
+    A finite channel's decoder starts from output-pair tables (built once per
+    call, :class:`~qpolar.sc.PairTables`) where their |Y|^2 q keys are no more
+    than one batch's (n/2) B level-1 messages, and from likelihoods otherwise.
+    Batch arrays die after their last read: the draws, outputs and likelihoods
+    or level-1 keys are temporaries that the next stage consumes, and a
+    batch's messages, decisions and codewords are dropped before the next draw.
     """
     if not 0 <= start <= stop:
         raise ValueError(f"trials [{start!r}, {stop!r}) are not a range of indices >= 0")
@@ -56,6 +59,9 @@ def decode_tallies(code, ch, seed, start, stop, batch=DEFAULT_BATCH,
         u_row = code.frozen_index_array
         x_row = polar_transform_indices(field, u_row)
     draw = rng.uniforms if ch.is_finite else rng.normals
+    front = ch.likelihood_batch
+    if ch.is_finite and n >= 2 and ch.num_outputs ** 2 * q <= n // 2 * min(batch, stop - start):
+        front = PairTables(ch).outputs
     for lo in range(start, stop, batch):
         hi = min(lo + batch, stop)
         t_idx = np.arange(lo, hi, dtype=np.uint64)
@@ -68,7 +74,7 @@ def decode_tallies(code, ch, seed, start, stop, batch=DEFAULT_BATCH,
             u = np.broadcast_to(u_row[:, None], (n, b))
             x = np.broadcast_to(x_row[:, None], (n, b))
         decisions, x_hat = sc_decode_batch(
-            code, ch.likelihood_batch(ch.sample_batch(x, draw(seed, t_idx, channel_slots))),
+            code, front(ch.sample_batch(x, draw(seed, t_idx, channel_slots))),
             lambda i, cols: rng.uniforms(seed, t_idx[cols], [n + i])[0],
             force=u if genie else None)
         msg_err += (decisions != u).sum(axis=1)

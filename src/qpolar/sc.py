@@ -21,7 +21,9 @@ that recursion, and every decoder here is one of them:
   underflow at long block lengths.  Entries within the fixed relative
   tolerance ``DEFAULT_TIE_RTOL`` of the maximum count as tied.  At q = 2 it
   carries each message as its argmax bit and ratio r = min/max; at q > 2 it
-  takes each plus message row from the node's flat buffer.
+  takes each plus message row from the node's flat buffer.  On a finite
+  channel it can start one level down, from :class:`PairTables`: the root's
+  child messages of every output pair, the floats the root would compute.
 * :func:`_distribution_indices` (exact) decodes one block on integer
   messages: the channel matrix is scaled by the common denominator D of
   its entries, the 1/q constants are dropped, and every message is divided
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -68,6 +71,8 @@ MAX_DEFINITIONAL_N = 16
 # messages per polar_transform_indices call in synthetic_channel, which
 # bounds its memory: q^(n-i) messages can exceed any array
 _SYNTHETIC_CHUNK = 1 << 16
+# sc_decode_batch's T for a finite channel's outputs (PairTables.outputs)
+_PairOutputs = namedtuple("_PairOutputs", "shape minus plus")
 
 
 def _argmax_set(t):
@@ -325,12 +330,15 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
 
     Parameters
     ----------
-    T : (q, n, B) float array
+    T : (q, n, B) float array, or ``PairTables.outputs(y)``
         Leaf likelihood vectors along axis 0 (any positive scaling per
         position), in the layout ``likelihood_batch`` returns for (n, B)
         outputs.  It is not modified, and the decoder drops its reference
         to it once the root messages are built: a T that only the call
-        holds is freed before the recursion starts.
+        holds is freed before the recursion starts.  At n >= 2 the (n, B)
+        outputs y of a finite channel may come as ``tables.outputs(y)``
+        instead: the root's children then gather the same floats from the
+        :class:`PairTables`, and no leaf message, root minus or plus is built.
     tie_uniforms : callable
         ``tie_uniforms(i, columns)`` returns the uniforms in [0, 1) that
         resolve the ties at position i, one per tied block in ``columns``.
@@ -344,27 +352,18 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
     (decisions, codeword) : int index arrays of shape (n, B)
         ``codeword`` is the transform of whatever was propagated.
 
-    A rate-0 subtree (all positions frozen) decides its frozen values and
-    propagates ``code.rate0_transforms``; no message of it is built, so
-    leaves are information leaves only.
-
-    The messages stay in that symbol-major, block-innermost layout, in one
-    C-ordered normalized copy of T: the minus rule is q * q multiply-adds over
-    contiguous (n/2, B) slabs, each sum taken left to right in u1 (so every
-    minus message equals a plain left-to-right loop over u1), each
-    maximum over the symbol axis is q - 1 ``np.maximum`` calls, and the
+    Messages are scaled, tied, kept zero and skipped in rate-0 subtrees as
+    the module docstring says.  They stay in T's symbol-major, block-innermost
+    layout, in one C-ordered normalized copy of T: the minus rule is q * q
+    multiply-adds over contiguous (n/2, B) slabs, each sum taken left to right
+    in u1 (so every minus message equals a plain left-to-right loop over u1),
+    each maximum over the symbol axis is q - 1 ``np.maximum`` calls, and the
     plus rule is q 1-D takes from the node's flat buffer, one per row
-    (:func:`_plus`).  At q = 2 they are (bit, ratio)
-    pairs instead, read from T without a copy (:func:`_decode_bits`).
-    Every message is scaled to maximum 1, and entries within the fixed
-    relative tolerance ``DEFAULT_TIE_RTOL`` of the maximum tie.  An
-    all-zero message (a leaf or plus message on a channel with zero
-    transition entries) stays zero, as in the exact kernel: so does every
-    message built from it, and an information leaf below it ties every
-    symbol.  The recursion runs under
-    ``np.errstate(invalid="raise", divide="raise")``.  NaN arithmetic
-    raises no invalid flag, so a NaN in T would reach a decision
-    unnoticed: a T with a NaN or infinite entry raises ValueError.
+    (:func:`_plus`).  At q = 2 they are (bit, ratio) pairs instead, read from
+    T without a copy (:func:`_decode_bits`).  The recursion runs under
+    ``np.errstate(invalid="raise", divide="raise")``.  NaN arithmetic raises
+    no invalid flag, so a NaN in T would reach a decision unnoticed: a T with
+    a NaN or infinite entry raises ValueError.
     """
     field = code.field
     n = code.n
@@ -377,26 +376,66 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
         frozen = ~code.info_mask
         if (np.asarray(force)[frozen] != code.frozen_index_array[frozen, None]).any():
             raise ValueError("force departs from the frozen values at a frozen position")
+    pairs = isinstance(T, _PairOutputs)
     # a NaN survives min and max, and an infinity is one of them; the two
     # reductions allocate nothing, where np.isfinite(T) would copy T as bools
-    if not np.isfinite([T.min(initial=0.0), T.max(initial=0.0)]).all():
+    if not (pairs or np.isfinite([T.min(initial=0.0), T.max(initial=0.0)]).all()):
         raise ValueError("likelihoods must be finite; T holds a NaN or an infinity")
     job = _BatchJob(code, B, tie_uniforms, force)
     x = job.frozen_part(0, n)
     if x is not None:  # k = 0: nothing to decode
         return job.decisions, np.array(x, dtype=np.intp)
+    decode = _decode_bits if q == 2 else _decode_span
     with np.errstate(invalid="raise", divide="raise"):
-        if q == 2:
-            root = _pair(False, T[0], T[1], None)
-            del T
-            x = _decode_bits(*root, 0, job).astype(np.intp)
+        if pairs:
+            x = _split(0, n // 2, job, T.minus, T.plus, decode)
         else:
-            T = np.asarray(T, dtype=float)
-            tb = np.empty(T.shape)
-            _normalize(T, out=tb)
+            leaves = _leaves(T)
             del T
-            x = _decode_span(tb, 0, job)
-    return job.decisions, x
+            x = decode(leaves, 0, job)
+    return job.decisions, x.astype(np.intp, copy=False)
+
+
+class PairTables:
+    """The root's child messages of a finite channel over every output pair.
+
+    Key y_lo*|Y| + y_hi of ``minus`` holds the root's minus message at j < n/2
+    when (y_j, y_{j+n/2}) = (y_lo, y_hi), key (y_lo*|Y| + y_hi)*q + x_j of
+    ``plus`` its plus message.  The kernel's own rules build both, (q, 1, keys)
+    arrays or (bit, ratio, dead) triples, on all keys as one batch of length-2
+    blocks: each entry is the float a decode of ``likelihood_batch(y)`` has.
+    """
+
+    def __init__(self, ch):
+        q, ny = self.q, self.num_outputs = ch.q, ch.num_outputs
+        k = np.arange(ny * ny * q)
+        with np.errstate(invalid="raise", divide="raise"):
+            leaves = _leaves(ch.likelihood_batch(np.stack([k // q // ny, k // q % ny])))
+            minus, plus = _bit_rules(*leaves) if q == 2 else _span_rules(leaves, ch.field.aff)
+            self.minus = _take(minus(), k[None, ::q])  # each repeats q times
+            self.plus = plus(k[None] % q)
+
+    def outputs(self, y):
+        """(n, B) outputs y as :func:`sc_decode_batch` takes them: the root's
+        rules (see :func:`_split`), gathering by the level-1 keys alone."""
+        key = y[:len(y) // 2] * self.num_outputs + y[len(y) // 2:]
+        return _PairOutputs((self.q, *y.shape), lambda: _take(self.minus, key),
+                            lambda xl: _take(self.plus, key * self.q + xl))
+
+
+def _take(m, key):
+    """Table messages m, (..., 1, keys) arrays or triples of them, at ``key``."""
+    if isinstance(m, tuple):
+        return tuple(a if a is None else _take(a, key) for a in m)
+    return np.take(m[..., 0, :], key, axis=-1)
+
+
+def _leaves(T):
+    """The leaf messages of (q, n, B) likelihoods; at q = 2 read without a copy."""
+    if len(T) == 2:
+        return _pair(False, T[0], T[1], None)
+    T = np.asarray(T, dtype=float)
+    return _normalize(T, out=np.empty(T.shape))
 
 
 class _BatchJob:
@@ -404,8 +443,9 @@ class _BatchJob:
 
     def __init__(self, code, B, tie_uniforms, force):
         # aff[z, u] = index of z + alpha*u; serves both combining rules and
-        # the re-encoding
+        # the re-encoding.  At q = 2 that is z ^ u, on bool transforms
         self.aff = code.field.aff
+        self.binary = code.field.q == 2
         self.rate0 = code.rate0_transforms
         self.tie_uniforms = tie_uniforms
         self.force = force
@@ -414,9 +454,24 @@ class _BatchJob:
 
     def frozen_part(self, lo, span):
         """The propagated (span, B) codeword part of positions [lo, lo + span)
-        if all are frozen (maybe a read-only broadcast), otherwise None."""
+        if all are frozen (a read-only broadcast, bool at q = 2), otherwise None."""
         x = self.rate0.get((lo, span))
+        if x is not None and self.binary:
+            x = x == 1
         return None if x is None else np.broadcast_to(x[:, None], (span, self.decisions.shape[1]))
+
+
+def _split(lo, half, job, minus, plus, decode):
+    """The (2*half, B) transform of positions [lo, lo + 2*half), decoded with
+    ``decode`` from the children's messages ``minus()`` and ``plus(xl)``, xl
+    the low half's transform; a rate-0 half builds no message."""
+    xl = job.frozen_part(lo, half)
+    if xl is None:
+        xl = decode(minus(), lo, job)  # the minus messages die here
+    xh = job.frozen_part(lo + half, half)
+    if xh is None:
+        xh = decode(plus(xl), lo + half, job)
+    return np.concatenate([xl ^ xh if job.binary else job.aff[xl, xh], xh], axis=0)
 
 
 def _decode_span(tb, lo, job):
@@ -440,27 +495,22 @@ def _decode_span(tb, lo, job):
         if job.force is not None:
             u = job.force[lo]
         return u[None, :]
-    half = span // 2
-    # a rate-0 half is taken from the job, and its messages are never built
-    xl = job.frozen_part(lo, half)
-    if xl is None:
-        tm = _minus(tb[:, :half], tb[:, half:], job.aff)
-        _normalize(tm)
-        xl = _decode_span(tm, lo, job)
-        del tm  # freed before the plus messages are built
-    xh = job.frozen_part(lo + half, half)
-    if xh is None:
-        tp = _plus(tb, xl, job.aff)
-        _normalize(tp)
-        xh = _decode_span(tp, lo + half, job)
-    return np.concatenate([job.aff[xl, xh], xh], axis=0)
+    return _split(lo, span // 2, job, *_span_rules(tb, job.aff), _decode_span)
 
 
-def _decode_bits(bit, r, dead, lo, job):
-    """:func:`_decode_span` at q = 2 on (span, B) messages, 1 at ``bit`` and r at
-    the other, or zero where ``dead`` (None while no message is).  The entries
-    below are the floats of the (q, n, B) rules, whose other products are with
-    an exact 1.0; a tied or dead leaf decides v >= 0.5."""
+def _span_rules(tb, aff):
+    """The rules of a node with normalized (q, 2h, B) messages tb: the
+    normalized minus and plus messages of its children."""
+    half = tb.shape[1] // 2
+    return (lambda: _normalize(_minus(tb[:, :half], tb[:, half:], aff)),
+            lambda xl: _normalize(_plus(tb, xl, aff)))
+
+
+def _decode_bits(msg, lo, job):
+    """:func:`_decode_span` at q = 2 on (span, B) messages (bit, r, dead): 1 at
+    ``bit`` and r at the other, or zero where ``dead`` (None while no message
+    is); a tied or dead leaf decides v >= 0.5."""
+    bit, r, dead = msg
     if len(r) == 1:  # an information leaf
         u = bit[0].copy()
         tied = r[0] >= 1.0 - DEFAULT_TIE_RTOL
@@ -471,21 +521,24 @@ def _decode_bits(bit, r, dead, lo, job):
         if job.force is not None:
             u = job.force[lo] == 1
         return u[None, :]
+    return _split(lo, len(r) // 2, job, *_bit_rules(bit, r, dead), _decode_bits)
+
+
+def _bit_rules(bit, r, dead):
+    """:func:`_span_rules` at q = 2, on (2h, B) messages (bit, r, dead): the
+    floats of the (q, n, B) rules, whose other products are with an exact 1.0."""
     half = len(r) // 2
     b0, b1 = bit[:half], bit[half:]
     r0, r1 = r[:half], r[half:]
     prod = r0 * r1
     # a message built from a dead one is dead
     dead = None if dead is None else dead[:half] | dead[half:]
-    xl = job.frozen_part(lo, half)
-    xl = (_decode_bits(*_pair(b0 ^ b1, 1.0 + prod, r0 + r1, dead), lo, job)
-          if xl is None else xl == 1)
-    # at b1 and the other: 1 and r0*r1 where x is 0, r0 and r1 where it is 1
-    x = b0 ^ b1 ^ xl
-    xh = job.frozen_part(lo + half, half)
-    xh = (_decode_bits(*_pair(b1, np.where(x, r0, 1.0), np.where(x, r1, prod), dead),
-                       lo + half, job) if xh is None else xh == 1)
-    return np.concatenate([xl ^ xh, xh], axis=0)
+
+    def plus(xl):
+        # at b1 and the other: 1 and r0*r1 where x is 0, r0 and r1 where it is 1
+        x = b0 ^ b1 ^ xl
+        return _pair(b1, np.where(x, r0, 1.0), np.where(x, r1, prod), dead)
+    return lambda: _pair(b0 ^ b1, 1.0 + prod, r0 + r1, dead), plus
 
 
 def _pair(bit, a, c, dead):
@@ -502,14 +555,14 @@ def _pair(bit, a, c, dead):
 
 
 def _normalize(t, out=None):
-    """Scale each message (axis 0) to maximum 1, in place or into ``out``; an
-    all-zero message stays zero."""
+    """Scale each message (axis 0) to maximum 1, in place or into ``out``, and
+    return the result; an all-zero message stays zero."""
     mx = np.maximum(t[0], t[1])
     for row in t[2:]:
         np.maximum(mx, row, out=mx)
     if not mx.all():
         mx[mx == 0] = 1.0
-    np.divide(t, mx, out=t if out is None else out)
+    return np.divide(t, mx, out=t if out is None else out)
 
 
 def _plus(tb, xl, aff):

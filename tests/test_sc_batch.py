@@ -27,8 +27,8 @@ from qpolar.gf import default_field
 from qpolar.mc import decode_tallies
 from qpolar.oracle import exact_average_ser
 from qpolar.sc import (
-    DEFAULT_TIE_RTOL, _BatchJob, _decode_span, _minus, _normalize, _plus, sc_decode,
-    sc_decode_batch, sc_decode_distribution,
+    DEFAULT_TIE_RTOL, PairTables, _BatchJob, _decode_span, _minus, _normalize, _plus,
+    sc_decode, sc_decode_batch, sc_decode_distribution,
 )
 from qpolar.sim import ExperimentConfig, ebno_to_channel, run_experiment
 from reference import (
@@ -349,40 +349,40 @@ def test_batch_decode_drops_t_once_the_root_messages_exist(q):
 
 @pytest.mark.parametrize("q", [2, 4])
 def test_decode_tallies_frees_each_batch_array_after_its_last_read(monkeypatch, q):
-    # the draws and outputs must be freed before the decoder runs, and a
-    # batch's decisions and codeword before the next batch draws anything
+    # the draws and outputs must be freed before the decoder runs (the
+    # outputs of a finite channel once its level-1 keys exist, the AWGN
+    # outputs once their likelihoods do), and a batch's decisions and
+    # codeword before the next batch draws anything
     if q == 2:
         code, ch = _code(2, 5, 16), ebno_to_channel(1.0, 0.5)
     else:
         code, ch = _code(4, 4, 8), qsc(default_field(4), Fraction(1, 5))
     cls = type(ch)
-    real_sample, real_likelihood = cls.sample_batch, cls.likelihood_batch
+    real_sample = cls.sample_batch
     real_decode, real_uniforms = mc.sc_decode_batch, rng.uniforms
     refs = {"decoded": []}
     decodes = []
 
     def sample_batch(self, x, noise):
         refs["noise"] = weakref.ref(noise)
-        return real_sample(self, x, noise)
-
-    def likelihood_batch(self, y):
+        y = real_sample(self, x, noise)
         refs["y"] = weakref.ref(y)
-        return real_likelihood(self, y)
+        return y
 
     def uniforms(*args):
         # normals draw through this too, and so do the tie draws
         assert all(r() is None for r in refs["decoded"]), "last batch's arrays alive"
         return real_uniforms(*args)
 
-    def decode(*args, **kwargs):
+    def decode(code, T, *args, **kwargs):
         assert refs["noise"]() is None and refs["y"]() is None, "draws or outputs alive"
-        out = real_decode(*args, **kwargs)
+        assert isinstance(T, sc._PairOutputs) == (q > 2)
+        out = real_decode(code, T, *args, **kwargs)
         refs["decoded"] = [weakref.ref(a) for a in out]
         decodes.append(len(refs["decoded"]))
         return out
 
     monkeypatch.setattr(cls, "sample_batch", sample_batch)
-    monkeypatch.setattr(cls, "likelihood_batch", likelihood_batch)
     monkeypatch.setattr(mc, "sc_decode_batch", decode)
     monkeypatch.setattr(rng, "uniforms", uniforms)
     want = decode_tallies(code, ch, 5, 0, 250, batch=100, random_message=q > 2)
@@ -422,6 +422,12 @@ def _recording(draws):
         calls.append((i, columns.copy()))
         return draws[i, columns]
     return ties, calls
+
+
+def _same_calls(a, b):
+    """Whether two recordings of ``_recording`` hold the same draws."""
+    return len(a) == len(b) and all(i == j and np.array_equal(c, d)
+                                    for (i, c), (j, d) in zip(a, b))
 
 
 F2 = default_field(2)
@@ -544,8 +550,14 @@ def test_batch_kernel_equals_the_exact_point_decoder_block_by_block(name):
     sent = polar_transform_indices(code.field, u.T).T
     y = ch.sample_batch(sent, rng.uniforms(5, t_idx, np.arange(n)))
     tie_u = rng.uniforms(5, t_idx, np.arange(n, 2 * n))
+    # the float side is the table route of decode_tallies, and it decides
+    # as the likelihood route does, tie draws included
     ties, calls = _recording(tie_u)
-    decisions, x = sc_decode_batch(code, ch.likelihood_batch(y), ties)
+    decisions, x = sc_decode_batch(code, PairTables(ch).outputs(y), ties)
+    ties, likelihood_calls = _recording(tie_u)
+    want_d, want_x = sc_decode_batch(code, ch.likelihood_batch(y), ties)
+    assert np.array_equal(decisions, want_d) and np.array_equal(x, want_x)
+    assert _same_calls(calls, likelihood_calls)
     assert (x != sent).any()  # some blocks decode wrongly
     float_ties = {(i, j) for i, cols in calls for j in cols.tolist()}
     elems = code.field.elements
@@ -664,20 +676,30 @@ def test_finite_channel_tallies_are_pinned(name, genie):
     assert digest.hexdigest() == FINITE_DIGESTS[name, genie]
 
 
-@pytest.mark.parametrize("name", ["fig1", "qsc16"])
+@pytest.mark.parametrize("name", ["fig1", "qsc16", "fig1_bsc_tables", "qsc16_tables"])
 def test_no_messages_are_built_for_an_all_frozen_child(monkeypatch, name):
-    if name == "fig1":
-        code, ch = PolarCode(F2, 8, FIG1_INFO), ebno_to_channel(2.0, 0.5)
+    if name.startswith("fig1"):
+        ch = qsc(F2, Fraction(1, 10)) if "bsc" in name else ebno_to_channel(2.0, 0.5)
+        code = PolarCode(F2, 8, FIG1_INFO)
     else:
-        code, ch, _, _ = _finite_case(name)
+        code, ch, _, _ = _finite_case("qsc16")
+    tables = name.endswith("_tables")
+    if tables:  # built before the count starts, as decode_tallies does
+        outputs = PairTables(ch).outputs
+        t_idx = np.arange(64, dtype=np.uint64)
+        y = ch.sample_batch(np.zeros((code.n, 64), dtype=np.intp),
+                            rng.uniforms(4, t_idx, np.arange(code.n)))
     calls = dict.fromkeys(["_minus", "_plus", "_pair"], 0)
     for fname in calls:
         def counted(*args, _real=getattr(sc, fname), _name=fname):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(sc, fname, counted)
-    likes, tie_u, _ = _batch_inputs(code, ch, seed=4, b=64, random_message=True)
-    _kernel(code, likes, tie_u)
+    if tables:
+        sc_decode_batch(code, outputs(y), tie_draws(rng.uniforms(4, t_idx, np.arange(code.n))))
+    else:
+        likes, tie_u, _ = _batch_inputs(code, ch, seed=4, b=64, random_message=True)
+        _kernel(code, likes, tie_u)
     n = code.n
     spans = [1 << s for s in range(code.m)]
     live_low = sum(code.info_mask[lo:lo + s].any() for s in spans for lo in range(0, n, 2 * s))
@@ -685,8 +707,75 @@ def test_no_messages_are_built_for_an_all_frozen_child(monkeypatch, name):
                     for s in spans for lo in range(0, n, 2 * s))
     # both codes hold all-frozen children, so the counts are below 2(n - 1)
     assert live_low + live_high < 2 * (n - 1)
+    # from tables, neither the leaves nor the root's children (both live) are built
+    assert code.info_mask[:n // 2].any() and code.info_mask[n // 2:].any()
+    root = int(tables)
     if code.field.q == 2:
         # one pair for the leaves, then one per child
-        assert calls == {"_minus": 0, "_plus": 0, "_pair": 1 + live_low + live_high}
+        assert calls == {"_minus": 0, "_plus": 0,
+                         "_pair": 1 - root + live_low + live_high - 2 * root}
     else:
-        assert calls == {"_minus": live_low, "_plus": live_high, "_pair": 0}
+        assert calls == {"_minus": live_low - root, "_plus": live_high - root, "_pair": 0}
+
+
+# the channels of the table route: QSC and QEC at q = 2, 3, 4 and 16, the
+# two-class table and the zero-entry channels
+ROUTE_CHANNELS = {f"{kind.__name__}{q}": (lambda kind=kind, q=q: kind(
+    default_field(q), Fraction(1, 5) if kind is qsc else Fraction(1, 2)))
+    for kind in (qsc, qec) for q in (2, 3, 4, 16)} | ZERO_ENTRY_CHANNELS | {
+    "table_q3": lambda: FiniteChannel(default_field(3), TABLE_Q3)}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_CHANNELS))
+def test_table_route_equals_the_likelihood_route(name):
+    # decisions, codewords and tie draws, bit for bit, with random messages
+    # and information sets whose root halves are live, all frozen or both
+    ch = ROUTE_CHANNELS[name]()
+    f, q, b = ch.field, ch.q, 300
+    tables = PairTables(ch)
+    for m in (1, 3, 6):
+        n = 1 << m
+        gen = np.random.default_rng(m)
+        sets = [range(n // 4, n), range(n // 2, n), range(n // 2), ()]
+        t_idx = np.arange(b, dtype=np.uint64)
+        for info in sets:
+            code = PolarCode(f, m, info, gen.integers(0, q, n - len(info)).tolist())
+            u = np.minimum((rng.uniforms(m, t_idx, np.arange(2 * n, 3 * n)) * q).astype(np.intp),
+                           q - 1)
+            u[~code.info_mask] = code.frozen_index_array[~code.info_mask, None]
+            y = ch.sample_batch(polar_transform_indices(f, u.T).T,
+                                rng.uniforms(m, t_idx, np.arange(n)))
+            tie_u = rng.uniforms(m, t_idx, np.arange(n, 2 * n))
+            for force in (None, u):
+                ties, calls = _recording(tie_u)
+                got = sc_decode_batch(code, tables.outputs(y), ties, force=force)
+                ties, want_calls = _recording(tie_u)
+                want = sc_decode_batch(code, ch.likelihood_batch(y), ties, force=force)
+                assert all(np.array_equal(a, c) and a.dtype == c.dtype
+                           for a, c in zip(got, want)), (m, len(info), force is None)
+                assert _same_calls(calls, want_calls)
+
+
+@pytest.mark.parametrize("batch", [4095, 4096])
+def test_decode_tallies_takes_tables_where_they_fit_one_batch(monkeypatch, batch):
+    # q = 16 QSC at n = 2: the tables hold |Y|^2 q = 4,096 keys, the level-1
+    # messages of a batch (n/2) B, so a batch of 4,095 reads likelihoods
+    f = default_field(16)
+    code, ch = PolarCode(f, 1, (1,)), qsc(f, Fraction(1, 10))
+    routes = []
+    real_decode = mc.sc_decode_batch
+
+    def decode(code, T, *args, **kwargs):
+        routes.append(type(T).__name__)
+        return real_decode(code, T, *args, **kwargs)
+
+    monkeypatch.setattr(mc, "sc_decode_batch", decode)
+    got = decode_tallies(code, ch, 6, 0, 5000, batch=batch, random_message=True)
+    # and so does a call of fewer trials than one batch of 4,096
+    decode_tallies(code, ch, 6, 0, 4095, batch=batch + 1, random_message=True)
+    monkeypatch.undo()
+    tables = batch == 4096
+    assert routes == ["_PairOutputs" if tables else "ndarray"] * 2 + ["ndarray"]
+    want = decode_tallies(code, ch, 6, 0, 5000, batch=100, random_message=True)
+    assert got[0].sum() > 0
+    assert all(np.array_equal(a, c) for a, c in zip(got, want))
