@@ -454,11 +454,11 @@ class _BatchJob:
 
     def frozen_part(self, lo, span):
         """The propagated (span, B) codeword part of positions [lo, lo + span)
-        if all are frozen (a read-only broadcast, bool at q = 2), otherwise None."""
+        if all are frozen (bool at q = 2, else a read-only broadcast), otherwise None."""
         x = self.rate0.get((lo, span))
-        if x is not None and self.binary:
-            x = x == 1
-        return None if x is None else np.broadcast_to(x[:, None], (span, self.decisions.shape[1]))
+        x = x if x is None else np.broadcast_to(x[:, None], (span, self.decisions.shape[1]))
+        # an owned bool array at q = 2: the xors run slower on a broadcast
+        return x == 1 if self.binary and x is not None else x
 
 
 def _split(lo, half, job, minus, plus, decode):
