@@ -20,9 +20,9 @@ from .sc import PairTables, _check_field, sc_decode_batch
 # Blocks per decoder call; tallies do not depend on it.  With the
 # block-innermost decoder, 4,096 blocks decode at least as fast per block
 # as 16,384 (16,384 blocks, Xeon host, numpy 2.4: 0.56-0.67 s against
-# 0.61-0.75 s at q=2, n=256 AWGN; 2.6-2.8 s against 3.2-3.8 s at q=16,
+# 0.61-0.75 s at q=2, n=256 AWGN; 1.6-1.7 s against 2.1-2.4 s at q=16,
 # n=64 QSC) in a quarter of the memory (tracemalloc peak of a two-batch
-# call: 41 against 164 MiB at q=2, 72 against 288 MiB at q=16).
+# call: 41 against 164 MiB at q=2, 42 against 165 MiB at q=16).
 DEFAULT_BATCH = 1 << 12
 
 
