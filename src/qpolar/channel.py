@@ -17,10 +17,11 @@ column ``matrix[:][y]`` of a finite channel, axis 0 of ``likelihood_batch``.
 from __future__ import annotations
 
 import math
-import numbers
 from fractions import Fraction
 
 import numpy as np
+
+from .gf import Field, _real, default_field
 
 
 def _as_fraction(v):
@@ -144,12 +145,11 @@ class AwgnBpskChannel:
     def __init__(self, field, sigma2):
         if field.q != 2:
             raise ValueError("AWGN/BPSK is supported for the binary field only")
-        # a NaN fails both comparisons; a bool is an int
-        real = isinstance(sigma2, numbers.Real) and not isinstance(sigma2, bool)
-        if not (real and 0 < sigma2 < math.inf):
+        sigma2 = _real(sigma2, "noise variance")
+        if not 0 < sigma2 < math.inf:  # a NaN fails both comparisons
             raise ValueError(f"noise variance must be a finite positive number, got {sigma2!r}")
         self.field = field
-        self.sigma2 = float(sigma2)
+        self.sigma2 = sigma2
         self.kind = "awgn_bpsk"
         self.params = {}
 

@@ -22,6 +22,8 @@ Fields and elements are immutable and safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 MAX_FIELD_SIZE = 256
@@ -37,11 +39,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _integer(value, what):
-    """``value`` as an int; a bool or any other non-integer raises ValueError."""
+def _integer(value, what, refusal=None):
+    """``value`` as an int: the package's one integer rule.  A bool or any other
+    non-integer raises ValueError, with ``refusal`` or a message naming both."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} {value!r} is not an integer")
+        raise ValueError(refusal or f"{what} {value!r} is not an integer")
     return int(value)
+
+
+def _real(value, what):
+    """``value`` as a float: the package's one real rule.  A bool, any other
+    non-real or one beyond the floats raises ValueError; NaN and inf are reals."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{what} must be a real number in the float range, got {value!r}")
 
 
 def _coordinates(values, p, s, what):
@@ -299,10 +313,8 @@ class Field:
             if value.field.key != self.key:
                 raise ValueError("field mismatch")
             return self._elems[value.index]
-        if isinstance(value, bool):
-            raise ValueError(f"element {value!r} is a boolean, not an index")
-        if isinstance(value, (int, np.integer)):
-            if not 0 <= value < self.q:
+        if isinstance(value, (int, np.integer)):  # a bool too, which _integer refuses
+            if not 0 <= _integer(value, "element index") < self.q:
                 raise ValueError(f"element index {value} outside [0, {self.q})")
             return self._elems[int(value)]
         return self._elems[self._coeffs_to_index(_coordinates(value, self.p, self.s, "element"))]

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import rng
 from .code import polar_transform_indices
+from .gf import _integer
 from .sc import PairTables, _check_field, sc_decode_batch
 
 # Blocks per decoder call; tallies do not depend on it.  With the
@@ -44,8 +45,8 @@ def decode_tallies(code, ch, seed, start, stop, batch=DEFAULT_BATCH,
     """
     if not 0 <= start <= stop:
         raise ValueError(f"trials [{start!r}, {stop!r}) are not a range of indices >= 0")
-    # a negative batch would count every trial error-free; a bool is an int
-    if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)) or batch < 1:
+    # a negative batch would count every trial error-free
+    if _integer(batch, "batch") < 1:
         raise ValueError(f"batch must be a positive integer, got {batch!r}")
     field = code.field
     _check_field(field, ch)

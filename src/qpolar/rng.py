@@ -14,10 +14,10 @@ layout the batch decoder works in.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 from scipy.special import ndtri
+
+from .gf import _integer
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -36,14 +36,13 @@ def _mix64(z):
 
 def uniforms(seed, trials, slots):
     """(len(slots), len(trials)) float64 array of draws in the open (0, 1)."""
-    # reducing any other seed to a 64-bit word would run another seed's
-    # draws; a bool is an int
-    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
-            and 0 <= seed < 1 << 64):
-        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    # reducing any other seed to a 64-bit word would run another seed's draws
+    refusal = f"seed must be an integer in [0, 2^64), got {seed!r}"
+    if not 0 <= (seed := _integer(seed, "seed", refusal)) < 1 << 64:
+        raise ValueError(refusal)
     # 0-d arrays keep the wraparound arithmetic silent (numpy warns on
     # overflowing scalar ops but not on array ops)
-    seed = np.asarray(int(seed), dtype=np.uint64)
+    seed = np.asarray(seed, dtype=np.uint64)
     t = np.asarray(trials, dtype=np.uint64).reshape(1, -1)
     s = np.asarray(slots, dtype=np.uint64).reshape(-1, 1)
     with np.errstate(over="ignore"):

@@ -65,6 +65,7 @@ from fractions import Fraction
 import numpy as np
 
 from .code import polar_transform_indices
+from .gf import _integer, _real
 
 DEFAULT_TIE_RTOL = 1e-12
 MAX_DEFINITIONAL_N = 16
@@ -120,11 +121,11 @@ def _check_field(field, ch):
 
 
 def _check_block(y, n, num_outputs):
-    """Raise unless y is a length-n block of output indices of the alphabet."""
+    """Raise unless y is a length-n block of integer output indices of the alphabet."""
     if len(y) != n:
         raise ValueError(f"output block has length {len(y)}, expected {n}")
     for v in y:
-        if not 0 <= v < num_outputs:
+        if not 0 <= _integer(v, "output index") < num_outputs:
             raise ValueError(f"output index {v} outside alphabet of size {num_outputs}")
 
 
@@ -150,9 +151,9 @@ def sc_decode(code, ch, y, tie_uniforms=None):
         (x,) = job.decode(y)
         u = job.decisions
     else:
-        y = np.asarray(y, dtype=float)
-        if not np.isfinite(y).all():
-            raise ValueError(f"AWGN outputs must be finite reals, got {y.tolist()}")
+        y = np.array([_real(v, "AWGN output") for v in y])
+        if y.shape != (n,) or not np.isfinite(y).all():
+            raise ValueError(f"AWGN outputs must be {n} finite reals, got {y.tolist()}")
         T = ch.likelihood_batch(y[:, None])
         decisions, codewords = sc_decode_batch(code, T, lambda i, cols: uniforms[[i]][cols])
         u, x = decisions[:, 0], codewords[:, 0]

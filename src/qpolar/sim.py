@@ -14,7 +14,6 @@ or JSON.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
@@ -23,6 +22,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .channel import AwgnBpskChannel, channel_to_json
+from .gf import _integer, _real, default_field
 from .mc import DEFAULT_BATCH, decode_tallies
 
 
@@ -31,15 +31,12 @@ def ebno_to_channel(ebno_db, rate, field=None):
 
     Unit-energy BPSK: sigma^2 = 1 / (2 * rate * 10^(ebno_db/10)).
     """
-    for name, value in (("ebno_db", ebno_db), ("rate", rate)):
-        # a bool is an int; the channel rejects the zero, infinite or NaN
-        # variance that an infinite, NaN or extreme value gives
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
+    # the channel rejects the zero, infinite or NaN variance that an
+    # infinite, NaN or extreme value gives
+    ebno_db, rate = _real(ebno_db, "ebno_db"), _real(rate, "rate")
     if rate <= 0 or rate > 1:
         raise ValueError(f"rate must lie in (0, 1], got {rate}")
     if field is None:
-        from .gf import default_field
         field = default_field(2)
     try:
         sigma2 = 1.0 / (2.0 * rate * 10.0 ** (ebno_db / 10.0))
@@ -48,7 +45,7 @@ def ebno_to_channel(ebno_db, rate, field=None):
     except ZeroDivisionError:  # 10^(ebno_db/10) rounded to 0
         sigma2 = math.inf
     ch = AwgnBpskChannel(field, sigma2)
-    ch.params.update({"ebno_db": float(ebno_db), "rate": float(rate)})
+    ch.params.update({"ebno_db": ebno_db, "rate": rate})
     return ch
 
 
@@ -61,10 +58,7 @@ class ExperimentConfig:
     random_message: bool = False
 
     def __post_init__(self):
-        for name in ("trials", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        self.trials, self.seed = _integer(self.trials, "trials"), _integer(self.seed, "seed")
         if type(self.random_message) is not bool:
             raise ValueError(f"random_message must be true or false, got {self.random_message!r}")
         if self.trials < 1:

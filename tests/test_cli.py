@@ -177,7 +177,7 @@ def test_message_boolean_is_validation_failure(tmp_path, capsys):
     u_path.write_text(json.dumps([0, 0, 0, True, 0, 0, 0, 0]))
     assert main(["encode", "--code", str(FIXTURES / "code_q2.json"), "--u", str(u_path)]) == 1
     err = capsys.readouterr().err
-    assert "error:" in err and "boolean" in err and "Traceback" not in err
+    assert "error:" in err and "not an integer" in err and "Traceback" not in err
 
 
 def test_decode_exact_distribution(paths, tmp_path):
@@ -202,11 +202,11 @@ def test_decode_rejects_non_integer_output_index(tmp_path, capsys, bad):
     assert main(["decode", "--code", str(FIXTURES / "code_q2.json"),
                  "--channel", str(FIXTURES / "bsc.json"), "--y", str(y_path)]) == 1
     err = capsys.readouterr().err
-    assert "error:" in err and "must be integers" in err and "Traceback" not in err
+    assert "error:" in err and "is not an integer" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("bad,message", [
-    (True, "must be real numbers"), ("2", "must be real numbers"),
+    (True, "must be a real number"), ("2", "must be a real number"),
     (float("nan"), "finite reals"), (float("inf"), "finite reals"),
     (-float("inf"), "finite reals")])
 def test_decode_rejects_awgn_output_that_is_not_a_finite_real(tmp_path, capsys, bad, message):
@@ -467,10 +467,11 @@ def test_missing_file_is_validation_failure(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field,value", [
-    ("trials", 10.9), ("random_message", "false"), ("seed", 2.5)])
+@pytest.mark.parametrize("field,value,message", [
+    ("trials", 10.9, "trials 10.9 is not"), ("random_message", "false", "random_message must be"),
+    ("seed", 2.5, "seed 2.5 is not")], ids=["trials-10.9", "random_message-false", "seed-2.5"])
 def test_simulate_rejects_a_config_value_it_would_coerce(paths, tmp_path, capsys, field,
-                                                         value):
+                                                         value, message):
     # each once ran: 10 trials, random messages, seed 2
     _, ch_path, code_path = paths
     cfg = {"code": code_path, "channel": ch_path, "trials": 100, "seed": 1, field: value}
@@ -480,7 +481,7 @@ def test_simulate_rejects_a_config_value_it_would_coerce(paths, tmp_path, capsys
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
                  "--format", "json"]) == 1
     err = capsys.readouterr().err
-    assert "error:" in err and f"{field} must be" in err and "Traceback" not in err
+    assert "error:" in err and message in err and "Traceback" not in err
     assert not out.exists()
 
 

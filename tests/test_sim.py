@@ -83,7 +83,7 @@ def test_shard_and_batch_invariance():
 def test_decode_tallies_rejects_a_bad_batch_or_start(batch, start):
     # a negative batch once returned all-zero tallies over every trial
     code = PolarCode(F2, 3, (3, 5, 6, 7))
-    with pytest.raises(ValueError, match="batch must be a positive integer|not a range of indices"):
+    with pytest.raises(ValueError, match="batch must be a positive integer|not a range of indices|not an integer"):
         decode_tallies(code, qsc(F2, Fraction(1, 2)), 1, start, 1000, batch=batch)
 
 
@@ -140,7 +140,7 @@ def test_shard_pool_keeps_tallies(monkeypatch, cpus):
 @pytest.mark.parametrize("seed", [2.5, True, "2", None])
 def test_config_rejects_a_seed_that_is_not_an_integer(seed):
     # 2.5 once ran with seed 2's draws and recorded 2.5
-    with pytest.raises(ValueError, match="seed must be an integer"):
+    with pytest.raises(ValueError, match="seed .* is not an integer"):
         ExperimentConfig(PolarCode(F2, 1, [1]), qsc(F2, Fraction(1, 10)), trials=10,
                          seed=seed)
 
