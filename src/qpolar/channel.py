@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import Field, _real, default_field
+from .gf import Field, _real, _sequence, default_field
 
 
 def _as_fraction(v):
@@ -59,6 +59,7 @@ class FiniteChannel:
         self.kind = kind
         self.params = dict(params or {})
         q = field.q
+        matrix = [_sequence(row, f"row {x}") for x, row in enumerate(_sequence(matrix, "matrix"))]
         if len(matrix) != q:
             raise ValueError(f"matrix needs {q} rows, got {len(matrix)}")
         ny = self.num_outputs = len(matrix[0])

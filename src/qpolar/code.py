@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .gf import Field, _integer, default_field
+from .gf import Field, _integer, _sequence, default_field
 
 
 def check_condition_A(info_set, m):
@@ -30,7 +30,7 @@ def check_condition_A(info_set, m):
     the smallest member with a one-bit superset missing, and i = j | 2^r
     the smallest such superset.
     """
-    n = 1 << m
+    n = 1 << _integer(m, "m")
     members = set(info_set)
     for j in members:
         if not 0 <= j < n:
@@ -44,7 +44,7 @@ def check_condition_A(info_set, m):
 
 def decreasing_sets(m):
     """All information sets at length 2^m satisfying the closure condition."""
-    n = 1 << m
+    n = 1 << _integer(m, "m")
     out = []
     for mask in range(1 << n):
         members = tuple(i for i in range(n) if mask >> i & 1)
@@ -113,7 +113,7 @@ class PolarCode:
         self.field = field
         self.m = m
         self.n = 1 << m
-        given = tuple(_integer(i, "information index") for i in info_set)
+        given = tuple(_integer(i, "information index") for i in _sequence(info_set, "info_set"))
         info = tuple(sorted(set(given)))
         if info and not (0 <= info[0] and info[-1] < self.n):
             raise ValueError(f"information indices outside [0, {self.n})")
@@ -124,7 +124,7 @@ class PolarCode:
         self.frozen_set = tuple(sorted(set(range(self.n)) - set(info)))
         if frozen_values is None:
             frozen_values = [field.zero] * len(self.frozen_set)
-        frozen_values = [field.element(v) for v in frozen_values]
+        frozen_values = [field.element(v) for v in _sequence(frozen_values, "frozen_values")]
         if len(frozen_values) != len(self.frozen_set):
             raise ValueError(
                 f"need {len(self.frozen_set)} frozen values, got {len(frozen_values)}")

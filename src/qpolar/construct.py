@@ -17,6 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 from .code import PolarCode, check_condition_A
+from .gf import _integer
 from .mc import decode_tallies
 from .sc import _check_field
 
@@ -27,6 +28,7 @@ class GenieMC:
     seed: int
 
     def __post_init__(self):
+        self.trials = _integer(self.trials, "trials")
         if self.trials < 1:
             raise ValueError("genie-aided estimation needs at least one trial")
 
@@ -36,7 +38,7 @@ class Manual:
     info_set: tuple
 
     def __post_init__(self):
-        self.info_set = tuple(sorted(self.info_set))
+        self.info_set = tuple(sorted(_integer(i, "information index") for i in self.info_set))
 
 
 def _erasure_numerators(m, num, den):
@@ -93,7 +95,7 @@ def genie_mc_rank(field, m, ch, trials, seed):
     true value, counting raw argmax errors per position.  Deterministic
     given the seed.
     """
-    if trials < 1:
+    if (trials := _integer(trials, "trials")) < 1:
         raise ValueError("genie-aided estimation needs at least one trial")
     probe = PolarCode(field, m, range(1 << m))
     msg_err, _, _ = decode_tallies(probe, ch, seed, 0, trials, genie=True)
@@ -108,6 +110,7 @@ def construct_info_set(field, m, k, ch, method=None):
     channels only (using epsilon as an erasure proxy for the latter);
     :class:`GenieMC` ranks by genie-aided Monte Carlo on any channel.
     """
+    m, k = _integer(m, "m"), _integer(k, "k")
     n = 1 << m
     if not 0 <= k <= n:
         raise ValueError(f"k={k} outside [0, {n}]")

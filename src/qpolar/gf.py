@@ -58,10 +58,18 @@ def _real(value, what):
     raise ValueError(f"{what} must be a real number in the float range, got {value!r}")
 
 
+def _sequence(values, what):
+    """``values`` as a tuple; a value that is not a sequence raises ValueError."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence, got {values!r}") from None
+
+
 def _coordinates(values, p, s, what):
     """The s coordinates of a modulus or an element, each checked to be an
     integer in [0, p)."""
-    coeffs = tuple(values)
+    coeffs = _sequence(values, what)
     if len(coeffs) != s:
         raise ValueError(f"{what} needs {s} coordinates, got {len(coeffs)}")
     for c in coeffs:
@@ -347,6 +355,7 @@ class Field:
 
 def default_field(q):
     """Field of size q under the default modulus and default alpha."""
+    q = _integer(q, "field size")
     for p in range(2, q + 1):
         if _is_prime(p):
             s = 0

@@ -43,6 +43,7 @@ def decode_tallies(code, ch, seed, start, stop, batch=DEFAULT_BATCH,
     or level-1 keys are temporaries that the next stage consumes, and a
     batch's messages, decisions and codewords are dropped before the next draw.
     """
+    start, stop = _integer(start, "start"), _integer(stop, "stop")
     if not 0 <= start <= stop:
         raise ValueError(f"trials [{start!r}, {stop!r}) are not a range of indices >= 0")
     # a negative batch would count every trial error-free

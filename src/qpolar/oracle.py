@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .code import polar_transform
+from .gf import _integer
 from .mc import decode_tallies
 from .sc import _ExactJob, sc_decode_distribution
 
@@ -113,7 +114,7 @@ def mc_ser(code, ch, trials, seed):
     Deterministic given the seed: the codeword tallies of trials
     [0, trials) from :func:`decode_tallies`.
     """
-    if trials < 1:
+    if (trials := _integer(trials, "trials")) < 1:
         raise ValueError("trials must be >= 1")
     _, cw, _ = decode_tallies(code, ch, seed, 0, trials)
     errors = tuple(int(e) for e in cw)

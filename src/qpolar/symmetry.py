@@ -24,12 +24,14 @@ import itertools
 import numpy as np
 
 from .code import polar_transform_indices
+from .gf import _integer
 from .oracle import _check_enumeration_cap, exact_average_ser, exact_ser
 from .sc import _ExactJob, _check_block, sc_decode_distribution
 
 
 def delta(m, r, i):
     """Flip bit r of an m-bit index."""
+    r, i = _integer(r, "bit position"), _integer(i, "index")
     if not 0 <= r < m:
         raise ValueError(f"bit position {r} outside [0, {m})")
     if not 0 <= i < (1 << m):
@@ -40,6 +42,7 @@ def delta(m, r, i):
 def xi_coefficients(field, m, r):
     """Per-coordinate multipliers of the signed map as element indices:
     -alpha, or -alpha^(-1) where bit r of the coordinate is set."""
+    m, r = _integer(m, "m"), _integer(r, "bit position")
     a = field.alpha.index
     neg_alpha = int(field._neg[a])
     neg_alpha_inv = int(field._neg[field._inv[a]])
@@ -151,9 +154,10 @@ def check_xi_invariance(code, ch, r, ys=None):
         raise ValueError("the xi identities need a decreasing information set")
     m = code.m
     field = code.field
-    first_violation = _transport(code, ch, ys)
+    r = _integer(r, "bit position")
     # coordinate i of the image reads coordinate delta(i) scaled by coeffs[i]
     src = [delta(m, r, i) for i in range(code.n)]
+    first_violation = _transport(code, ch, ys)
     coeffs = xi_coefficients(field, m, r)
     ymaps = [[ch.scale(v, field.elements[c]) for v in range(ch.num_outputs)] for c in coeffs]
     xmaps = [field._mul[c].tolist() for c in coeffs]

@@ -17,6 +17,9 @@ transition laws and channel sampling.  ``reference_sample_batch`` is the
 gather form of the batch sampler: an (..., |Y|) comparison against the
 cumulative rows, summed over its last axis and capped at the last output.
 The package must match it except where it draws an output of mass 0.
+Both read ``cumulative_rows``, the running float sums of the exact rows,
+which they compute themselves: a fault in the package's float mirrors of
+the law must not reach both sides of a comparison.
 ``rank_alpha_generates`` decides whether alpha
 generates F_q over F_p by the linear-algebra definition, and
 ``reference_is_irreducible`` decides irreducibility by trial division.
@@ -153,7 +156,7 @@ def _renorm(t):
 
 def _float_leaf(ch, y):
     if ch.is_finite:
-        return tuple(float(v) for v in ch.matrix_float[:, y])
+        return tuple(float(row[y]) for row in ch.matrix)
     return tuple(transition(ch, y, e) for e in ch.field.elements)
 
 
@@ -250,7 +253,7 @@ def transition(ch, y, x):
     """W(y | x) for a FieldElement x: exact for a finite channel (y an
     output index), the Gaussian density value at y for the AWGN channel."""
     if not ch.is_finite:
-        s = ch.modulate(x.index)
+        s = 1 - 2 * x.index  # BPSK: 0 -> +1, 1 -> -1
         return math.exp(-((y - s) ** 2) / (2 * ch.sigma2)) / math.sqrt(2 * math.pi * ch.sigma2)
     if not 0 <= y < ch.num_outputs:
         raise ValueError(f"output index {y} outside alphabet of size {ch.num_outputs}")
@@ -272,18 +275,24 @@ def product_transition(ch, y_vec, x_vec):
     return acc
 
 
+def cumulative_rows(ch):
+    """(q, |Y|) running float sums of a finite channel's exact rows, left to
+    right, computed here from ``ch.matrix`` alone."""
+    return np.array([list(itertools.accumulate(float(w) for w in row)) for row in ch.matrix])
+
+
 def sample(ch, x, u):
     """The output index of a finite channel that the uniform u draws under
     input x: output y has probability W(y|x).  A u at or above the row's
     float sum draws the row's last output of positive mass."""
     last = max(y for y, w in enumerate(ch.matrix[x.index]) if w > 0)
-    return min(int(np.searchsorted(ch.cumulative_float[x.index], u, side="right")), last)
+    return min(int(np.searchsorted(cumulative_rows(ch)[x.index], u, side="right")), last)
 
 
 def reference_sample_batch(ch, x_indices, uniforms):
     """Output indices of a finite channel for arrays of inputs and uniforms,
     by one (..., |Y|) comparison with the gathered cumulative rows."""
-    cum = ch.cumulative_float[np.asarray(x_indices)]
+    cum = cumulative_rows(ch)[np.asarray(x_indices)]
     return np.minimum((uniforms[..., None] >= cum).sum(axis=-1), ch.num_outputs - 1)
 
 

@@ -15,7 +15,8 @@ from qpolar.gf import default_field
 from qpolar.rng import _BELOW_ONE
 from qpolar.sim import ebno_to_channel
 from reference import (
-    likelihoods, polarize, product_transition, reference_sample_batch, sample, transition,
+    cumulative_rows, likelihoods, polarize, product_transition, reference_sample_batch, sample,
+    transition,
 )
 
 
@@ -216,8 +217,8 @@ def test_sample_batch_matches_inverse_cdf_reference(q, make):
     ch = make(f, Fraction(1, 5))
     rng = np.random.default_rng(8)
     # random draws, then every input at each float cumulative value, at
-    # the counter streams' top word and at 1.0
-    edges = np.concatenate([ch.cumulative_float.ravel(), [_BELOW_ONE, 1.0]])
+    # the counter streams' top word and at 1.0; the values are the referee's
+    edges = np.concatenate([cumulative_rows(ch).ravel(), [_BELOW_ONE, 1.0]])
     x = np.concatenate([rng.integers(0, q, size=2000), np.repeat(np.arange(q), len(edges))])
     u = np.concatenate([rng.random(2000), np.tile(edges, q)])
     want = [sample(ch, f.element(int(xi)), ui) for xi, ui in zip(x, u)]
@@ -246,8 +247,9 @@ def test_sampler_never_returns_an_output_of_probability_0():
 
 def _boundary_uniforms(ch):
     """0, 1, the largest draw below 1 and every cumulative value of the
-    channel with its two float neighbours, where ``>=`` decides."""
-    cum = np.unique(ch.cumulative_float)
+    channel, as the referee sums it, with its two float neighbours, where
+    ``>=`` decides."""
+    cum = np.unique(cumulative_rows(ch))
     u = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
                         [0.0, 1.0, _BELOW_ONE]])
     return np.unique(np.clip(u, 0.0, 1.0))

@@ -548,13 +548,27 @@ WRONG_SHAPES = {
                         "--message"], 5),
     "block number": (["decode", "--code", "code_q2.json", "--channel", "bsc.json", "--y"], 5),
     "encode number": (["encode", "--code", "code_q2.json", "--u"], 5),
+    "table matrix of numbers": (["exact-ser", "--code", "code_q2.json", "--channel"],
+                                {"kind": "table", "matrix": [1, 2]}),
+    "table matrix number": (["exact-ser", "--code", "code_q2.json", "--channel"],
+                            {"kind": "table", "matrix": 5}),
+    "table null row": (["exact-ser", "--code", "code_q2.json", "--channel"],
+                       {"kind": "table", "matrix": [None, ["1/2", "1/2"]]}),
+    "info_set number": (["exact-ser", "--channel", "bsc.json", "--code"],
+                        {"m": 1, "info_set": 5}),
+    "frozen_values number": (["exact-ser", "--channel", "bsc.json", "--code"],
+                             {"m": 1, "info_set": [1], "frozen_values": 5}),
+    "modulus number": (["exact-ser", "--channel", "bsc.json", "--code"],
+                       {"field": {"p": 2, "s": 1, "modulus": 5}, "m": 1, "info_set": [1]}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WRONG_SHAPES))
 def test_json_of_the_wrong_shape_is_validation_failure(tmp_path, capsys, name):
     # each once ended in a TypeError traceback: configs, codes, channels and
-    # fields are JSON objects, messages and blocks lists
+    # fields are JSON objects, messages and blocks lists, and the package
+    # reads a matrix, its rows, an information set, frozen values and a
+    # modulus as sequences
     args, content = WRONG_SHAPES[name]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(content))
@@ -562,7 +576,8 @@ def test_json_of_the_wrong_shape_is_validation_failure(tmp_path, capsys, name):
     argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in args]
     assert main(argv + [str(bad), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "error:" in err and "must be a JSON" in err and "Traceback" not in err
+    assert "error:" in err and "Traceback" not in err
+    assert "must be a JSON" in err or "must be a sequence" in err
     assert not out.exists()
 
 

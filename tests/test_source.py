@@ -251,3 +251,28 @@ def test_reference_imports_no_private_name_from_the_package():
                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qpolar")
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+# a hand-written type test outside gf: a bool check, an exact int check or
+# an abstract number type
+TYPE_TEST = re.compile(r"isinstance\([^)]*\bbool\b|type\([^)]*\) is not int\b"
+                       r"|numbers\.(Integral|Real)\b")
+# the one place outside gf that may write one: the probability parser, which
+# reads Fractions, strings and floats as well as ints
+OWN_TYPE_TESTS = {("channel.py", "_as_fraction")}
+
+
+def test_integers_and_reals_are_read_by_the_rule_in_gf():
+    # copies of the rule drift: once they let sc_decode_distribution read
+    # (True, False) as the block (1, 0), and ExperimentConfig refuse the
+    # np.int64 that PolarCode takes
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "gf.py":
+            continue
+        text = path.read_text()
+        for node in ast.parse(text).body:
+            if (path.name, getattr(node, "name", None)) not in OWN_TYPE_TESTS:
+                found += [f"{path.name}:{node.lineno}: {m.group()}"
+                          for m in TYPE_TEST.finditer(ast.get_source_segment(text, node))]
+    assert found == []
