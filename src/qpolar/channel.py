@@ -268,8 +268,6 @@ def channel_to_json(ch):
 def channel_from_json(obj, field=None):
     """The channel a config object describes; ``field`` is the field of an
     object that names none (F_2 when not given)."""
-    from .gf import Field, default_field
-
     if not isinstance(obj, dict):
         raise ValueError(f"a channel must be a JSON object, got {obj!r}")
     if "field" in obj:

@@ -20,12 +20,11 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
+from . import rng
 from .channel import channel_from_json, channel_to_json
 from .code import PolarCode
 from .construct import GenieMC, Manual, construct_info_set
-from .gf import FieldElement
+from .gf import FieldElement, _count
 from .oracle import exact_average_ser, exact_ser
 from .sc import sc_decode, sc_decode_distribution
 from .sim import ExperimentConfig, run_experiment
@@ -199,7 +198,7 @@ def _cmd_decode(args):
         tie_uniforms = None
         if args.tie == "random":
             seed, generated = _resolve_seed(args.seed)
-            tie_uniforms = np.random.Generator(np.random.Philox(seed)).random(code.n)
+            tie_uniforms = rng.uniforms(seed, [0], range(code.n, 2 * code.n))[:, 0]
             out["tie"] = {"mode": "random", "seed": seed, "seed_generated": generated}
         else:
             out["tie"] = {"mode": "lex"}
@@ -262,28 +261,21 @@ def _cmd_simulate(args):
 _LEMMA_CHOICES = ("2", "3", "4", "5", "6", "7", "thm1")
 
 
-def _random_outputs(ch, n, samples, seed):
-    rng = np.random.Generator(np.random.Philox(seed))
-    return [tuple(int(v) for v in rng.integers(0, ch.num_outputs, size=n))
-            for _ in range(samples)]
-
-
-def _random_messages(field, n, samples, seed):
-    rng = np.random.Generator(np.random.Philox(seed))
-    return [[field.element(int(v)) for v in rng.integers(0, field.q, size=n)]
-            for _ in range(samples)]
+def _uniform_symbols(alphabet, n, samples, seed, first_slot):
+    """For each trial in [0, samples), n symbols uniform over the alphabet, drawn
+    from slots [first_slot, first_slot + n) of the harness's streams."""
+    k = len(alphabet)
+    u = rng.uniforms(seed, range(samples), range(first_slot, first_slot + n))
+    return [[alphabet[v] for v in row] for row in (u * k).astype(int).clip(max=k - 1).T]
 
 
 def _run_lemma(lemma, code, ch, samples, seed):
-    field = code.field
+    field, n = code.field, code.n
     if lemma == "2":
-        if samples is None:
-            messages = [list(u) for u in
-                        itertools.product(field.elements, repeat=code.n)]
-        else:
-            messages = _random_messages(field, code.n, samples, seed)
+        messages = (itertools.product(field.elements, repeat=n) if samples is None
+                    else _uniform_symbols(field.elements, n, samples, seed, 2 * n))
         return check_message_invariance(code, ch, messages)
-    ys = None if samples is None else _random_outputs(ch, code.n, samples, seed)
+    ys = None if samples is None else _uniform_symbols(range(ch.num_outputs), n, samples, seed, 0)
     if lemma in ("3", "4"):
         return check_coset_invariance(code, ch, ys=ys)
     if lemma == "5":
@@ -306,8 +298,8 @@ def _run_lemma(lemma, code, ch, samples, seed):
 
 
 def _cmd_verify(args):
-    if args.samples is not None and args.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if args.samples is not None:
+        _count(args.samples, "--samples")
     code, ch = _load_code_and_channel(args.code, args.channel)
     lemmas = [s.strip() for s in args.lemmas.split(",") if s.strip()]
     if not lemmas:

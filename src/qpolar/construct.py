@@ -17,8 +17,9 @@ import warnings
 from dataclasses import dataclass
 
 from .code import PolarCode, check_condition_A
-from .gf import _integer
+from .gf import _count, _integer
 from .mc import decode_tallies
+from .rng import checked_seed
 from .sc import _check_field
 
 
@@ -28,9 +29,7 @@ class GenieMC:
     seed: int
 
     def __post_init__(self):
-        self.trials = _integer(self.trials, "trials")
-        if self.trials < 1:
-            raise ValueError("genie-aided estimation needs at least one trial")
+        self.trials, self.seed = _count(self.trials, "trials"), checked_seed(self.seed)
 
 
 @dataclass
@@ -95,8 +94,7 @@ def genie_mc_rank(field, m, ch, trials, seed):
     true value, counting raw argmax errors per position.  Deterministic
     given the seed.
     """
-    if (trials := _integer(trials, "trials")) < 1:
-        raise ValueError("genie-aided estimation needs at least one trial")
+    trials = _count(trials, "trials")
     probe = PolarCode(field, m, range(1 << m))
     msg_err, _, _ = decode_tallies(probe, ch, seed, 0, trials, genie=True)
     return tuple(int(e) / trials for e in msg_err)

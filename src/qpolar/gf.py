@@ -47,6 +47,13 @@ def _integer(value, what, refusal=None):
     return int(value)
 
 
+def _count(value, what):
+    """``value`` as an int >= 1: the package's one count rule."""
+    if (value := _integer(value, what)) < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
 def _real(value, what):
     """``value`` as a float: the package's one real rule.  A bool, any other
     non-real or one beyond the floats raises ValueError; NaN and inf are reals."""
@@ -238,11 +245,9 @@ class Field:
     """
 
     def __init__(self, p, s, modulus=None, alpha=None):
-        p, s = _integer(p, "p"), _integer(s, "extension degree")
+        p, s = _integer(p, "p"), _count(s, "extension degree")
         if not _is_prime(p):
             raise ValueError(f"p={p} is not prime")
-        if s < 1:
-            raise ValueError(f"extension degree must be >= 1, got {s}")
         q = p ** s
         if q > MAX_FIELD_SIZE:
             raise ValueError(f"field size {q} exceeds supported maximum {MAX_FIELD_SIZE}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .code import polar_transform_indices
-from .gf import _integer
+from .gf import _count, _integer
 from .sc import PairTables, _check_field, sc_decode_batch
 
 # Blocks per decoder call; tallies do not depend on it.  With the
@@ -47,8 +47,7 @@ def decode_tallies(code, ch, seed, start, stop, batch=DEFAULT_BATCH,
     if not 0 <= start <= stop:
         raise ValueError(f"trials [{start!r}, {stop!r}) are not a range of indices >= 0")
     # a negative batch would count every trial error-free
-    if _integer(batch, "batch") < 1:
-        raise ValueError(f"batch must be a positive integer, got {batch!r}")
+    _count(batch, "batch")
     field = code.field
     _check_field(field, ch)
     n = code.n

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .code import polar_transform
-from .gf import _integer
+from .gf import _count
 from .mc import decode_tallies
 from .sc import _ExactJob, sc_decode_distribution
 
@@ -114,8 +114,7 @@ def mc_ser(code, ch, trials, seed):
     Deterministic given the seed: the codeword tallies of trials
     [0, trials) from :func:`decode_tallies`.
     """
-    if (trials := _integer(trials, "trials")) < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _count(trials, "trials")
     _, cw, _ = decode_tallies(code, ch, seed, 0, trials)
     errors = tuple(int(e) for e in cw)
     return SerReport(tuple(e / trials for e in errors), trials=trials, errors=errors)

@@ -9,7 +9,9 @@ Slot layout is owned by the caller; by convention the decoding loops use
 slots [0, n) for channel noise, [n, 2n) for tie draws (slot n + i resolves
 the tie at position i and is drawn for the tied trials only), and [2n, 3n)
 for random message symbols.  Draws come slot-major, one row per slot, the
-layout the batch decoder works in.
+layout the batch decoder works in.  The command line keeps the convention, so
+one seed gives it the harness's draws: ``decode --tie random`` reads trial 0's
+tie slots, and ``verify --samples N`` the outputs and messages of trials [0, N).
 """
 
 from __future__ import annotations
@@ -34,15 +36,20 @@ def _mix64(z):
         return z ^ (z >> np.uint64(31))
 
 
-def uniforms(seed, trials, slots):
-    """(len(slots), len(trials)) float64 array of draws in the open (0, 1)."""
+def checked_seed(seed):
+    """``seed`` as an int in [0, 2^64): the package's one seed rule."""
     # reducing any other seed to a 64-bit word would run another seed's draws
     refusal = f"seed must be an integer in [0, 2^64), got {seed!r}"
     if not 0 <= (seed := _integer(seed, "seed", refusal)) < 1 << 64:
         raise ValueError(refusal)
+    return seed
+
+
+def uniforms(seed, trials, slots):
+    """(len(slots), len(trials)) float64 array of draws in the open (0, 1)."""
     # 0-d arrays keep the wraparound arithmetic silent (numpy warns on
     # overflowing scalar ops but not on array ops)
-    seed = np.asarray(seed, dtype=np.uint64)
+    seed = np.asarray(checked_seed(seed), dtype=np.uint64)
     t = np.asarray(trials, dtype=np.uint64).reshape(1, -1)
     s = np.asarray(slots, dtype=np.uint64).reshape(-1, 1)
     with np.errstate(over="ignore"):

@@ -98,10 +98,12 @@ def synthetic_channel(code, ch, y, u_prefix, i):
         raise ValueError(f"prefix has length {len(u_prefix)}, expected {i}")
     if n > MAX_DEFINITIONAL_N:
         raise ValueError(f"definitional form capped at n <= {MAX_DEFINITIONAL_N}")
-    job = _ExactJob(code, ch)
+    _check_field(field, ch)
     _check_block(y, n, ch.num_outputs)
-    # cols[j][x] = D * W(y_j | x): integer sums, scaled down once at the end
-    cols = [[row[yj] for row in job.rows] for yj in y]
+    # cols[j][x] = D * W(y_j | x), integer sums scaled down once at the end, from
+    # the law itself: the recursion's tables are what this form referees
+    D = math.lcm(*(v.denominator for row in ch.matrix for v in row))
+    cols = [[row[yj].numerator * D // row[yj].denominator for row in ch.matrix] for yj in y]
     likel = [0] * q
     # every message (u_i, completion) with the prefix fixed, in bounded chunks
     tails = itertools.product(range(q), repeat=n - i)
@@ -111,7 +113,7 @@ def synthetic_channel(code, ch, y, u_prefix, i):
         u[:, i:] = chunk
         for ui, x in zip(u[:, i].tolist(), polar_transform_indices(field, u).tolist()):
             likel[ui] += math.prod(col[xj] for col, xj in zip(cols, x))
-    scale = q ** (n - 1) * job.denominator ** n
+    scale = q ** (n - 1) * D ** n
     return tuple(Fraction(v, scale) for v in likel)
 
 

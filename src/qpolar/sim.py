@@ -22,8 +22,9 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .channel import AwgnBpskChannel, channel_to_json
-from .gf import _integer, _real, default_field
+from .gf import _count, _real, default_field
 from .mc import DEFAULT_BATCH, decode_tallies
+from .rng import checked_seed
 
 
 def ebno_to_channel(ebno_db, rate, field=None):
@@ -58,11 +59,9 @@ class ExperimentConfig:
     random_message: bool = False
 
     def __post_init__(self):
-        self.trials, self.seed = _integer(self.trials, "trials"), _integer(self.seed, "seed")
+        self.trials, self.seed = _count(self.trials, "trials"), checked_seed(self.seed)
         if type(self.random_message) is not bool:
             raise ValueError(f"random_message must be true or false, got {self.random_message!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
 
     def to_json(self):
         return {

@@ -3,12 +3,15 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qpolar import rng
 from qpolar.channel import channel_to_json, qec, qsc
 from qpolar.cli import _write_report, main
 from qpolar.code import PolarCode
 from qpolar.gf import default_field
+from qpolar.mc import decode_tallies
 from qpolar.sim import ExperimentConfig, run_experiment
 
 F2 = default_field(2)
@@ -248,6 +251,45 @@ def test_decode_point_with_recorded_seed(paths, tmp_path):
     assert len(obj["x_hat"]) == 4
 
 
+def test_random_tie_decode_replays_the_harness_trial_0(tmp_path):
+    # --tie random once drew its tie uniforms from another generator than the
+    # harness's streams, and erred where decode_tallies did on 45 of 60 seeds
+    code, ch = PolarCode(F4, 3, [3, 5, 6, 7]), qec(F4, Fraction(1, 2))
+    code_path, ch_path, y_path, out = (tmp_path / f for f in ("code", "ch", "y", "out"))
+    code_path.write_text(json.dumps(code.to_json()))
+    ch_path.write_text(json.dumps(channel_to_json(ch)))
+    zero = np.zeros((code.n, 1), dtype=np.intp)
+    for seed in range(60):
+        y = ch.sample_batch(zero, rng.uniforms(seed, [0], range(code.n)))[:, 0]
+        y_path.write_text(json.dumps(y.tolist()))
+        assert main(["decode", "--code", str(code_path), "--channel", str(ch_path),
+                     "--y", str(y_path), "--tie", "random", "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        obj = json.loads(out.read_text())
+        errs = [[int(any(c)) for c in obj[key]] for key in ("u_hat", "x_hat")]
+        msg_err, cw_err, _ = decode_tallies(code, ch, seed, 0, 1)
+        assert errs == [msg_err.tolist(), cw_err.tolist()], seed
+
+
+@pytest.mark.parametrize("command", ["construct", "decode", "verify"])
+def test_a_seed_no_run_accepts_is_a_validation_failure(paths, capsys, command):
+    tmp, ch_path, code_path = paths
+    y_path = tmp / "y.json"
+    y_path.write_text(json.dumps([0, 0, 1, 0]))
+    argv = {
+        "construct": ["construct", "--m", "2", "--k", "1", "--channel", ch_path,
+                      "--method", "genie", "--trials", "10", "--seed", "-1"],
+        "decode": ["decode", "--code", code_path, "--channel", ch_path, "--y", str(y_path),
+                   "--tie", "random", "--seed", "-1"],
+        "verify": ["verify", "--code", code_path, "--channel", ch_path, "--lemmas", "2,3",
+                   "--samples", "3", "--seed", "-1"],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "error: seed must be an integer in [0, 2^64), got -1" in captured.err
+    assert "Traceback" not in captured.err and "pass" not in captured.out
+
+
 def test_exact_ser_reports_counterexample_values(paths, tmp_path):
     tmp, ch_path, _ = paths
     code = PolarCode(F2, 1, [0])
@@ -469,7 +511,8 @@ def test_missing_file_is_validation_failure(capsys):
 
 @pytest.mark.parametrize("field,value,message", [
     ("trials", 10.9, "trials 10.9 is not"), ("random_message", "false", "random_message must be"),
-    ("seed", 2.5, "seed 2.5 is not")], ids=["trials-10.9", "random_message-false", "seed-2.5"])
+    ("seed", 2.5, "seed must be an integer in [0, 2^64), got 2.5")],
+    ids=["trials-10.9", "random_message-false", "seed-2.5"])
 def test_simulate_rejects_a_config_value_it_would_coerce(paths, tmp_path, capsys, field,
                                                          value, message):
     # each once ran: 10 trials, random messages, seed 2

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from qpolar.channel import qsc
+from qpolar.cli import main
 from qpolar.code import PolarCode, check_condition_A, decreasing_sets
 from qpolar.construct import GenieMC, Manual, construct_info_set, genie_mc_rank
-from qpolar.gf import default_field
+from qpolar.gf import Field, default_field
 from qpolar.mc import decode_tallies
 from qpolar.oracle import mc_ser
 from qpolar.sc import sc_decode, sc_decode_distribution
@@ -52,6 +53,44 @@ def test_every_integer_entry_reads_one_rule(entry, value):
     else:
         with pytest.raises(ValueError, match="is not an integer"):
             call(value)
+
+
+# entry -> a call that passes v where the entry takes a count of one or more.
+# They once refused 0 and -1 in three wordings, seven times written out
+COUNT_ENTRIES = {
+    "ExperimentConfig trials": lambda v: ExperimentConfig(CODE, BSC, trials=v, seed=1),
+    "Field extension degree": lambda v: Field(2, v),
+    "GenieMC trials": lambda v: GenieMC(trials=v, seed=1),
+    "genie_mc_rank trials": lambda v: genie_mc_rank(F2, 1, BSC, v, 1),
+    "mc_ser trials": lambda v: mc_ser(CODE, BSC, v, 1),
+    "decode_tallies batch": lambda v: decode_tallies(CODE, BSC, 1, 0, 4, batch=v),
+    "verify --samples": lambda v: main(["verify", "--code", "unread", "--channel", "unread",
+                                        "--lemmas", "3", "--samples", str(v)]),
+}
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRIES))
+def test_every_count_entry_reads_one_rule(entry, value, capsys):
+    if entry.startswith("verify"):
+        # the command line turns the refusal into exit 1 and an error line
+        assert COUNT_ENTRIES[entry](value) == 1
+        err = capsys.readouterr().err
+        assert f"error: --samples must be a positive integer, got {value}" in err
+    else:
+        with pytest.raises(ValueError, match=f"must be a positive integer, got {value}"):
+            COUNT_ENTRIES[entry](value)
+
+
+@pytest.mark.parametrize("seed", [2.5, -1, 2**64])
+@pytest.mark.parametrize("build", [
+    lambda s: GenieMC(trials=10, seed=s),
+    lambda s: ExperimentConfig(CODE, BSC, trials=10, seed=s),
+], ids=["GenieMC", "ExperimentConfig"])
+def test_configs_refuse_a_seed_no_run_accepts_when_built(build, seed):
+    # each was once built, and then failed inside its run
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        build(seed)
 
 
 def test_default_field_reads_its_size_by_the_rule():

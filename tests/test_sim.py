@@ -140,7 +140,7 @@ def test_shard_pool_keeps_tallies(monkeypatch, cpus):
 @pytest.mark.parametrize("seed", [2.5, True, "2", None])
 def test_config_rejects_a_seed_that_is_not_an_integer(seed):
     # 2.5 once ran with seed 2's draws and recorded 2.5
-    with pytest.raises(ValueError, match="seed .* is not an integer"):
+    with pytest.raises(ValueError, match="seed must be an integer in"):
         ExperimentConfig(PolarCode(F2, 1, [1]), qsc(F2, Fraction(1, 10)), trials=10,
                          seed=seed)
 
@@ -148,9 +148,9 @@ def test_config_rejects_a_seed_that_is_not_an_integer(seed):
 @pytest.mark.parametrize("seed", [2**64 + 5, -1])
 def test_experiment_rejects_a_seed_outside_64_bits(seed):
     # 2^64 + 5 once gave seed 5's tallies while its report recorded 2^64 + 5
-    cfg = ExperimentConfig(PolarCode(F2, 1, [1]), qsc(F2, Fraction(1, 10)), trials=10,
-                           seed=seed)
     with pytest.raises(ValueError, match="seed must be an integer in"):
+        cfg = ExperimentConfig(PolarCode(F2, 1, [1]), qsc(F2, Fraction(1, 10)), trials=10,
+                               seed=seed)
         run_experiment(cfg)
 
 
