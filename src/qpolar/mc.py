@@ -11,19 +11,21 @@ the layout the decoder works in.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import rng
 from .code import polar_transform_indices
 from .gf import _count, _integer
-from .sc import PairTables, _check_field, sc_decode_batch
+from .sc import PairTables, _awgn_leaves, _check_field, sc_decode_batch
 
 # Blocks per decoder call; tallies do not depend on it.  With the
 # block-innermost decoder, 4,096 blocks decode at least as fast per block
 # as 16,384 (16,384 blocks, Xeon host, numpy 2.4: 0.56-0.67 s against
 # 0.61-0.75 s at q=2, n=256 AWGN; 1.6-1.7 s against 2.1-2.4 s at q=16,
 # n=64 QSC) in a quarter of the memory (tracemalloc peak of a two-batch
-# call: 41 against 164 MiB at q=2, 42 against 165 MiB at q=16).
+# call: 24 against 96 MiB at q=2, 40 against 158 MiB at q=16).
 DEFAULT_BATCH = 1 << 12
 
 
@@ -39,8 +41,9 @@ def decode_tallies(code, ch, seed, start, stop, batch=DEFAULT_BATCH,
     A finite channel's decoder starts from output-pair tables (built once per
     call, :class:`~qpolar.sc.PairTables`) where their |Y|^2 q keys are no more
     than one batch's (n/2) B level-1 messages, and from likelihoods otherwise.
-    Batch arrays die after their last read: the draws, outputs and likelihoods
-    or level-1 keys are temporaries that the next stage consumes, and a
+    The AWGN decoder starts from leaf messages (``sc._awgn_leaves``).  Batch
+    arrays die after their last read: the draws, outputs and likelihoods,
+    level-1 keys or leaves are temporaries that the next stage consumes, and a
     batch's messages, decisions and codewords are dropped before the next draw.
     """
     start, stop = _integer(start, "start"), _integer(stop, "stop")
@@ -60,7 +63,7 @@ def decode_tallies(code, ch, seed, start, stop, batch=DEFAULT_BATCH,
         u_row = code.frozen_index_array
         x_row = polar_transform_indices(field, u_row)
     draw = rng.uniforms if ch.is_finite else rng.normals
-    front = ch.likelihood_batch
+    front = ch.likelihood_batch if ch.is_finite else functools.partial(_awgn_leaves, ch)
     if ch.is_finite and n >= 2 and ch.num_outputs ** 2 * q <= n // 2 * min(batch, stop - start):
         front = PairTables(ch).outputs
     for lo in range(start, stop, batch):

@@ -24,6 +24,9 @@ that recursion, and every decoder here is one of them:
   takes each plus message row from the node's flat buffer.  On a finite
   channel it can start one level down, from :class:`PairTables`: the root's
   child messages of every output pair, the floats the root would compute.
+  On the AWGN channel it starts from the leaf messages, computed from the
+  outputs without a likelihood array (:func:`_awgn_leaves`).  It decides in
+  the smallest unsigned dtype that holds q - 1 (uint8 up to q = 256).
 * :func:`_distribution_indices` (exact) decodes one block on integer
   messages: the channel matrix is scaled by the common denominator D of
   its entries, the 1/q constants are dropped, and every message is divided
@@ -74,6 +77,8 @@ MAX_DEFINITIONAL_N = 16
 _SYNTHETIC_CHUNK = 1 << 16
 # sc_decode_batch's T for a finite channel's outputs (PairTables.outputs)
 _PairOutputs = namedtuple("_PairOutputs", "shape minus plus")
+# sc_decode_batch's T for AWGN outputs (_awgn_leaves): the (bit, ratio, dead) leaves
+_AwgnLeaves = namedtuple("_AwgnLeaves", "shape messages")
 
 
 def _argmax_set(t):
@@ -156,8 +161,8 @@ def sc_decode(code, ch, y, tie_uniforms=None):
         y = np.array([_real(v, "AWGN output") for v in y])
         if y.shape != (n,) or not np.isfinite(y).all():
             raise ValueError(f"AWGN outputs must be {n} finite reals, got {y.tolist()}")
-        T = ch.likelihood_batch(y[:, None])
-        decisions, codewords = sc_decode_batch(code, T, lambda i, cols: uniforms[[i]][cols])
+        decisions, codewords = sc_decode_batch(code, _awgn_leaves(ch, y[:, None]),
+                                               lambda i, cols: uniforms[[i]][cols])
         u, x = decisions[:, 0], codewords[:, 0]
     return tuple(elems[i] for i in u), tuple(elems[i] for i in x)
 
@@ -333,7 +338,7 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
 
     Parameters
     ----------
-    T : (q, n, B) float array, or ``PairTables.outputs(y)``
+    T : (q, n, B) float array, ``PairTables.outputs(y)`` or ``_awgn_leaves(ch, y)``
         Leaf likelihood vectors along axis 0 (any positive scaling per
         position), in the layout ``likelihood_batch`` returns for (n, B)
         outputs.  It is not modified, and the decoder drops its reference
@@ -342,6 +347,9 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
         outputs y of a finite channel may come as ``tables.outputs(y)``
         instead: the root's children then gather the same floats from the
         :class:`PairTables`, and no leaf message, root minus or plus is built.
+        AWGN outputs y may come as ``_awgn_leaves(ch, y)``, the leaf messages
+        of ``ch.likelihood_batch(y)`` built without it.  Both stand-ins have
+        T's ``shape``, (q, n, B).
     tie_uniforms : callable
         ``tie_uniforms(i, columns)`` returns the uniforms in [0, 1) that
         resolve the ties at position i, one per tied block in ``columns``.
@@ -352,8 +360,9 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
 
     Returns
     -------
-    (decisions, codeword) : int index arrays of shape (n, B)
-        ``codeword`` is the transform of whatever was propagated.
+    (decisions, codeword) : index arrays of shape (n, B)
+        In the smallest unsigned dtype that holds q - 1 (uint8 up to
+        q = 256).  ``codeword`` is the transform of whatever was propagated.
 
     Messages are scaled, tied, kept zero and skipped in rate-0 subtrees as
     the module docstring says.  They stay in T's symbol-major, block-innermost
@@ -362,11 +371,11 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
     in u1 (so every minus message equals a plain left-to-right loop over u1),
     each maximum over the symbol axis is q - 1 ``np.maximum`` calls, and the
     plus rule is q 1-D takes from the node's flat buffer, one per row
-    (:func:`_plus`).  At q = 2 they are (bit, ratio) pairs instead, read from
-    T without a copy (:func:`_decode_bits`).  The recursion runs under
+    (:func:`_plus`).  At q = 2 they are (bit, ratio) pairs instead, built from
+    one copy of T[0] (:func:`_decode_bits`).  The recursion runs under
     ``np.errstate(invalid="raise", divide="raise")``.  NaN arithmetic raises
     no invalid flag, so a NaN in T would reach a decision unnoticed: a T with
-    a NaN or infinite entry raises ValueError.
+    a NaN or infinite entry, or AWGN leaves with a NaN ratio, raise ValueError.
     """
     field = code.field
     n = code.n
@@ -379,24 +388,25 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
         frozen = ~code.info_mask
         if (np.asarray(force)[frozen] != code.frozen_index_array[frozen, None]).any():
             raise ValueError("force departs from the frozen values at a frozen position")
-    pairs = isinstance(T, _PairOutputs)
+    pairs, awgn = isinstance(T, _PairOutputs), isinstance(T, _AwgnLeaves)
     # a NaN survives min and max, and an infinity is one of them; the two
     # reductions allocate nothing, where np.isfinite(T) would copy T as bools
-    if not (pairs or np.isfinite([T.min(initial=0.0), T.max(initial=0.0)]).all()):
+    seen = T.messages[1] if awgn else T  # the AWGN leaves' ratios
+    if not (pairs or np.isfinite([seen.min(initial=0.0), seen.max(initial=0.0)]).all()):
         raise ValueError("likelihoods must be finite; T holds a NaN or an infinity")
     job = _BatchJob(code, B, tie_uniforms, force)
     x = job.frozen_part(0, n)
     if x is not None:  # k = 0: nothing to decode
-        return job.decisions, np.array(x, dtype=np.intp)
+        return job.decisions, x.astype(job.decisions.dtype)
     decode = _decode_bits if q == 2 else _decode_span
     with np.errstate(invalid="raise", divide="raise"):
         if pairs:
             x = _split(0, n // 2, job, T.minus, T.plus, decode)
         else:
-            leaves = _leaves(T)
-            del T
+            leaves = T.messages if awgn else _leaves(T)
+            del T, seen
             x = decode(leaves, 0, job)
-    return job.decisions, x.astype(np.intp, copy=False)
+    return job.decisions, x.astype(job.decisions.dtype, copy=False)
 
 
 class PairTables:
@@ -433,10 +443,26 @@ def _take(m, key):
     return np.take(m[..., 0, :], key, axis=-1)
 
 
+def _awgn_leaves(ch, y):
+    """(n, B) outputs y of the AWGN channel ch as :func:`sc_decode_batch` takes
+    them: from the clip and squares s0, s1 of ``ch.likelihood_batch(y)``, its
+    leaf messages, bit s0 > s1 and ratio exp(-|s0 - s1| / 2 sigma^2).  Only at
+    ratio 1, where no symbol leads, may the bit differ from its argmax."""
+    y = np.clip(y, -2.0**40, 2.0**40)
+    r = np.subtract(1.0, y)
+    np.square(r, out=r)
+    r -= np.square(np.subtract(-1.0, y, out=y), out=y)
+    del y
+    bit = r > 0  # s0 - s1 of two finite floats is 0 only where they are equal
+    np.negative(np.abs(r, out=r), out=r)
+    r /= 2 * ch.sigma2
+    return _AwgnLeaves((2, *bit.shape), (bit, np.exp(r, out=r), None))
+
+
 def _leaves(T):
-    """The leaf messages of (q, n, B) likelihoods; at q = 2 read without a copy."""
+    """The leaf messages of (q, n, B) likelihoods; at q = 2 from one copy of T[0]."""
     if len(T) == 2:
-        return _pair(False, T[0], T[1], None)
+        return _pair(False, np.array(T[0], dtype=float), T[1], None)
     T = np.asarray(T, dtype=float)
     return _normalize(T, out=np.empty(T.shape))
 
@@ -453,7 +479,8 @@ class _BatchJob:
         self.tie_uniforms = tie_uniforms
         self.force = force
         # frozen decisions are known before any message arrives
-        self.decisions = np.repeat(code.frozen_index_array[:, None], B, axis=1)
+        self.decisions = np.repeat(code.frozen_index_array[:, None].astype(
+            np.min_scalar_type(code.field.q - 1)), B, axis=1)
 
     def frozen_part(self, lo, span):
         """The propagated (span, B) codeword part of positions [lo, lo + span)
@@ -533,28 +560,37 @@ def _bit_rules(bit, r, dead):
     half = len(r) // 2
     b0, b1 = bit[:half], bit[half:]
     r0, r1 = r[:half], r[half:]
-    prod = r0 * r1
     # a message built from a dead one is dead
     dead = None if dead is None else dead[:half] | dead[half:]
 
+    def minus():
+        # 1 + r0*r1 at b0 ^ b1; no product outlives its rule
+        a = np.multiply(r0, r1)
+        a += 1.0
+        return _pair(b0 ^ b1, a, r0 + r1, dead)
+
     def plus(xl):
         # at b1 and the other: 1 and r0*r1 where x is 0, r0 and r1 where it is 1
-        x = b0 ^ b1 ^ xl
-        return _pair(b1, np.where(x, r0, 1.0), np.where(x, r1, prod), dead)
-    return lambda: _pair(b0 ^ b1, 1.0 + prod, r0 + r1, dead), plus
+        x = (b0 ^ b1) != xl  # bool also where PairTables passes int xl
+        c = np.multiply(r0, r1)
+        np.copyto(c, r1, where=x)
+        return _pair(b1, np.where(x, r0, 1.0), c, dead)
+    return minus, plus
 
 
 def _pair(bit, a, c, dead):
     """(argmax bit, min/max, dead) of messages a at ``bit`` and c at the other,
-    given the ``dead`` mask of their inputs; an all-zero message joins it."""
-    big = np.maximum(a, c, dtype=float)
+    given the ``dead`` mask of their inputs; an all-zero message joins it.
+    ``a``, a float array the caller owns, ends holding the maximum."""
+    bit = bit ^ (c > a)
     small = np.minimum(a, c, dtype=float)
+    big = np.maximum(a, c, out=a)
     if not big.all():
         zero = big == 0
         big[zero] = 1.0
         dead = zero if dead is None else dead | zero
     small /= big
-    return bit ^ (c > a), small, dead
+    return bit, small, dead
 
 
 def _normalize(t, out=None):

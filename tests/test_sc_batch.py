@@ -13,6 +13,7 @@ kernel's general (q, n, B) recursion on a q = 2 batch, the referee of the
 
 import gc
 import hashlib
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from qpolar import mc, rng, sc
-from qpolar.channel import FiniteChannel, qec, qsc
+from qpolar.channel import AwgnBpskChannel, FiniteChannel, qec, qsc
 from qpolar.code import PolarCode, polar_transform_indices
 from qpolar.construct import construct_info_set
 from qpolar.gf import default_field
@@ -226,6 +227,18 @@ def test_kernel_reads_any_memory_order_and_leaves_input_alone():
         assert np.array_equal(arr, before)
 
 
+def test_binary_kernel_leaves_its_input_alone():
+    # the q = 2 leaves take their maxima in a copy of T[0], never in T
+    code = _code(2, 6, 32)
+    likes, tie_u, _ = _batch_inputs(code, ebno_to_channel(0.0, 0.5), seed=3, b=500,
+                                    random_message=False)
+    before = likes.copy()
+    want_d, want_x = reference_sc_decode_batch(code, likes, tie_u)
+    got_d, got_x = _kernel(code, likes, tie_u)
+    assert np.array_equal(got_d, want_d) and np.array_equal(got_x, want_x)
+    assert np.array_equal(likes, before)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 16, 17, 131, 256])
 def test_minus_sum_order_matches_trailing_axis_reduce(q):
     # decisions absorb last-ulp differences in their tie tolerance, so the
@@ -351,7 +364,7 @@ def test_batch_decode_drops_t_once_the_root_messages_exist(q):
 def test_decode_tallies_frees_each_batch_array_after_its_last_read(monkeypatch, q):
     # the draws and outputs must be freed before the decoder runs (the
     # outputs of a finite channel once its level-1 keys exist, the AWGN
-    # outputs once their likelihoods do), and a batch's decisions and
+    # outputs once their leaf messages do), and a batch's decisions and
     # codeword before the next batch draws anything
     if q == 2:
         code, ch = _code(2, 5, 16), ebno_to_channel(1.0, 0.5)
@@ -376,7 +389,7 @@ def test_decode_tallies_frees_each_batch_array_after_its_last_read(monkeypatch, 
 
     def decode(code, T, *args, **kwargs):
         assert refs["noise"]() is None and refs["y"]() is None, "draws or outputs alive"
-        assert isinstance(T, sc._PairOutputs) == (q > 2)
+        assert isinstance(T, sc._AwgnLeaves if q == 2 else sc._PairOutputs)
         out = real_decode(code, T, *args, **kwargs)
         refs["decoded"] = [weakref.ref(a) for a in out]
         decodes.append(len(refs["decoded"]))
@@ -450,7 +463,7 @@ def test_binary_path_matches_the_general_recursion(case, m, genie):
     force = u.T if genie else None
     want_d, want_x = _general(code, T, draws, force)
     got_d, got_x = sc_decode_batch(code, T, draws, force=force)
-    assert got_x.dtype == want_x.dtype == np.intp
+    assert got_x.dtype == got_d.dtype == np.uint8
     assert np.array_equal(got_d, want_d) and np.array_equal(got_x, want_x)
 
 
@@ -779,3 +792,96 @@ def test_decode_tallies_takes_tables_where_they_fit_one_batch(monkeypatch, batch
     want = decode_tallies(code, ch, 6, 0, 5000, batch=100, random_message=True)
     assert got[0].sum() > 0
     assert all(np.array_equal(a, c) for a, c in zip(got, want))
+
+
+# Eb/N0 in dB at rate 1/2; a variance at which most leaf ratios underflow to
+# 0; and one at which outputs of +-1e-16, whose squares s0 and s1 differ by an
+# ulp, still have ratio 1, so that the leaf bit s0 > s1 is not the argmax bit
+# of the likelihoods there
+AWGN_ROUTE_CHANNELS = {f"{ebno}db": lambda ebno=ebno: ebno_to_channel(ebno, 0.5)
+                       for ebno in (-2.0, 0.0, 2.0, 6.0)} | {
+    "underflow": lambda: AwgnBpskChannel(F2, 1e-3), "ratio_one": lambda: AwgnBpskChannel(F2, 4.0)}
+
+
+@pytest.mark.parametrize("name", sorted(AWGN_ROUTE_CHANNELS))
+def test_awgn_leaf_route_equals_the_likelihood_route(name):
+    # decisions, codewords, dtypes and tie draws, bit for bit, on information
+    # sets whose root halves are live or one of them all frozen.  Some outputs
+    # are 0 (ratio 1, a tie), +-1e-16 and beyond the clip at 2^40
+    ch = AWGN_ROUTE_CHANNELS[name]()
+    b = 300
+    t_idx = np.arange(b, dtype=np.uint64)
+    gen = np.random.default_rng(7)
+    special = np.array([0.0, 1e-16, -1e-16, 2.0**41, -3e300])
+    for m in (1, 3, 6, 8):
+        n = 1 << m
+        for info in (range(n // 4, n), range(n // 2, n), range(n // 2)):
+            code = PolarCode(F2, m, info, gen.integers(0, 2, n - len(info)).tolist())
+            u = (rng.uniforms(m, t_idx, np.arange(2 * n, 3 * n)) < 0.5).astype(np.intp)
+            u[~code.info_mask] = code.frozen_index_array[~code.info_mask, None]
+            y = ch.sample_batch(polar_transform_indices(F2, u.T).T,
+                                rng.normals(m, t_idx, np.arange(n)))
+            spots = gen.random((n, b)) < 0.1
+            y[spots] = special[gen.integers(0, len(special), spots.sum())]
+            before = y.copy()
+            tie_u = rng.uniforms(m, t_idx, np.arange(n, 2 * n))
+            for force in (None, u):
+                leaves = sc._awgn_leaves(ch, y)
+                assert leaves.shape == (2, n, b) and np.array_equal(y, before)
+                ties, calls = _recording(tie_u)
+                got = sc_decode_batch(code, leaves, ties, force=force)
+                ties, want_calls = _recording(tie_u)
+                want = sc_decode_batch(code, ch.likelihood_batch(y), ties, force=force)
+                assert all(np.array_equal(a, c) and a.dtype == c.dtype == np.uint8
+                           for a, c in zip(got, want)), (m, len(info), force is None)
+                assert _same_calls(calls, want_calls)
+                assert calls  # the zero outputs tie
+    y[0, 0] = np.nan
+    with pytest.raises(ValueError, match="likelihoods must be finite"):
+        sc_decode_batch(code, sc._awgn_leaves(ch, y), tie_draws(tie_u))
+
+
+@pytest.mark.parametrize("case, batch, bound_mib", [
+    ("fig1", 2048, 13.0), ("fig1", 4096, 25.0), ("qsc16", 2048, 21.1)])
+def test_decode_tallies_peak_memory_is_bounded(case, batch, bound_mib):
+    # the tracemalloc peak of a two-batch call, after a warm-up call; the
+    # Fig. 1 AWGN route builds no likelihood array, and the decoder keeps no
+    # product past its rule.  2,048 blocks is the batch each of two threads
+    # decodes, 4,096 the genie set-up's
+    if case == "fig1":
+        code, ch, random_message = PolarCode(F2, 8, FIG1_INFO), ebno_to_channel(2.0, 0.5), False
+    else:
+        code, ch, random_message, _ = _finite_case("qsc16")
+    decode_tallies(code, ch, 3, 0, 64, batch=64, random_message=random_message)
+    tracemalloc.start()
+    try:
+        decode_tallies(code, ch, 3, 0, 2 * batch, batch=batch, random_message=random_message)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20
+
+
+@pytest.mark.parametrize("route", ["tables", "likelihoods", "awgn_leaves"])
+def test_decode_tallies_hands_the_kernel_a_t_of_shape_q_n_b(monkeypatch, route):
+    # every T the kernel receives has T's shape, (q, n, B), which the
+    # benchmark tracer unpacks into three numbers on each route
+    f16 = default_field(16)
+    code, ch, batch, kind = {
+        "tables": (_code(2, 3, 4), qsc(F2, Fraction(1, 10)), 100, sc._PairOutputs),
+        # |Y|^2 q = 4,096 level-1 keys against (n/2) B = 100: no tables
+        "likelihoods": (PolarCode(f16, 1, (1,)), qsc(f16, Fraction(1, 10)), 100, np.ndarray),
+        "awgn_leaves": (_code(2, 3, 4), ebno_to_channel(1.0, 0.5), 100, sc._AwgnLeaves),
+    }[route]
+    shapes = []
+    real_decode = mc.sc_decode_batch
+
+    def decode(code, T, *args, **kwargs):
+        assert isinstance(T, kind)
+        shapes.append(T.shape)
+        return real_decode(code, T, *args, **kwargs)
+
+    monkeypatch.setattr(mc, "sc_decode_batch", decode)
+    decode_tallies(code, ch, 2, 0, 250, batch=batch, random_message=True)
+    assert shapes == [(ch.q, code.n, 100), (ch.q, code.n, 100), (ch.q, code.n, 50)]
+    assert all(type(d) is int for shape in shapes for d in shape)
