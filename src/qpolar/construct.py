@@ -59,10 +59,11 @@ def _select_decreasing(estimates, k, m):
     """k indices with smallest estimates whose set is upward closed.
 
     Ties prefer the larger index.  Returns the set and the indices that
-    displaced naive top-k picks.  ``selected`` stays upward closed, so
-    one-bit supersets tell what an index still needs.  The pass always ends
-    with k indices: an index left out whose dominating indices all got in
-    was turned down only because it and they overfilled the set.
+    displaced naive top-k picks.  The indices that dominate i are those j >= i
+    with j & i == i; an index goes in together with the ones of them not yet
+    selected, while they fit.  The pass always ends with k indices: an index
+    left out whose dominating indices all got in was turned down only because
+    it and they overfilled the set.
     """
     n = 1 << m
     order = sorted(range(n), key=lambda i: (estimates[i], -i))
@@ -71,16 +72,7 @@ def _select_decreasing(estimates, k, m):
     for i in order:
         if len(selected) >= k:
             break
-        if i in selected:
-            continue
-        # i and the dominating indices it still needs, while they fit
-        need, stack = {i}, [i]
-        while stack and len(selected) + len(need) <= k:
-            d = stack.pop()
-            for e in (d | 1 << r for r in range(m)):
-                if e not in selected and e not in need:
-                    need.add(e)
-                    stack.append(e)
+        need = {j for j in range(i, n) if j & i == i} - selected
         if len(selected) + len(need) <= k:
             selected.update(need)
     swapped = sorted(selected - naive)

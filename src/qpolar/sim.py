@@ -3,19 +3,16 @@
 Transmits the all-zero codeword by default (message invariance makes that
 representative; a flag re-runs with random messages as an empirical check),
 decodes every trial with the vectorized SC decoder, and tallies message and
-codeword symbol errors per index.  The trials split into one contiguous
-range per CPU, each decoded on its own thread; every draw is counter indexed
-by (seed, trial), so tallies are identical for any CPU count, trial split or
-batch size and the ranges merge by plain integer addition.  The module holds
-the harness only: the ``simulate`` command writes its ``BerReport`` as CSV
-or JSON.
+codeword symbol errors per index.  One :func:`~qpolar.mc.decode_tallies`
+call decodes all trials and picks its own thread count; every draw is
+counter indexed by (seed, trial), so tallies are identical for any CPU
+count.  The module holds the harness only: the ``simulate`` command writes
+its ``BerReport`` as CSV or JSON.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -23,7 +20,7 @@ from scipy.special import chdtrc
 
 from .channel import AwgnBpskChannel, channel_to_json
 from .gf import _count, _real, default_field
-from .mc import DEFAULT_BATCH, decode_tallies
+from .mc import decode_tallies
 from .rng import checked_seed
 
 
@@ -138,28 +135,12 @@ class BerReport:
 def run_experiment(cfg):
     """Run the configured trials and return a validated BerReport.
 
-    The trials split into one contiguous range per CPU, each decoded on its
-    own thread (numpy releases the interpreter lock inside its array
-    operations) in batches of ``DEFAULT_BATCH // threads`` blocks, so the
-    blocks in flight stay one default batch whatever the CPU count.
+    One :func:`~qpolar.mc.decode_tallies` call decodes them all; it splits a
+    long job across the CPUs and runs a short one on one thread.
     """
     code = cfg.code
-    threads = os.cpu_count() or 1
-    bounds = [cfg.trials * s // threads for s in range(threads + 1)]
-
-    def one_range(s):
-        return decode_tallies(code, cfg.channel, cfg.seed, bounds[s], bounds[s + 1],
-                              batch=DEFAULT_BATCH // threads,
-                              random_message=cfg.random_message)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(one_range, range(threads)))
-
-    msg = np.zeros(code.n, dtype=np.int64)
-    cw = np.zeros(code.n, dtype=np.int64)
-    for m_err, c_err, _ in results:
-        msg += m_err
-        cw += c_err
+    msg, cw, _ = decode_tallies(code, cfg.channel, cfg.seed, 0, cfg.trials,
+                                random_message=cfg.random_message)
     report = BerReport(
         info_set=code.info_set,
         trials=cfg.trials,

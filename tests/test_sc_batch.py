@@ -13,6 +13,7 @@ kernel's general (q, n, B) recursion on a q = 2 batch, the referee of the
 
 import gc
 import hashlib
+import os
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -843,11 +844,12 @@ def test_awgn_leaf_route_equals_the_likelihood_route(name):
 
 @pytest.mark.parametrize("case, batch, bound_mib", [
     ("fig1", 2048, 13.0), ("fig1", 4096, 25.0), ("qsc16", 2048, 21.1)])
-def test_decode_tallies_peak_memory_is_bounded(case, batch, bound_mib):
-    # the tracemalloc peak of a two-batch call, after a warm-up call; the
-    # Fig. 1 AWGN route builds no likelihood array, and the decoder keeps no
-    # product past its rule.  2,048 blocks is the batch each of two threads
-    # decodes, 4,096 the genie set-up's
+def test_decode_tallies_peak_memory_is_bounded(monkeypatch, case, batch, bound_mib):
+    # the tracemalloc peak of a two-batch call on one thread, after a warm-up
+    # call; the Fig. 1 AWGN route builds no likelihood array, and the decoder
+    # keeps no product past its rule.  2,048 blocks is the batch each of two
+    # threads decodes, 4,096 the batch of a job on one thread
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     if case == "fig1":
         code, ch, random_message = PolarCode(F2, 8, FIG1_INFO), ebno_to_channel(2.0, 0.5), False
     else:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import qpolar
-from qpolar import sim
+from qpolar import mc
 from qpolar.cli import _plot_script, _write_report
 from qpolar.channel import FiniteChannel, qsc
 from qpolar.code import PolarCode
@@ -101,40 +102,71 @@ def test_monte_carlo_refuses_a_channel_over_another_field():
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
 def test_shard_pool_keeps_tallies(monkeypatch, cpus):
-    # the trials split into one range per CPU, each decoded on a pool thread
-    # in batches that keep one default batch in flight; the report, config
-    # included, is the same byte for byte, also with fewer trials than CPUs
-    ch = qsc(F2, Fraction(1, 10))
-    code = PolarCode(F2, 3, [3, 5, 6, 7])
+    # decode_tallies splits a job at n >= 64 of at least DEFAULT_BATCH trials
+    # into one contiguous range per CPU, each decoded on a pool thread in
+    # calls of batch // threads blocks, and decodes any other job on the
+    # calling thread.  Tallies, and reports with their config, are the same
+    # byte for byte for any CPU count, also with fewer trials than CPUs
+    bsc = qsc(F2, Fraction(1, 10))
+    small, big = PolarCode(F2, 3, [3, 5, 6, 7]), PolarCode(F2, 6, range(32, 64))
 
-    def blobs():
-        return [json.dumps(run_experiment(ExperimentConfig(
-            code, ch, trials=trials, seed=11, random_message=True)).to_json()).encode()
-            for trials in (9_000, 5)]
+    def report(code, trials):
+        return json.dumps(run_experiment(ExperimentConfig(
+            code, bsc, trials=trials, seed=11, random_message=True)).to_json()).encode()
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    want = blobs()
-    started, ranges, batches = [], [], []
+    def tallies(start, stop, batch=DEFAULT_BATCH):
+        return [a.tobytes() for a in decode_tallies(big, bsc, 5, start, stop, batch=batch,
+                                                    genie=True)[:2]]
+
+    started, tiles, calls = [], [], []
 
     class Pool(ThreadPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    def spy(code, ch, seed, start, stop, batch, **kwargs):
-        ranges.append((start, stop))
-        batches.append(batch)
-        return decode_tallies(code, ch, seed, start, stop, batch=batch, **kwargs)
+        def map(self, fn, *ranges):
+            tiles.append(list(zip(*ranges)))
+            return super().map(fn, *ranges)
 
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(sim, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr(sim, "decode_tallies", spy)
-    assert blobs() == want
-    assert started == [cpus, cpus]
-    assert batches == [DEFAULT_BATCH // cpus] * (2 * cpus)
-    # the ranges of each run tile its trials, one per thread
-    for trials, run in zip((9_000, 5), (sorted(ranges[:cpus]), sorted(ranges[cpus:]))):
-        assert [a for a, _ in run] == [0] + [b for _, b in run[:-1]] and run[-1][1] == trials
+    real_decode = mc.sc_decode_batch
+
+    def decode(code, T, *args, **kwargs):
+        calls.append((threading.get_ident(), T.shape[-1]))
+        return real_decode(code, T, *args, **kwargs)
+
+    def run_both(run):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        want = run()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        del started[:], tiles[:], calls[:]
+        assert run() == want
+        return {thread for thread, _ in calls}, [blocks for _, blocks in calls]
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(mc, "sc_decode_batch", decode)
+    # (run, first trial, trials, split by the rule): n = 8, too few trials at
+    # n = 64, random messages and genie mode at n = 64
+    for run, start, trials, split in [
+            (lambda: report(small, 9_000), 0, 9_000, False),
+            (lambda: report(small, 5), 0, 5, False),
+            (lambda: report(big, DEFAULT_BATCH - 1), 0, DEFAULT_BATCH - 1, False),
+            (lambda: report(big, DEFAULT_BATCH + 5), 0, DEFAULT_BATCH + 5, True),
+            (lambda: tallies(100, 100 + DEFAULT_BATCH), 100, DEFAULT_BATCH, True)]:
+        threads = cpus if split else 1
+        used, blocks = run_both(run)
+        assert started == ([threads] if threads > 1 else [])
+        assert (threading.get_ident() in used) == (threads == 1)
+        assert max(blocks) == min(DEFAULT_BATCH // threads, trials)
+        # the ranges tile the trials, one per thread
+        for tile in tiles:
+            assert len(tile) == threads and tile[0][0] == start
+            assert [a for a, _ in tile[1:]] == [b for _, b in tile[:-1]]
+            assert tile[-1][1] == start + trials
+    # a batch smaller than the thread count still decodes a block per call
+    monkeypatch.setattr(mc, "DEFAULT_BATCH", 16)  # so that 20 trials split
+    _, blocks = run_both(lambda: tallies(0, 20, batch=max(1, cpus - 1)))
+    assert started == ([cpus] if cpus > 1 else []) and blocks == [1] * 20
 
 
 @pytest.mark.parametrize("seed", [2.5, True, "2", None])

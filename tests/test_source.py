@@ -314,3 +314,26 @@ def test_the_counter_streams_are_the_one_random_source():
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
                       if name in RANDOM_SOURCES]
     assert found == []
+
+
+THREAD_MODULES = {"concurrent", "threading"}
+
+
+def test_only_the_trial_driver_starts_threads():
+    # the harness once split its trials across threads while the genie ranking
+    # and the estimator ran on one; mc.decode_tallies picks the thread count
+    # for every caller, so no other module grows a second split
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "mc.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] in THREAD_MODULES]
+    assert found == []
