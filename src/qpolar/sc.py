@@ -21,7 +21,9 @@ that recursion, and every decoder here is one of them:
   underflow at long block lengths.  Entries within the fixed relative
   tolerance ``DEFAULT_TIE_RTOL`` of the maximum count as tied.  At q = 2 it
   carries each message as its argmax bit and ratio r = min/max; at q > 2 it
-  takes each plus message row from the node's flat buffer.  On a finite
+  takes each plus message row from the node's flat buffer and, in
+  characteristic 2, builds the minus messages a block of rows at a time
+  from index-bit flips of the node's buffer.  On a finite
   channel it can start one level down, from :class:`PairTables`: the root's
   child messages of every output pair, the floats the root would compute.
   On the AWGN channel it starts from the leaf messages, computed from the
@@ -60,6 +62,7 @@ messages that are zero or built from one, and a dead leaf ties.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -79,6 +82,8 @@ _SYNTHETIC_CHUNK = 1 << 16
 _PairOutputs = namedtuple("_PairOutputs", "shape minus plus")
 # sc_decode_batch's T for AWGN outputs (_awgn_leaves): the (bit, ratio, dead) leaves
 _AwgnLeaves = namedtuple("_AwgnLeaves", "shape messages")
+# floats that one block of minus rows and its product buffer may hold (_minus)
+_MINUS_FLOATS = 1 << 16
 
 
 def _argmax_set(t):
@@ -366,11 +371,12 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
 
     Messages are scaled, tied, kept zero and skipped in rate-0 subtrees as
     the module docstring says.  They stay in T's symbol-major, block-innermost
-    layout, in one C-ordered normalized copy of T: the minus rule is q * q
-    multiply-adds over contiguous (n/2, B) slabs, each sum taken left to right
-    in u1 (so every minus message equals a plain left-to-right loop over u1),
-    each maximum over the symbol axis is q - 1 ``np.maximum`` calls, and the
-    plus rule is q 1-D takes from the node's flat buffer, one per row
+    layout, in one C-ordered normalized copy of T: the minus rule is q
+    multiply-adds per block of G rows over (G, n/2, B) slabs, G up to q in
+    characteristic 2 and 1 otherwise, each sum taken left to right in u1 (so
+    every minus message equals a plain left-to-right loop over u1; see
+    :func:`_minus`), each maximum over the symbol axis is one reduction, and
+    the plus rule is q 1-D takes from the node's flat buffer, one per row
     (:func:`_plus`).  At q = 2 they are (bit, ratio) pairs instead, built from
     one copy of T[0] (:func:`_decode_bits`).  The recursion runs under
     ``np.errstate(invalid="raise", divide="raise")``.  NaN arithmetic raises
@@ -424,7 +430,7 @@ class PairTables:
         k = np.arange(ny * ny * q)
         with np.errstate(invalid="raise", divide="raise"):
             leaves = _leaves(ch.likelihood_batch(np.stack([k // q // ny, k // q % ny])))
-            minus, plus = _bit_rules(*leaves) if q == 2 else _span_rules(leaves, ch.field.aff)
+            minus, plus = _bit_rules(*leaves) if q == 2 else _span_rules(leaves, ch.field)
             self.minus = _take(minus(), k[None, ::q])  # each repeats q times
             self.plus = plus(k[None] % q)
 
@@ -471,9 +477,9 @@ class _BatchJob:
     """Per-call constants and the decision array of one batch decode."""
 
     def __init__(self, code, B, tie_uniforms, force):
-        # aff[z, u] = index of z + alpha*u; serves both combining rules and
-        # the re-encoding.  At q = 2 that is z ^ u, on bool transforms
-        self.aff = code.field.aff
+        # the field's aff[z, u] = index of z + alpha*u serves both combining
+        # rules and the re-encoding.  At q = 2 that is z ^ u, on bool transforms
+        self.field = code.field
         self.binary = code.field.q == 2
         self.rate0 = code.rate0_transforms
         self.tie_uniforms = tie_uniforms
@@ -501,7 +507,7 @@ def _split(lo, half, job, minus, plus, decode):
     xh = job.frozen_part(lo + half, half)
     if xh is None:
         xh = decode(plus(xl), lo + half, job)
-    return np.concatenate([xl ^ xh if job.binary else job.aff[xl, xh], xh], axis=0)
+    return np.concatenate([xl ^ xh if job.binary else job.field.aff[xl, xh], xh], axis=0)
 
 
 def _decode_span(tb, lo, job):
@@ -525,15 +531,15 @@ def _decode_span(tb, lo, job):
         if job.force is not None:
             u = job.force[lo]
         return u[None, :]
-    return _split(lo, span // 2, job, *_span_rules(tb, job.aff), _decode_span)
+    return _split(lo, span // 2, job, *_span_rules(tb, job.field), _decode_span)
 
 
-def _span_rules(tb, aff):
+def _span_rules(tb, field):
     """The rules of a node with normalized (q, 2h, B) messages tb: the
     normalized minus and plus messages of its children."""
     half = tb.shape[1] // 2
-    return (lambda: _normalize(_minus(tb[:, :half], tb[:, half:], aff)),
-            lambda xl: _normalize(_plus(tb, xl, aff)))
+    return (lambda: _normalize(_minus(tb[:, :half], tb[:, half:], field)),
+            lambda xl: _normalize(_plus(tb, xl, field.aff)))
 
 
 def _decode_bits(msg, lo, job):
@@ -596,9 +602,7 @@ def _pair(bit, a, c, dead):
 def _normalize(t, out=None):
     """Scale each message (axis 0) to maximum 1, in place or into ``out``, and
     return the result; an all-zero message stays zero."""
-    mx = np.maximum(t[0], t[1])
-    for row in t[2:]:
-        np.maximum(mx, row, out=mx)
+    mx = t.max(axis=0)
     if not mx.all():
         mx[mx == 0] = 1.0
     return np.divide(t, mx, out=t if out is None else out)
@@ -624,14 +628,37 @@ def _plus(tb, xl, aff):
     return out
 
 
-def _minus(t0, t1, aff):
+def _minus(t0, t1, field):
     """minus[u] = sum_u1 t0[aff[u, u1]] * t1[u1] over (q, h, B) messages,
-    summed left to right in u1."""
-    out = np.empty_like(t0)
-    tmp = np.empty_like(t0[0])
-    for acc, row in zip(out, aff):
-        np.multiply(t0[row[0]], t1[0], out=acc)
-        for u1 in range(1, len(row)):
-            np.multiply(t0[row[u1]], t1[u1], out=tmp)
+    summed left to right in u1, G = 2^m rows at a time.  In characteristic 2
+    row u reads t0[u ^ c] for c = aff[0, u1], so the rows u = g*G + r read
+    t0's rows (g ^ (c >> m))*G + r, r's m bits flipped by c: a view of the
+    (q/G, 2, ..., 2, h, B) reshape of t0, reversed on those bits' axes.  Each
+    (g, u1) is then one multiply and one add over G rows.  G is the largest
+    that keeps a block and its product within ``_MINUS_FLOATS`` floats, and 1
+    (one row at a time) in odd characteristic."""
+    q, h, B = t0.shape
+    m = field.s if field.p == 2 else 0
+    while m and (2 << m) * h * B > _MINUS_FLOATS:
+        m -= 1
+    shape = (q >> m,) + (2,) * m + (h, B)
+    out = np.empty((q, h, B))
+    src = t0.reshape(shape)
+    tmp = np.empty(shape[1:])
+    for acc, row in zip(out.reshape(shape), _minus_plan(field, m)):
+        np.multiply(src[row[0]], t1[0], out=acc)
+        for u1 in range(1, q):
+            np.multiply(src[row[u1]], t1[u1], out=tmp)
             acc += tmp
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _minus_plan(field, m):
+    """The t0 views of :func:`_minus` with G = 2^m rows a block: entry [g][u1]
+    indexes t0's block aff[g*G, u1] // G, with the axis of bit k reversed
+    where c = aff[0, u1] has bit k (axis 0 is bit m - 1)."""
+    aff = field.aff
+    flips = [tuple(slice(None, None, -1 if c >> k & 1 else 1) for k in reversed(range(m)))
+             for c in aff[0].tolist()]
+    return [[(v >> m,) + f for v, f in zip(row, flips)] for row in aff[::1 << m].tolist()]

@@ -244,8 +244,12 @@ def test_binary_kernel_leaves_its_input_alone():
 def test_minus_sum_order_matches_trailing_axis_reduce(q):
     # decisions absorb last-ulp differences in their tie tolerance, so the
     # summation order is checked on the minus messages themselves, against
-    # a reduction over the trailing u1 axis in plain Python floats, left to
-    # right
+    # a reduction over the trailing u1 axis, left to right: in plain Python
+    # floats on one small case, and by one gather per u1 on block-major
+    # copies over every (h, B) below.  In characteristic 2 the kernel takes
+    # blocks of G rows at a time, and these shapes run every G from 1 to q
+    # (up to q = 16; trimmed above q = 100, which runs G = 128 and 256 at
+    # q = 256).  B = 1 is kept: numpy sums a one-column reduction pairwise
     f = default_field(q)
     aff = f.aff.tolist()
     gen = np.random.default_rng(q)
@@ -260,8 +264,54 @@ def test_minus_sum_order_matches_trailing_axis_reduce(q):
                 for u1 in range(1, q):
                     acc += a0[row[u1]] * a1[u1]
                 want[blk, j, u] = acc
-    got = _minus(t0.transpose(2, 1, 0).copy(), t1.transpose(2, 1, 0).copy(), np.array(aff))
+    got = _minus(t0.transpose(2, 1, 0).copy(), t1.transpose(2, 1, 0).copy(), f)
     assert np.array_equal(got, want.transpose(2, 1, 0))
+    for h in (1, 2, 4, 8, 16, 32):
+        for b in (1, 7) if q > 100 else (1, 7, 2048):
+            # a (q, 2h, B) node buffer, as the kernel slices it, with an
+            # all-zero message in each half and an all-zero symbol row in t0
+            tb = gen.random((q, 2 * h, b)) ** 4
+            tb[:, 0, -1] = tb[:, -1, 0] = tb[q // 2, :h] = 0.0
+            t0, t1 = tb[:, :h].T, tb[:, h:].T  # (B, h, q)
+            want = t0[..., f.aff[:, 0]] * t1[..., :1]
+            for u1 in range(1, q):
+                want += t0[..., f.aff[:, u1]] * t1[..., u1:u1 + 1]
+            got = _minus(tb[:, :h], tb[:, h:], f)
+            assert np.array_equal(got, want.T), (h, b)
+
+
+@pytest.mark.parametrize("q", [3, 4, 16, 17])
+def test_normalize_divides_each_message_by_its_maximum(q):
+    # against plain Python floats: every message (axis 0) over its largest
+    # entry, an all-zero message left zero, in place or into ``out``
+    gen = np.random.default_rng(q)
+    t = gen.random((q, 4, 40)) ** 4
+    t[:, 1, 3] = t[:, 0, 39] = 0.0
+    want = np.empty_like(t)
+    for j in range(4):
+        for blk in range(40):
+            col = t[:, j, blk].tolist()
+            mx = max(col)
+            want[:, j, blk] = [v / mx if mx else 0.0 for v in col]
+    got = _normalize(t, out=np.empty(t.shape))
+    assert np.array_equal(got, want)
+    assert np.array_equal(_normalize(t), want) and np.array_equal(t, want)
+
+
+def test_one_minus_call_holds_about_three_messages_arrays():
+    # at q = 16, h = 1, B = 2,048 one _minus call allocates its output and a
+    # product buffer of at most the same size; a (q, q, h, B) gather of t0
+    # would hold sixteen such arrays
+    f = default_field(16)
+    tb = np.random.default_rng(5).random((16, 2, 2048))
+    _minus(tb[:, :1], tb[:, 1:], f)  # warm-up
+    tracemalloc.start()
+    try:
+        _minus(tb[:, :1], tb[:, 1:], f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * 2048 * 8
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 16, 17, 131, 256])
