@@ -249,7 +249,8 @@ def test_minus_sum_order_matches_trailing_axis_reduce(q):
     # copies over every (h, B) below.  In characteristic 2 the kernel takes
     # blocks of G rows at a time, and these shapes run every G from 1 to q
     # (up to q = 16; trimmed above q = 100, which runs G = 128 and 256 at
-    # q = 256).  B = 1 is kept: numpy sums a one-column reduction pairwise
+    # q = 256).  B = 1 stays in the sweep: where a reduction over u1 is one
+    # column wide numpy sums it pairwise, not left to right
     f = default_field(q)
     aff = f.aff.tolist()
     gen = np.random.default_rng(q)
@@ -299,9 +300,9 @@ def test_normalize_divides_each_message_by_its_maximum(q):
 
 
 def test_one_minus_call_holds_about_three_messages_arrays():
-    # at q = 16, h = 1, B = 2,048 one _minus call allocates its output and a
-    # product buffer of at most the same size; a (q, q, h, B) gather of t0
-    # would hold sixteen such arrays
+    # at q = 16, h = 1, B = 2,048 one _minus call allocates its output, a
+    # product buffer of at most the same size and numpy's iteration buffers;
+    # a (q, q, h, B) gather of t0 would hold sixteen such arrays
     f = default_field(16)
     tb = np.random.default_rng(5).random((16, 2, 2048))
     _minus(tb[:, :1], tb[:, 1:], f)  # warm-up
