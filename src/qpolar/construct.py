@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .code import PolarCode, check_condition_A
 from .gf import _count, _integer
@@ -118,10 +119,10 @@ def construct_info_set(field, m, k, ch, method=None):
         return a
 
     if method is None:
-        if ch.kind not in ("qsc", "qec"):
-            raise ValueError(f"the erasure ranking needs a qsc or qec channel, not {ch.kind!r}; "
+        if ch.config["kind"] not in ("qsc", "qec"):
+            raise ValueError(f"the erasure ranking needs a qsc or qec channel, not {ch!r}; "
                              "give GenieMC(trials, seed) for AWGN, or Manual(info_set)")
-        eps = ch.params["epsilon"]
+        eps = Fraction(ch.config["epsilon"])
         estimates = _erasure_numerators(m, eps.numerator, eps.denominator)
     elif isinstance(method, GenieMC):
         estimates = genie_mc_rank(field, m, ch, method.trials, method.seed)

@@ -65,6 +65,13 @@ def _real(value, what):
     raise ValueError(f"{what} must be a real number in the float range, got {value!r}")
 
 
+def _flag(value, what):
+    """``value`` as a bool: the package's one flag rule: a Python or numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be true or false, got {value!r}")
+    return bool(value)
+
+
 def _sequence(values, what):
     """``values`` as a tuple; a value that is not a sequence raises ValueError."""
     try:

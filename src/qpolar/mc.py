@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng
 from .code import polar_transform_indices
-from .gf import _count, _integer
+from .gf import _count, _flag, _integer
 from .sc import PairTables, _awgn_leaves, _check_field, sc_decode_batch
 
 # Blocks in flight per call, across its threads; tallies do not depend on
@@ -64,6 +64,7 @@ def decode_tallies(code, ch, seed, start, stop, batch=DEFAULT_BATCH,
         raise ValueError(f"trials [{start!r}, {stop!r}) are not a range of indices >= 0")
     # a negative batch would count every trial error-free
     _count(batch, "batch")
+    genie, random_message = _flag(genie, "genie"), _flag(random_message, "random_message")
     field = code.field
     _check_field(field, ch)
     n, q = code.n, field.q

@@ -18,33 +18,19 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 from scipy.special import chdtrc
 
-from .channel import AwgnBpskChannel, channel_to_json
-from .gf import _count, _real, default_field
+from .channel import _ebno_channel, channel_to_json
+from .gf import _count, _flag, default_field
 from .mc import decode_tallies
 from .rng import checked_seed
 
 
-def ebno_to_channel(ebno_db, rate, field=None):
-    """AWGN/BPSK channel at a given Eb/N0; Eb accounts for the code rate.
+def ebno_to_channel(ebno_db, rate):
+    """AWGN/BPSK channel at a given Eb/N0 in dB; Eb accounts for the code rate.
 
-    Unit-energy BPSK: sigma^2 = 1 / (2 * rate * 10^(ebno_db/10)).
+    Unit-energy BPSK: sigma^2 = 1 / (2 * rate * 10^(ebno_db/10)), rate in
+    (0, 1].  The channel's config records the pair it was built from.
     """
-    # the channel rejects the zero, infinite or NaN variance that an
-    # infinite, NaN or extreme value gives
-    ebno_db, rate = _real(ebno_db, "ebno_db"), _real(rate, "rate")
-    if rate <= 0 or rate > 1:
-        raise ValueError(f"rate must lie in (0, 1], got {rate}")
-    if field is None:
-        field = default_field(2)
-    try:
-        sigma2 = 1.0 / (2.0 * rate * 10.0 ** (ebno_db / 10.0))
-    except OverflowError:  # 10^(ebno_db/10) beyond the floats
-        sigma2 = 0.0
-    except ZeroDivisionError:  # 10^(ebno_db/10) rounded to 0
-        sigma2 = math.inf
-    ch = AwgnBpskChannel(field, sigma2)
-    ch.params.update({"ebno_db": ebno_db, "rate": rate})
-    return ch
+    return _ebno_channel(ebno_db, rate, default_field(2))
 
 
 @dataclass
@@ -57,8 +43,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.trials, self.seed = _count(self.trials, "trials"), checked_seed(self.seed)
-        if type(self.random_message) is not bool:
-            raise ValueError(f"random_message must be true or false, got {self.random_message!r}")
+        self.random_message = _flag(self.random_message, "random_message")
 
     def to_json(self):
         return {

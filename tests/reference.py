@@ -452,8 +452,7 @@ def polarize(ch):
                     acc += ch.matrix[xin][y0] * ch.matrix[u1][y1]
                 row.append(inv_q * acc)
         minus_matrix.append(row)
-    minus = FiniteChannel(field, minus_matrix,
-                          kind="minus", params={"base": ch.kind, "alpha": alpha.index})
+    minus = FiniteChannel(field, minus_matrix)
 
     # plus: outputs are triples (y0, y1, u0), index = (y0 * ny + y1) * q + u0
     plus_matrix = []
@@ -466,8 +465,7 @@ def polarize(ch):
                     row.append(inv_q * ch.matrix[xin][y0] * ch.matrix[u][y1])
         plus_matrix.append(row)
 
-    plus = FiniteChannel(field, plus_matrix,
-                         kind="plus", params={"base": ch.kind, "alpha": alpha.index})
+    plus = FiniteChannel(field, plus_matrix)
     return minus, plus
 
 

@@ -55,7 +55,7 @@ def test_criterion_1_equal_ser_exact():
                     ok, detail = check_equal_ser(code, ch)
                     cases += 1
                     if not ok:
-                        failures.append((q, ch.kind, m, info, detail))
+                        failures.append((q, ch.config["kind"], m, info, detail))
     ok = not failures
     assert _emit(1, "equal SER, exact, all decreasing sets", ok,
                  f"{cases} code/channel cases, rational equality"), failures
@@ -75,7 +75,7 @@ def test_criterion_2_condition_necessity():
                     code4 = PolarCode(field, 2, info)
                     equal = len(set(exact_average_ser(code4, ch).per_index)) == 1
                     if equal != code4.is_decreasing:
-                        mismatches.append((q, ch.kind, info, equal))
+                        mismatches.append((q, ch.config["kind"], info, equal))
     ok = per == (Fraction(9, 50), Fraction(0)) and not mismatches
     assert _emit(2, "non-decreasing counterexample", ok,
                  f"SER vector {per[0]}, {per[1]} at n=2; equal SER iff decreasing "
@@ -191,7 +191,7 @@ def test_criterion_6_polarized_channels_symmetric():
             try:
                 minus, plus = polarize(base)
             except ValueError as exc:
-                failures.append((q, base.kind, str(exc)))
+                failures.append((q, base.config["kind"], str(exc)))
                 continue
             ny = base.num_outputs
             # canonical forms: sigma_b(y0,y1) = (y0+b, y1) on the check side,
@@ -200,27 +200,27 @@ def test_criterion_6_polarized_channels_symmetric():
                 for name, half in (("minus", minus), ("plus", plus)):
                     kept = [half.shift(y, b) for y in range(half.num_outputs)]
                     if not _family_holds(half, kept, lambda x: add[x][b.index]):
-                        failures.append((q, base.kind, f"{name}-kept-sigma", b.index))
+                        failures.append((q, base.config["kind"], f"{name}-kept-sigma", b.index))
                 want_m = [base.shift(y0, b) * ny + y1
                           for y0 in range(ny) for y1 in range(ny)]
                 if not _family_holds(minus, want_m, lambda x: add[x][b.index]):
-                    failures.append((q, base.kind, "minus-sigma", b.index))
+                    failures.append((q, base.config["kind"], "minus-sigma", b.index))
                 want_p = [(base.shift(y0, alpha * b) * ny + base.shift(y1, b)) * q + u0
                           for y0 in range(ny) for y1 in range(ny) for u0 in range(q)]
                 if not _family_holds(plus, want_p, lambda x: add[x][b.index]):
-                    failures.append((q, base.kind, "plus-sigma", b.index))
+                    failures.append((q, base.config["kind"], "plus-sigma", b.index))
             for a in field.elements:
                 if not a:
                     continue
                 want_m = [base.scale(y0, a) * ny + base.scale(y1, a)
                           for y0 in range(ny) for y1 in range(ny)]
                 if not _family_holds(minus, want_m, lambda x: mul[a.index][x]):
-                    failures.append((q, base.kind, "minus-pi", a.index))
+                    failures.append((q, base.config["kind"], "minus-pi", a.index))
                 want_p = [(base.scale(y0, a) * ny + base.scale(y1, a)) * q
                           + mul[a.index][u0]
                           for y0 in range(ny) for y1 in range(ny) for u0 in range(q)]
                 if not _family_holds(plus, want_p, lambda x: mul[a.index][x]):
-                    failures.append((q, base.kind, "plus-pi", a.index))
+                    failures.append((q, base.config["kind"], "plus-pi", a.index))
     ok = not failures
     assert _emit(6, "one-step channels stay symmetric", ok,
                  "minus/plus of QSC and QEC, q=2,3,4, canonical permutations"), failures

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -134,7 +135,7 @@ def test_rows_must_sum_to_one():
 def test_finite_channel_takes_its_outputs_from_the_matrix_width():
     f2 = default_field(2)
     ch = FiniteChannel(f2, [["2/3", "0", "1/3"], ["0", "2/3", "1/3"]])
-    assert ch.num_outputs == 3 and ch.kind == "table"
+    assert ch.num_outputs == 3 and ch.config["kind"] == "table"
     assert ch.matrix_float.shape == ch.cumulative_float.shape == (2, 3)
     with pytest.raises(ValueError, match="row 1 has 2 entries, expected 3"):
         FiniteChannel(f2, [["2/3", "0", "1/3"], ["1/3", "2/3"]])
@@ -390,19 +391,84 @@ def test_awgn_rejects_a_noise_variance_that_is_not_finite_and_positive(sigma2):
         AwgnBpskChannel(default_field(2), sigma2)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: qsc(default_field(4), Fraction(1, 10)),
-    lambda: qec(default_field(4), Fraction(1, 3)),
-    lambda: FiniteChannel(default_field(2), [["7/10", "1/10", "1/10", "1/10"],
-                                             ["1/10", "7/10", "1/10", "1/10"]]),
-    lambda: AwgnBpskChannel(default_field(2), 0.631),
-    lambda: ebno_to_channel(2.0, 0.5),
-], ids=["qsc", "qec", "table", "awgn_sigma2", "awgn_ebno"])
-def test_channel_config_round_trip_is_exact(make):
+CONFIG_CHANNELS = {
+    "qsc": lambda: qsc(default_field(4), Fraction(1, 10)),
+    "qec": lambda: qec(default_field(4), Fraction(1, 3)),
+    "table": lambda: FiniteChannel(default_field(2), [["7/10", "1/10", "1/10", "1/10"],
+                                                      ["1/10", "7/10", "1/10", "1/10"]]),
+    "zero_table": lambda: FiniteChannel(default_field(2), [["2/3", "0", "1/3"],
+                                                           ["0", "2/3", "1/3"]]),
+    "polarized": lambda: polarize(qec(default_field(3), Fraction(1, 3)))[1],
+    "awgn_sigma2": lambda: AwgnBpskChannel(default_field(2), 0.631),
+    "awgn_ebno": lambda: ebno_to_channel(2.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", CONFIG_CHANNELS)
+def test_channel_config_round_trip_is_exact(name):
     # the Eb/N0 pair was once dropped for the sigma2 written beside it, so a
-    # report's embedded config did not reproduce its own config block
-    obj = channel_to_json(make())
-    assert channel_to_json(channel_from_json(obj)) == obj
+    # report's embedded config did not reproduce its own config block; a
+    # polarized channel once had no config at all
+    ch = CONFIG_CHANNELS[name]()
+    obj = channel_to_json(ch)
+    rebuilt = channel_from_json(obj)
+    assert channel_to_json(rebuilt) == obj
+    if ch.is_finite:
+        assert rebuilt.matrix == ch.matrix
+    else:
+        assert rebuilt.sigma2 == ch.sigma2
+
+
+F2_JSON = {"p": 2, "s": 1, "modulus": [0], "alpha": [1]}
+F4_JSON = {"p": 2, "s": 2, "modulus": [1, 1], "alpha": [0, 1]}
+WRITTEN = {
+    "qsc": {"kind": "qsc", "field": F4_JSON, "epsilon": "1/10"},
+    "qec": {"kind": "qec", "field": F4_JSON, "epsilon": "1/3"},
+    "table": {"kind": "table", "field": F2_JSON,
+              "matrix": [["7/10", "1/10", "1/10", "1/10"], ["1/10", "7/10", "1/10", "1/10"]]},
+    "zero_table": {"kind": "table", "field": F2_JSON,
+                   "matrix": [["2/3", "0/1", "1/3"], ["0/1", "2/3", "1/3"]]},
+    "awgn_sigma2": {"kind": "awgn_bpsk", "field": F2_JSON, "sigma2": 0.631},
+    "awgn_ebno": {"kind": "awgn_bpsk", "field": F2_JSON, "sigma2": 0.6309573444801932,
+                  "ebno_db": 2.0, "rate": 0.5},
+}
+
+
+@pytest.mark.parametrize("name", WRITTEN)
+def test_channel_config_writes_the_pinned_json(name):
+    # reports embed these objects, so their JSON must not change
+    assert json.loads(json.dumps(channel_to_json(CONFIG_CHANNELS[name]()))) == WRITTEN[name]
+
+
+@pytest.mark.parametrize("name", CONFIG_CHANNELS)
+def test_channel_config_is_read_only(name):
+    # like the float law: a write would change what every later report embeds
+    ch = CONFIG_CHANNELS[name]()
+    with pytest.raises(TypeError):
+        ch.config["kind"] = "qsc"
+    rows = ch.config.get("matrix", ())
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+
+
+@pytest.mark.parametrize("name", CONFIG_CHANNELS)
+def test_editing_a_written_config_leaves_the_channel_as_it_was(name):
+    ch = CONFIG_CHANNELS[name]()
+    obj = channel_to_json(ch)
+    want = json.dumps(obj, sort_keys=True)
+    obj.update(kind="qsc", epsilon="1/2", sigma2=9.0, matrix=())
+    obj["field"]["modulus"].append(1)
+    assert json.dumps(channel_to_json(ch), sort_keys=True) == want
+
+
+def test_a_caller_cannot_name_the_kind_of_a_finite_channel():
+    # FiniteChannel(f2, identity, kind="qsc", params={"epsilon": 1/2}) once
+    # wrote a config that rebuilt BSC(1/2), and the erasure ranking ranked
+    # the noiseless channel as that BSC
+    f2 = default_field(2)
+    with pytest.raises(TypeError):
+        FiniteChannel(f2, [[1, 0], [0, 1]], kind="qsc")
+    ident = FiniteChannel(f2, [[1, 0], [0, 1]])
+    assert channel_from_json(channel_to_json(ident)).matrix == ident.matrix
 
 
 def test_awgn_config_rejects_a_variance_its_ebno_pair_does_not_give():
@@ -419,8 +485,7 @@ def test_config_epsilon_parses_as_the_constructors_do():
     for kind, make in (("qsc", qsc), ("qec", qec)):
         for eps in (0.1, "0.1", "1/10", Fraction(1, 10)):
             ch = channel_from_json({"kind": kind, "epsilon": eps}, f)
-            assert ch.params == make(f, eps).params == {"epsilon": Fraction(1, 10)}
-            assert channel_to_json(ch)["epsilon"] == "1/10"
+            assert ch.config == make(f, eps).config == {"kind": kind, "epsilon": "1/10"}
 
 
 @pytest.mark.parametrize("value", [True, False, float("inf"), float("-inf"), float("nan")])

@@ -146,7 +146,7 @@ def test_method_preconditions():
     with pytest.raises(ValueError, match="erasure ranking needs a qsc or qec channel"):
         construct_info_set(F2, 2, 1, ident)
     with pytest.raises(ValueError, match=r"GenieMC\(trials, seed\) for AWGN"):
-        construct_info_set(F2, 2, 1, ebno_to_channel(2.0, 0.5, F2))
+        construct_info_set(F2, 2, 1, ebno_to_channel(2.0, 0.5))
 
 
 @pytest.mark.parametrize("seed", [2.5, -1, 2**64])

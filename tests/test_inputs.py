@@ -1,7 +1,8 @@
 """Every public entry reads its numbers by the package's one rule.  One that
 takes a count, an index or a bit position refuses a bool or a float with a
-ValueError, and runs on a numpy integer, kept as a Python int; the block
-readers refuse the outputs the command line once refused for them."""
+ValueError, and runs on a numpy integer, kept as a Python int; one that
+takes a flag refuses anything but a bool; the block readers refuse the
+outputs the command line once refused for them."""
 
 from fractions import Fraction
 
@@ -93,6 +94,32 @@ def test_configs_refuse_a_seed_no_run_accepts_when_built(build, seed):
         build(seed)
 
 
+# entry -> a call that passes v where the entry takes a flag.  decode_tallies
+# once ran random_message="no" with random messages and genie="no" in genie
+# mode, while ExperimentConfig refused them by a check of its own
+FLAG_ENTRIES = {
+    "ExperimentConfig random_message": lambda v: ExperimentConfig(
+        CODE, BSC, trials=4, seed=1, random_message=v).random_message,
+    "decode_tallies random_message": lambda v: decode_tallies(CODE, BSC, 1, 0, 4,
+                                                              random_message=v),
+    "decode_tallies genie": lambda v: decode_tallies(CODE, BSC, 1, 0, 4, genie=v),
+}
+
+
+@pytest.mark.parametrize("value", ["no", 1, None], ids=["string", "int", "None"])
+@pytest.mark.parametrize("entry", sorted(FLAG_ENTRIES))
+def test_every_flag_entry_reads_one_rule(entry, value):
+    with pytest.raises(ValueError, match=f"must be true or false, got {value!r}"):
+        FLAG_ENTRIES[entry](value)
+
+
+def test_a_numpy_bool_flag_reads_as_a_python_bool():
+    assert FLAG_ENTRIES["ExperimentConfig random_message"](np.bool_(True)) is True
+    for entry in ("decode_tallies random_message", "decode_tallies genie"):
+        got, want = FLAG_ENTRIES[entry](np.bool_(True)), FLAG_ENTRIES[entry](True)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_default_field_reads_its_size_by_the_rule():
     # 4.0 once ended in a TypeError
     with pytest.raises(ValueError, match="field size 4.0 is not an integer"):
@@ -124,4 +151,4 @@ def test_finite_block_readers_take_integer_output_indices_only(decode, bad):
 def test_awgn_point_decoder_takes_real_outputs_only(bad):
     # True and "2" once read as 1.0 and 2.0, and 10**400 ended in an OverflowError
     with pytest.raises(ValueError, match="AWGN output must be a real number"):
-        sc_decode(CODE, ebno_to_channel(2.0, 0.5, F2), [0.3, bad, -1.1, 0.7])
+        sc_decode(CODE, ebno_to_channel(2.0, 0.5), [0.3, bad, -1.1, 0.7])

@@ -94,7 +94,7 @@ def test_exact_lex_decodes_equal_reference_on_random_outputs(q, eps, make, m):
 
 
 FLOAT_CASES = {
-    "awgn_q2_n256": (2, 8, lambda f: ebno_to_channel(2.0, 0.5, f)),
+    "awgn_q2_n256": (2, 8, lambda f: ebno_to_channel(2.0, 0.5)),
     "qsc_q3_n64": (3, 6, lambda f: qsc(f, Fraction(1, 5))),
     "qsc_q16_n64": (16, 6, lambda f: qsc(f, Fraction(1, 10))),
 }
@@ -122,7 +122,7 @@ def test_awgn_point_decode_rejects_non_finite_output(bad):
     code = PolarCode(F2, 2, [1, 2, 3])
     y = [0.3, -1.1, bad, 0.7]
     with pytest.raises(ValueError, match="finite reals"):
-        sc_decode(code, ebno_to_channel(2.0, 0.5, F2), y)
+        sc_decode(code, ebno_to_channel(2.0, 0.5), y)
 
 
 def test_exact_point_decode_beyond_distribution_cap():

@@ -261,7 +261,7 @@ _QEC4 = qec(F4, Fraction(1, 3))
 _CODE4 = PolarCode(F4, 2, (1, 2, 3))
 _ERASED = (_QEC4.num_outputs - 1,) * 4  # every position ties
 _YS = [(0, 4, 1, 4), (2, 3, 4, 0), _ERASED]
-_AWGN = ebno_to_channel(2.0, 0.5, F2)
+_AWGN = ebno_to_channel(2.0, 0.5)
 _CODE2 = PolarCode(F2, 3, (3, 5, 6, 7))
 
 # calls that take or return FieldElements but must compute on indices.
