@@ -80,9 +80,12 @@ class FiniteChannel:
         self.matrix = tuple(rows)
         self.config = MappingProxyType({"kind": "table", "matrix": tuple(
             tuple(f"{v.numerator}/{v.denominator}" for v in row) for row in rows)})
-        # sigma_b realizes x -> b + x, pi_a realizes x -> a * x
-        self._sigma = _search_family(self.matrix, field._add.tolist(), range(q), "shift")
-        self._pi = _search_family(self.matrix, field._mul.tolist(), range(1, q), "scaling")
+        # value ids of the columns: equal entries share an id, hashed far faster
+        # than Fractions.  sigma_b realizes x -> b + x, pi_a realizes x -> a * x
+        ids = {}
+        cols = np.array([[ids.setdefault(v, len(ids)) for v in col] for col in zip(*rows)])
+        self._sigma = _search_family(cols, field._add, range(q), "shift")
+        self._pi = _search_family(cols, field._mul, range(1, q), "scaling")
         # float mirrors of the law, read-only like the field's tables
         self.matrix_float = np.array([[float(v) for v in row] for row in self.matrix])
         self.matrix_float.flags.writeable = False
@@ -227,41 +230,34 @@ def _ebno_channel(ebno_db, rate, field):
 
 # -- symmetry search -------------------------------------------------------
 
-def _search_family(matrix, table, keys, action):
+def _search_family(cols, table, keys, action):
     """Find output permutations realizing a family of input maps.
 
-    For each key the input map is g = ``table[key]`` (an index list), and we
-    search a permutation s of outputs with W[y|x] = W[s(y)|g(x)] for all
-    x, y.  Outputs with identical likelihood columns are interchangeable,
-    so we match columns up to that grouping.  A permutation found satisfies
-    its identity by construction, so the search is the whole check.
-    Returns ``{key: perm}``, or raises ``ValueError`` naming the first output
-    without a match and the ``action`` key it fails under.
+    ``cols[y, x]`` is an id of W[y|x], the same for equal values.  For each
+    key the input map is g = ``table[key]`` (an index array), and we search a
+    permutation s of outputs with W[y|x] = W[s(y)|g(x)] for all x, y.
+    Outputs with identical likelihood columns are interchangeable, so we
+    match columns, looked up by their bytes, up to that grouping.  A
+    permutation found satisfies its identity by construction, so the search
+    is the whole check.  Returns ``{key: perm}``, or raises ``ValueError``
+    naming the first output without a match and the ``action`` key it fails
+    under.
     """
-    q = len(matrix)
-    ny = len(matrix[0])
-    # columns of value ids: equal entries share an id, hashed far faster than Fractions
-    ids = {}
-    cols = [tuple(ids.setdefault(matrix[x][y], len(ids)) for x in range(q)) for y in range(ny)]
+    outputs = {}
+    for y, col in enumerate(cols):
+        outputs.setdefault(col.tobytes(), []).append(y)
     found = {}
     for key in keys:
-        g = table[key]
         # need col_{s(y)}[g(x)] = col_y[x], i.e. col_{s(y)} = col_y composed with g^{-1}
-        ginv = [0] * q
-        for x, gx in enumerate(g):
-            ginv[gx] = x
-        pool = {}
-        for y in range(ny):
-            pool.setdefault(cols[y], []).append(y)
-        perm = [None] * ny
-        for y in range(ny):
-            target = tuple(cols[y][ginv[x]] for x in range(q))
-            bucket = pool.get(target)
+        targets = cols[:, np.argsort(table[key])]
+        pool = {col: list(ys) for col, ys in outputs.items()}
+        perm = found[key] = []
+        for y, target in enumerate(targets):
+            bucket = pool.get(target.tobytes())
             if not bucket:
                 raise ValueError(f"channel is not F_q-symmetric: no output matches "
                                  f"y={y} under the {action} by index {key}")
-            perm[y] = bucket.pop()
-        found[key] = perm
+            perm.append(bucket.pop())
     return found
 
 

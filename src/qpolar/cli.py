@@ -264,9 +264,8 @@ _LEMMA_CHOICES = ("2", "3", "4", "5", "6", "7", "thm1")
 def _uniform_symbols(alphabet, n, samples, seed, first_slot):
     """For each trial in [0, samples), n symbols uniform over the alphabet, drawn
     from slots [first_slot, first_slot + n) of the harness's streams."""
-    k = len(alphabet)
     u = rng.uniforms(seed, range(samples), range(first_slot, first_slot + n))
-    return [[alphabet[v] for v in row] for row in (u * k).astype(int).clip(max=k - 1).T]
+    return [[alphabet[v] for v in row] for row in rng._pick(u, len(alphabet)).T]
 
 
 def _run_lemma(lemma, code, ch, samples, seed):

@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .gf import Field, _integer, _sequence, default_field
+from .gf import Field, _index, _integer, _sequence, default_field
 
 
 def check_condition_A(info_set, m):
@@ -31,10 +31,7 @@ def check_condition_A(info_set, m):
     the smallest such superset.
     """
     n = 1 << _integer(m, "m")
-    members = set(info_set)
-    for j in members:
-        if not 0 <= j < n:
-            raise ValueError(f"index {j} outside [0, {n})")
+    members = {_index(j, n, "index") for j in info_set}
     for j in sorted(members):
         for i in (j | 1 << r for r in range(m)):
             if i not in members:
@@ -113,10 +110,9 @@ class PolarCode:
         self.field = field
         self.m = m
         self.n = 1 << m
-        given = tuple(_integer(i, "information index") for i in _sequence(info_set, "info_set"))
+        given = tuple(_index(i, self.n, "information index")
+                      for i in _sequence(info_set, "info_set"))
         info = tuple(sorted(set(given)))
-        if info and not (0 <= info[0] and info[-1] < self.n):
-            raise ValueError(f"information indices outside [0, {self.n})")
         if len(info) != len(given):
             raise ValueError("information set contains duplicates")
         self.info_set = info

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .code import PolarCode, check_condition_A
-from .gf import _count, _integer
+from .gf import _count, _index, _integer
 from .mc import decode_tallies
 from .rng import checked_seed
 from .sc import _check_field
@@ -101,10 +101,8 @@ def construct_info_set(field, m, k, ch, method=None):
     channels only (using epsilon as an erasure proxy for the latter);
     :class:`GenieMC` ranks by genie-aided Monte Carlo on any channel.
     """
-    m, k = _integer(m, "m"), _integer(k, "k")
-    n = 1 << m
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} outside [0, {n}]")
+    m = _integer(m, "m")
+    k = _index(k, (1 << m) + 1, "k")
     _check_field(field, ch)
 
     if isinstance(method, Manual):

@@ -47,6 +47,13 @@ def _integer(value, what, refusal=None):
     return int(value)
 
 
+def _index(value, bound, what):
+    """``value`` as an int in [0, bound): the package's one index rule."""
+    if not 0 <= (value := _integer(value, what)) < bound:
+        raise ValueError(f"{what} {value} outside [0, {bound})")
+    return value
+
+
 def _count(value, what):
     """``value`` as an int >= 1: the package's one count rule."""
     if (value := _integer(value, what)) < 1:
@@ -81,16 +88,11 @@ def _sequence(values, what):
 
 
 def _coordinates(values, p, s, what):
-    """The s coordinates of a modulus or an element, each checked to be an
-    integer in [0, p)."""
+    """The s coordinates of a modulus or an element, each an index in [0, p)."""
     coeffs = _sequence(values, what)
     if len(coeffs) != s:
         raise ValueError(f"{what} needs {s} coordinates, got {len(coeffs)}")
-    for c in coeffs:
-        _integer(c, f"{what} coordinate")
-        if not 0 <= c < p:
-            raise ValueError(f"{what} coordinate {c} outside [0, {p})")
-    return tuple(int(c) for c in coeffs)
+    return tuple(_index(c, p, f"{what} coordinate") for c in coeffs)
 
 
 def is_irreducible(modulus, p):
@@ -333,10 +335,8 @@ class Field:
             if value.field.key != self.key:
                 raise ValueError("field mismatch")
             return self._elems[value.index]
-        if isinstance(value, (int, np.integer)):  # a bool too, which _integer refuses
-            if not 0 <= _integer(value, "element index") < self.q:
-                raise ValueError(f"element index {value} outside [0, {self.q})")
-            return self._elems[int(value)]
+        if isinstance(value, (int, np.integer)):  # a bool too, which _index refuses
+            return self._elems[_index(value, self.q, "element index")]
         return self._elems[self._coeffs_to_index(_coordinates(value, self.p, self.s, "element"))]
 
     # -- misc --------------------------------------------------------------

@@ -88,8 +88,7 @@ def decode_tallies(code, ch, seed, start, stop, batch=DEFAULT_BATCH,
             t_idx = np.arange(lo, hi, dtype=np.uint64)
             b = hi - lo
             if random_message:
-                u = np.minimum((rng.uniforms(seed, t_idx, message_slots) * q).astype(np.intp),
-                               q - 1)
+                u = rng._pick(rng.uniforms(seed, t_idx, message_slots), q)
                 u[list(code.frozen_set)] = code.frozen_index_array[list(code.frozen_set), None]
                 x = polar_transform_indices(field, u.T).T
             else:

@@ -45,6 +45,12 @@ def checked_seed(seed):
     return seed
 
 
+def _pick(u, s):
+    """The index in [0, s) that uniforms u in [0, 1) pick among s choices,
+    min(floor(u * s), s - 1): the package's one pick rule."""
+    return np.minimum((u * s).astype(np.intp), s - 1)
+
+
 def uniforms(seed, trials, slots):
     """(len(slots), len(trials)) float64 array of draws in the open (0, 1)."""
     # 0-d arrays keep the wraparound arithmetic silent (numpy warns on

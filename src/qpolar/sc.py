@@ -46,9 +46,10 @@ exact rational distribution over decoded codewords.  The point decoder
 :func:`sc_decode` runs the exact kernel on finite channels and the float
 kernel, on the block alone, on the AWGN channel.  Both resolve ties the same
 way, from one tie uniform v_i in [0, 1) per position: a tie among s symbols
-at position i keeps the k-th tied symbol in index order,
-k = min(floor(v_i * s), s - 1).  All-zero uniforms keep the smallest tied
-index (the lexicographic rule); the batch kernel draws v_i for tied blocks only.
+at position i keeps the k-th tied symbol in index order, by the package's
+one pick rule ``rng._pick``, k = min(floor(v_i * s), s - 1).  All-zero
+uniforms keep the smallest tied index (the lexicographic rule); the batch
+kernel draws v_i for tied blocks only.
 
 On channels with zero transition entries a message can be identically
 zero (a plus message after a wrong tie guess on an erasure channel).  The
@@ -71,7 +72,8 @@ from fractions import Fraction
 import numpy as np
 
 from .code import polar_transform_indices
-from .gf import _integer, _real
+from .gf import _index, _real
+from .rng import _pick
 
 DEFAULT_TIE_RTOL = 1e-12
 MAX_DEFINITIONAL_N = 16
@@ -137,8 +139,7 @@ def _check_block(y, n, num_outputs):
     if len(y) != n:
         raise ValueError(f"output block has length {len(y)}, expected {n}")
     for v in y:
-        if not 0 <= _integer(v, "output index") < num_outputs:
-            raise ValueError(f"output index {v} outside alphabet of size {num_outputs}")
+        _index(v, num_outputs, "output index")
 
 
 def sc_decode(code, ch, y, tie_uniforms=None):
@@ -308,7 +309,7 @@ def _distribution_indices(msgs, lo, job):
         s = len(cands)
         if s > 1 and decisions is None:
             return {(u,): s for u in cands}
-        u = cands[min(int(job.tie_uniforms[lo] * s), s - 1)] if s > 1 else cands[0]
+        u = cands[_pick(job.tie_uniforms[lo], s)] if s > 1 else cands[0]
         if decisions is not None:
             decisions[lo] = u
         return {(u,): 1}
@@ -360,8 +361,9 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
         resolve the ties at position i, one per tied block in ``columns``.
     force : optional (n, B) int array
         Genie mode: propagate these true symbol indices instead of the
-        decisions.  Decisions are still recorded and returned.  At frozen
-        positions it must equal the frozen values; ValueError otherwise.
+        decisions.  Decisions are still recorded and returned.  Every entry
+        must be a symbol index in [0, q), and at frozen positions it must
+        equal the frozen values; ValueError otherwise.
 
     Returns
     -------
@@ -389,10 +391,13 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
     if nt != n or q != field.q:
         raise ValueError(f"likelihood array shape {T.shape} does not match ({field.q}, {n}, B)")
     if force is not None:
-        if np.shape(force) != (n, B):
-            raise ValueError(f"force has shape {np.shape(force)}, expected {(n, B)}")
+        force = np.asarray(force)
+        if force.shape != (n, B):
+            raise ValueError(f"force has shape {force.shape}, expected {(n, B)}")
+        for v in (force.min(initial=0), force.max(initial=0)):  # refuses bools and floats
+            _index(v, q, "forced symbol")
         frozen = ~code.info_mask
-        if (np.asarray(force)[frozen] != code.frozen_index_array[frozen, None]).any():
+        if (force[frozen] != code.frozen_index_array[frozen, None]).any():
             raise ValueError("force departs from the frozen values at a frozen position")
     pairs, awgn = isinstance(T, _PairOutputs), isinstance(T, _AwgnLeaves)
     # a NaN survives min and max, and an infinity is one of them; the two
@@ -524,8 +529,7 @@ def _decode_span(tb, lo, job):
         s = tied.sum(axis=0)
         cols = np.flatnonzero(s > 1)
         if len(cols):
-            s = s[cols]
-            k = np.minimum((job.tie_uniforms(lo, cols) * s).astype(np.intp), s - 1)
+            k = _pick(job.tie_uniforms(lo, cols), s[cols])
             u[cols] = np.argmax(np.cumsum(tied[:, cols], axis=0) == k + 1, axis=0)
         job.decisions[lo] = u
         if job.force is not None:
@@ -545,14 +549,14 @@ def _span_rules(tb, field):
 def _decode_bits(msg, lo, job):
     """:func:`_decode_span` at q = 2 on (span, B) messages (bit, r, dead): 1 at
     ``bit`` and r at the other, or zero where ``dead`` (None while no message
-    is); a tied or dead leaf decides v >= 0.5."""
+    is); a tied or dead leaf picks its symbol by ``rng._pick`` at s = 2."""
     bit, r, dead = msg
     if len(r) == 1:  # an information leaf
         u = bit[0].copy()
         tied = r[0] >= 1.0 - DEFAULT_TIE_RTOL
         cols = np.flatnonzero(tied if dead is None else tied | dead[0])
         if len(cols):
-            u[cols] = job.tie_uniforms(lo, cols) >= 0.5
+            u[cols] = _pick(job.tie_uniforms(lo, cols), 2)
         job.decisions[lo] = u
         if job.force is not None:
             u = job.force[lo] == 1

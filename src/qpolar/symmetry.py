@@ -24,19 +24,15 @@ import itertools
 import numpy as np
 
 from .code import polar_transform_indices
-from .gf import _integer
+from .gf import _index, _integer
 from .oracle import _check_enumeration_cap, exact_average_ser, exact_ser
 from .sc import _ExactJob, _check_block, sc_decode_distribution
 
 
 def delta(m, r, i):
     """Flip bit r of an m-bit index."""
-    r, i = _integer(r, "bit position"), _integer(i, "index")
-    if not 0 <= r < m:
-        raise ValueError(f"bit position {r} outside [0, {m})")
-    if not 0 <= i < (1 << m):
-        raise ValueError(f"index {i} outside [0, {1 << m})")
-    return i ^ (1 << r)
+    r = _index(r, m, "bit position")
+    return _index(i, 1 << m, "index") ^ (1 << r)
 
 
 def xi_coefficients(field, m, r):

@@ -37,6 +37,11 @@ dominating index of every member: the quadratic form of the upward-closure
 decision, of the closure and of the greedy decreasing selection.
 ``ZERO_ENTRY_CHANNELS`` are the shipped finite channel kinds with zero
 transition entries, on which a message can be all zero.
+``UncheckedChannel`` is a finite channel with the four fields the exact
+oracle reads (``field``, ``is_finite``, ``num_outputs``, ``matrix``) and no
+symmetry search: it carries the laws ``FiniteChannel`` refuses, on which
+the lemma checkers must report a failure.  ``additive_noise_channel``
+builds one for z = x + e.
 
 The rest are element-level referees of the package's index-level code:
 
@@ -76,6 +81,24 @@ ZERO_ENTRY_CHANNELS = {
     "table2": lambda: FiniteChannel(default_field(2), [["1/2", "3/10", "1/5", "0"],
                                                        ["0", "1/5", "3/10", "1/2"]]),
 }
+
+
+class UncheckedChannel:
+    """An exact finite channel law, taken as given: ``matrix[x][y]`` = W(y | x)."""
+
+    is_finite = True
+
+    def __init__(self, field, matrix):
+        self.field = field
+        self.matrix = tuple(tuple(Fraction(v) for v in row) for row in matrix)
+        self.num_outputs = len(self.matrix[0])
+
+
+def additive_noise_channel(field, noise):
+    """z = x + e over the field, e = element j with probability noise[j]:
+    shift symmetric, but not scaling symmetric unless the noise law is."""
+    elems = field.elements
+    return UncheckedChannel(field, [[noise[(z - x).index] for z in elems] for x in elems])
 
 
 def _poly_trim(c):

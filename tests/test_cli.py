@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpolar import rng
+from qpolar import cli, rng
 from qpolar.channel import channel_to_json, qec, qsc
 from qpolar.cli import _write_report, main
 from qpolar.code import PolarCode
@@ -34,6 +34,15 @@ def test_help_exits_zero(capsys):
         main(["--help"])
     assert e.value.code == 0
     assert "construct" in capsys.readouterr().out
+
+
+def test_usage_error_exits_one_with_the_usage(capsys):
+    # argparse exits 2 on its own; the parser reports usage as a validation failure
+    with pytest.raises(SystemExit) as e:
+        main(["decode", "--code", "code.json"])
+    assert e.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "error:" in err
 
 
 def test_unknown_lemma_is_validation_failure(paths):
@@ -132,6 +141,14 @@ def test_encode_round(paths, tmp_path):
                  "--out", str(out)]) == 0
     x = json.loads(out.read_text())["x"]
     assert x == [[1], [0], [0], [1]]
+
+
+def test_encode_without_out_writes_its_json_to_stdout(paths, tmp_path, capsys):
+    _, _, code_path = paths
+    u_path = tmp_path / "u.json"
+    u_path.write_text(json.dumps([0, 1, 1, 1]))
+    assert main(["encode", "--code", code_path, "--u", str(u_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["x"] == [[1], [0], [0], [1]]
 
 
 def test_encode_rejects_frozen_mismatch(paths, tmp_path, capsys):
@@ -500,6 +517,23 @@ def test_simulate_rejects_a_nan_noise_variance(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "noise variance" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_harness_runtime_error_exits_two(paths, tmp_path, capsys, monkeypatch):
+    # a RuntimeError is a broken invariant of the program, not of its input
+    tmp, ch_path, code_path = paths
+    cfg_path, out = tmp / "cfg.json", tmp / "out.csv"
+    cfg_path.write_text(json.dumps({"code": code_path, "channel": ch_path,
+                                    "trials": 10, "seed": 1}))
+
+    def broken(cfg):
+        raise RuntimeError("message tally 11 at 1 outside [0, 10]")
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "internal invariant failure: message tally 11" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -3,11 +3,12 @@
 The files under ``fixtures/cli`` hold the inputs (codes, channels, output
 blocks, messages, a simulation config) and, in ``*.out.json`` and
 ``*.out.csv``, the output each command wrote.  The exact and
-finite-channel decodes pin the integer kernel; the Monte Carlo report
-(F_16 QSC(1/10), n = 64, random messages) pins the float kernel's tallies,
-the AWGN report (Eb/N0 = 2 dB, n = 64) the normal draws and AWGN
-likelihoods that feed it, and the AWGN decode the point decoder's float
-route.  The Monte Carlo reports do not depend on the CPU count.
+finite-channel decodes pin the integer kernel, and the random-tie decode
+its tie pick (u_2 = 2, where the lexicographic rule keeps 0); the Monte
+Carlo report (F_16 QSC(1/10), n = 64, random messages) pins the float
+kernel's tallies, the AWGN report (Eb/N0 = 2 dB, n = 64) the normal draws
+and AWGN likelihoods that feed it, and the AWGN decode the point decoder's
+float route.  The Monte Carlo reports do not depend on the CPU count.
 The commands must keep writing the same bytes.
 """
 
@@ -36,6 +37,8 @@ CASES = {
                       "--y", "y_q4.json"],
     "decode_lex_q4_frozen": ["decode", "--code", "code_q4_frozen.json", "--channel", "qec4.json",
                              "--y", "y_q4_frozen.json"],
+    "decode_random_q4": ["decode", "--code", "code_q4.json", "--channel", "qec4.json",
+                         "--y", "y_q4.json", "--tie", "random", "--seed", "7"],
     "decode_lex_awgn_n16": ["decode", "--code", "code_q2_n16.json", "--channel", "awgn.json",
                             "--y", "y_awgn_n16.json"],
     "exact_ser_average_q2": ["exact-ser", "--code", "code_q2.json", "--channel", "bsc.json"],

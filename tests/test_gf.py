@@ -3,7 +3,9 @@ import itertools
 import pytest
 
 from qpolar.gf import Field, alpha_generates, default_field, find_irreducible, is_irreducible
-from reference import _poly_mod, _poly_mul, rank_alpha_generates, reference_is_irreducible
+from reference import (
+    _poly_mod, _poly_mul, _poly_trim, rank_alpha_generates, reference_is_irreducible,
+)
 
 
 SHIPPED_SIZES = [2, 3, 4, 5, 7, 8, 9, 16]
@@ -76,6 +78,36 @@ def test_inverse_of_zero_raises():
     f = default_field(4)
     with pytest.raises(ZeroDivisionError):
         f.zero.inverse()
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_subtraction_division_and_powers_match_the_polynomial_reference(q):
+    # the operators the tables do not test directly, against coordinate-wise
+    # subtraction and the coefficient-list product of tests/reference.py
+    f = default_field(q)
+    p, full = f.p, list(f.modulus) + [1]
+
+    def times(a, b):
+        return _poly_mod(_poly_mul(a, b, p), full, p)
+
+    def poly(e):
+        return _poly_trim(list(e.coeffs))
+
+    for a in f.elements:
+        for b in f.elements:
+            assert list((a - b).coeffs) == [(u - v) % p for u, v in zip(a.coeffs, b.coeffs)]
+            if b:
+                assert times(poly(a / b), poly(b)) == poly(a)
+        power = [1]  # a^e by repeated products
+        for e in range(q + 1):
+            assert poly(a ** e) == power
+            if a and e:
+                assert times(poly(a ** -e), power) == [1]
+            power = times(power, poly(a))
+    with pytest.raises(ZeroDivisionError):
+        f.one / f.zero
+    with pytest.raises(ZeroDivisionError):
+        f.zero ** -1
 
 
 def test_field_mismatch_rejected():

@@ -9,16 +9,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpolar.channel import qsc
+from qpolar.channel import FiniteChannel, channel_from_json, qec, qsc
 from qpolar.cli import main
 from qpolar.code import PolarCode, check_condition_A, decreasing_sets
 from qpolar.construct import GenieMC, Manual, construct_info_set, genie_mc_rank
 from qpolar.gf import Field, default_field
 from qpolar.mc import decode_tallies
-from qpolar.oracle import mc_ser
-from qpolar.sc import sc_decode, sc_decode_distribution
-from qpolar.sim import ExperimentConfig, ebno_to_channel
-from qpolar.symmetry import check_xi_invariance, delta, xi_coefficients
+from qpolar.oracle import exact_average_ser, exact_ser, mc_ser
+from qpolar.sc import sc_decode, sc_decode_batch, sc_decode_distribution, synthetic_channel
+from qpolar.sim import BerReport, ExperimentConfig, ebno_to_channel
+from qpolar.symmetry import (
+    check_coset_invariance,
+    check_ser_bit_flip_symmetry,
+    check_xi_invariance,
+    delta,
+    xi_coefficients,
+)
 
 F2 = default_field(2)
 BSC = qsc(F2, Fraction(1, 10))
@@ -29,6 +35,7 @@ CODE = PolarCode(F2, 2, (1, 2, 3))
 # or ended a float in a TypeError, or both
 INTEGER_ENTRIES = {
     "check_condition_A m": (lambda v: check_condition_A((1,), v), (True, None)),
+    "check_condition_A index": (lambda v: check_condition_A((v,), 1), (True, None)),
     "decreasing_sets m": (lambda v: decreasing_sets(v), [(), (1,), (0, 1)]),
     "construct_info_set k": (lambda v: construct_info_set(F2, 2, v, BSC), (3,)),
     "construct_info_set m": (lambda v: construct_info_set(F2, v, 1, BSC), (1,)),
@@ -152,3 +159,75 @@ def test_awgn_point_decoder_takes_real_outputs_only(bad):
     # True and "2" once read as 1.0 and 2.0, and 10**400 ended in an OverflowError
     with pytest.raises(ValueError, match="AWGN output must be a real number"):
         sc_decode(CODE, ebno_to_channel(2.0, 0.5), [0.3, bad, -1.1, 0.7])
+
+
+AWGN = ebno_to_channel(2.0, 0.5)
+N32 = PolarCode(F2, 5, range(32))
+
+# refusal -> (a call that raises, the exception type, a phrase of its message).
+# No other Tier-1 test reaches these checks
+REFUSALS = {
+    "FiniteChannel missing row": (lambda: FiniteChannel(F2, [[1, 0]]),
+                                  ValueError, "needs 2 rows"),
+    "FiniteChannel negative entry": (lambda: FiniteChannel(F2, [["3/2", "-1/2"], [0, 1]]),
+                                     ValueError, "negative probability"),
+    "qsc epsilon 11/10": (lambda: qsc(F2, Fraction(11, 10)), ValueError, r"lie in \[0, 1\]"),
+    "qsc epsilon -1/10": (lambda: qsc(F2, Fraction(-1, 10)), ValueError, r"lie in \[0, 1\]"),
+    "qec epsilon 11/10": (lambda: qec(F2, Fraction(11, 10)), ValueError, r"lie in \[0, 1\]"),
+    "qec epsilon -1/10": (lambda: qec(F2, Fraction(-1, 10)), ValueError, r"lie in \[0, 1\]"),
+    "channel_from_json unknown kind": (
+        lambda: channel_from_json({"kind": "bec", "epsilon": "1/2"}),
+        ValueError, "unknown channel kind 'bec'"),
+    "check_condition_A string index": (lambda: check_condition_A(("a",), 1),
+                                       ValueError, "index 'a' is not an integer"),
+    "PolarCode m -1": (lambda: PolarCode(F2, -1, ()), ValueError, "m must be nonnegative"),
+    "PolarCode information index n": (lambda: PolarCode(F2, 2, (1, 4)),
+                                      ValueError, r"outside \[0, 4\)"),
+    "PolarCode frozen count": (lambda: PolarCode(F2, 2, (1, 2, 3), [0, 0]),
+                               ValueError, "need 1 frozen values, got 2"),
+    "PolarCode.from_json k": (
+        lambda: PolarCode.from_json({"m": 2, "k": 2, "info_set": [1, 2, 3]}),
+        ValueError, "k=2 but info_set has 3"),
+    "encode length": (lambda: CODE.encode([0, 0, 0]), ValueError, "message length 3 != n = 4"),
+    "construct_info_set k n + 1": (lambda: construct_info_set(F2, 2, 5, BSC),
+                                   ValueError, r"5 outside \[0, "),
+    "construct_info_set method": (lambda: construct_info_set(F2, 2, 2, BSC, "x"),
+                                  ValueError, "unknown construction method"),
+    "Field(2, 9)": (lambda: Field(2, 9), ValueError, "field size 512 exceeds"),
+    "default_field(6)": (lambda: default_field(6), ValueError, "6 is not a prime power"),
+    "Field.element of another field": (lambda: F2.element(default_field(4).one),
+                                       ValueError, "field mismatch"),
+    "exact_average_ser AWGN": (lambda: exact_average_ser(CODE, AWGN),
+                               ValueError, "requires a finite channel"),
+    "exact_ser short message": (lambda: exact_ser(CODE, BSC, [0, 0, 0]),
+                                ValueError, "message length 3 != n = 4"),
+    "synthetic_channel short prefix": (lambda: synthetic_channel(CODE, BSC, (0,) * 4, (), 1),
+                                       ValueError, "prefix has length 0, expected 1"),
+    "synthetic_channel n 32": (lambda: synthetic_channel(N32, BSC, (0,) * 32, (), 0),
+                               ValueError, "capped at n <= 16"),
+    "sc_decode_distribution AWGN": (lambda: sc_decode_distribution(CODE, AWGN, (0.1,) * 4),
+                                    ValueError, "require a finite channel"),
+    "sc_decode_distribution n 32": (lambda: sc_decode_distribution(N32, BSC, (0,) * 32),
+                                    ValueError, "capped at n <= 16"),
+    "sc_decode_distribution method": (
+        lambda: sc_decode_distribution(CODE, BSC, (0,) * 4, method="x"),
+        ValueError, "unknown method 'x'"),
+    "sc_decode_batch T shape": (lambda: sc_decode_batch(CODE, np.ones((2, 3, 5)), None),
+                                ValueError, r"shape \(2, 3, 5\) does not match"),
+    "coset check nonzero frozen value": (
+        lambda: check_coset_invariance(PolarCode(F2, 2, (1, 2, 3), [1]), BSC),
+        ValueError, "all-zero frozen symbols"),
+    "bit-flip check non-decreasing set": (
+        lambda: check_ser_bit_flip_symmetry(PolarCode(F2, 2, (0,)), BSC),
+        ValueError, "needs a decreasing information set"),
+    "BerReport tally above trials": (
+        lambda: BerReport((1,), 4, (0, 5), (0, 0)).validate(),
+        RuntimeError, r"message tally 5 at 1 outside \[0, 4\]"),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(REFUSALS))
+def test_every_refusal_raises_with_its_reason(refusal):
+    call, error, phrase = REFUSALS[refusal]
+    with pytest.raises(error, match=phrase):
+        call()

@@ -54,11 +54,11 @@ def test_output_index_outside_alphabet_raises(y):
     ch = qsc(F2, Fraction(1, 10))
     code = PolarCode(F2, 1, [0, 1])
     frozen = PolarCode(F2, 1, [])
-    with pytest.raises(ValueError, match="outside alphabet of size 2"):
+    with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
         synthetic_channel(code, ch, y, (), 0)
     for c in (code, frozen):
         for method in ("recursive", "definitional"):
-            with pytest.raises(ValueError, match="outside alphabet of size 2"):
+            with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
                 sc_decode_distribution(c, ch, y, method=method)
 
 

@@ -208,6 +208,18 @@ def test_code_without_information_positions_decodes_to_its_frozen_values(q, m):
     assert exact_average_ser(code, ch).per_index == (0,) * n
 
 
+@pytest.mark.parametrize("q,symbol", [(2, 2), (2, -1), (2, 1.5), (4, -1), (4, 7)])
+def test_a_forced_symbol_outside_the_field_is_refused(q, symbol):
+    # at the information position of this length-2 code, the F_2 forces once
+    # propagated as symbol 0; over F_4, -1 propagated as symbol 3 and wrote 255
+    # into the codeword, and 7 raised IndexError
+    f = default_field(q)
+    T = qsc(f, Fraction(1, 5)).likelihood_batch(np.zeros((2, 1), dtype=np.intp))
+    with pytest.raises(ValueError, match="forced symbol"):
+        sc_decode_batch(PolarCode(f, 1, (1,)), T, tie_draws(np.zeros((2, 1))),
+                        force=np.array([[0], [symbol]]))
+
+
 def test_kernel_reads_any_memory_order_and_leaves_input_alone():
     code, ch = CASES["qsc_q4_n64"][0]()
     n, b = code.n, 500

@@ -279,6 +279,28 @@ def test_integers_and_reals_are_read_by_the_rule_in_gf():
     assert found == []
 
 
+# the one place outside gf that may write 0 <= x < y: the seed rule, whose
+# refusal two tests pin word for word
+OWN_RANGE_TESTS = {("rng.py", "checked_seed")}
+
+
+def test_indices_are_read_by_the_rule_in_gf():
+    # a hand-written range test is half of gf._index: check_condition_A once
+    # read True as the index 1 and ended 1.0 in a TypeError
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "gf.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            if (path.name, getattr(top, "name", None)) in OWN_RANGE_TESTS:
+                continue
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                      if isinstance(node, ast.Compare)
+                      and isinstance(node.left, ast.Constant) and node.left.value == 0
+                      and [type(op) for op in node.ops] == [ast.LtE, ast.Lt]]
+    assert found == []
+
+
 def test_no_local_import_binds_a_name_the_module_imports():
     # channel_from_json once imported Field and default_field a second time,
     # and ebno_to_channel from sim to break an import cycle; the package has

@@ -19,7 +19,14 @@ from qpolar.symmetry import (
     delta,
     xi_coefficients,
 )
-from reference import coset_transform, product_transition, xi_apply_field, xi_apply_output
+from reference import (
+    UncheckedChannel,
+    additive_noise_channel,
+    coset_transform,
+    product_transition,
+    xi_apply_field,
+    xi_apply_output,
+)
 
 F2 = default_field(2)
 F4 = default_field(4)
@@ -165,9 +172,9 @@ def test_transport_checks_refuse_a_given_block_outside_the_alphabet(y):
     # negative index would wrap around to the last output
     ch = qsc(F2, Fraction(1, 10))
     code = PolarCode(F2, 2, [1, 2, 3])
-    with pytest.raises(ValueError, match="outside alphabet of size 2|expected 4"):
+    with pytest.raises(ValueError, match=r"outside \[0, 2\)|expected 4"):
         check_coset_invariance(code, ch, ys=[(0, 1, 1, 0), y])
-    with pytest.raises(ValueError, match="outside alphabet of size 2|expected 4"):
+    with pytest.raises(ValueError, match=r"outside \[0, 2\)|expected 4"):
         check_xi_invariance(code, ch, 0, ys=[y])
 
 
@@ -210,6 +217,39 @@ def test_equal_ser_counterexample():
     per = exact_average_ser(code, ch).per_index
     assert per == (Fraction(9, 50), Fraction(0))
     assert per[0] != per[1]
+
+
+# additive noise over F_4 with a law no scaling keeps: every symbol sees the
+# noise, but the SC decoder does not see it alike
+F4_NOISE = additive_noise_channel(default_field(4), [Fraction(7, 10), Fraction(3, 20),
+                                                     Fraction(1, 10), Fraction(1, 20)])
+F4_NOISE_SER = (Fraction(28201, 80000), Fraction(3, 10), Fraction(3017, 8000),
+                Fraction(29007, 80000))
+
+
+def test_equal_ser_reports_an_asymmetric_channel():
+    code = PolarCode(default_field(4), 2, (1, 2, 3))
+    assert exact_average_ser(code, F4_NOISE).per_index == F4_NOISE_SER
+    ok, witness = check_equal_ser(code, F4_NOISE)
+    assert not ok
+    assert (witness["j"], witness["ser_0"], witness["ser_j"]) == (1, *F4_NOISE_SER[:2])
+    assert witness["per_index"] == F4_NOISE_SER
+
+
+def test_ser_bit_flip_symmetry_reports_an_asymmetric_channel():
+    ok, witness = check_ser_bit_flip_symmetry(PolarCode(default_field(4), 2, (1, 2, 3)), F4_NOISE)
+    assert not ok
+    assert witness == {"r": 0, "j": 0, "ser_j": F4_NOISE_SER[0], "ser_flip": F4_NOISE_SER[1]}
+
+
+def test_message_invariance_reports_an_asymmetric_channel():
+    # the Z-channel never turns a 0 into a 1, so the all-zero message decodes
+    # without error and the all-one message does not
+    z = UncheckedChannel(F2, [[1, 0], ["1/4", "3/4"]])
+    ok, witness = check_message_invariance(PolarCode(F2, 1, (1,)), z, [[0, 0], [1, 1]])
+    assert not ok
+    assert witness == {"message": [1, 1], "ser": (Fraction(1, 8), Fraction(1, 8)),
+                       "baseline_message": [0, 0], "baseline_ser": (0, 0)}
 
 
 def test_equal_ser_invariant_under_field_representation():
