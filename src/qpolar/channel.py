@@ -25,7 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .gf import Field, _real, _sequence, default_field
+from .gf import Field, _object, _real, _sequence, default_field
 
 
 def _as_fraction(v):
@@ -270,20 +270,21 @@ def channel_to_json(ch):
 def channel_from_json(obj, field=None):
     """The channel a config object describes; ``field`` is the field of an
     object that names none (F_2 when not given)."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"a channel must be a JSON object, got {obj!r}")
+    kind = _object(obj, "a channel", ("kind",),
+                   ("field", "epsilon", "matrix", "sigma2", "ebno_db", "rate"))["kind"]
     if "field" in obj:
         field = Field.from_json(obj["field"])
     elif field is None:
         field = default_field(2)
-    kind = obj["kind"]
-    if kind == "qsc":
-        return qsc(field, obj["epsilon"])
-    if kind == "qec":
-        return qec(field, obj["epsilon"])
+    what = f"a {kind!r} channel"
+    if kind in ("qsc", "qec"):
+        _object(obj, what, ("kind", "epsilon"), ("field",))
+        return (qsc if kind == "qsc" else qec)(field, obj["epsilon"])
     if kind == "awgn_bpsk":
         if "ebno_db" not in obj and "rate" not in obj:
+            _object(obj, what, ("kind", "sigma2"), ("field",))
             return AwgnBpskChannel(field, obj["sigma2"])
+        _object(obj, what, ("kind", "ebno_db", "rate"), ("field", "sigma2"))
         ch = _ebno_channel(obj["ebno_db"], obj["rate"], field)
         # a variance given with the pair must be the one the pair gives
         if "sigma2" in obj and obj["sigma2"] != ch.sigma2:
@@ -291,5 +292,6 @@ def channel_from_json(obj, field=None):
                              f"the variance of ebno_db {obj['ebno_db']!r} at rate {obj['rate']!r}")
         return ch
     if kind == "table":
+        _object(obj, what, ("kind", "matrix"), ("field",))
         return FiniteChannel(field, obj["matrix"])
     raise ValueError(f"unknown channel kind {kind!r}")

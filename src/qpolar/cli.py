@@ -24,7 +24,7 @@ from . import rng
 from .channel import channel_from_json, channel_to_json
 from .code import PolarCode
 from .construct import GenieMC, Manual, construct_info_set
-from .gf import FieldElement, _count
+from .gf import FieldElement, _count, _object
 from .oracle import exact_average_ser, exact_ser
 from .sc import sc_decode, sc_decode_distribution
 from .sim import ExperimentConfig, run_experiment
@@ -44,16 +44,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _jsonify(value):
+def _json_value(value):
+    """A field element as its coordinates and a Fraction as "num/den"."""
     if isinstance(value, FieldElement):
         return list(value.coeffs)
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _load_json(path):
@@ -71,7 +68,7 @@ def _write(text, path):
 
 
 def _write_json(obj, path):
-    _write(json.dumps(_jsonify(obj), indent=2, sort_keys=True) + "\n", path)
+    _write(json.dumps(obj, indent=2, sort_keys=True, default=_json_value) + "\n", path)
 
 
 def _write_report(report, path, fmt):
@@ -228,12 +225,8 @@ def _cmd_exact_ser(args):
 def _cmd_simulate(args):
     if args.plot and args.format != "csv":
         raise ValueError("--plot draws from the CSV report; it needs --format csv")
-    cfg_obj = _load_json(args.config)
-    if not isinstance(cfg_obj, dict):
-        raise ValueError(f"a config must be a JSON object, got {cfg_obj!r}")
-    unknown = set(cfg_obj) - {"code", "channel", "trials", "seed", "random_message"}
-    if unknown:
-        raise ValueError(f"simulate reads no config key {sorted(unknown)}")
+    cfg_obj = _object(_load_json(args.config), "a simulate config",
+                      ("code", "channel", "trials"), ("seed", "random_message"))
     code_obj = cfg_obj["code"]
     code = PolarCode.from_json(_load_json(code_obj) if isinstance(code_obj, str)
                                else code_obj)
@@ -320,8 +313,8 @@ def _cmd_verify(args):
     for lemma in lemmas:
         ok, witness = _run_lemma(lemma, code, ch, args.samples, seed)
         results[lemma] = {"ok": ok, "witness": witness}
-        status = "pass" if ok else "FAIL"
-        print(f"{lemma}: {status}" + ("" if ok else f" witness={_jsonify(witness)}"))
+        print(f"{lemma}: pass" if ok
+              else f"{lemma}: FAIL witness={json.dumps(witness, default=_json_value)}")
         failed = failed or not ok
     out = {"results": results,
            "config": {"code": code.to_json(), "channel": channel_to_json(ch),

@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .gf import Field, _index, _integer, _sequence, default_field
+from .gf import Field, _index, _integer, _object, _sequence, default_field
 
 
 def check_condition_A(info_set, m):
@@ -176,8 +176,7 @@ class PolarCode:
 
     @staticmethod
     def from_json(obj):
-        if not isinstance(obj, dict):
-            raise ValueError(f"a code must be a JSON object, got {obj!r}")
+        obj = _object(obj, "a code", ("m", "info_set"), ("field", "k", "frozen_values", "meta"))
         field = Field.from_json(obj["field"]) if "field" in obj else default_field(2)
         code = PolarCode(field, obj["m"], obj["info_set"], obj.get("frozen_values"))
         if "k" in obj and _integer(obj["k"], "k") != code.k:

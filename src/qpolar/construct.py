@@ -73,9 +73,13 @@ def _select_decreasing(estimates, k, m):
     for i in order:
         if len(selected) >= k:
             break
-        need = {j for j in range(i, n) if j & i == i} - selected
-        if len(selected) + len(need) <= k:
-            selected.update(need)
+        if i in selected:  # then so is every index that dominates it
+            continue
+        need, j = {i}, i
+        while (j := (j + 1) | i) < n:  # the next index above j that dominates i
+            need.add(j)
+        if len(selected) + len(need - selected) <= k:
+            selected |= need
     swapped = sorted(selected - naive)
     return tuple(sorted(selected)), swapped
 

@@ -17,12 +17,14 @@ index of z + alpha*u, which the encoder, both SC kernels and the checkers
 read.  Element operations are lookups in those tables, and they are the
 module's only arithmetic: a modulus of degree s is irreducible when it has
 no root in the smaller fields F_{p^d}, d <= s/2, evaluated on their tables.
-Fields and elements are immutable and safe for unrestricted concurrent use.
+Fields are immutable and elements are frozen dataclasses, so both are safe
+for unrestricted concurrent use.
 """
 
 from __future__ import annotations
 
 import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,6 +87,17 @@ def _sequence(values, what):
         return tuple(values)
     except TypeError:
         raise ValueError(f"{what} must be a sequence, got {values!r}") from None
+
+
+def _object(value, what, required, optional):
+    """The one object rule: a dict with every ``required`` key, others from ``optional``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    if unknown := [k for k in value if k not in required and k not in optional]:
+        raise ValueError(f"{what} reads no keys {unknown}")
+    if missing := [k for k in required if k not in value]:
+        raise ValueError(f"{what} needs the keys {missing}")
+    return value
 
 
 def _coordinates(values, p, s, what):
@@ -152,18 +165,13 @@ def alpha_generates(mul, p, s, alpha):
     return True
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class FieldElement:
     """An element of a :class:`Field`, identified by its polynomial-basis index."""
 
-    __slots__ = ("field", "index", "coeffs")
-
-    def __init__(self, field, index, coeffs):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FieldElement is immutable")
+    field: Field
+    index: int
+    coeffs: tuple
 
     def _check(self, other):
         if not isinstance(other, FieldElement):
@@ -204,16 +212,6 @@ class FieldElement:
         for _ in range(e):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and other.field.key == self.field.key
-            and other.index == self.index
-        )
-
-    def __hash__(self):
-        return hash((self.field.key, self.index))
 
     def __bool__(self):
         return self.index != 0
@@ -360,8 +358,7 @@ class Field:
 
     @staticmethod
     def from_json(obj):
-        if not isinstance(obj, dict):
-            raise ValueError(f"a field must be a JSON object, got {obj!r}")
+        obj = _object(obj, "a field", ("p", "s"), ("modulus", "alpha"))
         return Field(obj["p"], obj["s"], obj.get("modulus"), obj.get("alpha"))
 
 

@@ -9,9 +9,10 @@ Slot layout is owned by the caller; by convention the decoding loops use
 slots [0, n) for channel noise, [n, 2n) for tie draws (slot n + i resolves
 the tie at position i and is drawn for the tied trials only), and [2n, 3n)
 for random message symbols.  Draws come slot-major, one row per slot, the
-layout the batch decoder works in.  The command line keeps the convention, so
-one seed gives it the harness's draws: ``decode --tie random`` reads trial 0's
-tie slots, and ``verify --samples N`` the outputs and messages of trials [0, N).
+layout the batch decoder works in.  ``decode --tie random`` reads trial 0's tie
+slots.  ``verify --samples N`` turns the noise and message slots of trials [0, N)
+into symbols uniform over Y and over F_q (``_pick``): its outputs are not drawn
+through the channel, and its messages are random at frozen positions too.
 """
 
 from __future__ import annotations

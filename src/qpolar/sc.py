@@ -36,10 +36,10 @@ that recursion, and every decoder here is one of them:
   are bilinear and an argmax set, ties included, does not change when a
   vector is scaled by a positive constant.  It works on symbol index
   tuples; within one :class:`_ExactJob`, which the exact oracle shares
-  across the outputs of one computation, it keeps every combined message
-  in a table and memoizes sub-decodes.  A branch carries an int weight d,
-  the product of the tie sizes on its path, for mass 1/d.  Exact ties
-  never depend on a tolerance.
+  across the outputs of one computation, it caches every combined message
+  (a ``functools.cache`` per combining rule) and memoizes sub-decodes.  A
+  branch carries an int weight d, the product of the tie sizes on its path,
+  for mass 1/d.  Exact ties never depend on a tolerance.
 
 :func:`sc_decode_distribution` branches at every exact tie and returns the
 exact rational distribution over decoded codewords.  The point decoder
@@ -226,17 +226,17 @@ def sc_decode_distribution(code, ch, y, method="recursive", job=None):
 
 
 class _ExactJob:
-    """Integer channel, code tables, combining tables and sub-decode memo of
+    """Integer channel, code tables, combining caches and sub-decode memo of
     one exact computation.
 
     ``rows[x][y]`` is D * W(y | x) for the common denominator D of the
     channel matrix, ``leaves[y]`` the column of output y divided by its
-    gcd.  ``minus`` maps (t0, t1) to the reduced minus message and
-    ``plus`` maps (t0, t1, z) to the reduced plus message, each computed on
-    its first lookup: leaves take only |Y| values, so messages repeat
-    across the outputs of one computation.  The memo maps (message tuple,
-    lo) to the index distribution of a sub-decode shorter than the block.
-    The tables and the memo live as long as the job.
+    gcd.  ``minus(t0, t1)`` is the reduced minus message and
+    ``plus(t0, t1, z)`` the reduced plus message, each a ``functools.cache``
+    that computes a message on its first call: leaves take only |Y| values,
+    so messages repeat across the outputs of one computation.  The memo maps
+    (message tuple, lo) to the index distribution of a sub-decode shorter
+    than the block.  The caches and the memo live as long as the job.
 
     A point decode passes ``tie_uniforms``, one per position: a tie then
     keeps one candidate (the :func:`sc_decode` pick) instead of branching,
@@ -255,9 +255,9 @@ class _ExactJob:
         self.rows = tuple(tuple(v.numerator * (self.denominator // v.denominator) for v in row)
                           for row in ch.matrix)
         self.leaves = tuple(_reduced(col) for col in zip(*self.rows))
-        self.minus = _Table(lambda t0, t1: _reduced(tuple(
+        self.minus = functools.cache(lambda t0, t1: _reduced(tuple(
             sum(t0[i] * v for i, v in zip(row, t1)) for row in aff)))
-        self.plus = _Table(lambda t0, t1, z: _reduced(tuple(
+        self.plus = functools.cache(lambda t0, t1, z: _reduced(tuple(
             t0[i] * v for i, v in zip(aff[z], t1))))
         self.tie_uniforms = tie_uniforms
         # frozen decisions are known before any message arrives
@@ -268,17 +268,6 @@ class _ExactJob:
         """Index distribution of an output block that the caller has checked."""
         return self.rate0.get((0, self.n)) or _distribution_indices(
             tuple([self.leaves[v] for v in y]), 0, self)
-
-
-class _Table(dict):
-    """A dict that computes ``rule(*key)`` for a missing key and keeps it."""
-
-    def __init__(self, rule):
-        self.rule = rule
-
-    def __missing__(self, key):
-        value = self[key] = self.rule(*key)
-        return value
 
 
 def _reduced(t):
@@ -294,7 +283,7 @@ def _distribution_indices(msgs, lo, job):
     information position.  Returns a dict from codeword index tuples to
     int weights: a branch of weight d has mass 1/d, where d is the product
     of the tie sizes on its path (1 where no tie split it).  The minus and
-    plus messages come from the job's combining tables.  A point job
+    plus messages come from the job's combining caches.  A point job
     (``tie_uniforms`` set) splits no branch, so the dict has one key of
     weight 1, and writes the symbol kept at each leaf into
     ``job.decisions``.  The result may be shared through the memo, so
@@ -304,8 +293,7 @@ def _distribution_indices(msgs, lo, job):
     if span == 1:
         decisions = job.decisions
         t = msgs[0]
-        mx = max(t)
-        cands = [u for u, v in enumerate(t) if v == mx]
+        cands = _argmax_set(t)
         s = len(cands)
         if s > 1 and decisions is None:
             return {(u,): s for u in cands}
@@ -325,12 +313,12 @@ def _distribution_indices(msgs, lo, job):
     pairs = tuple(zip(msgs[:half], msgs[half:]))
     # a rate-0 half is taken from the job, and its messages are never built
     dist_lo = job.rate0.get((lo, half)) or _distribution_indices(
-        tuple([minus[p] for p in pairs]), lo, job)
+        tuple([minus(*p) for p in pairs]), lo, job)
     frozen_hi = job.rate0.get((lo + half, half))
     out = {}
     for z_lo, w_lo in dist_lo.items():
         dist_hi = frozen_hi or _distribution_indices(
-            tuple([plus[t0, t1, z] for (t0, t1), z in zip(pairs, z_lo)]), lo + half, job)
+            tuple([plus(t0, t1, z) for (t0, t1), z in zip(pairs, z_lo)]), lo + half, job)
         for z_hi, w_hi in dist_hi.items():
             # (z_lo, z_hi) -> x is one to one, so no two branches share a key
             out[tuple([aff[a][b] for a, b in zip(z_lo, z_hi)]) + z_hi] = w_lo * w_hi
@@ -657,7 +645,7 @@ def _minus(t0, t1, field):
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _minus_plan(field, m):
     """The t0 views of :func:`_minus` with G = 2^m rows a block: entry [g][u1]
     indexes t0's block aff[g*G, u1] // G, with the axis of bit k reversed

@@ -341,6 +341,8 @@ def test_verify_fails_on_counterexample_with_witness(paths, tmp_path, capsys):
     assert "FAIL" in printed and "9/50" in printed
     obj = json.loads(out.read_text())
     assert obj["results"]["thm1"]["ok"] is False
+    # the printed witness is the JSON text of the one in the file
+    assert json.loads(printed.split("witness=", 1)[1]) == obj["results"]["thm1"]["witness"]
 
 
 def test_simulate_csv_byte_identical(paths, tmp_path, monkeypatch):
@@ -608,6 +610,22 @@ def test_simulate_refuses_a_config_key_it_does_not_read(paths, tmp_path, capsys)
     err = capsys.readouterr().err
     assert "error:" in err and "['random_messages', 'shards']" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["trials", "rate"])
+def test_simulate_names_a_missing_config_key(paths, tmp_path, capsys, key):
+    # each once printed only the bare KeyError: "error: 'trials'"
+    _, ch_path, code_path = paths
+    cfg = {"code": code_path, "channel": ch_path, "seed": 1}
+    if key == "rate":
+        cfg.update(channel={"kind": "awgn_bpsk", "ebno_db": 2.0}, trials=100)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "rep.csv"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"needs the keys ['{key}']" in err and "Traceback" not in err
     assert not out.exists()
 
 

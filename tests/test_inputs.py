@@ -231,3 +231,42 @@ def test_every_refusal_raises_with_its_reason(refusal):
     call, error, phrase = REFUSALS[refusal]
     with pytest.raises(error, match=phrase):
         call()
+
+
+F4_JSON = default_field(4).to_json()
+
+# config object -> (a call that reads it, the key its refusal names).  Each
+# once ran with the key unread, or ended in a bare KeyError
+MISREAD_KEYS = {
+    "code frozen_value": (
+        lambda: PolarCode.from_json({"m": 1, "info_set": [1], "frozen_value": [[1]]}),
+        "frozen_value"),
+    "code without info_set": (lambda: PolarCode.from_json({"m": 1}), "info_set"),
+    "field modulos": (
+        lambda: Field.from_json({"p": 2, "s": 2, "modulos": [1, 1], "alpha": [0, 1]}),
+        "modulos"),
+    "field alhpa": (lambda: Field.from_json({"p": 2, "s": 2, "alhpa": [1, 1]}), "alhpa"),
+    "field without s": (lambda: Field.from_json({"p": 2}), "s"),
+    "qsc matrix": (lambda: channel_from_json(
+        {"kind": "qsc", "epsilon": "1/10", "matrix": [["1/2", "1/2"], ["1/2", "1/2"]]}),
+        "matrix"),
+    "qsc feild": (lambda: channel_from_json(
+        {"kind": "qsc", "epsilon": "1/10", "feild": F4_JSON}), "feild"),
+    "qec sigma2": (lambda: channel_from_json({"kind": "qec", "epsilon": "1/10", "sigma2": 1.0}),
+                   "sigma2"),
+    "qsc without epsilon": (lambda: channel_from_json({"kind": "qsc"}), "epsilon"),
+    "table epsilon": (lambda: channel_from_json(
+        {"kind": "table", "matrix": [[1, 0], [0, 1]], "epsilon": "1/10"}), "epsilon"),
+    "awgn_bpsk without rate": (lambda: channel_from_json({"kind": "awgn_bpsk", "ebno_db": 2.0}),
+                               "rate"),
+    "awgn_bpsk epsilon": (lambda: channel_from_json(
+        {"kind": "awgn_bpsk", "sigma2": 1.0, "epsilon": "1/10"}), "epsilon"),
+    "channel without kind": (lambda: channel_from_json({"epsilon": "1/10"}), "kind"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISREAD_KEYS))
+def test_a_misspelled_or_missing_config_key_is_refused(case):
+    call, key = MISREAD_KEYS[case]
+    with pytest.raises(ValueError, match=rf"\['{key}'\]"):
+        call()

@@ -279,6 +279,18 @@ def test_integers_and_reals_are_read_by_the_rule_in_gf():
     assert found == []
 
 
+# a hand-written JSON object test outside gf, which would skip gf._object's key check
+DICT_TEST = re.compile(r"isinstance\([^)]*\bdict\b")
+
+
+def test_json_objects_are_read_by_the_rule_in_gf():
+    # codes, fields and channels once ran with a misspelled key unread
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py")) if path.name != "gf.py"
+             for line, text in enumerate(path.read_text().splitlines(), 1)
+             if DICT_TEST.search(text)]
+    assert found == []
+
+
 # the one place outside gf that may write 0 <= x < y: the seed rule, whose
 # refusal two tests pin word for word
 OWN_RANGE_TESTS = {("rng.py", "checked_seed")}
