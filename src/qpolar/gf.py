@@ -24,6 +24,7 @@ for unrestricted concurrent use.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +91,9 @@ def _sequence(values, what):
 
 
 def _object(value, what, required, optional):
-    """The one object rule: a dict with every ``required`` key, others from ``optional``."""
-    if not isinstance(value, dict):
+    """The one object rule: a mapping (a dict, or a channel's read-only
+    ``config``) with every ``required`` key, others from ``optional``."""
+    if not isinstance(value, Mapping):
         raise ValueError(f"{what} must be a JSON object, got {value!r}")
     if unknown := [k for k in value if k not in required and k not in optional]:
         raise ValueError(f"{what} reads no keys {unknown}")

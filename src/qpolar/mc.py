@@ -24,14 +24,14 @@ from .gf import _count, _flag, _integer
 from .sc import PairTables, _awgn_leaves, _check_field, sc_decode_batch
 
 # Blocks in flight per call, across its threads; tallies do not depend on
-# it.  With the block-innermost decoder, 4,096 blocks decode at least as fast
-# per block as 16,384 (16,384 blocks, Xeon host, numpy 2.4: 0.56-0.67 s
-# against 0.61-0.75 s at q=2, n=256 AWGN; 1.6-1.7 s against 2.1-2.4 s at
-# q=16, n=64 QSC) in a quarter of the memory (tracemalloc peak of a two-batch
-# call: 24 against 96 MiB at q=2, 40 against 158 MiB at q=16).  Jobs of fewer
-# trials, and any at n < 64, run on one thread: the threads cost them more
-# than they save (2-core host, 2^18 trials of BSC(1/10): 0.27 s split against
-# 0.10 s unsplit at n=8, 0.44 against 0.58 s at n=256).
+# it.  4,096 blocks decode as fast per block as 16,384 (16,384 blocks on two
+# threads, 2-core Xeon host, numpy 2.4, medians of 10: 0.22 against 0.22 s at
+# q=2, n=256 AWGN; 0.73 against 0.74 s at q=16, n=64 QSC) in a quarter of the
+# memory (tracemalloc peak of a two-batch call on one thread: 24 against 96
+# MiB at q=2, 40 against 158 MiB at q=16).  Jobs of fewer trials, and any at
+# n < 64, run on one thread: the threads cost them more than they save (same
+# host, BSC(1/10), medians of 8: 0.20 s split against 0.16 s unsplit for 2^18
+# trials at n=8, 1.08 against 1.37 s for 2^16 trials at n=256).
 DEFAULT_BATCH = 1 << 12
 
 

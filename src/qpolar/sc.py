@@ -20,10 +20,13 @@ that recursion, and every decoder here is one of them:
   1/q constants and scales every message to maximum 1, which also prevents
   underflow at long block lengths.  Entries within the fixed relative
   tolerance ``DEFAULT_TIE_RTOL`` of the maximum count as tied.  At q = 2 it
-  carries each message as its argmax bit and ratio r = min/max; at q > 2 it
-  takes each plus message row from the node's flat buffer and, in
-  characteristic 2, builds the minus messages a block of rows at a time
-  from index-bit flips of the node's buffer.  On a finite
+  carries each message as its argmax bit and ratio r = min/max.  The minus
+  message, 1 + r0*r1 at b0 ^ b1 and r0 + r1 at the other, is never zero and
+  leads at b0 ^ b1; the plus message is bit b1 and ratio r0*r1 wherever the
+  low half's bit agrees with b0 ^ b1, and only the blocks where it does not
+  take min/max.  At q > 2 it takes each plus message row from the node's flat
+  buffer and, in characteristic 2, builds the minus messages a block of rows
+  at a time from index-bit flips of the node's buffer.  On a finite
   channel it can start one level down, from :class:`PairTables`: the root's
   child messages of every output pair, the floats the root would compute.
   On the AWGN channel it starts from the leaf messages, computed from the
@@ -368,7 +371,9 @@ def sc_decode_batch(code, T, tie_uniforms, force=None):
     :func:`_minus`), each maximum over the symbol axis is one reduction, and
     the plus rule is q 1-D takes from the node's flat buffer, one per row
     (:func:`_plus`).  At q = 2 they are (bit, ratio) pairs instead, built from
-    one copy of T[0] (:func:`_decode_bits`).  The recursion runs under
+    one copy of T[0] (:func:`_decode_bits`), and the plus rule takes min/max
+    only on the blocks whose low-half bit differs from the minus message's
+    (:func:`_bit_rules`).  The recursion runs under
     ``np.errstate(invalid="raise", divide="raise")``.  NaN arithmetic raises
     no invalid flag, so a NaN in T would reach a decision unnoticed: a T with
     a NaN or infinite entry, or AWGN leaves with a NaN ratio, raise ValueError.
@@ -461,7 +466,7 @@ def _awgn_leaves(ch, y):
 def _leaves(T):
     """The leaf messages of (q, n, B) likelihoods; at q = 2 from one copy of T[0]."""
     if len(T) == 2:
-        return _pair(False, np.array(T[0], dtype=float), T[1], None)
+        return _pair(False, np.array(T[0], dtype=float), T[1])
     T = np.asarray(T, dtype=float)
     return _normalize(T, out=np.empty(T.shape))
 
@@ -554,7 +559,8 @@ def _decode_bits(msg, lo, job):
 
 def _bit_rules(bit, r, dead):
     """:func:`_span_rules` at q = 2, on (2h, B) messages (bit, r, dead): the
-    floats of the (q, n, B) rules, whose other products are with an exact 1.0."""
+    floats of the (q, n, B) rules, whose other products are with an exact 1.0.
+    Outputs are C-ordered, so writes through their flat views land in them."""
     half = len(r) // 2
     b0, b1 = bit[:half], bit[half:]
     r0, r1 = r[:half], r[half:]
@@ -562,33 +568,45 @@ def _bit_rules(bit, r, dead):
     dead = None if dead is None else dead[:half] | dead[half:]
 
     def minus():
-        # 1 + r0*r1 at b0 ^ b1; no product outlives its rule
-        a = np.multiply(r0, r1)
+        # 1 + r0*r1 at b0 ^ b1 and r0 + r1 at the other: never zero, and the
+        # first leads since (1 - r0)(1 - r1) >= 0; where rounding says not, swap
+        a = np.multiply(r0, r1, order="C")
         a += 1.0
-        return _pair(b0 ^ b1, a, r0 + r1, dead)
+        b, c = np.bitwise_xor(b0, b1, order="C"), np.add(r0, r1, order="C")
+        if (swap := c > a).any():
+            b ^= swap
+            a, c = np.maximum(a, c), np.minimum(a, c)
+        c /= a
+        return b, c, dead
 
     def plus(xl):
-        # at b1 and the other: 1 and r0*r1 where x is 0, r0 and r1 where it is 1
-        x = (b0 ^ b1) != xl  # bool also where PairTables passes int xl
-        c = np.multiply(r0, r1)
-        np.copyto(c, r1, where=x)
-        return _pair(b1, np.where(x, r0, 1.0), c, dead)
+        # 1 at b1 and r0*r1 at the other where xl agrees with the minus bit
+        # b0 ^ b1; where it does not (x), r0 at b1 and r1 at the other
+        b, c = b1.copy(order="C"), np.multiply(r0, r1, order="C")
+        x = np.flatnonzero((b0 ^ b1) != xl)  # bool also where PairTables passes int xl
+        b.reshape(-1)[x], c.reshape(-1)[x], zero = _pair(
+            np.take(b1, x), np.take(r0, x), np.take(r1, x))
+        if zero is None:
+            return b, c, dead
+        z = np.zeros(c.shape, dtype=bool)
+        z.reshape(-1)[x[zero]] = True
+        return b, c, z if dead is None else z | dead
     return minus, plus
 
 
-def _pair(bit, a, c, dead):
-    """(argmax bit, min/max, dead) of messages a at ``bit`` and c at the other,
-    given the ``dead`` mask of their inputs; an all-zero message joins it.
-    ``a``, a float array the caller owns, ends holding the maximum."""
+def _pair(bit, a, c):
+    """(argmax bit, min/max, zero) of messages a at ``bit`` and c at the other;
+    ``zero`` masks the all-zero ones, or is None where none is.  ``a``, a float
+    array the caller owns, ends holding the maximum."""
     bit = bit ^ (c > a)
     small = np.minimum(a, c, dtype=float)
     big = np.maximum(a, c, out=a)
+    zero = None
     if not big.all():
         zero = big == 0
         big[zero] = 1.0
-        dead = zero if dead is None else dead | zero
     small /= big
-    return bit, small, dead
+    return bit, small, zero
 
 
 def _normalize(t, out=None):

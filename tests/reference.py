@@ -26,6 +26,10 @@ generates F_q over F_p by the linear-algebra definition, and
 ``_poly_mul``, ``_poly_mod`` and ``_poly_trim`` do arithmetic on
 coefficient lists over F_p, with no code from the package: they referee
 the field tables and carry both deciders.
+``reference_bit_rules`` is the q = 2 min/max referee of the batch kernel's
+(bit, ratio, dead) rules: it expands each message into its two entries in
+Python floats, combines them by the definitions of the minus and plus
+messages and reduces the result to argmax, min/max and zero.
 ``tie_draws`` wraps an (n, B) array of tie uniforms as the tie source
 ``sc_decode_batch`` calls.  ``counter_uniform`` is the counter RNG's draw
 for one (seed, trial, slot) in Python integers: splitmix64 finalizers
@@ -419,6 +423,42 @@ def reference_select_decreasing(estimates, k, m):
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _bit_entries(bit, r, dead):
+    """The two entries of a q = 2 message: 1 at ``bit`` and r at the other, or zeros."""
+    t = [0.0, 0.0]
+    if not dead:
+        t[bit], t[1 - bit] = 1.0, r
+    return t
+
+
+def _bit_message(t):
+    """(argmax, min/max, dead) of a two-entry message; the argmax is None where
+    the entries tie (either bit is right), and a zero message has only ``dead``."""
+    small, big = min(t), max(t)
+    if big == 0:
+        return None, None, True
+    return (None if t[0] == t[1] else t.index(big)), small / big, False
+
+
+def reference_bit_rules(bit, r, dead, xl):
+    """The minus and plus messages of (2h, B) q = 2 messages (bit, r, dead),
+    ``dead`` None or a mask of zero messages, against the (h, B) transform xl
+    of the low half: two flat lists, in C order over (h, B), of
+    :func:`_bit_message` triples of
+        minus[u] = t0[u] * t1[0] + t0[u ^ 1] * t1[1]
+        plus[u]  = t0[xl ^ u] * t1[u]
+    with t0 the message at j and t1 the one at j + h."""
+    h, B = len(r) // 2, r.shape[1]
+    minus, plus = [], []
+    for j, k in itertools.product(range(h), range(B)):
+        t0, t1 = (_bit_entries(int(bit[i, k]), float(r[i, k]),
+                               dead is not None and bool(dead[i, k])) for i in (j, j + h))
+        z = int(xl[j, k])
+        minus.append(_bit_message([t0[u] * t1[0] + t0[u ^ 1] * t1[1] for u in (0, 1)]))
+        plus.append(_bit_message([t0[z ^ u] * t1[u] for u in (0, 1)]))
+    return minus, plus
 
 
 def tie_draws(uniforms):

@@ -419,6 +419,22 @@ def test_channel_config_round_trip_is_exact(name):
         assert rebuilt.sigma2 == ch.sigma2
 
 
+@pytest.mark.parametrize("name", ["qsc", "qec", "table", "awgn_sigma2", "awgn_ebno"])
+def test_a_channel_rebuilds_from_its_own_read_only_config(name):
+    # the object rule once took only a dict, so channel_from_json refused
+    # every channel's own config, a read-only mapping (with tuple rows in a table)
+    ch = CONFIG_CHANNELS[name]()
+    rebuilt = channel_from_json(ch.config, ch.field)
+    assert rebuilt.config == ch.config and rebuilt.field == ch.field
+    assert channel_to_json(rebuilt) == channel_to_json(ch)
+
+
+@pytest.mark.parametrize("value", [[["kind", "qsc"], ["epsilon", "1/10"]], "qsc", ("kind",)])
+def test_a_channel_config_that_is_no_json_object_is_refused(value):
+    with pytest.raises(ValueError, match="a channel must be a JSON object"):
+        channel_from_json(value)
+
+
 F2_JSON = {"p": 2, "s": 1, "modulus": [0], "alpha": [1]}
 F4_JSON = {"p": 2, "s": 2, "modulus": [1, 1], "alpha": [0, 1]}
 WRITTEN = {

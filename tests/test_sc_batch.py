@@ -29,12 +29,13 @@ from qpolar.gf import default_field
 from qpolar.mc import decode_tallies
 from qpolar.oracle import exact_average_ser
 from qpolar.sc import (
-    DEFAULT_TIE_RTOL, PairTables, _BatchJob, _decode_span, _minus, _normalize, _plus,
-    sc_decode, sc_decode_batch, sc_decode_distribution,
+    DEFAULT_TIE_RTOL, PairTables, _BatchJob, _bit_rules, _decode_span, _minus, _normalize,
+    _plus, sc_decode, sc_decode_batch, sc_decode_distribution,
 )
 from qpolar.sim import ExperimentConfig, ebno_to_channel, run_experiment
 from reference import (
-    ZERO_ENTRY_CHANNELS, kron_matrix, matrix_multiply, reference_sc_decode, tie_draws,
+    ZERO_ENTRY_CHANNELS, kron_matrix, matrix_multiply, reference_bit_rules, reference_sc_decode,
+    tie_draws,
 )
 
 
@@ -558,6 +559,63 @@ def test_binary_path_matches_the_general_recursion_at_the_tie_edge(genie):
     assert np.array_equal(got_d, want_d) and np.array_equal(got_x, want_x)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("xl_type", [bool, np.int64])
+@pytest.mark.parametrize("agree", ["all", "none", "mixed"])
+@pytest.mark.parametrize("with_dead", [False, True])
+def test_bit_rules_match_the_min_max_referee(order, xl_type, agree, with_dead):
+    # F-ordered messages are what random messages feed the root, an int xl is
+    # what PairTables passes, and a plus message of r0 = r1 = 0 on a block
+    # whose bits disagree is zero; the referee takes every input as given
+    h, b = 3, 40
+    gen = np.random.default_rng(7)
+    ratios = np.array([0.0, 1e-300, 0.25, 0.5, np.nextafter(1.0, 0.0), 1.0])
+    r = np.where(gen.random((2 * h, b)) < 0.5, gen.random((2 * h, b)),
+                 ratios[gen.integers(0, len(ratios), size=(2 * h, b))])
+    bit = gen.random((2 * h, b)) < 0.5
+    minus_bit = bit[:h] ^ bit[h:]
+    xl = {"all": minus_bit, "none": ~minus_bit,
+          "mixed": gen.random((h, b)) < 0.5}[agree]
+    r[:h][(minus_bit != xl) & (gen.random((h, b)) < 0.2)] = 0.0
+    r[h:][r[:h] == 0.0] = 0.0
+    dead = gen.random((2 * h, b)) < 0.1 if with_dead else None
+    if order == "F":
+        bit, r = np.asfortranarray(bit), np.asfortranarray(r)
+        dead = dead if dead is None else np.asfortranarray(dead)
+    xl = xl.astype(xl_type)
+    inputs = [a if a is None else a.copy(order="K") for a in (bit, r, dead)]
+    minus, plus = _bit_rules(bit, r, dead)
+    want_minus, want_plus = reference_bit_rules(bit, r, dead, xl)
+    _assert_referee_messages(minus(), want_minus)
+    _assert_referee_messages(plus(xl), want_plus)
+    assert any(d for _, _, d in want_plus) == (agree != "all" or with_dead)
+    for a, before in zip((bit, r, dead), inputs):
+        assert a is None or np.array_equal(a, before)
+
+
+def test_minus_rule_swaps_wherever_the_other_entry_leads():
+    # ratios in [0, 1] give 1 + r0*r1 >= r0 + r1, so no message takes the
+    # rule's swap; ratios up to 3, which no message carries, take it
+    gen = np.random.default_rng(8)
+    bit, r = gen.random((4, 50)) < 0.5, 3 * gen.random((4, 50))
+    assert (r[:2] + r[2:] > r[:2] * r[2:] + 1.0).any()
+    minus, _ = _bit_rules(bit, r, None)
+    want, _ = reference_bit_rules(bit, r, None, np.zeros((2, 50), dtype=bool))
+    _assert_referee_messages(minus(), want)
+
+
+def _assert_referee_messages(got, want):
+    """Rule output (bit, ratio, dead) equals the referee's triples: the same
+    dead mask, and where not dead the same ratio and, unless tied, bit."""
+    got_bit, got_r, got_dead = got
+    assert got_bit.dtype == bool and got_r.dtype == float
+    got_dead = np.zeros(got_r.shape, dtype=bool) if got_dead is None else got_dead
+    assert got_dead.ravel().tolist() == [d for _, _, d in want]
+    for u, v, (want_u, want_v, want_dead) in zip(got_bit.ravel().tolist(),
+                                                 got_r.ravel().tolist(), want):
+        assert want_dead or (v == want_v and want_u in (None, u))
+
+
 def test_no_tie_draw_on_a_tie_free_awgn_batch():
     code = _code(2, 8, 128)
     likes, tie_u, _ = _batch_inputs(code, ebno_to_channel(2.0, 0.5), seed=3, b=2048,
@@ -714,6 +772,26 @@ def test_fig1_tallies_are_pinned(seed, genie):
     assert digest.hexdigest() == FIG1_DIGESTS[seed, genie]
 
 
+# the same digests (seed 31) with random messages, as the q = 2 rules that
+# took min/max on every block computed them.  The leaves reach the rules
+# F-ordered here (x is the transform of the messages' transpose), so each
+# half of a leaf array is a strided slice
+FIG1_RANDOM_DIGESTS = {
+    False: "eb9bc631c6845fff3d46b31923d1933b31a437b7dcec80acf8ee4359172bddcb",
+    True: "bad2bf3da96468c2f84fb94fbc8cfd649c82a0d552226c5dbf546b4a22d7aa74",
+}
+
+
+@pytest.mark.parametrize("genie", [False, True])
+def test_fig1_random_message_tallies_are_pinned(genie):
+    code = PolarCode(F2, 8, FIG1_INFO)
+    msg, cw, _ = decode_tallies(code, ebno_to_channel(2.0, 0.5), 31, 0, 5000, genie=genie,
+                                random_message=True)
+    assert msg.sum() > 0 and (genie or cw.sum() > 0)
+    digest = hashlib.sha256(msg.astype("<i8").tobytes() + cw.astype("<i8").tobytes())
+    assert digest.hexdigest() == FIG1_RANDOM_DIGESTS[genie]
+
+
 # the q = 16 code of the benchmark: k = 32 by the erasure ranking on QSC(1/10)
 Q16_INFO = (15, 23, 27, 28, 29, 30, 31, 37, 38, 39, 41, 42, 43, 44, 45, 46, 47, 49,
             *range(50, 64))
@@ -766,12 +844,21 @@ def test_no_messages_are_built_for_an_all_frozen_child(monkeypatch, name):
         t_idx = np.arange(64, dtype=np.uint64)
         y = ch.sample_batch(np.zeros((code.n, 64), dtype=np.intp),
                             rng.uniforms(4, t_idx, np.arange(code.n)))
-    calls = dict.fromkeys(["_minus", "_plus", "_pair"], 0)
-    for fname in calls:
-        def counted(*args, _real=getattr(sc, fname), _name=fname):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(sc, fname, counted)
+    # the leaves, and the bodies of the minus and plus rules that each node's
+    # rule factory (_span_rules, or _bit_rules at q = 2) returns
+    calls = dict.fromkeys(["_leaves", "minus", "plus"], 0)
+
+    def count(name, rule):
+        def counted(*args):
+            calls[name] += 1
+            return rule(*args)
+        return counted
+    for fname in ("_span_rules", "_bit_rules"):
+        def factory(*args, _real=getattr(sc, fname)):
+            minus, plus = _real(*args)
+            return count("minus", minus), count("plus", plus)
+        monkeypatch.setattr(sc, fname, factory)
+    monkeypatch.setattr(sc, "_leaves", count("_leaves", sc._leaves))
     if tables:
         sc_decode_batch(code, outputs(y), tie_draws(rng.uniforms(4, t_idx, np.arange(code.n))))
     else:
@@ -787,12 +874,8 @@ def test_no_messages_are_built_for_an_all_frozen_child(monkeypatch, name):
     # from tables, neither the leaves nor the root's children (both live) are built
     assert code.info_mask[:n // 2].any() and code.info_mask[n // 2:].any()
     root = int(tables)
-    if code.field.q == 2:
-        # one pair for the leaves, then one per child
-        assert calls == {"_minus": 0, "_plus": 0,
-                         "_pair": 1 - root + live_low + live_high - 2 * root}
-    else:
-        assert calls == {"_minus": live_low - root, "_plus": live_high - root, "_pair": 0}
+    # one rule call per live child
+    assert calls == {"_leaves": 1 - root, "minus": live_low - root, "plus": live_high - root}
 
 
 # the channels of the table route: QSC and QEC at q = 2, 3, 4 and 16, the
