@@ -26,7 +26,7 @@ from .code import PolarCode
 from .construct import GenieMC, Manual, construct_info_set
 from .gf import FieldElement, _count, _object
 from .oracle import exact_average_ser, exact_ser
-from .sc import sc_decode, sc_decode_distribution
+from .sc import _check_exact, sc_decode, sc_decode_distribution
 from .sim import ExperimentConfig, run_experiment
 from .symmetry import (
     check_coset_invariance,
@@ -293,6 +293,7 @@ def _cmd_verify(args):
     if args.samples is not None:
         _count(args.samples, "--samples")
     code, ch = _load_code_and_channel(args.code, args.channel)
+    _check_exact(code, ch)  # every lemma is checked on the exact engine
     lemmas = [s.strip() for s in args.lemmas.split(",") if s.strip()]
     if not lemmas:
         raise ValueError(f"--lemmas {args.lemmas!r} names no lemma")

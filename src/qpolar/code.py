@@ -40,14 +40,14 @@ def check_condition_A(info_set, m):
 
 
 def decreasing_sets(m):
-    """All information sets at length 2^m satisfying the closure condition."""
-    n = 1 << _integer(m, "m")
-    out = []
-    for mask in range(1 << n):
-        members = tuple(i for i in range(n) if mask >> i & 1)
-        if check_condition_A(members, m)[0]:
-            out.append(members)
-    return out
+    """All information sets at length 2^m satisfying the closure condition, in
+    bit-mask order.  A set is closed exactly when its low half and its high
+    half, shifted down, are closed and the low half lies inside the high half."""
+    n = 1 << (m := _integer(m, "m"))  # refuses a negative m
+    masks = [0, 1]  # length 1: {} and {0}
+    for h in (1 << s for s in range(m)):
+        masks = sorted(lo | hi << h for hi in masks for lo in masks if not lo & ~hi)
+    return [tuple(i for i in range(n) if mask >> i & 1) for mask in masks]
 
 
 def polar_transform(field, u):

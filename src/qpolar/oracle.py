@@ -22,7 +22,7 @@ from fractions import Fraction
 from .code import polar_transform
 from .gf import _count
 from .mc import decode_tallies
-from .sc import _ExactJob, sc_decode_distribution
+from .sc import _ExactJob, _check_exact, sc_decode_distribution
 
 MAX_ENUMERATION = 10**6
 
@@ -48,12 +48,11 @@ class SerReport:
                 "per_index": [f"{v.numerator}/{v.denominator}" for v in self.per_index]}
 
 
-def _check_enumeration_cap(ch, n):
-    if not ch.is_finite:
-        raise ValueError("exact enumeration requires a finite channel")
-    if ch.num_outputs ** n > MAX_ENUMERATION:
+def _check_enumeration_cap(code, ch):
+    _check_exact(code, ch)
+    if ch.num_outputs ** code.n > MAX_ENUMERATION:
         raise ValueError(
-            f"|Y|^n = {ch.num_outputs}^{n} exceeds the enumeration cap {MAX_ENUMERATION}")
+            f"|Y|^n = {ch.num_outputs}^{code.n} exceeds the enumeration cap {MAX_ENUMERATION}")
 
 
 def _outputs_with_mass(rows, x_idx):
@@ -75,7 +74,7 @@ def exact_ser(code, ch, u_full):
     operation can probe arbitrary (frozen, information) combinations.
     Sub-decodes are memoized for the length of the call.
     """
-    _check_enumeration_cap(ch, code.n)
+    _check_enumeration_cap(code, ch)
     field = code.field
     n = code.n
     u_full = [field.element(v) for v in u_full]

@@ -54,6 +54,11 @@ one pick rule ``rng._pick``, k = min(floor(v_i * s), s - 1).  All-zero
 uniforms keep the smallest tied index (the lexicographic rule); the batch
 kernel draws v_i for tied blocks only.
 
+Every exact entry (both forms, the finite route of :func:`sc_decode` and
+:class:`_ExactJob`, which the oracle and the checkers build) passes one gate,
+:func:`_check_exact`: it refuses a channel that is not finite or is over
+another field, and an output block that is not n indices of its alphabet.
+
 On channels with zero transition entries a message can be identically
 zero (a plus message after a wrong tie guess on an erasure channel).  The
 exact kernel keeps it zero: every message built from it by either rule is
@@ -97,24 +102,21 @@ def _argmax_set(t):
     return [u for u, v in enumerate(t) if v == mx]
 
 
-def synthetic_channel(code, ch, y, u_prefix, i):
-    """Likelihood vector of the i-th synthetic channel, by direct summation.
+def synthetic_channel(code, ch, y, u_prefix):
+    """Likelihood vector of synthetic channel i = len(u_prefix), by direct summation.
 
     Computes (1/q^{n-1}) * sum over all completions u_{i+1..n-1} of
-    W^n(y | u * G_n) for each value of u_i, with the prefix (field elements
-    or their indices) fixed, in exact rationals.  The channel must be finite.
+    W^n(y | u * G_n) for each value of u_i, with the prefix u_0..u_{i-1}
+    (field elements or their indices) fixed, in exact rationals.  The
+    channel and y pass the exact engine's gate, :func:`_check_exact`.
     """
+    _check_exact(code, ch, y)
     field = code.field
     q = field.q
     n = code.n
-    if not ch.is_finite:
-        raise ValueError("synthetic channel values require a finite channel")
-    if len(u_prefix) != i:
-        raise ValueError(f"prefix has length {len(u_prefix)}, expected {i}")
+    i = _index(len(u_prefix), n, "prefix length")
     if n > MAX_DEFINITIONAL_N:
         raise ValueError(f"definitional form capped at n <= {MAX_DEFINITIONAL_N}")
-    _check_field(field, ch)
-    _check_block(y, n, ch.num_outputs)
     # cols[j][x] = D * W(y_j | x), integer sums scaled down once at the end, from
     # the law itself: the recursion's tables are what this form referees
     D = math.lcm(*(v.denominator for row in ch.matrix for v in row))
@@ -137,12 +139,16 @@ def _check_field(field, ch):
         raise ValueError(f"channel field {ch.field!r} differs from the code field {field!r}")
 
 
-def _check_block(y, n, num_outputs):
-    """Raise unless y is a length-n block of integer output indices of the alphabet."""
-    if len(y) != n:
-        raise ValueError(f"output block has length {len(y)}, expected {n}")
-    for v in y:
-        _index(v, num_outputs, "output index")
+def _check_exact(code, ch, y=None):
+    """The exact engine's gate: raise unless ch is a finite channel over the
+    code's field and y, if given, is n output indices of its alphabet, which
+    it returns as a tuple of ints."""
+    if not ch.is_finite:
+        raise ValueError(f"exact computation requires a finite channel, not {ch!r}")
+    _check_field(code.field, ch)
+    if y is not None and len(y) != code.n:
+        raise ValueError(f"output block has length {len(y)}, expected {code.n}")
+    return None if y is None else tuple(_index(v, ch.num_outputs, "output index") for v in y)
 
 
 def sc_decode(code, ch, y, tie_uniforms=None):
@@ -163,8 +169,7 @@ def sc_decode(code, ch, y, tie_uniforms=None):
     elems = code.field.elements
     if ch.is_finite:
         job = _ExactJob(code, ch, tie_uniforms=uniforms)
-        _check_block(y, n, ch.num_outputs)
-        (x,) = job.decode(y)
+        (x,) = job.decode(_check_exact(code, ch, y))
         u = job.decisions
     else:
         y = np.array([_real(v, "AWGN output") for v in y])
@@ -185,31 +190,30 @@ def sc_decode_distribution(code, ch, y, method="recursive", job=None):
     codeword tuples to exact rational masses summing to 1.
 
     Callers that decode many outputs of one code and channel pass ``job``,
-    an :class:`_ExactJob` of that code and channel: the recursive call then
-    shares the job's integer tables and sub-decode memo and returns the
+    an :class:`_ExactJob` of that code and channel: the call then runs the
+    recursion on the job's integer tables and sub-decode memo and returns the
     index distribution of :func:`_distribution_indices` as it is (index
     tuple keys, int weights d for masses 1/d), without building field
-    elements or Fractions.  It does not check ``y`` then: the caller passes
-    a length-n block of output indices.
+    elements or Fractions.  It checks nothing then: the caller passes a
+    length-n block of output indices.  Without ``job``, the channel and y
+    pass the exact engine's gate, :func:`_check_exact`.
     """
-    if not ch.is_finite:
-        raise ValueError("exact decode distributions require a finite channel")
+    if job is not None:
+        return job.decode(y)
+    _check_exact(code, ch, y)
     if code.n > MAX_DEFINITIONAL_N:
         raise ValueError(f"decode distributions capped at n <= {MAX_DEFINITIONAL_N}")
     field = code.field
     elems = field.elements
 
     if method == "definitional":
-        # checked here too: without information positions y is never scored
-        _check_field(code.field, ch)
-        _check_block(y, code.n, ch.num_outputs)
         # branches map message prefixes (index tuples) to their masses
         frozen = code.frozen_index_array.tolist()
         branches = {(): Fraction(1)}
         for i in range(code.n):
             nxt = {}
             for prefix, p in branches.items():
-                cands = (_argmax_set(synthetic_channel(code, ch, y, prefix, i))
+                cands = (_argmax_set(synthetic_channel(code, ch, y, prefix))
                          if code.info_mask[i] else [frozen[i]])
                 for u in cands:
                     nxt[prefix + (u,)] = p / len(cands)
@@ -220,11 +224,7 @@ def sc_decode_distribution(code, ch, y, method="recursive", job=None):
 
     if method != "recursive":
         raise ValueError(f"unknown method {method!r}")
-    if job is not None:
-        return job.decode(y)
-    job = _ExactJob(code, ch)
-    _check_block(y, code.n, ch.num_outputs)
-    dist = job.decode(y)
+    dist = _ExactJob(code, ch).decode(y)
     return {tuple(elems[i] for i in x): Fraction(1, d) for x, d in dist.items()}
 
 
@@ -247,7 +247,7 @@ class _ExactJob:
     """
 
     def __init__(self, code, ch, tie_uniforms=None):
-        _check_field(code.field, ch)
+        _check_exact(code, ch)
         # aff[z][u] = index of z + alpha*u; the minus rule reads row u over
         # u1, the plus rule row z, and re-encoding entry [z_lo][z_hi]
         aff = self.aff = code.field.aff.tolist()

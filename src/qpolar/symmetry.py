@@ -26,7 +26,7 @@ import numpy as np
 from .code import polar_transform_indices
 from .gf import _index, _integer
 from .oracle import _check_enumeration_cap, exact_average_ser, exact_ser
-from .sc import _ExactJob, _check_block, sc_decode_distribution
+from .sc import _ExactJob, _check_exact, sc_decode_distribution
 
 
 def delta(m, r, i):
@@ -38,7 +38,8 @@ def delta(m, r, i):
 def xi_coefficients(field, m, r):
     """Per-coordinate multipliers of the signed map as element indices:
     -alpha, or -alpha^(-1) where bit r of the coordinate is set."""
-    m, r = _integer(m, "m"), _integer(r, "bit position")
+    m = _integer(m, "m")
+    r = _index(r, m, "bit position")
     a = field.alpha.index
     neg_alpha = int(field._neg[a])
     neg_alpha_inv = int(field._neg[field._inv[a]])
@@ -55,11 +56,6 @@ def _pushforward(dist, maps, src):
     return {_act(x, maps, src): p for x, p in dist.items()}
 
 
-def _all_outputs(ch, n):
-    _check_enumeration_cap(ch, n)
-    return itertools.product(range(ch.num_outputs), repeat=n)
-
-
 def _transport(code, ch, ys):
     """Decode every output block once; return the transport check.
 
@@ -69,11 +65,10 @@ def _transport(code, ch, ys):
     distribution, or None.  ``ys`` None means every output of Y^n.
     """
     if ys is None:
-        ys = list(_all_outputs(ch, code.n))
+        _check_enumeration_cap(code, ch)
+        ys = list(itertools.product(range(ch.num_outputs), repeat=code.n))
     else:
-        ys = [tuple(y) for y in ys]
-        for y in ys:
-            _check_block(y, code.n, ch.num_outputs)
+        ys = [_check_exact(code, ch, y) for y in ys]
     job = _ExactJob(code, ch)
     dists = {y: sc_decode_distribution(code, ch, y, job=job) for y in ys}
 

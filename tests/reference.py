@@ -585,7 +585,7 @@ def reference_exact_genie_error_probs(field, m, ch):
         for v in y:
             w *= ch.matrix[0][v]
         for i in range(n):
-            cands = _argmax_set(synthetic_channel(probe, ch, y, (field.zero,) * i, i))
+            cands = _argmax_set(synthetic_channel(probe, ch, y, (field.zero,) * i))
             out[i] += w * (len(cands) - 1) / len(cands) if 0 in cands else w
     return tuple(out)
 

@@ -719,6 +719,16 @@ def test_a_channel_file_over_another_field_is_refused(tmp_path, capsys, args):
     assert not out.exists()
 
 
+def test_verify_refuses_the_awgn_channel(capsys):
+    # sampled lemmas once drew output indices from the AWGN channel, and ended
+    # in an AttributeError with a traceback
+    assert main(["verify", "--code", str(FIXTURES / "code_q2.json"),
+                 "--channel", str(FIXTURES / "awgn.json"),
+                 "--lemmas", "3,5", "--samples", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "requires a finite channel" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("lemmas", [",", " , ", ""])
 def test_verify_refuses_an_empty_lemma_list(paths, capsys, lemmas):
     # --lemmas "," once exited 0 after checking nothing

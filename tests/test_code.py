@@ -195,6 +195,20 @@ def test_decreasing_sets_small():
     assert len(sets2) == 6
 
 
+def test_decreasing_sets_are_the_closed_masks_in_mask_order():
+    # built from their halves: the list and its order are those of a filter
+    # over every mask, which at m = 5 would walk 2^32 of them
+    for m in range(4):
+        n = 1 << m
+        masks = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+        assert decreasing_sets(m) == [s for s in masks if reference_check_condition_A(s, m)[0]]
+    sets5 = decreasing_sets(5)
+    assert len(sets5) == 7581 and len(set(sets5)) == 7581
+    assert all(reference_check_condition_A(s, 5) == (True, None) for s in sets5)
+    with pytest.raises(ValueError, match="negative shift count"):
+        decreasing_sets(-1)
+
+
 def test_polar_code_construction_and_flags():
     f = default_field(2)
     code = PolarCode(f, 2, [1, 2, 3])

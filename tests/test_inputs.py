@@ -20,6 +20,8 @@ from qpolar.sc import sc_decode, sc_decode_batch, sc_decode_distribution, synthe
 from qpolar.sim import BerReport, ExperimentConfig, ebno_to_channel
 from qpolar.symmetry import (
     check_coset_invariance,
+    check_equal_ser,
+    check_message_invariance,
     check_ser_bit_flip_symmetry,
     check_xi_invariance,
     delta,
@@ -201,12 +203,12 @@ REFUSALS = {
                                ValueError, "requires a finite channel"),
     "exact_ser short message": (lambda: exact_ser(CODE, BSC, [0, 0, 0]),
                                 ValueError, "message length 3 != n = 4"),
-    "synthetic_channel short prefix": (lambda: synthetic_channel(CODE, BSC, (0,) * 4, (), 1),
-                                       ValueError, "prefix has length 0, expected 1"),
-    "synthetic_channel n 32": (lambda: synthetic_channel(N32, BSC, (0,) * 32, (), 0),
+    "synthetic_channel whole prefix": (lambda: synthetic_channel(CODE, BSC, (0,) * 4, (0,) * 4),
+                                       ValueError, r"prefix length 4 outside \[0, 4\)"),
+    "synthetic_channel n 32": (lambda: synthetic_channel(N32, BSC, (0,) * 32, ()),
                                ValueError, "capped at n <= 16"),
     "sc_decode_distribution AWGN": (lambda: sc_decode_distribution(CODE, AWGN, (0.1,) * 4),
-                                    ValueError, "require a finite channel"),
+                                    ValueError, "requires a finite channel"),
     "sc_decode_distribution n 32": (lambda: sc_decode_distribution(N32, BSC, (0,) * 32),
                                     ValueError, "capped at n <= 16"),
     "sc_decode_distribution method": (
@@ -220,6 +222,10 @@ REFUSALS = {
     "bit-flip check non-decreasing set": (
         lambda: check_ser_bit_flip_symmetry(PolarCode(F2, 2, (0,)), BSC),
         ValueError, "needs a decreasing information set"),
+    "xi_coefficients r = m": (lambda: xi_coefficients(default_field(4), 2, 5),
+                              ValueError, r"bit position 5 outside \[0, 2\)"),
+    "xi_coefficients r -1": (lambda: xi_coefficients(default_field(4), 2, -1),
+                             ValueError, r"bit position -1 outside \[0, 2\)"),
     "BerReport tally above trials": (
         lambda: BerReport((1,), 4, (0, 5), (0, 0)).validate(),
         RuntimeError, r"message tally 5 at 1 outside \[0, 4\]"),
@@ -231,6 +237,37 @@ def test_every_refusal_raises_with_its_reason(refusal):
     call, error, phrase = REFUSALS[refusal]
     with pytest.raises(error, match=phrase):
         call()
+
+
+# exact entry -> a call that runs it on the channel ch.  Given ys, the coset
+# and xi checkers once ended in an AttributeError on the AWGN channel
+EXACT_ENTRIES = {
+    "synthetic_channel": lambda ch: synthetic_channel(CODE, ch, (0,) * 4, ()),
+    "recursive": lambda ch: sc_decode_distribution(CODE, ch, (0,) * 4),
+    "definitional": lambda ch: sc_decode_distribution(CODE, ch, (0,) * 4, method="definitional"),
+    "sc_decode": lambda ch: sc_decode(CODE, ch, (0,) * 4),
+    "exact_ser": lambda ch: exact_ser(CODE, ch, [0] * 4),
+    "exact_average_ser": lambda ch: exact_average_ser(CODE, ch),
+    "message check": lambda ch: check_message_invariance(CODE, ch, [[0] * 4]),
+    "coset check": lambda ch: check_coset_invariance(CODE, ch, ys=[(0,) * 4]),
+    "xi check": lambda ch: check_xi_invariance(CODE, ch, 1, ys=[(0,) * 4]),
+    "bit-flip check": lambda ch: check_ser_bit_flip_symmetry(CODE, ch),
+    "equal SER check": lambda ch: check_equal_ser(CODE, ch),
+}
+# channel the exact engine's gate refuses -> a phrase of its refusal
+GATED_CHANNELS = {
+    "AWGN": (AWGN, "requires a finite channel"),
+    "over F_4": (qsc(default_field(4), Fraction(1, 10)), "differs from the code field"),
+}
+
+
+@pytest.mark.parametrize("entry,channel", [
+    (entry, channel) for entry in sorted(EXACT_ENTRIES) for channel in sorted(GATED_CHANNELS)
+    if (entry, channel) != ("sc_decode", "AWGN")])  # which decodes on the float kernel
+def test_every_exact_entry_refuses_what_the_gate_refuses(entry, channel):
+    ch, phrase = GATED_CHANNELS[channel]
+    with pytest.raises(ValueError, match=phrase):
+        EXACT_ENTRIES[entry](ch)
 
 
 F4_JSON = default_field(4).to_json()

@@ -89,7 +89,7 @@ def test_synthetic_table_n1_is_channel():
     ch = qsc(F3, Fraction(1, 5))
     code = PolarCode(F3, 0, [0])
     for y in range(ch.num_outputs):
-        assert synthetic_channel(code, ch, (y,), (), 0) == likelihoods(ch, y)
+        assert synthetic_channel(code, ch, (y,), ()) == likelihoods(ch, y)
 
 
 def test_synthetic_table_n2_matches_combines():
@@ -98,9 +98,9 @@ def test_synthetic_table_n2_matches_combines():
     for y0 in range(4):
         for y1 in range(4):
             la, lb = likelihoods(ch, y0), likelihoods(ch, y1)
-            assert synthetic_channel(code, ch, (y0, y1), (), 0) == combine_minus(la, lb, F4.alpha)
+            assert synthetic_channel(code, ch, (y0, y1), ()) == combine_minus(la, lb, F4.alpha)
             for u0 in F4.elements:
-                assert synthetic_channel(code, ch, (y0, y1), (u0,), 1) == \
+                assert synthetic_channel(code, ch, (y0, y1), (u0,)) == \
                     combine_plus(la, lb, u0, F4.alpha)
 
 
@@ -109,7 +109,7 @@ def test_synthetic_table_marginal_consistency():
     code = PolarCode(F2, 2, [0, 1, 2, 3])
     ys = list(itertools.product(range(ch.num_outputs), repeat=4))
     for i in range(4):
-        table = [synthetic_channel(code, ch, y, prefix, i)
+        table = [synthetic_channel(code, ch, y, prefix)
                  for y in ys for prefix in itertools.product(F2.elements, repeat=i)]
         for u in range(2):
             assert sum(t[u] for t in table) == 1

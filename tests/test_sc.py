@@ -32,19 +32,19 @@ def test_synthetic_channel_n1_is_raw_channel():
     ch = qsc(F3, Fraction(1, 5))
     code = PolarCode(F3, 0, [0])
     for y in range(3):
-        assert synthetic_channel(code, ch, (y,), (), 0) == likelihoods(ch, y)
+        assert synthetic_channel(code, ch, (y,), ()) == likelihoods(ch, y)
 
 
 def test_synthetic_channel_requires_finite_channel():
     code = PolarCode(F2, 1, [0, 1])
     with pytest.raises(ValueError, match="finite channel"):
-        synthetic_channel(code, AwgnBpskChannel(F2, 0.5), (0.3, -1.2), (), 0)
+        synthetic_channel(code, AwgnBpskChannel(F2, 0.5), (0.3, -1.2), ())
 
 
 def test_synthetic_channel_hand_sum_n2():
     ch = qsc(F2, Fraction(1, 10))
     code = PolarCode(F2, 1, [0, 1])
-    t = synthetic_channel(code, ch, (0, 0), (), 0)
+    t = synthetic_channel(code, ch, (0, 0), ())
     assert t == (Fraction(41, 100), Fraction(9, 100))
 
 
@@ -55,7 +55,7 @@ def test_output_index_outside_alphabet_raises(y):
     code = PolarCode(F2, 1, [0, 1])
     frozen = PolarCode(F2, 1, [])
     with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
-        synthetic_channel(code, ch, y, (), 0)
+        synthetic_channel(code, ch, y, ())
     for c in (code, frozen):
         for method in ("recursive", "definitional"):
             with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
@@ -67,7 +67,7 @@ def test_synthetic_channel_n2_position1_matches_plus_rule():
     code = PolarCode(F2, 1, [0, 1])
     for y0, y1 in all_outputs(ch, 2):
         for u0 in F2.elements:
-            t = synthetic_channel(code, ch, (y0, y1), (u0,), 1)
+            t = synthetic_channel(code, ch, (y0, y1), (u0,))
             expected = combine_plus(likelihoods(ch, y0), likelihoods(ch, y1), u0, F2.alpha)
             assert t == expected
 
@@ -87,12 +87,12 @@ def test_synthetic_channel_same_in_small_chunks(monkeypatch, field, m, make):
     for i in range(code.n):
         y = tuple(int(v) for v in rng.integers(0, ch.num_outputs, size=code.n))
         prefix = tuple(field.element(int(v)) for v in rng.integers(0, field.q, size=i))
-        cases.append((y, prefix, i, synthetic_channel(code, ch, y, prefix, i)))
+        cases.append((y, prefix, synthetic_channel(code, ch, y, prefix)))
     monkeypatch.setattr(qpolar.sc, "_SYNTHETIC_CHUNK", 4)
-    for y, prefix, i, want in cases:
-        assert synthetic_channel(code, ch, y, prefix, i) == want
+    for y, prefix, want in cases:
+        assert synthetic_channel(code, ch, y, prefix) == want
         # a prefix of element indices names the same messages
-        assert synthetic_channel(code, ch, y, tuple(e.index for e in prefix), i) == want
+        assert synthetic_channel(code, ch, y, tuple(e.index for e in prefix)) == want
 
 
 def test_combine_minus_hand_value():
@@ -209,14 +209,14 @@ def test_recursive_message_equals_synthetic_exactly():
         y = tuple(int(v) for v in rng.integers(0, 4, size=4))
         T = [likelihoods(ch, yi) for yi in y]
         tm = [combine_minus(T[0], T[2], alpha), combine_minus(T[1], T[3], alpha)]
-        assert combine_minus(tm[0], tm[1], alpha) == synthetic_channel(code, ch, y, (), 0)
+        assert combine_minus(tm[0], tm[1], alpha) == synthetic_channel(code, ch, y, ())
         for u0 in F4.elements:
             for u1 in F4.elements:
                 z = polar_transform(F4, [u0, u1])
                 tp = [combine_plus(T[0], T[2], z[0], alpha),
                       combine_plus(T[1], T[3], z[1], alpha)]
                 got = combine_minus(tp[0], tp[1], alpha)
-                assert got == synthetic_channel(code, ch, y, (u0, u1), 2)
+                assert got == synthetic_channel(code, ch, y, (u0, u1))
 
 
 def test_point_decode_tracks_distribution_frequencies():

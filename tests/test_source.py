@@ -313,6 +313,26 @@ def test_indices_are_read_by_the_rule_in_gf():
     assert found == []
 
 
+# the exact engine's gate, the one place that may refuse a channel that is not finite
+EXACT_GATE = ("sc.py", "_check_exact")
+
+
+def test_finite_channels_are_refused_by_the_gate_in_sc():
+    # three hand-written refusals once had three wordings, and the entries
+    # that lacked one ended in an AttributeError on the AWGN channel
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if (path.name, getattr(top, "name", None)) == EXACT_GATE:
+                continue
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                      if isinstance(node, ast.If) and isinstance(node.test, ast.UnaryOp)
+                      and isinstance(node.test.op, ast.Not)
+                      and getattr(node.test.operand, "attr", None) == "is_finite"
+                      and any(isinstance(stmt, ast.Raise) for stmt in node.body)]
+    assert found == []
+
+
 def test_no_local_import_binds_a_name_the_module_imports():
     # channel_from_json once imported Field and default_field a second time,
     # and ebno_to_channel from sim to break an import cycle; the package has
